@@ -22,7 +22,6 @@ from .errors import (
 from .filters import (
     HeadingKfState,
     KfConfig,
-    Particle,
     ParticleSet,
     PfConfig,
     kf_init,

@@ -21,12 +21,6 @@ from .pdr import PdrConfig, Pose, wrap_angle
 from .signal import ImuSample
 
 
-@dataclass(frozen=True)
-class Particle:
-    position: Point2
-    weight: float
-
-
 @dataclass
 class ParticleSet:
     """Weighted particle cloud; carries its own RNG stream for determinism."""
@@ -38,9 +32,6 @@ class ParticleSet:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def particle(self, i: int) -> Particle:
-        return Particle(Point2(*self.positions[i]), float(self.weights[i]))
 
 
 @dataclass(frozen=True)

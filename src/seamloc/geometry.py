@@ -82,10 +82,18 @@ class FloorPlan:
     start_environment: str | None = None
 
     def wall_array(self) -> np.ndarray:
-        """Walls as an (M, 4) array of x1, y1, x2, y2 rows."""
-        if not self.walls:
-            return np.empty((0, 4))
-        return np.array([[w.a.x, w.a.y, w.b.x, w.b.y] for w in self.walls])
+        """Walls as an (M, 4) array of x1, y1, x2, y2 rows.
+
+        Built on first call and cached on the instance outside the dataclass
+        fields, so equality and hashing still see only the fields. The
+        cached array is read-only; copy it before changing it.
+        """
+        cached = self.__dict__.get("_wall_array")
+        if cached is None:
+            cached = np.array([[w.a.x, w.a.y, w.b.x, w.b.y] for w in self.walls]).reshape(-1, 4)
+            cached.flags.writeable = False
+            object.__setattr__(self, "_wall_array", cached)
+        return cached
 
 
 def distance(p: Point2, q: Point2) -> float:
@@ -143,35 +151,75 @@ def in_crossing_area(p: Point2, door: Door, radius: float = 5.0) -> bool:
     return distance(p, door.center) <= radius
 
 
+# Broad-phase margin around the steps' bounding box, in meters. Far above the
+# rounding of the orientation products at plan coordinates, so no wall it
+# drops can pass the narrow phase.
+_CULL_PAD = 1e-6
+# Upper bound on the elements of one (K, N) narrow-phase temporary: 256 KiB
+# of float64, so a block's working set stays in cache. On a 2-core x86 VM,
+# blocks of 2**18 elements ran 1.6-1.8x slower on clouds spanning 1000 walls.
+_BLOCK_ELEMENTS = 1 << 15
+
+
 def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.ndarray:
     """Vectorized inclusive segment-vs-walls test.
 
     p0, p1: (N, 2) step endpoints; walls: (M, 4) rows x1, y1, x2, y2.
     Returns an (N,) bool mask: True where the step segment touches any wall.
+
+    Broad phase: only walls whose bounding box overlaps the bounding box of
+    all step endpoints, padded by _CULL_PAD, are tested; a wall outside it
+    cannot touch any step. Narrow phase: the four orientation products and
+    the straddle test run as (K, N) broadcasts over the K kept walls, taken
+    in blocks of at most max(1, _BLOCK_ELEMENTS // N) walls so that no
+    temporary grows to M x N. Only walls with a step lying exactly on their
+    line go on to the collinear-overlap test, one wall at a time, because its
+    BLAS dot products may round differently when batched. The element-wise
+    formulas are those of a per-wall test, so the mask is bit-for-bit the
+    same as testing every wall one at a time.
     """
     n = p0.shape[0]
     hit = np.zeros(n, dtype=bool)
+    if n == 0 or walls.shape[0] == 0:
+        return hit
+    # fmin/fmax skip NaN rows, which can hit no wall, so they cannot hide
+    # the walls near the other steps.
+    lo = np.fmin(np.fmin.reduce(p0), np.fmin.reduce(p1)) - _CULL_PAD
+    hi = np.fmax(np.fmax.reduce(p0), np.fmax.reduce(p1)) + _CULL_PAD
+    wall_lo = np.minimum(walls[:, :2], walls[:, 2:])
+    wall_hi = np.maximum(walls[:, :2], walls[:, 2:])
+    near = walls[np.all((wall_hi >= lo) & (wall_lo <= hi), axis=1)]
+
+    # Walls run down the rows and steps along the columns, so the inner
+    # loop of every broadcast is a contiguous run over the N steps.
     d = p1 - p0
-    for x1, y1, x2, y2 in walls:
-        wa = np.array([x1, y1])
-        wd = np.array([x2 - x1, y2 - y1])
-        # Orientation cross products for the straddle test.
-        d1 = wd[0] * (p0[:, 1] - y1) - wd[1] * (p0[:, 0] - x1)
-        d2 = wd[0] * (p1[:, 1] - y1) - wd[1] * (p1[:, 0] - x1)
-        d3 = d[:, 0] * (y1 - p0[:, 1]) - d[:, 1] * (x1 - p0[:, 0])
-        d4 = d[:, 0] * (y2 - p0[:, 1]) - d[:, 1] * (x2 - p0[:, 0])
+    px0, py0 = np.ascontiguousarray(p0.T)
+    px1, py1 = np.ascontiguousarray(p1.T)
+    dx, dy = np.ascontiguousarray(d.T)
+    block = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, near.shape[0], block):
+        w = near[start : start + block]
+        x1, y1, x2, y2 = w[:, 0:1], w[:, 1:2], w[:, 2:3], w[:, 3:4]
+        wdx, wdy = x2 - x1, y2 - y1
+        # Orientation cross products for the straddle test, shape (K, N).
+        d1 = wdx * (py0 - y1) - wdy * (px0 - x1)
+        d2 = wdx * (py1 - y1) - wdy * (px1 - x1)
+        d3 = dx * (y1 - py0) - dy * (x1 - px0)
+        d4 = dx * (y2 - py0) - dy * (x2 - px0)
         straddle = (d1 * d2 <= 0) & (d3 * d4 <= 0)
-        proper = straddle & ~((d1 == 0) & (d2 == 0))
-        hit |= proper
-        collinear = straddle & (d1 == 0) & (d2 == 0)
-        if np.any(collinear):
+        on_line = (d1 == 0) & (d2 == 0)
+        hit |= (straddle & ~on_line).any(axis=0)
+        collinear = straddle & on_line
+        for k in np.flatnonzero(collinear.any(axis=1)):
             # Collinear: require 1D overlap of projections onto the wall axis.
+            rows = collinear[k]
+            wa = w[k, :2]
+            wd = np.array([wdx[k, 0], wdy[k, 0]])
             axis = wd / np.dot(wd, wd)
-            t0 = (p0[collinear] - wa) @ axis
-            t1 = (p1[collinear] - wa) @ axis
-            lo = np.minimum(t0, t1)
-            hi = np.maximum(t0, t1)
-            hit[np.flatnonzero(collinear)[(hi >= 0) & (lo <= 1)]] = True
+            t0 = (p0[rows] - wa) @ axis
+            t1 = (p1[rows] - wa) @ axis
+            overlap = (np.maximum(t0, t1) >= 0) & (np.minimum(t0, t1) <= 1)
+            hit[np.flatnonzero(rows)[overlap]] = True
     return hit
 
 

@@ -24,6 +24,7 @@ from .errors import (
     InvalidInputError,
     InvariantViolation,
     ParseError,
+    SeamlocError,
     StateInconsistencyError,
     UnreliableMeasurementError,
 )
@@ -89,6 +90,7 @@ class EvalReport:
     final_errors: list[float]
     cdf: list[tuple[float, float]]
     counts: dict[str, int]
+    false_switches_per_trial: float  # defined even when the suite has no turn-backs
 
 
 def init_tracker(plan: FloorPlan, cfg: PipelineConfig) -> TrackerState:
@@ -215,7 +217,10 @@ def evaluate(results, match_window: int = 5) -> EvalReport:
     Each result pairs one trial's EventLog with its GroundTruth. A true
     crossing counts as detected when a switch for the same door lands within
     match_window steps of the true crossing step. Negative opportunities are
-    the truth's turn-back approaches; unmatched switches count against them.
+    the truth's turn-back approaches; unmatched switches count against them,
+    and the true-negative count stops at zero when they outnumber them. A
+    suite without turn-backs has no false-positive rate, so every unmatched
+    switch also shows in false_switches_per_trial.
     """
     results = list(results)
     if not results:
@@ -258,11 +263,12 @@ def evaluate(results, match_window: int = 5) -> EvalReport:
             "true_positives": tp,
             "false_negatives": positives - tp,
             "false_positives": fp,
-            "true_negatives": negatives - fp,
+            "true_negatives": max(negatives - fp, 0),
             "positives": positives,
             "negatives": negatives,
             "trials": len(results),
         },
+        false_switches_per_trial=fp / len(results),
     )
 
 
@@ -488,6 +494,10 @@ def save_truth(truth: GroundTruth, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+# Fields per ground-truth record, as save_truth writes them.
+_TRUTH_FIELDS = {"initial": 4, "step": 6, "door_open": 2, "crossing": 2, "turn_back": 2}
+
+
 def load_truth(path) -> GroundTruth:
     records = _read_records(path)
     _check_version(records, path)
@@ -501,20 +511,26 @@ def load_truth(path) -> GroundTruth:
         parts = rest.split()
         if key == "group":
             group = rest
-        elif key == "initial":
-            initial = (float(parts[0]), float(parts[1]), float(parts[2]), parts[3])
-        elif key == "final":
-            pass  # derived from steps on load
-        elif key == "step":
-            steps.append((float(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]), parts[5]))
-        elif key == "door_open":
-            door_opens.append((float(parts[0]), float(parts[1])))
-        elif key == "crossing":
-            crossings.append((int(parts[0]), parts[1]))
-        elif key == "turn_back":
-            turn_backs.append((int(parts[0]), parts[1]))
-        else:
+            continue
+        if key == "final":
+            continue  # derived from steps on load
+        if key not in _TRUTH_FIELDS:
             raise ParseError(f"unknown record {key!r}", path=str(path), line=lineno)
+        if len(parts) != _TRUTH_FIELDS[key]:
+            raise ParseError(f"{key} needs {_TRUTH_FIELDS[key]} fields, got {len(parts)}", path=str(path), line=lineno)
+        try:
+            if key == "initial":
+                initial = (float(parts[0]), float(parts[1]), float(parts[2]), parts[3])
+            elif key == "step":
+                steps.append((float(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]), parts[5]))
+            elif key == "door_open":
+                door_opens.append((float(parts[0]), float(parts[1])))
+            elif key == "crossing":
+                crossings.append((int(parts[0]), parts[1]))
+            else:
+                turn_backs.append((int(parts[0]), parts[1]))
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
     if initial is None:
         raise ParseError("missing 'initial' record", path=str(path))
     return GroundTruth(
@@ -623,24 +639,29 @@ def load_trial(events_path, path_path) -> EventLog:
         if len(parts) != 11:
             raise ParseError(f"expected 11 columns, got {len(parts)}", path=str(events_path), line=lineno)
         kind = parts[0]
-        if kind == "step":
-            log.steps.append(StepEvent(index=int(parts[1]), t=float(parts[2]), peak=0.0))
-        elif kind == "door_open":
-            log.door_opens.append(
-                DoorOpenEvent(t_start=float(parts[6]), t_end=float(parts[7]), zero_crossings=int(parts[8]))
-            )
-        elif kind == "switch":
-            log.switches.append(
-                SwitchEvent(
-                    step_index=int(parts[1]),
-                    door_id=parts[3],
-                    crossing_point=Point2(float(parts[4]), float(parts[5])),
-                    from_env=parts[9],
-                    to_env=parts[10],
+        try:
+            if kind == "step":
+                log.steps.append(StepEvent(index=int(parts[1]), t=float(parts[2]), peak=0.0))
+            elif kind == "door_open":
+                log.door_opens.append(
+                    DoorOpenEvent(t_start=float(parts[6]), t_end=float(parts[7]), zero_crossings=int(parts[8]))
                 )
-            )
-        else:
-            raise ParseError(f"unknown event kind {kind!r}", path=str(events_path), line=lineno)
+            elif kind == "switch":
+                log.switches.append(
+                    SwitchEvent(
+                        step_index=int(parts[1]),
+                        door_id=parts[3],
+                        crossing_point=Point2(float(parts[4]), float(parts[5])),
+                        from_env=parts[9],
+                        to_env=parts[10],
+                    )
+                )
+            else:
+                raise ParseError(f"unknown event kind {kind!r}", path=str(events_path), line=lineno)
+        except SeamlocError:
+            raise
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", path=str(events_path), line=lineno) from exc
     plines = [ln for ln in Path(path_path).read_text(encoding="utf-8").splitlines() if ln.strip()]
     if not plines or plines[0] != PATH_HEADER:
         raise ParseError(f"expected header {PATH_HEADER!r}", path=str(path_path), line=1)
@@ -648,7 +669,11 @@ def load_trial(events_path, path_path) -> EventLog:
         parts = line.split(",")
         if len(parts) != 6:
             raise ParseError(f"expected 6 columns, got {len(parts)}", path=str(path_path), line=lineno)
-        log.poses.append(Pose(Point2(float(parts[2]), float(parts[3])), float(parts[4])))
+        try:
+            x, y, heading = float(parts[2]), float(parts[3]), float(parts[4])
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", path=str(path_path), line=lineno) from exc
+        log.poses.append(Pose(Point2(x, y), heading))
         log.environments.append(parts[5])
     return log
 
@@ -665,6 +690,7 @@ def format_report(report: EvalReport) -> str:
         f"trials: {c['trials']}",
         f"true crossings: {c['positives']}   detected: {c['true_positives']}",
         f"negative approaches: {c['negatives']}   false switches: {c['false_positives']}",
+        f"false switches per trial: {report.false_switches_per_trial:.3f}",
         "",
         "Confusion matrix (door crossing detection)",
         "                     actual positive   actual negative",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -28,10 +29,32 @@ from seamloc import (
     pf_step,
     wrap_angle,
 )
+from seamloc import filters
 from seamloc.geometry import _segments_cross
 from seamloc.pdr import heading_series
 
 EMPTY_PLAN = FloorPlan(walls=(), doors=())
+
+
+def _pieced_corridor_run():
+    """(sha256 of every step's positions and weights, final estimate as hex
+    floats, live particles per step) for a fixed 20-step run."""
+    xs = [0.4 * i - 2.0 for i in range(151)]
+    walls = tuple(
+        Segment2(Point2(a, y), Point2(b, y)) for y in (-0.6, 0.6) for a, b in zip(xs, xs[1:])
+    )
+    plan = FloorPlan(walls=walls, doors=())
+    assert len(plan.walls) == 300
+    cfg = PfConfig(particle_count=500)
+    pset = pf_init(Pose(Point2(0.0, 0.0), 0.0), cfg, seed=2024)
+    h = hashlib.sha256()
+    live = []
+    for k in range(20):
+        pset, est = pf_step(pset, float(0.25 * np.sin(0.7 * k)), cfg, PdrConfig(), plan)
+        h.update(pset.positions.astype("<f8").tobytes())
+        h.update(pset.weights.astype("<f8").tobytes())
+        live.append(int((pset.weights > 0).sum()))
+    return h.hexdigest(), (est.x.hex(), est.y.hex()), live
 
 
 class TestPfInit:
@@ -100,6 +123,26 @@ class TestPfStep:
                 run.append((est.x, est.y))
             estimates.append(run)
         assert estimates[0] == estimates[1]
+
+    def test_pieced_corridor_matches_recorded_run(self):
+        # Recorded from the per-wall loop the wall test replaced: 20 steps of
+        # 500 particles in a 1.2 m corridor of 300 wall pieces, with wall
+        # kills and one resampling. The digest covers every step's positions
+        # and weights as little-endian float64.
+        digest, estimate, live = _pieced_corridor_run()
+        assert live == [481, 444, 364, 303, 274, 270, 270, 263, 251, 500, 499, 491, 454, 431, 429, 429, 422, 396, 392, 392]
+        assert estimate == ("0x1.d80615ba919d8p+3", "0x1.0b35bcc353b60p-3")
+        assert digest == "e7371045918d7cf834d25aea8bccaf0918894be3b28d8ded9e7fc67ffc75baa7"
+
+    def test_pieced_corridor_matches_per_wall_oracle(self, monkeypatch):
+        # Same run with the reference per-wall test in place of the culled,
+        # blocked one; unlike the recorded digest this does not depend on the
+        # platform's sin/cos.
+        from test_geometry import per_wall_oracle
+
+        fast = _pieced_corridor_run()
+        monkeypatch.setattr(filters, "_segments_cross", per_wall_oracle)
+        assert _pieced_corridor_run() == fast
 
     def test_corridor_beats_raw_pdr(self):
         # Scaled-down version of the acceptance scenario: 5 seeds.

@@ -1,7 +1,12 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from seamloc import (
     Door,
@@ -15,6 +20,8 @@ from seamloc import (
     segment_intersection,
     zone_for_door,
 )
+from seamloc import geometry
+from seamloc.geometry import _segments_cross
 
 
 def parametric_oracle(l1, l2):
@@ -230,3 +237,179 @@ class TestTypeInvariants:
     def test_door_distinct_environments(self):
         with pytest.raises(InvariantViolation):
             Door(id="d", center=Point2(0, 0), tangent=(1.0, 0.0), inner_env="a", outer_env="a")
+
+
+def per_wall_oracle(p0, p1, walls):
+    """Reference wall test: one numpy pass per wall, no culling, no blocks."""
+    n = p0.shape[0]
+    hit = np.zeros(n, dtype=bool)
+    d = p1 - p0
+    for x1, y1, x2, y2 in walls:
+        wa = np.array([x1, y1])
+        wd = np.array([x2 - x1, y2 - y1])
+        d1 = wd[0] * (p0[:, 1] - y1) - wd[1] * (p0[:, 0] - x1)
+        d2 = wd[0] * (p1[:, 1] - y1) - wd[1] * (p1[:, 0] - x1)
+        d3 = d[:, 0] * (y1 - p0[:, 1]) - d[:, 1] * (x1 - p0[:, 0])
+        d4 = d[:, 0] * (y2 - p0[:, 1]) - d[:, 1] * (x2 - p0[:, 0])
+        straddle = (d1 * d2 <= 0) & (d3 * d4 <= 0)
+        hit |= straddle & ~((d1 == 0) & (d2 == 0))
+        collinear = straddle & (d1 == 0) & (d2 == 0)
+        if np.any(collinear):
+            axis = wd / np.dot(wd, wd)
+            t0 = (p0[collinear] - wa) @ axis
+            t1 = (p1[collinear] - wa) @ axis
+            lo = np.minimum(t0, t1)
+            hi = np.maximum(t0, t1)
+            hit[np.flatnonzero(collinear)[(hi >= 0) & (lo <= 1)]] = True
+    return hit
+
+
+def assert_same_mask(p0, p1, walls):
+    got = _segments_cross(p0, p1, walls)
+    want = per_wall_oracle(p0, p1, walls)
+    assert got.dtype == bool and got.shape == (p0.shape[0],)
+    assert np.array_equal(got, want)
+    return got
+
+
+# Half-metre grid values make exact touches and collinear pairs common;
+# free floats cover the generic case.
+coord = st.one_of(st.integers(-8, 8).map(lambda k: 0.5 * k), st.floats(-5.0, 5.0))
+cloud = st.integers(1, 25).flatmap(lambda n: st.tuples(arrays(float, (n, 2), elements=coord), arrays(float, (n, 2), elements=coord)))
+wall_rows = st.integers(1, 20).flatmap(lambda m: arrays(float, (m, 4), elements=coord)).filter(
+    lambda w: bool(np.all((w[:, 0] != w[:, 2]) | (w[:, 1] != w[:, 3])))
+)
+
+
+class TestSegmentsCrossOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(cloud, wall_rows)
+    def test_random_clouds_match_oracle(self, steps, walls):
+        assert_same_mask(steps[0], steps[1], walls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wall_rows, st.data())
+    def test_endpoints_on_walls_match_oracle(self, walls, data):
+        # Step endpoints exactly at wall endpoints and wall midpoints.
+        picks = data.draw(st.lists(st.integers(0, len(walls) - 1), min_size=1, max_size=20))
+        ends = np.array([[walls[k, 0], walls[k, 1]] for k in picks])
+        mids = np.array([[0.5 * (walls[k, 0] + walls[k, 2]), 0.5 * (walls[k, 1] + walls[k, 3])] for k in picks])
+        starts = data.draw(arrays(float, (len(picks), 2), elements=coord))
+        hit = assert_same_mask(starts, ends, walls)
+        assert hit.all()
+        assert_same_mask(mids, starts, walls)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, -1.0)]),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+        st.integers(-6, 6),
+    )
+    def test_collinear_steps_match_oracle(self, direction, w0, w1, s0, s1):
+        # Wall and step on one line through the origin: overlapping,
+        # touching at one point, or disjoint, depending on the parameters.
+        ux, uy = direction
+        if w0 == w1:
+            w1 = w0 + 1
+        walls = np.array([[w0 * ux, w0 * uy, w1 * ux, w1 * uy]])
+        p0 = np.array([[s0 * ux, s0 * uy]])
+        p1 = np.array([[s1 * ux, s1 * uy]])
+        hit = assert_same_mask(p0, p1, walls)
+        overlaps = max(s0, s1) >= min(w0, w1) and min(s0, s1) <= max(w0, w1)
+        assert hit[0] == overlaps
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(float, (12, 2), elements=coord), wall_rows)
+    def test_zero_length_steps_match_oracle(self, points, walls):
+        assert_same_mask(points, points.copy(), walls)
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5e-6, 1e-6, 1.5e-6, 1e-3])
+    def test_walls_at_the_padded_box_edge(self, gap):
+        # The steps span x, y in [0, 1]; walls lie `gap` beyond each side.
+        p0 = np.array([[0.0, 0.0], [0.0, 1.0], [0.2, 0.5]])
+        p1 = np.array([[1.0, 1.0], [1.0, 0.0], [0.7, 0.5]])
+        walls = np.array(
+            [
+                [1.0 + gap, -1.0, 1.0 + gap, 2.0],
+                [-gap, -1.0, -gap, 2.0],
+                [-1.0, 1.0 + gap, 2.0, 1.0 + gap],
+                [-1.0, -gap, 2.0, -gap],
+                [1.0 + gap, 1.0 + gap, 3.0, 3.0],
+            ]
+        )
+        hit = assert_same_mask(p0, p1, walls)
+        assert hit.any() == (gap == 0.0)
+
+    def test_nan_step_hides_no_wall(self):
+        p0 = np.array([[0.0, 0.0], [np.nan, 0.0]])
+        p1 = np.array([[2.0, 0.0], [1.0, 1.0]])
+        walls = np.array([[1.0, -1.0, 1.0, 1.0]])
+        assert assert_same_mask(p0, p1, walls).tolist() == [True, False]
+
+    def test_empty_inputs(self):
+        assert _segments_cross(np.empty((0, 2)), np.empty((0, 2)), np.array([[0.0, 0.0, 1.0, 0.0]])).shape == (0,)
+        assert not _segments_cross(np.zeros((3, 2)), np.ones((3, 2)), np.empty((0, 4))).any()
+
+    @settings(max_examples=50, deadline=None)
+    @given(cloud, wall_rows)
+    def test_small_blocks_match_oracle(self, steps, walls):
+        # With a tiny block bound every plan spans several blocks.
+        with mock.patch.object(geometry, "_BLOCK_ELEMENTS", 8):
+            assert_same_mask(steps[0], steps[1], walls)
+
+    def test_plan_larger_than_one_block(self):
+        # 1000 particles over 1000 scattered walls: many blocks at the real bound.
+        rng = np.random.default_rng(4)
+        walls = np.concatenate(
+            [rng.uniform(-10, 10, (1000, 2)), np.zeros((1000, 2))], axis=1
+        )
+        walls[:, 2:] = walls[:, :2] + rng.normal(0.0, 0.5, (1000, 2))
+        p0 = rng.uniform(-10, 10, (1000, 2))
+        p1 = p0 + rng.normal(0.0, 0.75, (1000, 2))
+        assert 1000 > geometry._BLOCK_ELEMENTS // 1000
+        hit = assert_same_mask(p0, p1, walls)
+        assert 0 < hit.sum() < 1000
+
+    def test_temporaries_do_not_grow_with_walls(self):
+        # One (N, M) float array here would be 32 MiB; blocks keep the peak
+        # to a few (block, N) arrays.
+        n, m = 1024, 4096
+        rng = np.random.default_rng(6)
+        xs = rng.uniform(-20, 20, m)
+        walls = np.column_stack([xs, rng.uniform(-20, 20, m), xs + 0.01, rng.uniform(-20, 20, m)])
+        p0 = rng.uniform(-20, 20, (n, 2))
+        p1 = p0 + 0.75
+        tracemalloc.start()
+        try:
+            _segments_cross(p0, p1, walls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8 // 4
+
+
+class TestWallArray:
+    plan = FloorPlan(
+        walls=(Segment2(Point2(0, 0), Point2(1, 0)), Segment2(Point2(1, 0), Point2(1, 2))),
+        doors=(),
+    )
+
+    def test_values_and_cache(self):
+        a = self.plan.wall_array()
+        assert a.tolist() == [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 2.0]]
+        assert self.plan.wall_array() is a
+
+    def test_cached_array_is_read_only(self):
+        with pytest.raises(ValueError):
+            self.plan.wall_array()[0, 0] = 5.0
+
+    def test_empty_plan(self):
+        assert FloorPlan(walls=(), doors=()).wall_array().shape == (0, 4)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        twin = FloorPlan(walls=self.plan.walls, doors=())
+        self.plan.wall_array()
+        assert twin == self.plan and hash(twin) == hash(self.plan)
+        assert "_wall_array" not in repr(self.plan)

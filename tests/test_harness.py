@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from seamloc import (
     cdf_fraction_below,
     crossing_script,
     evaluate,
+    format_report,
     generate_walk,
     track,
     turn_back_script,
@@ -189,6 +194,25 @@ class TestEvaluate:
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
             evaluate([])
+
+    def test_unmatched_switch_without_turn_backs(self):
+        # A spurious switch in a crossing-only suite: no negative approaches,
+        # so FPR and TNR stay undefined, but the switch is still reported.
+        truth = make_truth([1.0, 0.0], crossings=[(0, "doorA")], group="crossing")
+        report = evaluate([(log_with(switches=[switch(0), switch(3, door="doorB")], final=Point2(1, 0)), truth)])
+        assert report.counts["true_positives"] == 1
+        assert report.counts["false_positives"] == 1
+        assert report.counts["true_negatives"] == 0
+        assert math.isnan(report.false_positive_rate) and math.isnan(report.true_negative_rate)
+        assert report.false_switches_per_trial == 1.0
+        assert "false switches per trial: 1.000" in format_report(report)
+
+    def test_true_negatives_never_negative(self):
+        truth = make_truth([1.0, 0.0], turn_backs=[(0, "doorA")])
+        report = evaluate([(log_with(switches=[switch(0), switch(2)], final=Point2(1, 0)), truth)])
+        assert report.counts["false_positives"] == 2
+        assert report.counts["true_negatives"] == 0
+        assert report.false_switches_per_trial == 2.0
 
 
 class TestFormats:
@@ -395,3 +419,43 @@ class TestCli:
         rc = cli.main(["simulate", "--script", str(script_file), "--out", str(tmp_path / "o"), "--config", str(cfg)])
         assert rc == 2
         assert "error[invalid-parameter]" in capsys.readouterr().err
+
+    def _tracked_trial(self, tmp_path):
+        plan_file, script_file = self.write_inputs(tmp_path)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--script", str(script_file), "--plan", str(plan_file), "--out", str(out), "--seed", "5"]) == 0
+        assert cli.main(["track", "--trace", str(out / "trial.trace.csv"), "--plan", str(plan_file), "--out", str(out), "--seed", "5"]) == 0
+        return out
+
+    def _eval_subprocess(self, out, tmp_path):
+        # A separate interpreter, so an uncaught exception shows as a traceback.
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        cmd = [sys.executable, "-m", "seamloc.cli", "eval", "--events", str(out), "--truth", str(out), "--out", str(tmp_path / "rep")]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+    @staticmethod
+    def _replace_first(path, prefix, new_line):
+        lines = path.read_text().splitlines()
+        k = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+        lines[k] = new_line
+        path.write_text("\n".join(lines) + "\n")
+        return k + 1
+
+    def test_eval_blank_step_row_is_parse_error(self, tmp_path):
+        out = self._tracked_trial(tmp_path)
+        events = out / "trial.events.csv"
+        lineno = self._replace_first(events, "step,", "step,,,,,,,,,,")
+        proc = self._eval_subprocess(out, tmp_path)
+        assert proc.returncode == 3
+        assert "error[parse]" in proc.stderr and f"trial.events.csv:{lineno}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_eval_short_truth_step_row_is_parse_error(self, tmp_path):
+        out = self._tracked_trial(tmp_path)
+        truth = out / "trial.truth.txt"
+        lineno = self._replace_first(truth, "step:", "step: 0 0.25")
+        proc = self._eval_subprocess(out, tmp_path)
+        assert proc.returncode == 3
+        assert "error[parse]" in proc.stderr and f"trial.truth.txt:{lineno}:" in proc.stderr
+        assert "Traceback" not in proc.stderr
