@@ -60,7 +60,7 @@ from .harness import (
     save_trace,
     track,
 )
-from .pdr import PdrConfig, Pose, integrate_heading, propagate_step, run_pdr, wrap_angle
+from .pdr import PdrConfig, Pose, propagate_step, run_pdr, wrap_angle
 from .signal import (
     DoorOpenEvent,
     ImuSample,

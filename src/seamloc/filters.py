@@ -141,6 +141,13 @@ def kf_init(heading: float, heading_var: float = 0.25, bias_var: float = 0.0025)
     )
 
 
+def _mag_z(mx: float, my: float, declination: float) -> float | None:
+    """Heading from the horizontal field, or None under 1 microtesla."""
+    if math.hypot(mx, my) < 1.0:
+        return None
+    return wrap_angle(math.atan2(-my, mx) + declination)
+
+
 def mag_heading(sample: ImuSample, cfg: KfConfig = KfConfig()) -> float:
     """Heading from the horizontal magnetometer components.
 
@@ -148,34 +155,70 @@ def mag_heading(sample: ImuSample, cfg: KfConfig = KfConfig()) -> float:
     1 microtesla; the caller skips the Kalman update.
     """
     mx, my, _ = sample.mag
-    if math.hypot(mx, my) < 1.0:
+    z = _mag_z(mx, my, cfg.declination)
+    if z is None:
         raise UnreliableMeasurementError(f"horizontal field {math.hypot(mx, my):.3g} uT")
-    return wrap_angle(math.atan2(-my, mx) + cfg.declination)
+    return z
+
+
+# The KF algebra on five floats: heading, bias, p00, p01 (== p10), p11. Each
+# line is the 2x2 matrix product written out in its order of operations.
+def _predict(h, b, p00, p01, p11, rate, dt, q_heading, q_bias):
+    """x' = x + (rate - b) dt; P' = F P F^T + Q with F = [[1, -dt], [0, 1]]."""
+    fp01 = p01 - dt * p11  # row 0 of F P, column 1
+    p00 = p00 - dt * p01 - dt * fp01 + q_heading * dt
+    return wrap_angle(h + (rate - b) * dt), b, p00, fp01, p11 + q_bias * dt
+
+
+def _update(h, b, p00, p01, p11, z, r):
+    """H = [1, 0], wrapped innovation; Joseph form (I-KH) P (I-KH)^T + r K K^T."""
+    innovation = wrap_angle(z - h)
+    s = p00 + r
+    k0, k1 = p00 / s, p01 / s
+    g = 1.0 - k0
+    a00, a01 = g * p00, g * p01  # rows of (I - KH) P
+    a10, a11 = p01 - k1 * p00, p11 - k1 * p01
+    return (
+        wrap_angle(h + k0 * innovation),
+        b + k1 * innovation,
+        a00 * g + r * (k0 * k0),
+        0.5 * ((a01 - k1 * a00 + r * (k0 * k1)) + (a10 * g + r * (k1 * k0))),
+        a11 - k1 * a10 + r * (k1 * k1),
+    )
+
+
+def _unpack(state: HeadingKfState):
+    p = state.covariance
+    return state.heading, state.gyro_bias, float(p[0, 0]), float(p[0, 1]), float(p[1, 1])
+
+
+def _pack(h, b, p00, p01, p11) -> HeadingKfState:
+    return HeadingKfState(heading=h, gyro_bias=b, covariance=np.array([[p00, p01], [p01, p11]]))
 
 
 def kf_predict(state: HeadingKfState, gyro_yaw_rate: float, dt: float, cfg: KfConfig) -> HeadingKfState:
     """Propagate heading by the bias-corrected gyro rate; grow covariance."""
     if dt <= 0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
-    heading = wrap_angle(state.heading + (gyro_yaw_rate - state.gyro_bias) * dt)
-    f = np.array([[1.0, -dt], [0.0, 1.0]])
-    q = np.diag([cfg.q_heading * dt, cfg.q_bias * dt])
-    cov = f @ state.covariance @ f.T + q
-    cov = 0.5 * (cov + cov.T)
-    return HeadingKfState(heading=heading, gyro_bias=state.gyro_bias, covariance=cov)
+    return _pack(*_predict(*_unpack(state), gyro_yaw_rate, dt, cfg.q_heading, cfg.q_bias))
 
 
 def kf_update(state: HeadingKfState, measured_heading: float, cfg: KfConfig) -> HeadingKfState:
     """Measurement update with H = [1, 0] and wrapped innovation."""
     if not math.isfinite(cfg.r_mag):
         return state  # uninformative measurement
-    p = state.covariance
-    innovation = wrap_angle(measured_heading - state.heading)
-    s = p[0, 0] + cfg.r_mag
-    k = p[:, 0] / s
-    heading = wrap_angle(state.heading + k[0] * innovation)
-    bias = state.gyro_bias + k[1] * innovation
-    ikh = np.eye(2) - np.outer(k, [1.0, 0.0])
-    cov = ikh @ p @ ikh.T + cfg.r_mag * np.outer(k, k)  # Joseph form, keeps PSD
-    cov = 0.5 * (cov + cov.T)
-    return HeadingKfState(heading=heading, gyro_bias=bias, covariance=cov)
+    return _pack(*_update(*_unpack(state), measured_heading, cfg.r_mag))
+
+
+def kf_run(state: HeadingKfState, rates, dts, z, i0: int, i1: int, cfg: KfConfig) -> HeadingKfState:
+    """kf_predict with rates[i], dts[i], then kf_update with z[i] unless it
+    is None, for each i in range(i0, i1). The sequences hold Python floats;
+    every dt must be positive."""
+    x = _unpack(state)
+    qh, qb = cfg.q_heading, cfg.q_bias
+    r = cfg.r_mag if math.isfinite(cfg.r_mag) else None
+    for rate, dt, zi in zip(rates[i0:i1], dts[i0:i1], z[i0:i1]):
+        x = _predict(*x, rate, dt, qh, qb)
+        if zi is not None and r is not None:
+            x = _update(*x, zi, r)
+    return _pack(*x) if i1 > i0 else state

@@ -9,6 +9,7 @@ Formats (all UTF-8, floats written with shortest round-trip repr):
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import math
 import warnings
@@ -26,9 +27,9 @@ from .errors import (
     ParseError,
     SeamlocError,
     StateInconsistencyError,
-    UnreliableMeasurementError,
 )
-from .filters import HeadingKfState, KfConfig, ParticleSet, PfConfig, kf_init, kf_predict, kf_update, mag_heading, pf_init, pf_step
+# kf_predict, kf_update, mag_heading: kept here for the benchmark's layer tracer (perfbench/layers.py).
+from .filters import HeadingKfState, KfConfig, ParticleSet, PfConfig, _mag_z, kf_init, kf_predict, kf_run, kf_update, mag_heading, pf_init, pf_step
 from .fingerprint import Fingerprint, RadioMap, WknnConfig
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
 from .pdr import _AXES, PdrConfig, Pose, propagate_step, wrap_angle
@@ -147,26 +148,28 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     cfg = dataclasses.replace(cfg, pdr=pdr_cfg)
 
     gz = trace.gyro[:, _AXES[cfg.pdr.yaw_axis]]
+    dt_arr = np.diff(trace.t)
+    rate_arr = 0.5 * (gz[:-1] + gz[1:])  # trapezoid-equivalent rate per interval
+    dts, rates, increments = dt_arr.tolist(), rate_arr.tolist(), (rate_arr * dt_arr).tolist()
+    mag_z = None  # magnetometer heading per interval end, computed on first KF use
+    sample_at = np.maximum(np.searchsorted(trace.t, [s.t for s in steps], side="right") - 1, 0).tolist()
+    open_starts = [ev.t_start for ev in door_opens]
+    open_ends = [ev.t_end for ev in door_opens]  # sorted: merged openings are disjoint
     heading = tracker.pose.heading
     cursor = 0
     path: list[Pose] = []
 
     for k, step in enumerate(steps):
-        i_k = max(int(np.searchsorted(trace.t, step.t, side="right")) - 1, 0)
+        i_k = sample_at[k]
         kf = tracker.kf
-        for i in range(cursor, i_k):
-            dt = float(trace.t[i + 1] - trace.t[i])
-            rate = 0.5 * float(gz[i] + gz[i + 1])  # trapezoid-equivalent rate
-            if tracker.active_filter == KF:
-                kf = kf_predict(kf, rate, dt, cfg.kf)
-                try:
-                    z = mag_heading(trace.sample(i + 1), cfg.kf)
-                    kf = kf_update(kf, z, cfg.kf)
-                except UnreliableMeasurementError:
-                    pass
-                heading = kf.heading
-            else:
-                heading = wrap_angle(heading + rate * dt)
+        if tracker.active_filter == KF:
+            if mag_z is None:
+                mag_z = [_mag_z(mx, my, cfg.kf.declination) for mx, my in trace.mag[1:, :2].tolist()]
+            kf = kf_run(kf, rates, dts, mag_z, cursor, i_k, cfg.kf)
+            heading = kf.heading
+        else:
+            for inc in increments[cursor:i_k]:
+                heading = wrap_angle(heading + inc)
         cursor = i_k
 
         prev_pos = tracker.pose.position
@@ -178,8 +181,10 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
             pose = propagate_step(Pose(prev_pos, heading), cfg.pdr)
             tracker = dataclasses.replace(tracker, pose=pose, kf=kf, step_count=k + 1)
 
-        prev_t = steps[k - 1].t if k else float("-inf")
-        opened = any(ev.t_start <= step.t and ev.t_end > prev_t for ev in door_opens)
+        # An opening overlaps (prev_t, step.t] when the first one ending after
+        # prev_t starts by step.t.
+        j = bisect.bisect_right(open_ends, steps[k - 1].t if k else float("-inf"))
+        opened = j < len(open_starts) and open_starts[j] <= step.t
 
         cstate = crossing_mod.arm_check(tracker.crossing, pose.position, plan.doors, cfg.crossing)
         cstate, switch = crossing_mod.observe_step(
@@ -583,6 +588,8 @@ def load_walk_script(path):
                 pauses.append((int(parts[0]), float(parts[1])))
             else:
                 raise ParseError(f"unknown record {key!r}", path=str(path), line=lineno)
+        except ParseError:
+            raise
         except ValueError as exc:
             raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
     return WalkScript(

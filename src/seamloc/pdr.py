@@ -21,7 +21,8 @@ def wrap_angle(angle: float) -> float:
     """Wrap to (-pi, pi]; angles already in range pass through unchanged."""
     if -math.pi < angle <= math.pi:
         return angle
-    return math.pi - (math.pi - angle) % TWO_PI
+    wrapped = math.pi - (math.pi - angle) % TWO_PI
+    return wrapped if wrapped > -math.pi else math.pi  # the modulo rounds up to 2 pi just above pi
 
 
 @dataclass(frozen=True)
@@ -41,13 +42,6 @@ class PdrConfig:
             raise InvalidParameterError(f"step_length must be positive, got {self.step_length}")
         if self.yaw_axis not in _AXES:
             raise InvalidParameterError(f"yaw_axis must be one of {sorted(_AXES)}")
-
-
-def integrate_heading(heading: float, gyro_yaw_rate: float, dt: float) -> float:
-    """One Euler heading increment, wrapped."""
-    if dt <= 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
-    return wrap_angle(heading + gyro_yaw_rate * dt)
 
 
 def propagate_step(pose: Pose, cfg: PdrConfig) -> Pose:

@@ -188,47 +188,32 @@ def detect_door_openings(
     crossings = _zero_crossing_flags(a)
     crossing_prefix = np.concatenate([[0], np.cumsum(crossings)])
 
-    # Window end index (exclusive) per start index; only full-length windows.
-    ends = np.searchsorted(t, t + cfg.door_window, side="right")
-    full = t + cfg.door_window <= t[-1]
+    # Window [i, ends[i]) per start index i; only full-length windows, which
+    # are a prefix of the starts because t + door_window never decreases.
+    window_end = t + cfg.door_window
+    m = int(np.count_nonzero(window_end <= t[-1]))
+    starts, ends = np.arange(m), np.searchsorted(t, window_end[:m], side="right")
 
-    abs_a = np.abs(a)
-    qualifying: list[int] = []
-    for i in range(n):
-        if not full[i]:
-            break
-        j = ends[i]
-        window_max = abs_a[i:j].max()
-        if not (cfg.door_hi <= window_max < cfg.step_hi):
-            continue
-        if crossing_prefix[j - 1] - crossing_prefix[i] < cfg.door_min_zero_crossings:
-            continue
-        if len(step_times):
-            k0 = np.searchsorted(step_times, t[i], side="left")
-            k1 = np.searchsorted(step_times, t[j - 1], side="right")
-            if k1 > k0:
-                continue
-        qualifying.append(i)
+    # Range max by reduceat over [start, end) pairs; the appended sentinel
+    # keeps an end equal to n a valid index.
+    bounds = np.column_stack([starts, ends]).ravel()
+    window_max = np.maximum.reduceat(np.append(np.abs(a), 0.0), bounds)[::2]
+    ok = (cfg.door_hi <= window_max) & (window_max < cfg.step_hi)
+    ok &= crossing_prefix[ends - 1] - crossing_prefix[starts] >= cfg.door_min_zero_crossings
+    first_step = np.searchsorted(step_times, t[starts], side="left")
+    ok &= np.searchsorted(step_times, t[ends - 1], side="right") <= first_step
+    qualifying = np.flatnonzero(ok)
+    if len(qualifying) == 0:
+        return []
 
-    events: list[DoorOpenEvent] = []
-    for i in qualifying:
-        t_start, t_end = t[i], t[i] + cfg.door_window
-        if events and t_start <= events[-1].t_end:
-            merged_start = events[-1].t_start
-            i0 = np.searchsorted(t, merged_start, side="left")
-            j1 = np.searchsorted(t, t_end, side="right")
-            events[-1] = DoorOpenEvent(
-                t_start=float(merged_start),
-                t_end=float(t_end),
-                zero_crossings=int(crossing_prefix[j1 - 1] - crossing_prefix[i0]),
-            )
-        else:
-            j = ends[i]
-            events.append(
-                DoorOpenEvent(
-                    t_start=float(t_start),
-                    t_end=float(t_end),
-                    zero_crossings=int(crossing_prefix[j - 1] - crossing_prefix[i]),
-                )
-            )
-    return events
+    # Overlapping windows merge: a start opens a new event only after the
+    # previous window has ended.
+    t_start = t[qualifying]
+    t_end = t_start + cfg.door_window
+    first = np.flatnonzero(np.concatenate([[True], t_start[1:] > t_end[:-1]]))
+    last = np.append(first[1:], len(qualifying)) - 1
+    zero_crossings = crossing_prefix[ends[qualifying[last]] - 1] - crossing_prefix[qualifying[first]]
+    return [
+        DoorOpenEvent(t_start=ts, t_end=te, zero_crossings=zc)
+        for ts, te, zc in zip(t_start[first].tolist(), t_end[last].tolist(), zero_crossings.tolist())
+    ]

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seamloc import (
     FilterDivergenceError,
@@ -13,9 +15,11 @@ from seamloc import (
     NoiseModel,
     PdrConfig,
     PfConfig,
+    PipelineConfig,
     Point2,
     Pose,
     Segment2,
+    Trace,
     UnreliableMeasurementError,
     WalkScript,
     detect_steps,
@@ -27,6 +31,7 @@ from seamloc import (
     normalized_series,
     pf_init,
     pf_step,
+    track,
     wrap_angle,
 )
 from seamloc import filters
@@ -277,3 +282,180 @@ class TestKfUpdate:
                 pass
         assert abs(state.heading) < 0.2
         assert 0.01 <= state.gyro_bias <= 0.03  # within 50% of the injected 0.02
+
+
+# --- Reference heading KF: the numpy 2x2 matrix form, one sample at a time ---
+
+
+def oracle_kf_predict(state, gyro_yaw_rate, dt, cfg):
+    heading = wrap_angle(state.heading + (gyro_yaw_rate - state.gyro_bias) * dt)
+    f = np.array([[1.0, -dt], [0.0, 1.0]])
+    q = np.diag([cfg.q_heading * dt, cfg.q_bias * dt])
+    cov = f @ state.covariance @ f.T + q
+    cov = 0.5 * (cov + cov.T)
+    return HeadingKfState(heading=heading, gyro_bias=state.gyro_bias, covariance=cov)
+
+
+def oracle_kf_update(state, measured_heading, cfg):
+    if not math.isfinite(cfg.r_mag):
+        return state
+    p = state.covariance
+    innovation = wrap_angle(measured_heading - state.heading)
+    s = p[0, 0] + cfg.r_mag
+    k = p[:, 0] / s
+    heading = wrap_angle(state.heading + k[0] * innovation)
+    bias = state.gyro_bias + k[1] * innovation
+    ikh = np.eye(2) - np.outer(k, [1.0, 0.0])
+    cov = ikh @ p @ ikh.T + cfg.r_mag * np.outer(k, k)
+    cov = 0.5 * (cov + cov.T)
+    return HeadingKfState(heading=heading, gyro_bias=bias, covariance=cov)
+
+
+def oracle_mag_heading(mx, my, cfg):
+    """None where the horizontal field is too weak to use."""
+    if math.hypot(mx, my) < 1.0:
+        return None
+    return wrap_angle(math.atan2(-my, mx) + cfg.declination)
+
+
+def oracle_kf_loop(state, rates, dts, mags, cfg):
+    """The per-sample loop the tracker ran outdoors before kf_run."""
+    for rate, dt, (mx, my) in zip(rates, dts, mags):
+        state = oracle_kf_predict(state, rate, dt, cfg)
+        z = oracle_mag_heading(mx, my, cfg)
+        if z is not None:
+            state = oracle_kf_update(state, z, cfg)
+    return state
+
+
+def oracle_track_headings(trace, steps, heading, cfg, kf_state=None):
+    """Heading at each step from the tracker's former per-sample loop: the KF
+    when kf_state is given, else wrapped gyro increments."""
+    gz = trace.gyro[:, 2]
+    cursor = 0
+    out = []
+    for step in steps:
+        i_k = max(int(np.searchsorted(trace.t, step.t, side="right")) - 1, 0)
+        for i in range(cursor, i_k):
+            dt = float(trace.t[i + 1] - trace.t[i])
+            rate = 0.5 * float(gz[i] + gz[i + 1])
+            if kf_state is not None:
+                kf_state = oracle_kf_predict(kf_state, rate, dt, cfg)
+                z = oracle_mag_heading(trace.mag[i + 1, 0], trace.mag[i + 1, 1], cfg)
+                if z is not None:
+                    kf_state = oracle_kf_update(kf_state, z, cfg)
+                heading = kf_state.heading
+            else:
+                heading = wrap_angle(heading + rate * dt)
+        cursor = i_k
+        out.append(heading)
+    return out
+
+
+KF_TOL = 1e-12
+
+
+def assert_kf_close(got, want):
+    assert abs(wrap_angle(got.heading - want.heading)) <= KF_TOL
+    assert -math.pi < got.heading <= math.pi
+    assert abs(got.gyro_bias - want.gyro_bias) <= KF_TOL
+    assert np.max(np.abs(got.covariance - want.covariance)) <= KF_TOL
+    assert np.array_equal(got.covariance, got.covariance.T)
+
+
+# Wrapped headings, in (-pi, pi].
+near_pi = st.one_of(
+    st.floats(-math.pi, math.pi, exclude_min=True),
+    st.sampled_from([math.pi, -math.pi + 1e-15, math.pi - 1e-15, math.nextafter(-math.pi, 0.0)]),
+)
+kf_states = st.builds(
+    lambda h, b, l00, l10, l11: HeadingKfState(
+        heading=h, gyro_bias=b, covariance=np.array([[l00 * l00, l00 * l10], [l00 * l10, l10 * l10 + l11 * l11]])
+    ),
+    near_pi,
+    st.floats(-0.1, 0.1),
+    st.floats(0.0, 1.0),
+    st.floats(-0.1, 0.1),
+    st.floats(0.0, 0.1),
+)
+kf_configs = st.builds(
+    KfConfig,
+    q_heading=st.floats(1e-6, 1e-1),
+    q_bias=st.floats(1e-9, 1e-3),
+    r_mag=st.one_of(st.floats(1e-4, 10.0), st.just(float("inf"))),
+    declination=st.one_of(st.just(0.0), st.floats(-0.5, 0.5)),
+)
+rates = st.floats(-3.0, 3.0)
+dts = st.floats(1e-4, 0.5)
+# Horizontal field components; about a third of the draws fall under 1 uT.
+mag_xy = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)) | st.tuples(
+    st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)
+)
+
+
+class TestKfOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(kf_states, rates, dts, kf_configs)
+    def test_predict_matches_matrix_form(self, state, rate, dt, cfg):
+        assert_kf_close(kf_predict(state, rate, dt, cfg), oracle_kf_predict(state, rate, dt, cfg))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kf_states, near_pi, kf_configs)
+    def test_update_matches_matrix_form(self, state, z, cfg):
+        assert_kf_close(kf_update(state, z, cfg), oracle_kf_update(state, z, cfg))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kf_states, st.lists(st.tuples(rates, dts, mag_xy), max_size=60), kf_configs, st.data())
+    def test_run_matches_per_sample_loop(self, state, samples, cfg, data):
+        rate_list = [s[0] for s in samples]
+        dt_list = [s[1] for s in samples]
+        z = [filters._mag_z(mx, my, cfg.declination) for _, _, (mx, my) in samples]
+        i0 = data.draw(st.integers(0, len(samples)))
+        i1 = data.draw(st.integers(i0, len(samples)))
+        got = filters.kf_run(state, rate_list, dt_list, z, i0, i1, cfg)
+        want = oracle_kf_loop(state, rate_list[i0:i1], dt_list[i0:i1], [s[2] for s in samples[i0:i1]], cfg)
+        assert_kf_close(got, want)
+        if i0 == i1:
+            assert got is state
+
+    def test_run_on_a_long_walk(self):
+        script = WalkScript(waypoints=(Point2(0, 0), Point2(40, 0), Point2(40, 30)))
+        noise = NoiseModel(accel_sigma=0.05, gyro_sigma=0.01, gyro_bias=0.02, mag_sigma=2.2, seed=5)
+        trace, _ = generate_walk(script, noise)
+        mag = trace.mag.copy()
+        mag[::9, :2] *= 1e-3  # weak-field samples: the update is skipped
+        cfg = KfConfig(declination=0.05)
+        gz = trace.gyro[:, 2]
+        rate_list = (0.5 * (gz[:-1] + gz[1:])).tolist()
+        dt_list = np.diff(trace.t).tolist()
+        z = [filters._mag_z(mx, my, cfg.declination) for mx, my in mag[1:, :2].tolist()]
+        assert None in z
+        state = kf_init(0.0)
+        got = filters.kf_run(state, rate_list, dt_list, z, 0, len(dt_list), cfg)
+        want = oracle_kf_loop(state, rate_list, dt_list, mag[1:, :2].tolist(), cfg)
+        assert_kf_close(got, want)
+
+    @pytest.mark.parametrize("kf_cfg", [KfConfig(), KfConfig(declination=0.1), KfConfig(r_mag=float("inf"))])
+    @pytest.mark.parametrize("environment", ["outdoor", "indoor"])
+    def test_track_headings_match_per_sample_loop(self, kf_cfg, environment):
+        script = WalkScript(
+            waypoints=(Point2(0, 0), Point2(20, 0), Point2(20, -15)),
+            pauses=((1, 3.0),),
+            start_environment=environment,
+        )
+        noise = NoiseModel(accel_sigma=0.05, gyro_sigma=0.01, gyro_bias=0.02, mag_sigma=2.2, seed=8)
+        trace, _ = generate_walk(script, noise)
+        mag = trace.mag.copy()
+        mag[::5, :2] *= 1e-3  # weak-field samples: the update is skipped
+        trace = Trace(t=trace.t, accel=trace.accel, gyro=trace.gyro, mag=mag)
+        start = 3.1  # near +pi, so wrapped headings cross the seam
+        plan = FloorPlan(walls=(), doors=(), start_position=Point2(0, 0), start_heading=start, start_environment=environment)
+        path, log = track(trace, plan, PipelineConfig(kf=kf_cfg))
+        assert log.steps and not log.switches
+        kf_state = kf_init(start) if environment == "outdoor" else None
+        want = oracle_track_headings(trace, log.steps, start, kf_cfg, kf_state)
+        got = [pose.heading for pose in path]
+        if kf_state is None:
+            assert got == want
+        else:
+            assert max(abs(wrap_angle(g - w)) for g, w in zip(got, want)) <= KF_TOL

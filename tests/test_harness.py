@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -115,6 +116,43 @@ class TestTrack:
         trace, _ = generate_walk(crossing_script(two_building_plan()))
         with pytest.raises(InvalidInputError):
             track(trace, plan)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_door_open_flags_match_scan_of_every_opening(self, seed, monkeypatch):
+        # Noisy walks with stops and door wiggles: plain stops under this
+        # noise also read as openings, so steps meet many openings.
+        from seamloc import CALIBRATED_NOISE, DoorAction, WalkScript
+        from seamloc import crossing as crossing_mod
+
+        plan = two_building_plan()
+        noise = dataclasses.replace(CALIBRATED_NOISE, seed=seed)
+        outdoor = WalkScript(
+            waypoints=(Point2(0, 0), Point2(8, 0), Point2(8, 6), Point2(0, 6), Point2(0, 12)),
+            pauses=((1, 3.0), (3, 2.5)),
+            door_actions=(DoorAction(waypoint=2, door_id="gate", action="open-and-cross"),),
+            start_environment="outdoor",
+        )
+        outdoor_plan = FloorPlan(walls=(), doors=(), start_position=Point2(0, 0), start_heading=0.0, start_environment="outdoor")
+        walks = [
+            (generate_walk(crossing_script(plan), noise, doors=plan.doors)[0], plan),
+            (generate_walk(turn_back_script(plan), noise, doors=plan.doors)[0], plan),
+            (generate_walk(outdoor, noise)[0], outdoor_plan),
+        ]
+        observe = crossing_mod.observe_step
+        flags, want = [], []
+
+        def recording(cstate, k, prev, pos, opened, *args):
+            flags.append(opened)
+            return observe(cstate, k, prev, pos, opened, *args)
+
+        monkeypatch.setattr(crossing_mod, "observe_step", recording)
+        for trace, walk_plan in walks:
+            _, log = track(trace, walk_plan)
+            for k, step in enumerate(log.steps):
+                prev_t = log.steps[k - 1].t if k else float("-inf")
+                want.append(any(ev.t_start <= step.t and ev.t_end > prev_t for ev in log.door_opens))
+        assert flags == want
+        assert True in flags and False in flags
 
     def test_divergence_reports_step_index(self):
         from seamloc import FilterDivergenceError, PfConfig, WalkScript
@@ -328,6 +366,31 @@ class TestFormats:
         assert script.cadence == 2.5
         assert script.door_actions[0].door_id == "doorA"
         assert script.pauses == ((0, 1.0),)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("door_action: 1 doorA", "door_action needs 'waypoint door action'"),
+            ("pause: 0", "pause needs 'waypoint seconds'"),
+            ("waypoint: 6.0", "expected 2 fields, got 1"),
+            ("bogus: 1", "unknown record 'bogus'"),
+        ],
+    )
+    def test_walk_script_error_names_file_and_line_once(self, tmp_path, row, message):
+        p = tmp_path / "ws.txt"
+        p.write_text(f"version: 1\nwaypoint: 0.0 0.0\nwaypoint: 6.0 0.0\n{row}\n")
+        with pytest.raises(ParseError) as info:
+            load_walk_script(p)
+        assert str(info.value) == f"{p}:4: {message}"
+        assert info.value.line == 4
+
+    def test_walk_script_bad_number_is_wrapped_once(self, tmp_path):
+        p = tmp_path / "ws.txt"
+        p.write_text("version: 1\nwaypoint: 0.0 0.0\ncadence: fast\n")
+        with pytest.raises(ParseError) as info:
+            load_walk_script(p)
+        assert str(info.value).startswith(f"{p}:3: bad number: ")
+        assert str(info.value).count(str(p)) == 1
 
 
 class TestReportOutput:

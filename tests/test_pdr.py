@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seamloc import (
-    InvalidParameterError,
     NoiseModel,
     PdrConfig,
     Point2,
@@ -13,7 +14,6 @@ from seamloc import (
     WalkScript,
     detect_steps,
     generate_walk,
-    integrate_heading,
     normalized_series,
     propagate_step,
     run_pdr,
@@ -21,20 +21,21 @@ from seamloc import (
 )
 
 
-class TestIntegrateHeading:
-    def test_quarter_turn(self):
-        assert abs(integrate_heading(0.0, math.pi / 2, 1.0) - math.pi / 2) < 1e-12
+class TestWrapAngle:
+    @pytest.mark.parametrize(
+        "angle",
+        [math.nextafter(math.pi, 4.0), math.pi + 1e-15, -math.pi, 3 * math.pi, -3 * math.pi, math.nextafter(-math.pi, -4.0)],
+    )
+    def test_seam_stays_in_range(self, angle):
+        wrapped = wrap_angle(angle)
+        assert -math.pi < wrapped <= math.pi
+        assert abs(math.remainder(wrapped - angle, 2 * math.pi)) < 1e-12
 
-    def test_wraps_past_pi(self):
-        h = integrate_heading(math.pi - 0.1, 0.2, 1.0)
-        assert abs(h - (-math.pi + 0.1)) < 1e-12
-
-    def test_zero_rate_identity(self):
-        assert integrate_heading(0.4, 0.0, 0.5) == 0.4
-
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(InvalidParameterError):
-            integrate_heading(0.0, 1.0, 0.0)
+    @given(st.floats(-1e3, 1e3))
+    def test_range_and_equivalence(self, angle):
+        wrapped = wrap_angle(angle)
+        assert -math.pi < wrapped <= math.pi
+        assert abs(math.remainder(wrapped - angle, 2 * math.pi)) < 1e-12
 
 
 class TestPropagateStep:

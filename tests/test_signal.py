@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seamloc import (
+    DoorOpenEvent,
     ImuSample,
+    StepEvent,
     InvalidParameterError,
     SignalConfig,
     detect_door_openings,
     detect_steps,
     normalize_accel,
 )
+from seamloc.signal import _zero_crossing_flags
 
 CFG = SignalConfig()
 
@@ -172,6 +177,117 @@ class TestDetectDoorOpenings:
         t = np.arange(0, 10, 0.01)
         a = 0.3 * np.sin(2 * np.pi * t / 0.4)
         assert detect_door_openings(t, a, CFG, []) == []
+
+
+def door_loop_oracle(t, a, cfg=CFG, steps=None):
+    """Reference door detector: the per-start window loop, merged as it goes."""
+    t = np.asarray(t, dtype=float)
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    if n < 2:
+        return []
+    step_times = np.array([s.t for s in steps or []])
+    crossing_prefix = np.concatenate([[0], np.cumsum(_zero_crossing_flags(a))])
+    ends = np.searchsorted(t, t + cfg.door_window, side="right")
+    full = t + cfg.door_window <= t[-1]
+    abs_a = np.abs(a)
+    qualifying = []
+    for i in range(n):
+        if not full[i]:
+            break
+        j = ends[i]
+        window_max = abs_a[i:j].max()
+        if not (cfg.door_hi <= window_max < cfg.step_hi):
+            continue
+        if crossing_prefix[j - 1] - crossing_prefix[i] < cfg.door_min_zero_crossings:
+            continue
+        if len(step_times):
+            k0 = np.searchsorted(step_times, t[i], side="left")
+            k1 = np.searchsorted(step_times, t[j - 1], side="right")
+            if k1 > k0:
+                continue
+        qualifying.append(i)
+    events = []
+    for i in qualifying:
+        t_start, t_end = t[i], t[i] + cfg.door_window
+        if events and t_start <= events[-1].t_end:
+            merged_start = events[-1].t_start
+            i0 = np.searchsorted(t, merged_start, side="left")
+            j1 = np.searchsorted(t, t_end, side="right")
+            zc = crossing_prefix[j1 - 1] - crossing_prefix[i0]
+            events[-1] = DoorOpenEvent(float(merged_start), float(t_end), int(zc))
+        else:
+            zc = crossing_prefix[ends[i] - 1] - crossing_prefix[i]
+            events.append(DoorOpenEvent(float(t_start), float(t_end), int(zc)))
+    return events
+
+
+def assert_doors_match_oracle(t, a, cfg=CFG, steps=None):
+    got = detect_door_openings(t, a, cfg, steps)
+    want = door_loop_oracle(t, a, cfg, steps)
+    assert got == want
+    for ev in got:
+        assert type(ev.t_start) is float and type(ev.t_end) is float and type(ev.zero_crossings) is int
+    return got
+
+
+# Sample values around the door band and the step band, exact zeros included.
+door_level = st.sampled_from([0.0, 0.3, -0.3, 0.5, -0.5, 0.9, -0.9, 1.49, -1.49, 1.5, -1.6]) | st.floats(-1.7, 1.7)
+
+
+@st.composite
+def door_series(draw):
+    n = draw(st.integers(0, 120))
+    gaps = draw(st.lists(st.sampled_from([0.01, 0.02, 0.05]) | st.floats(0.005, 0.3), min_size=n, max_size=n))
+    t = np.cumsum(gaps) + draw(st.floats(0.0, 100.0))
+    a = np.array(draw(st.lists(door_level, min_size=n, max_size=n)), dtype=float)
+    window = draw(st.sampled_from([0.1, 0.25, 0.5, 1.5]) | st.floats(0.01, 3.0))
+    cfg = SignalConfig(door_window=window, door_min_zero_crossings=draw(st.integers(0, 3)))
+    picks = sorted(draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=4))) if n else []
+    steps = [StepEvent(index=k, t=float(t[i]), peak=2.0) for k, i in enumerate(picks)]
+    if draw(st.booleans()):
+        steps.append(StepEvent(index=len(steps), t=float(t[-1] + 1.0) if n else 1.0, peak=2.0))
+    return t, a, cfg, steps
+
+
+class TestDoorOpeningsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(door_series())
+    def test_random_series_match_loop(self, series):
+        t, a, cfg, steps = series
+        assert_doors_match_oracle(t, a, cfg, steps)
+        assert_doors_match_oracle(t, a, cfg, None)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples(self, n):
+        t = np.arange(n) * 0.01
+        assert assert_doors_match_oracle(t, np.full(n, 0.8)) == []
+
+    def test_trace_shorter_than_window(self):
+        t = np.arange(100) * 0.01  # 0.99 s against the 1.5 s window
+        a = 0.8 * np.sin(2 * np.pi * t / 0.3)
+        assert assert_doors_match_oracle(t, a) == []
+
+    def test_window_ending_on_last_sample(self):
+        # Binary-exact times: the window from t[n - 3] ends exactly at t[-1].
+        t = np.arange(12) * 0.25
+        a = np.array([0.8, -0.8] * 6)
+        cfg = SignalConfig(door_window=0.5, door_min_zero_crossings=1)
+        events = assert_doors_match_oracle(t, a, cfg)
+        assert events and events[-1].t_end == t[-1]
+
+    def test_non_uniform_time_with_steps_inside_windows(self):
+        rng = np.random.default_rng(4)
+        t = np.cumsum(rng.uniform(0.005, 0.03, 3000))
+        a = 0.9 * np.sin(2 * np.pi * t / 0.4) + rng.normal(0.0, 0.2, t.size)
+        steps = [StepEvent(index=k, t=float(t[i]), peak=2.0) for k, i in enumerate(range(400, 3000, 700))]
+        with_steps = assert_doors_match_oracle(t, a, CFG, steps)
+        without = assert_doors_match_oracle(t, a, CFG, [])
+        assert 0 < len(without) < len(with_steps)
+
+    def test_walk_with_pause_matches_loop(self):
+        t, a, _ = walking_pause_walking()
+        assert len(assert_doors_match_oracle(t, a, CFG, detect_steps(t, a, CFG))) == 1
 
 
 class TestSmoothing:
