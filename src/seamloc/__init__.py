@@ -39,8 +39,6 @@ from .geometry import (
     Point2,
     Segment2,
     distance,
-    in_crossing_area,
-    segment_hits_walls,
     segment_intersection,
     zone_for_door,
 )

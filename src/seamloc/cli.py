@@ -55,7 +55,7 @@ def load_config(path) -> dict:
         raise ParseError("config file not found", path=str(path))
     try:
         raw = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"bad JSON: {exc}", path=str(path)) from exc
     if not isinstance(raw, dict):
         raise ParseError("config must be a JSON object", path=str(path))

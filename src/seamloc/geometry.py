@@ -146,11 +146,6 @@ def zone_for_door(door: Door, width: float = 5.0) -> CrossingZone:
     )
 
 
-def in_crossing_area(p: Point2, door: Door, radius: float = 5.0) -> bool:
-    """True iff p lies within the arming disc around the door center (inclusive)."""
-    return distance(p, door.center) <= radius
-
-
 # Broad-phase margin around the steps' bounding box, in meters. Far above the
 # rounding of the orientation products at plan coordinates, so no wall it
 # drops can pass the narrow phase.
@@ -206,7 +201,9 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.nda
         d2 = wdx * (py1 - y1) - wdy * (px1 - x1)
         d3 = dx * (y1 - py0) - dy * (x1 - px0)
         d4 = dx * (y2 - py0) - dy * (x2 - px0)
-        straddle = (d1 * d2 <= 0) & (d3 * d4 <= 0)
+        # Straddle by signs: a product such as d1 * d2 underflows to 0 for subnormals.
+        straddle = ((d1 <= 0) & (d2 >= 0)) | ((d1 >= 0) & (d2 <= 0))
+        straddle &= ((d3 <= 0) & (d4 >= 0)) | ((d3 >= 0) & (d4 <= 0))
         on_line = (d1 == 0) & (d2 == 0)
         hit |= (straddle & ~on_line).any(axis=0)
         collinear = straddle & on_line
@@ -222,16 +219,3 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.nda
             hit[np.flatnonzero(rows)[overlap]] = True
     return hit
 
-
-def segment_hits_walls(path_seg: Segment2, plan: FloorPlan) -> bool:
-    """True iff the path segment touches any wall of the plan.
-
-    Doorway gaps are modeled as absent wall geometry, so a step through a
-    doorway opening reports False.
-    """
-    walls = plan.wall_array()
-    if walls.shape[0] == 0:
-        return False
-    p0 = np.array([[path_seg.a.x, path_seg.a.y]])
-    p1 = np.array([[path_seg.b.x, path_seg.b.y]])
-    return bool(_segments_cross(p0, p1, walls)[0])

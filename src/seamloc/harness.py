@@ -1,10 +1,7 @@
 """End-to-end tracking pipeline, evaluation metrics, and file formats.
 
-Formats (all UTF-8, floats written with shortest round-trip repr):
-  trace      CSV, header ``t,ax,ay,az,gx,gy,gz,mx,my,mz`` (s, m/s^2, rad/s, uT)
-  floor plan line records: ``version:``, ``wall: x1 y1 x2 y2``,
-             ``door: id cx cy tx ty inner outer``, ``start: x y heading env``
-  radio map  line records: ``version:``, ``point: x y tx=dbm tx=dbm ...``
+Every file format is UTF-8 with floats written as their shortest round-trip
+repr; the field specs under "File formats" below say what each one holds.
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ from .errors import (
     InvalidInputError,
     InvariantViolation,
     ParseError,
-    SeamlocError,
     StateInconsistencyError,
 )
 # kf_predict, kf_update, mag_heading: kept here for the benchmark's layer tracer (perfbench/layers.py).
@@ -293,42 +289,110 @@ def cdf_fraction_below(cdf: list[tuple[float, float]], x: float) -> float:
 # ---------------------------------------------------------------------------
 
 TRACE_HEADER = "t,ax,ay,az,gx,gy,gz,mx,my,mz"
+PATH_HEADER = "step,t,x,y,heading,environment"
+EVENTS_HEADER = "kind,step,t,door,x,y,t_start,t_end,zero_crossings,from_env,to_env"
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_records(path) -> list[tuple[int, str, str]]:
-    """(line number, key, rest) for each non-blank, non-comment line."""
-    records = []
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise ParseError("expected 'key: value'", path=str(path), line=lineno)
-        key, rest = line.split(":", 1)
-        records.append((lineno, key.strip(), rest.strip()))
-    return records
+def _tx_dbm(field: str) -> tuple[str, float]:
+    tx, eq, dbm = field.partition("=")
+    if not eq:
+        raise ValueError(f"expected tx=dbm, got {field!r}")
+    return tx, float(dbm)
 
 
-def _check_version(records, path):
-    if not records or records[0][1] != "version":
-        raise ParseError("first record must be 'version: 1'", path=str(path))
-    if records[0][2] != "1":
-        raise ParseError(f"unsupported version {records[0][2]!r}", path=str(path), line=records[0][0])
+# Field specs: each record key (None: the lines carry no key) maps to the
+# converters of the record's fields in file order. None skips a field, a
+# trailing ... lets the converter before it take every further field, and a
+# leading string names the fields in the field-count error.
+_TRACE = {None: (float,) * 10}
+_PATH = {None: (None, None, float, float, float, str)}
+_EVENTS = {  # columns after kind: step,t,door,x,y,t_start,t_end,zero_crossings,from_env,to_env
+    "step": (int, float, None, None, None, None, None, None, None, None),
+    "door_open": (None, None, None, None, None, float, float, int, None, None),
+    "switch": (int, None, str, float, float, None, None, None, str, str),
+}
+_FLOORPLAN = {
+    "wall": (float, float, float, float),  # x1 y1 x2 y2
+    "door": (str, float, float, float, float, str, str),  # id cx cy tx ty inner outer
+    "start": (float, float, float, str),  # x y heading environment
+}
+_RADIOMAP = {"point": (float, float, _tx_dbm, ...)}  # x y tx=dbm ...
+_OBSERVATION = {None: (str, float)}  # transmitter dbm
+_TRUTH = {
+    "group": (str, ...),
+    "initial": (float, float, float, str),  # x y heading environment
+    "final": (float, float),  # x y; derived from the steps on load
+    "step": (None, float, float, float, float, str),  # index t x y heading environment
+    "door_open": (float, float),  # t_start t_end
+    "crossing": (int, str),  # step door
+    "turn_back": (int, str),  # step door
+}
+_WALK_SCRIPT = {
+    "waypoint": (float, float),
+    "cadence": (float,),
+    "step_length": (float,),
+    "start_environment": (str,),
+    "door_action": ("waypoint door action", int, str, str),
+    "pause": ("waypoint seconds", int, float),
+}
 
 
-def _floats(rest: str, count: int, path, lineno) -> list[float]:
-    parts = rest.split()
-    if len(parts) != count:
-        raise ParseError(f"expected {count} fields, got {len(parts)}", path=str(path), line=lineno)
+def _lines(path, head="version: 1", sep=None) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each record line after the head; sep None allows # comments."""
+    data = Path(path).read_bytes()
     try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start].decode("utf-8") + "_").splitlines())
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path=str(path), line=line) from None
+    lines = [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and not (sep is None and line.startswith("#"))
+    ]
+    # Spacing inside the head line is free: 'version:1' reads as 'version: 1'.
+    if head is not None:
+        if not lines or "".join(lines[0][1].split()) != "".join(head.split()):
+            raise ParseError(f"expected {head!r} first", path=str(path), line=lines[0][0] if lines else None)
+        del lines[0]
+    return lines
+
+
+def _read(path, fields, head="version: 1", sep=None, lines=None) -> dict:
+    """Record key -> [(line number, field values)], in file order.
+
+    The one parser of every format above: keyed lines read ``key: fields``
+    with sep None (whitespace) and ``key<sep>fields`` in CSV. A line that
+    does not match fields raises ParseError(path, line), numbered as in the
+    file. Pass lines from _lines to skip reading the file again.
+    """
+    records = {key: [] for key in fields}
+    for lineno, line in _lines(path, head, sep) if lines is None else lines:
+        key = None
+        if None not in fields:
+            key, _, line = line.partition(":" if sep is None else sep)
+            key = key.strip()
+        if key not in fields:
+            raise ParseError(f"unknown record {key!r}", path=str(path), line=lineno)
+        names, convs = None, fields[key]
+        if isinstance(convs[0], str):
+            names, convs = convs[0], convs[1:]
+        parts = line.split(sep)
+        if convs[-1] is ...:
+            convs = convs[:-1] + convs[-2:-1] * (len(parts) - len(convs) + 1)
+        if len(parts) != len(convs):
+            message = f"{key} needs {names!r}" if names else f"expected {len(convs)} fields, got {len(parts)}"
+            raise ParseError(message, path=str(path), line=lineno)
+        try:
+            values = tuple([conv(part) for conv, part in zip(convs, parts) if conv is not None])
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
+        records[key].append((lineno, values))
+    return records
 
 
 def save_trace(trace: Trace, path) -> None:
@@ -340,20 +404,15 @@ def save_trace(trace: Trace, path) -> None:
 
 
 def load_trace(path) -> Trace:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != TRACE_HEADER:
-        raise ParseError(f"expected header {TRACE_HEADER!r}", path=str(path), line=1)
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 10:
-            raise ParseError(f"expected 10 columns, got {len(parts)}", path=str(path), line=lineno)
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
-    data = np.array(rows).reshape(-1, 10)
+    lines = _lines(path, TRACE_HEADER, ",")
+    try:
+        data = np.loadtxt([line for _, line in lines], delimiter=",", comments=None, ndmin=2) if lines else None
+    except ValueError:
+        data = None
+    if data is None or data.shape[1] != 10:
+        # numpy rejects some fields that float() takes (1_0, non-ASCII digits):
+        # the row loop returns the same values or names the bad line.
+        data = np.array([row for _, row in _read(path, _TRACE, sep=",", lines=lines)[None]]).reshape(-1, 10)
     return Trace(t=data[:, 0], accel=data[:, 1:4], gyro=data[:, 4:7], mag=data[:, 7:10])
 
 
@@ -375,50 +434,25 @@ def save_floorplan(plan: FloorPlan, path) -> None:
 
 
 def load_floorplan(path) -> FloorPlan:
-    records = _read_records(path)
-    _check_version(records, path)
-    walls: list[Segment2] = []
-    doors: list[Door] = []
-    start = None
-    for lineno, key, rest in records[1:]:
-        if key == "wall":
-            x1, y1, x2, y2 = _floats(rest, 4, path, lineno)
-            walls.append(Segment2(Point2(x1, y1), Point2(x2, y2)))
-        elif key == "door":
-            parts = rest.split()
-            if len(parts) != 7:
-                raise ParseError(f"door needs 7 fields, got {len(parts)}", path=str(path), line=lineno)
-            door_id, inner, outer = parts[0], parts[5], parts[6]
-            try:
-                cx, cy, tx, ty = (float(p) for p in parts[1:5])
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
-            norm = math.hypot(tx, ty)
-            if abs(norm - 1.0) > 1e-6:
-                raise InvariantViolation(
-                    "door-tangent-unit", f"{path}:{lineno}: |tangent| = {norm} beyond 1e-6 of unit"
-                )
-            if norm != 1.0:
-                warnings.warn(f"door {door_id}: tangent normalized on load ({norm})")
-                tx, ty = tx / norm, ty / norm
-            doors.append(Door(id=door_id, center=Point2(cx, cy), tangent=(tx, ty), inner_env=inner, outer_env=outer))
-        elif key == "start":
-            parts = rest.split()
-            if len(parts) != 4:
-                raise ParseError(f"start needs 4 fields, got {len(parts)}", path=str(path), line=lineno)
-            try:
-                x, y, heading = float(parts[0]), float(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
-            start = (Point2(x, y), heading, parts[3])
-        else:
-            raise ParseError(f"unknown record {key!r}", path=str(path), line=lineno)
+    records = _read(path, _FLOORPLAN)
+    doors = []
+    for lineno, (door_id, cx, cy, tx, ty, inner, outer) in records["door"]:
+        norm = math.hypot(tx, ty)
+        if abs(norm - 1.0) > 1e-6:
+            raise InvariantViolation(
+                "door-tangent-unit", f"{path}:{lineno}: |tangent| = {norm} beyond 1e-6 of unit"
+            )
+        if norm != 1.0:
+            warnings.warn(f"door {door_id}: tangent normalized on load ({norm})")
+            tx, ty = tx / norm, ty / norm
+        doors.append(Door(id=door_id, center=Point2(cx, cy), tangent=(tx, ty), inner_env=inner, outer_env=outer))
+    start = records["start"][-1][1] if records["start"] else None
     return FloorPlan(
-        walls=tuple(walls),
+        walls=tuple(Segment2(Point2(x1, y1), Point2(x2, y2)) for _, (x1, y1, x2, y2) in records["wall"]),
         doors=tuple(doors),
-        start_position=start[0] if start else None,
-        start_heading=start[1] if start else None,
-        start_environment=start[2] if start else None,
+        start_position=Point2(start[0], start[1]) if start else None,
+        start_heading=start[2] if start else None,
+        start_environment=start[3] if start else None,
     )
 
 
@@ -431,46 +465,13 @@ def save_radiomap(radio_map: RadioMap, path) -> None:
 
 
 def load_radiomap(path) -> RadioMap:
-    records = _read_records(path)
-    _check_version(records, path)
-    entries: list[Fingerprint] = []
-    for lineno, key, rest in records[1:]:
-        if key != "point":
-            raise ParseError(f"unknown record {key!r}", path=str(path), line=lineno)
-        parts = rest.split()
-        if len(parts) < 3:
-            raise ParseError("point needs x y and at least one tx=dbm", path=str(path), line=lineno)
-        try:
-            x, y = float(parts[0]), float(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
-        rss: dict[str, float] = {}
-        for item in parts[2:]:
-            if "=" not in item:
-                raise ParseError(f"expected tx=dbm, got {item!r}", path=str(path), line=lineno)
-            tx, val = item.split("=", 1)
-            try:
-                rss[tx] = float(val)
-            except ValueError as exc:
-                raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
-        entries.append(Fingerprint(position=Point2(x, y), rss=rss))
-    return RadioMap(entries=tuple(entries))
+    points = _read(path, _RADIOMAP)["point"]
+    return RadioMap(entries=tuple(Fingerprint(position=Point2(x, y), rss=dict(rss)) for _, (x, y, *rss) in points))
 
 
 def load_observation(path) -> dict[str, float]:
     """RSS observation file: one ``transmitter dbm`` pair per line."""
-    rss: dict[str, float] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError("expected 'transmitter dbm'", path=str(path), line=lineno)
-        try:
-            rss[parts[0]] = float(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
+    rss = dict(pair for _, pair in _read(path, _OBSERVATION, head=None)[None])
     if not rss:
         raise InvalidInputError(f"{path}: no RSS readings")
     return rss
@@ -499,57 +500,24 @@ def save_truth(truth: GroundTruth, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# Fields per ground-truth record, as save_truth writes them.
-_TRUTH_FIELDS = {"initial": 4, "step": 6, "door_open": 2, "crossing": 2, "turn_back": 2}
-
-
 def load_truth(path) -> GroundTruth:
-    records = _read_records(path)
-    _check_version(records, path)
-    group = ""
-    initial = None
-    steps: list[tuple[float, float, float, float, str]] = []
-    door_opens: list[tuple[float, float]] = []
-    crossings: list[tuple[int, str]] = []
-    turn_backs: list[tuple[int, str]] = []
-    for lineno, key, rest in records[1:]:
-        parts = rest.split()
-        if key == "group":
-            group = rest
-            continue
-        if key == "final":
-            continue  # derived from steps on load
-        if key not in _TRUTH_FIELDS:
-            raise ParseError(f"unknown record {key!r}", path=str(path), line=lineno)
-        if len(parts) != _TRUTH_FIELDS[key]:
-            raise ParseError(f"{key} needs {_TRUTH_FIELDS[key]} fields, got {len(parts)}", path=str(path), line=lineno)
-        try:
-            if key == "initial":
-                initial = (float(parts[0]), float(parts[1]), float(parts[2]), parts[3])
-            elif key == "step":
-                steps.append((float(parts[1]), float(parts[2]), float(parts[3]), float(parts[4]), parts[5]))
-            elif key == "door_open":
-                door_opens.append((float(parts[0]), float(parts[1])))
-            elif key == "crossing":
-                crossings.append((int(parts[0]), parts[1]))
-            else:
-                turn_backs.append((int(parts[0]), parts[1]))
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
-    if initial is None:
+    records = _read(path, _TRUTH)
+    if not records["initial"]:
         raise ParseError("missing 'initial' record", path=str(path))
+    x, y, heading, environment = records["initial"][-1][1]
+    steps = [step for _, step in records["step"]]
     return GroundTruth(
         step_times=np.array([s[0] for s in steps]),
-        step_positions=np.array([[s[1], s[2]] for s in steps]).reshape(-1, 2),
+        step_positions=np.array([s[1:3] for s in steps]).reshape(-1, 2),
         step_headings=np.array([s[3] for s in steps]),
         environments=tuple(s[4] for s in steps),
-        door_open_intervals=tuple(door_opens),
-        crossings=tuple(crossings),
-        turn_backs=tuple(turn_backs),
-        initial_position=Point2(initial[0], initial[1]),
-        initial_heading=initial[2],
-        initial_environment=initial[3],
-        group=group,
+        door_open_intervals=tuple(interval for _, interval in records["door_open"]),
+        crossings=tuple(crossing for _, crossing in records["crossing"]),
+        turn_backs=tuple(turn_back for _, turn_back in records["turn_back"]),
+        initial_position=Point2(x, y),
+        initial_heading=heading,
+        initial_environment=environment,
+        group=" ".join(records["group"][-1][1]) if records["group"] else "",
     )
 
 
@@ -558,52 +526,16 @@ def load_walk_script(path):
     door_action/pause lines after ``version: 1``."""
     from .sim import DoorAction, WalkScript
 
-    records = _read_records(path)
-    _check_version(records, path)
-    waypoints: list[Point2] = []
-    actions: list = []
-    pauses: list[tuple[int, float]] = []
-    cadence = 2.0
-    step_length = 0.75
-    start_environment = "indoor"
-    for lineno, key, rest in records[1:]:
-        parts = rest.split()
-        try:
-            if key == "waypoint":
-                x, y = _floats(rest, 2, path, lineno)
-                waypoints.append(Point2(x, y))
-            elif key == "cadence":
-                cadence = float(rest)
-            elif key == "step_length":
-                step_length = float(rest)
-            elif key == "start_environment":
-                start_environment = rest
-            elif key == "door_action":
-                if len(parts) != 3:
-                    raise ParseError("door_action needs 'waypoint door action'", path=str(path), line=lineno)
-                actions.append(DoorAction(waypoint=int(parts[0]), door_id=parts[1], action=parts[2]))
-            elif key == "pause":
-                if len(parts) != 2:
-                    raise ParseError("pause needs 'waypoint seconds'", path=str(path), line=lineno)
-                pauses.append((int(parts[0]), float(parts[1])))
-            else:
-                raise ParseError(f"unknown record {key!r}", path=str(path), line=lineno)
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
+    records = _read(path, _WALK_SCRIPT)
+    # The last record of each setting wins; WalkScript holds the defaults.
+    script_fields = {"cadence": "cadence", "step_length": "step_length_true", "start_environment": "start_environment"}
+    settings = {name: values[0] for key, name in script_fields.items() for _, values in records[key]}
     return WalkScript(
-        waypoints=tuple(waypoints),
-        cadence=cadence,
-        step_length_true=step_length,
-        door_actions=tuple(actions),
-        pauses=tuple(pauses),
-        start_environment=start_environment,
+        waypoints=tuple(Point2(x, y) for _, (x, y) in records["waypoint"]),
+        door_actions=tuple(DoorAction(*action) for _, action in records["door_action"]),
+        pauses=tuple(pause for _, pause in records["pause"]),
+        **settings,
     )
-
-
-PATH_HEADER = "step,t,x,y,heading,environment"
-EVENTS_HEADER = "kind,step,t,door,x,y,t_start,t_end,zero_crossings,from_env,to_env"
 
 
 def save_path(log: EventLog, path) -> None:
@@ -637,52 +569,18 @@ def save_events(log: EventLog, path) -> None:
 
 def load_trial(events_path, path_path) -> EventLog:
     """Rebuild the EventLog parts evaluation needs from serialized files."""
-    log = EventLog()
-    lines = [ln for ln in Path(events_path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if not lines or lines[0] != EVENTS_HEADER:
-        raise ParseError(f"expected header {EVENTS_HEADER!r}", path=str(events_path), line=1)
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise ParseError(f"expected 11 columns, got {len(parts)}", path=str(events_path), line=lineno)
-        kind = parts[0]
-        try:
-            if kind == "step":
-                log.steps.append(StepEvent(index=int(parts[1]), t=float(parts[2]), peak=0.0))
-            elif kind == "door_open":
-                log.door_opens.append(
-                    DoorOpenEvent(t_start=float(parts[6]), t_end=float(parts[7]), zero_crossings=int(parts[8]))
-                )
-            elif kind == "switch":
-                log.switches.append(
-                    SwitchEvent(
-                        step_index=int(parts[1]),
-                        door_id=parts[3],
-                        crossing_point=Point2(float(parts[4]), float(parts[5])),
-                        from_env=parts[9],
-                        to_env=parts[10],
-                    )
-                )
-            else:
-                raise ParseError(f"unknown event kind {kind!r}", path=str(events_path), line=lineno)
-        except SeamlocError:
-            raise
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", path=str(events_path), line=lineno) from exc
-    plines = [ln for ln in Path(path_path).read_text(encoding="utf-8").splitlines() if ln.strip()]
-    if not plines or plines[0] != PATH_HEADER:
-        raise ParseError(f"expected header {PATH_HEADER!r}", path=str(path_path), line=1)
-    for lineno, line in enumerate(plines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ParseError(f"expected 6 columns, got {len(parts)}", path=str(path_path), line=lineno)
-        try:
-            x, y, heading = float(parts[2]), float(parts[3]), float(parts[4])
-        except ValueError as exc:
-            raise ParseError(f"bad number: {exc}", path=str(path_path), line=lineno) from exc
-        log.poses.append(Pose(Point2(x, y), heading))
-        log.environments.append(parts[5])
-    return log
+    events = _read(events_path, _EVENTS, EVENTS_HEADER, ",")
+    rows = _read(path_path, _PATH, PATH_HEADER, ",")[None]
+    return EventLog(
+        steps=[StepEvent(index=index, t=t, peak=0.0) for _, (index, t) in events["step"]],
+        door_opens=[DoorOpenEvent(t_start=t0, t_end=t1, zero_crossings=z) for _, (t0, t1, z) in events["door_open"]],
+        switches=[
+            SwitchEvent(step_index=k, door_id=door, crossing_point=Point2(x, y), from_env=src, to_env=dst)
+            for _, (k, door, x, y, src, dst) in events["switch"]
+        ],
+        poses=[Pose(Point2(x, y), heading) for _, (x, y, heading, _env) in rows],
+        environments=[env for _, (*_xyh, env) in rows],
+    )
 
 
 def format_report(report: EvalReport) -> str:

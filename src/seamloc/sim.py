@@ -55,8 +55,8 @@ class WalkScript:
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise InvalidScriptError("need at least two waypoints")
-        if self.cadence <= 0 or self.step_length_true <= 0:
-            raise InvalidScriptError("cadence and step length must be positive")
+        if not (0 < self.cadence < math.inf and 0 < self.step_length_true < math.inf):
+            raise InvalidScriptError("cadence and step length must be positive and finite")
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if a.x == b.x and a.y == b.y:
                 raise InvalidScriptError("coincident consecutive waypoints")

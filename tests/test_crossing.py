@@ -64,6 +64,25 @@ class TestArmCheck:
         out = arm_check(CrossingState(environment="indoor"), Point2(0, 0), (far, near), CFG)
         assert out.armed_door == "near"
 
+    # The arming disc around a door at (3, 4), radius 5, is inclusive: a
+    # point on its rim arms an idle detector and keeps an armed one armed.
+    area_door = Door(id="d", center=Point2(3, 4), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor")
+
+    def phases_at(self, x):
+        cfg = CrossingConfig(area_radius=5.0)
+        idle = arm_check(CrossingState(environment="indoor"), Point2(x, 4), (self.area_door,), cfg)
+        armed = arm_check(armed_state(door="d"), Point2(x, 4), (self.area_door,), cfg)
+        return idle.phase, armed.phase
+
+    def test_arms_at_door_center(self):
+        assert self.phases_at(3.0) == (ARMED, ARMED)
+
+    def test_area_boundary_inclusive(self):
+        assert self.phases_at(3.0 + 5.0) == (ARMED, ARMED)
+
+    def test_idle_just_outside_area(self):
+        assert self.phases_at(3.0 + 5.01) == (IDLE, IDLE)
+
     def test_armed_state_requires_door(self):
         with pytest.raises(StateInconsistencyError):
             CrossingState(environment="indoor", phase=ARMED)

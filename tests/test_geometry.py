@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,8 +15,6 @@ from seamloc import (
     InvariantViolation,
     Point2,
     Segment2,
-    in_crossing_area,
-    segment_hits_walls,
     segment_intersection,
     zone_for_door,
 )
@@ -175,23 +173,17 @@ class TestZoneForDoor:
             assert abs(zone.segment.length - width) < 1e-9
 
 
-class TestCrossingArea:
-    door = Door(id="d", center=Point2(3, 4), tangent=(0.0, 1.0), inner_env="in", outer_env="out")
-
-    def test_center_inside(self):
-        assert in_crossing_area(self.door.center, self.door, 5.0)
-
-    def test_boundary_inclusive(self):
-        assert in_crossing_area(Point2(3 + 5.0, 4), self.door, 5.0)
-
-    def test_just_outside(self):
-        assert not in_crossing_area(Point2(3 + 5.01, 4), self.door, 5.0)
+def step_hits_walls(step, plan):
+    """The wall test the particle filter runs, for one step segment."""
+    p0 = np.array([[step.a.x, step.a.y]])
+    p1 = np.array([[step.b.x, step.b.y]])
+    return bool(_segments_cross(p0, p1, plan.wall_array())[0])
 
 
 class TestWalls:
     def test_step_through_wall(self):
         plan = FloorPlan(walls=(Segment2(Point2(0, -1), Point2(0, 1)),), doors=())
-        assert segment_hits_walls(Segment2(Point2(-0.5, 0), Point2(0.5, 0)), plan)
+        assert step_hits_walls(Segment2(Point2(-0.5, 0), Point2(0.5, 0)), plan)
 
     def test_step_inside_empty_room(self):
         plan = FloorPlan(
@@ -203,7 +195,7 @@ class TestWalls:
             ),
             doors=(),
         )
-        assert not segment_hits_walls(Segment2(Point2(4, 4), Point2(5, 5)), plan)
+        assert not step_hits_walls(Segment2(Point2(4, 4), Point2(5, 5)), plan)
 
     def test_step_through_doorway_gap(self):
         # Wall along x = 0 with a 0.9 m gap centered at y = 0.
@@ -213,12 +205,12 @@ class TestWalls:
         )
         plan = FloorPlan(walls=gap_walls, doors=())
         step = Segment2(Point2(-0.5, 0.0), Point2(0.5, 0.0))
-        assert not segment_hits_walls(step, plan)
+        assert not step_hits_walls(step, plan)
         # Oracle: the step would intersect neither wall piece individually.
         for wall in gap_walls:
             assert parametric_oracle(step, wall) is None
         # The same step off the gap hits.
-        assert segment_hits_walls(Segment2(Point2(-0.5, 1.0), Point2(0.5, 1.0)), plan)
+        assert step_hits_walls(Segment2(Point2(-0.5, 1.0), Point2(0.5, 1.0)), plan)
 
 
 class TestTypeInvariants:
@@ -251,7 +243,9 @@ def per_wall_oracle(p0, p1, walls):
         d2 = wd[0] * (p1[:, 1] - y1) - wd[1] * (p1[:, 0] - x1)
         d3 = d[:, 0] * (y1 - p0[:, 1]) - d[:, 1] * (x1 - p0[:, 0])
         d4 = d[:, 0] * (y2 - p0[:, 1]) - d[:, 1] * (x2 - p0[:, 0])
-        straddle = (d1 * d2 <= 0) & (d3 * d4 <= 0)
+        # Signs, not products: d1 * d2 underflows to 0 for subnormal values.
+        straddle = ((d1 <= 0) & (d2 >= 0)) | ((d1 >= 0) & (d2 <= 0))
+        straddle &= ((d3 <= 0) & (d4 >= 0)) | ((d3 >= 0) & (d4 <= 0))
         hit |= straddle & ~((d1 == 0) & (d2 == 0))
         collinear = straddle & (d1 == 0) & (d2 == 0)
         if np.any(collinear):
@@ -284,6 +278,8 @@ wall_rows = st.integers(1, 20).flatmap(lambda m: arrays(float, (m, 4), elements=
 class TestSegmentsCrossOracle:
     @settings(max_examples=300, deadline=None)
     @given(cloud, wall_rows)
+    # A subnormal wall beside a zero-length step: d1 * d2 underflows to 0 there.
+    @example((np.zeros((1, 2)), np.zeros((1, 2))), np.array([[0.5, 0.0, 0.5, 2.2250738585072014e-308]]))
     def test_random_clouds_match_oracle(self, steps, walls):
         assert_same_mask(steps[0], steps[1], walls)
 
@@ -341,6 +337,13 @@ class TestSegmentsCrossOracle:
         )
         hit = assert_same_mask(p0, p1, walls)
         assert hit.any() == (gap == 0.0)
+
+    def test_step_clearing_a_wall_by_a_subnormal_gap_misses(self):
+        # Every orientation product underflows to 0 here; the signs show the
+        # step passes 1e-170 m above the wall.
+        walls = np.array([[-1.0, -1e-170, 1.0, -1e-170]])
+        hit = assert_same_mask(np.array([[0.0, 0.0]]), np.array([[0.5, 0.0]]), walls)
+        assert not hit[0]
 
     def test_nan_step_hides_no_wall(self):
         p0 = np.array([[0.0, 0.0], [np.nan, 0.0]])

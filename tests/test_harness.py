@@ -1,14 +1,18 @@
 import dataclasses
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import seamloc.cli as cli
+from seamloc import harness
 from seamloc import (
     FloorPlan,
     GroundTruth,
@@ -31,8 +35,10 @@ from seamloc import (
     two_building_plan,
 )
 from seamloc.harness import (
+    TRACE_HEADER,
     EventLog,
     load_floorplan,
+    load_observation,
     load_radiomap,
     load_trace,
     load_trial,
@@ -522,3 +528,202 @@ class TestCli:
         assert proc.returncode == 3
         assert "error[parse]" in proc.stderr and f"trial.truth.txt:{lineno}:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def row_loop_trace(path):
+    """The row loop load_trace used before its numpy fast path, as an oracle.
+
+    It numbers lines as they stand in the file, blank ones included.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or lines[0][1].strip() != TRACE_HEADER:
+        raise ParseError("expected header", path=str(path), line=lines[0][0] if lines else None)
+    rows = []
+    for lineno, line in lines[1:]:
+        parts = line.split(",")
+        if len(parts) != 10:
+            raise ParseError(f"expected 10 columns, got {len(parts)}", path=str(path), line=lineno)
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
+    return np.array(rows).reshape(-1, 10)
+
+
+def trace_columns(path, monkeypatch):
+    """load_trace's parsed columns, before Trace checks time order and finiteness."""
+    monkeypatch.setattr(harness, "Trace", lambda t, accel, gyro, mag: np.column_stack([t, accel, gyro, mag]))
+    return load_trace(path)
+
+
+def outcome(load, path):
+    try:
+        data = load(path)
+    except ParseError as exc:
+        return "parse", exc.line
+    return "ok", data.shape, data.tobytes()
+
+
+# Fields that float() and numpy read alike, and fields only float() reads,
+# which send load_trace to its row loop.
+field = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["-0.0", "-nan", "+1e5", " 2.5 ", "\t7", "1e500", "4.9e-324", ".5", "5."]),
+)
+float_only_field = st.sampled_from(["1_0", "\uff11", "\u0663.5"])
+full_row = st.lists(field, min_size=10, max_size=10).map(",".join)
+float_only_row = st.tuples(st.lists(field, min_size=9, max_size=9), float_only_field).map(
+    lambda t: ",".join([*t[0], t[1]])
+)
+blank_line = st.sampled_from(["", "   ", "\t"])
+bad_line = st.one_of(
+    st.lists(field, min_size=1, max_size=9).map(",".join),
+    st.sampled_from(["x", "1,2,3,4,5,6,7,8,9,x", "1,2,3,4,5,6,7,8,9,10,11"]),
+)
+
+
+class TestReader:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(st.sampled_from(["", "  "]), max_size=2),
+        st.lists(st.one_of(full_row, blank_line), max_size=8),
+        st.one_of(st.none(), float_only_row, bad_line),
+        st.integers(0, 8),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_trace_matches_row_loop(self, tmp_path, monkeypatch, leading, rows, extra, at, newline):
+        if extra is not None:
+            rows.insert(at, extra)
+        p = tmp_path / "tr.csv"
+        p.write_bytes(newline.join([*leading, TRACE_HEADER, *rows, ""]).encode("utf-8"))
+        assert outcome(lambda q: trace_columns(q, monkeypatch), p) == outcome(row_loop_trace, p)
+
+    # Each file: valid records, two blank lines, then a bad field on line 5
+    # (line 4 in the observation file, which has no version line).
+    BAD_AFTER_BLANKS = {
+        "trace": (
+            load_trace,
+            f"{TRACE_HEADER}\n0.0,0,0,9.81,0,0,0,22,0,-43\n\n\n0.01,x,0,9.81,0,0,0,22,0,-43\n",
+            5,
+        ),
+        "floorplan": (load_floorplan, "version: 1\nwall: 0 0 1 0\n\n\nwall: 0 0 x 0\n", 5),
+        "radiomap": (load_radiomap, "version: 1\npoint: 0 0 ap1=-50\n\n\npoint: 0 0 ap1=x\n", 5),
+        "observation": (load_observation, "ap1 -50\n\n\nap2 x\n", 4),
+        "truth": (load_truth, "version: 1\ninitial: 0 0 0 indoor\n\n\nstep: 0 x 0 0 0 indoor\n", 5),
+        "walk_script": (load_walk_script, "version: 1\nwaypoint: 0 0\n\n\nwaypoint: x 0\n", 5),
+    }
+    EVENTS = f"{harness.EVENTS_HEADER}\nstep,0,0.5,,,,,,,,\n"
+    PATH = f"{harness.PATH_HEADER}\n0,0.5,0.75,0.0,0.0,indoor\n"
+
+    @pytest.mark.parametrize("fmt", sorted(BAD_AFTER_BLANKS))
+    def test_bad_field_after_blank_lines_names_its_line(self, tmp_path, fmt):
+        load, text, line = self.BAD_AFTER_BLANKS[fmt]
+        p = tmp_path / "f.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError) as info:
+            load(p)
+        assert info.value.line == line and str(info.value).startswith(f"{p}:{line}: ")
+
+    @pytest.mark.parametrize(
+        "events, path",
+        [
+            (EVENTS + "\n\nstep,x,1.0,,,,,,,,\n", PATH),
+            (EVENTS, PATH + "\n\n1,1.0,x,0.0,0.0,indoor\n"),
+        ],
+        ids=["events", "path"],
+    )
+    def test_trial_bad_field_after_blank_lines_names_its_line(self, tmp_path, events, path):
+        (tmp_path / "t.events.csv").write_text(events)
+        (tmp_path / "t.path.csv").write_text(path)
+        with pytest.raises(ParseError) as info:
+            load_trial(tmp_path / "t.events.csv", tmp_path / "t.path.csv")
+        assert info.value.line == 5
+
+    def test_version_spacing_is_free(self, tmp_path):
+        p = tmp_path / "plan.txt"
+        p.write_text("# plan\nversion :1\nwall: 0 0 1 0\n")
+        assert len(load_floorplan(p).walls) == 1
+
+    def test_radiomap_needs_one_reading(self, tmp_path):
+        p = tmp_path / "rm.txt"
+        p.write_text("version: 1\npoint: 0 0\npoint: 1 0 ap1\n")
+        with pytest.raises(ParseError, match=":2: expected 3 fields, got 2"):
+            load_radiomap(p)
+        p.write_text("version: 1\npoint: 1 0 ap1\n")
+        with pytest.raises(ParseError, match=":2: bad number: expected tx=dbm, got 'ap1'"):
+            load_radiomap(p)
+
+    def test_truth_group_keeps_its_words(self, tmp_path):
+        plan = two_building_plan()
+        _, truth = generate_walk(crossing_script(plan), doors=plan.doors, group="user 3 phone A")
+        p = tmp_path / "truth.txt"
+        save_truth(truth, p)
+        assert load_truth(p).group == "user 3 phone A"
+
+
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    """Every input file of simulate, track, eval and locate, all valid."""
+    from seamloc import Fingerprint, RadioMap
+
+    d = tmp_path_factory.mktemp("cli_run")
+    plan_file, script_file = TestCli().write_inputs(d)
+    assert cli.main(["simulate", "--script", str(script_file), "--plan", str(plan_file), "--out", str(d), "--seed", "5"]) == 0
+    assert cli.main(["track", "--trace", str(d / "trial.trace.csv"), "--plan", str(plan_file), "--out", str(d), "--seed", "5"]) == 0
+    save_radiomap(RadioMap(entries=(Fingerprint(Point2(0, 0), {"ap1": -50.0}),)), d / "rm.txt")
+    (d / "obs.txt").write_text("ap1 -53.0\n")
+    (d / "cfg.json").write_text("{}\n")
+    return d
+
+
+NON_UTF8_CASES = [
+    ("simulate", "walk.txt"),
+    ("simulate", "plan.txt"),
+    ("simulate", "cfg.json"),
+    ("track", "trial.trace.csv"),
+    ("track", "plan.txt"),
+    ("track", "cfg.json"),
+    ("eval", "trial.events.csv"),
+    ("eval", "trial.path.csv"),
+    ("eval", "trial.truth.txt"),
+    ("eval", "cfg.json"),
+    ("locate", "obs.txt"),
+    ("locate", "rm.txt"),
+    ("locate", "cfg.json"),
+]
+
+
+@pytest.mark.parametrize("command, name", NON_UTF8_CASES)
+def test_non_utf8_input_is_parse_error(cli_run, tmp_path, capsys, command, name):
+    for f in cli_run.iterdir():
+        shutil.copy(f, tmp_path / f.name)
+    target = tmp_path / name
+    lines = target.read_bytes().split(b"\n")
+    lines[1] = lines[1][:1] + b"\xff\xfe" + lines[1][1:]
+    target.write_bytes(b"\n".join(lines))
+    d = tmp_path
+    args = {
+        "simulate": ["--script", d / "walk.txt", "--plan", d / "plan.txt", "--out", d / "out"],
+        "track": ["--trace", d / "trial.trace.csv", "--plan", d / "plan.txt", "--out", d / "out"],
+        "eval": ["--events", d, "--truth", d, "--out", d / "out"],
+        "locate": ["--observation", d / "obs.txt", "--radiomap", d / "rm.txt"],
+    }[command]
+    rc = cli.main([command, *map(str, args), "--config", str(d / "cfg.json")])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("error[parse]: ")
+    if name != "cfg.json":  # the JSON reader names no line
+        assert f"{name}:2: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("row", ["cadence: nan", "cadence: inf", "step_length: inf", "step_length: nan"])
+def test_simulate_non_finite_script_value_is_invalid_script(tmp_path, row):
+    script = tmp_path / "walk.txt"
+    script.write_text(f"version: 1\nwaypoint: 0.0 0.0\nwaypoint: 6.0 0.0\n{row}\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    cmd = [sys.executable, "-m", "seamloc.cli", "simulate", "--script", str(script), "--out", str(tmp_path / "o")]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 6
+    assert "error[invalid-script]" in proc.stderr and "Traceback" not in proc.stderr
