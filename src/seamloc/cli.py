@@ -162,14 +162,15 @@ def _cmd_eval(args) -> int:
 
 def _cmd_report(args) -> int:
     base = Path(args.input)
-    report_file = base / "report.txt"
-    cdf_file = base / "cdf.csv"
+    report_file, cdf_file = base / "report.txt", base / "cdf.csv"
     if not report_file.exists():
         raise ParseError("no report.txt in directory (run eval first)", path=str(base))
-    sys.stdout.write(report_file.read_text(encoding="utf-8"))
-    if cdf_file.exists():
+    report = harness._text(report_file)
+    cdf = harness._text(cdf_file) if cdf_file.exists() else None
+    sys.stdout.write(report)
+    if cdf is not None:
         print("\nCDF points (error, cumulative fraction)")
-        sys.stdout.write(cdf_file.read_text(encoding="utf-8"))
+        sys.stdout.write(cdf)
     return 0
 
 

@@ -27,7 +27,6 @@ class ParticleSet:
 
     positions: np.ndarray  # (N, 2)
     weights: np.ndarray  # (N,), sums to 1
-    rng_seed: int
     rng: np.random.Generator
 
     def __len__(self) -> int:
@@ -57,7 +56,7 @@ def pf_init(pose0: Pose, cfg: PfConfig, seed: int = 0) -> ParticleSet:
     center = np.array([pose0.position.x, pose0.position.y])
     positions = center + rng.normal(0.0, cfg.init_sigma, size=(cfg.particle_count, 2))
     weights = np.full(cfg.particle_count, 1.0 / cfg.particle_count)
-    return ParticleSet(positions=positions, weights=weights, rng_seed=seed, rng=rng)
+    return ParticleSet(positions=positions, weights=weights, rng=rng)
 
 
 def _systematic_resample(pset: ParticleSet) -> None:
@@ -106,7 +105,7 @@ def pf_step(
     weights /= total
     estimate = Point2(float(weights @ moved[:, 0]), float(weights @ moved[:, 1]))
 
-    out = ParticleSet(positions=moved, weights=weights, rng_seed=pset.rng_seed, rng=pset.rng)
+    out = ParticleSet(positions=moved, weights=weights, rng=pset.rng)
     ess = 1.0 / float(np.sum(weights**2))
     if ess < cfg.resample_threshold * n:
         _systematic_resample(out)

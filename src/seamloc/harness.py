@@ -341,17 +341,21 @@ _WALK_SCRIPT = {
 }
 
 
-def _lines(path, head="version: 1", sep=None) -> list[tuple[int, str]]:
-    """(line number, stripped text) of each record line after the head; sep None allows # comments."""
+def _text(path) -> str:
+    """A file's text; a byte that is not UTF-8 raises ParseError naming its line."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len((data[: exc.start].decode("utf-8") + "_").splitlines())
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path=str(path), line=line) from None
+
+
+def _lines(path, head="version: 1", sep=None) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each record line after the head; sep None allows # comments."""
     lines = [
         (lineno, line)
-        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        for lineno, line in enumerate(map(str.strip, _text(path).splitlines()), start=1)
         if line and not (sep is None and line.startswith("#"))
     ]
     # Spacing inside the head line is free: 'version:1' reads as 'version: 1'.

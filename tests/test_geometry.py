@@ -392,6 +392,95 @@ class TestSegmentsCrossOracle:
             tracemalloc.stop()
         assert peak < n * m * 8 // 4
 
+    def test_every_pair_surviving_the_step_boxes_matches_oracle(self):
+        # A dense comb: 1024 steps of 50 m across 4096 walls 1 mm wide, so
+        # every (wall, step) pair survives the per-step box and every pair
+        # runs the orientation test. Blocks keep the peak as above.
+        n, m = 1024, 4096
+        rng = np.random.default_rng(9)
+        xs = np.sort(rng.uniform(0.5, 49.5, m))
+        walls = np.column_stack([xs, np.full(m, -30.0), xs + 0.001, np.full(m, 30.0)])
+        p0 = np.column_stack([np.zeros(n), rng.uniform(-10, 10, n)])
+        p1 = p0 + np.column_stack([np.full(n, 50.0), rng.uniform(-1, 1, n)])
+        assert np.minimum(p0, p1)[:, 0].max() <= walls[:, 0].min() and np.maximum(p0, p1)[:, 0].min() >= walls[:, 2].max()
+        assert np.maximum(p0, p1)[:, 1].max() <= 30.0 and np.minimum(p0, p1)[:, 1].min() >= -30.0
+        tracemalloc.start()
+        try:
+            got = _segments_cross(p0, p1, walls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * m * 8 // 4
+        assert np.array_equal(got, per_wall_oracle(p0, p1, walls))
+        assert got.all()
+
+
+class TestStepBoxes:
+    """The per-step box: walls inside the cloud's box that one step's own box misses."""
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5e-6, 1e-6, 1.5e-6, 1e-3])
+    def test_walls_at_the_padded_step_box_edge(self, gap):
+        # The first step spans x in [0, 1] at y = 0; the walls lie `gap`
+        # beyond each side of it, two of them parallel to it. The other two
+        # steps stretch the cloud's box over every wall and touch none.
+        p0 = np.array([[0.0, 0.0], [-3.0, 6.0], [-3.0, -6.0]])
+        p1 = np.array([[1.0, 0.0], [4.0, 6.0], [4.0, -6.0]])
+        walls = np.array(
+            [
+                [1.0 + gap, -1.0, 1.0 + gap, 1.0],
+                [-gap, -1.0, -gap, 1.0],
+                [0.0, gap, 1.0, gap],
+                [0.2, -gap, 0.8, -gap],
+                [1.0 + gap, gap, 3.0, 2.0],
+            ]
+        )
+        ends = np.concatenate([p0, p1])
+        assert (walls[:, 0::2].min() >= ends[:, 0].min()) and (walls[:, 0::2].max() <= ends[:, 0].max())
+        assert (walls[:, 1::2].min() >= ends[:, 1].min()) and (walls[:, 1::2].max() <= ends[:, 1].max())
+        for k in range(len(walls)):
+            hit = assert_same_mask(p0, p1, walls[k : k + 1])
+            assert hit.tolist() == [gap == 0.0, False, False]
+        assert_same_mask(p0, p1, walls)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 20).flatmap(lambda n: st.tuples(arrays(float, (n, 2), elements=coord), arrays(float, (n, 2), elements=coord))),
+        st.integers(10, 60).flatmap(
+            lambda m: st.tuples(
+                arrays(float, (m, 2), elements=coord),
+                arrays(float, (m, 2), elements=st.sampled_from([-0.5, -0.25, 0.0, 0.25, 0.5])),
+            )
+        ),
+    )
+    def test_long_steps_over_short_walls_in_small_blocks_match_oracle(self, steps, pieces):
+        # Steps metres long over many walls at most 0.71 m long, some on the
+        # half-metre grid with the step ends. A block bound of 8 elements
+        # holds one wall per block once there are more than 8 steps.
+        starts, offsets = pieces
+        walls = np.concatenate([starts, starts + offsets], axis=1)
+        walls = walls[np.any(offsets != 0, axis=1)]
+        with mock.patch.object(geometry, "_BLOCK_ELEMENTS", 8):
+            assert_same_mask(steps[0], steps[1], walls)
+
+    def test_collinear_rows_match_oracle_when_step_boxes_drop_some(self):
+        # Zero-length steps on a wall's line, one at its far end and the
+        # rest beyond it. A dot product can round by the rows batched with
+        # it, so the collinear test must see every step on the line, as the
+        # per-wall test does, not only those near the wall.
+        rng = np.random.default_rng(7)
+        checked = 0
+        for _ in range(300):
+            wa, wb = rng.uniform(-5, 5, 2), rng.uniform(-5, 5, 2)
+            wd = wb - wa
+            beyond = [wa + k * wd for k in (-4.0, -3.0, -2.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
+            on_line = [p for p in beyond if wd[0] * (p[1] - wa[1]) - wd[1] * (p[0] - wa[0]) == 0]
+            if not on_line:
+                continue
+            points = np.array([wb, *on_line])
+            assert_same_mask(points, points.copy(), np.array([[*wa, *wb]]))
+            checked += 1
+        assert checked > 100
+
 
 class TestWallArray:
     plan = FloorPlan(

@@ -717,6 +717,21 @@ def test_non_utf8_input_is_parse_error(cli_run, tmp_path, capsys, command, name)
         assert f"{name}:2: not UTF-8 text" in err
 
 
+@pytest.mark.parametrize("name", ["report.txt", "cdf.csv"])
+def test_report_non_utf8_file_is_parse_error(tmp_path, name):
+    (tmp_path / "report.txt").write_text("suite: s\n")
+    (tmp_path / "cdf.csv").write_text("error_m,fraction\n0.5,1.0\n")
+    (tmp_path / name).write_bytes(b"x\xff\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    cmd = [sys.executable, "-m", "seamloc.cli", "report", "--in", str(tmp_path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error[parse]: ") and "Traceback" not in proc.stderr
+    assert f"{name}:1: not UTF-8 text" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("row", ["cadence: nan", "cadence: inf", "step_length: inf", "step_length: nan"])
 def test_simulate_non_finite_script_value_is_invalid_script(tmp_path, row):
     script = tmp_path / "walk.txt"
