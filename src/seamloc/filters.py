@@ -140,11 +140,20 @@ def kf_init(heading: float, heading_var: float = 0.25, bias_var: float = 0.0025)
     )
 
 
-def _mag_z(mx: float, my: float, declination: float) -> float | None:
-    """Heading from the horizontal field, or None under 1 microtesla."""
-    if math.hypot(mx, my) < 1.0:
-        return None
-    return wrap_angle(math.atan2(-my, mx) + declination)
+def mag_headings(mag_xy, declination: float) -> list[float | None]:
+    """wrap_angle(atan2(-my, mx) + declination) of each (mx, my) row, or None
+    under 1 microtesla of horizontal field. math.atan2 and math.hypot, unlike
+    their numpy forms, give the scalar formula's bits; only entries outside
+    (-pi, pi] pay a wrap_angle call."""
+    m = np.asarray(mag_xy, dtype=float).reshape(-1, 2)
+    mx, my, n = m[:, 0].tolist(), m[:, 1].tolist(), len(m)
+    z = np.fromiter(map(math.atan2, (-m[:, 1]).tolist(), mx), float, n) + declination
+    out = ~((z > -math.pi) & (z <= math.pi))
+    z[out] = list(map(wrap_angle, z[out].tolist()))
+    z = z.tolist()
+    for i in np.flatnonzero(np.fromiter(map(math.hypot, mx, my), float, n) < 1.0).tolist():
+        z[i] = None
+    return z
 
 
 def mag_heading(sample: ImuSample, cfg: KfConfig = KfConfig()) -> float:
@@ -154,70 +163,58 @@ def mag_heading(sample: ImuSample, cfg: KfConfig = KfConfig()) -> float:
     1 microtesla; the caller skips the Kalman update.
     """
     mx, my, _ = sample.mag
-    z = _mag_z(mx, my, cfg.declination)
+    (z,) = mag_headings([mx, my], cfg.declination)
     if z is None:
         raise UnreliableMeasurementError(f"horizontal field {math.hypot(mx, my):.3g} uT")
     return z
-
-
-# The KF algebra on five floats: heading, bias, p00, p01 (== p10), p11. Each
-# line is the 2x2 matrix product written out in its order of operations.
-def _predict(h, b, p00, p01, p11, rate, dt, q_heading, q_bias):
-    """x' = x + (rate - b) dt; P' = F P F^T + Q with F = [[1, -dt], [0, 1]]."""
-    fp01 = p01 - dt * p11  # row 0 of F P, column 1
-    p00 = p00 - dt * p01 - dt * fp01 + q_heading * dt
-    return wrap_angle(h + (rate - b) * dt), b, p00, fp01, p11 + q_bias * dt
-
-
-def _update(h, b, p00, p01, p11, z, r):
-    """H = [1, 0], wrapped innovation; Joseph form (I-KH) P (I-KH)^T + r K K^T."""
-    innovation = wrap_angle(z - h)
-    s = p00 + r
-    k0, k1 = p00 / s, p01 / s
-    g = 1.0 - k0
-    a00, a01 = g * p00, g * p01  # rows of (I - KH) P
-    a10, a11 = p01 - k1 * p00, p11 - k1 * p01
-    return (
-        wrap_angle(h + k0 * innovation),
-        b + k1 * innovation,
-        a00 * g + r * (k0 * k0),
-        0.5 * ((a01 - k1 * a00 + r * (k0 * k1)) + (a10 * g + r * (k1 * k0))),
-        a11 - k1 * a10 + r * (k1 * k1),
-    )
-
-
-def _unpack(state: HeadingKfState):
-    p = state.covariance
-    return state.heading, state.gyro_bias, float(p[0, 0]), float(p[0, 1]), float(p[1, 1])
-
-
-def _pack(h, b, p00, p01, p11) -> HeadingKfState:
-    return HeadingKfState(heading=h, gyro_bias=b, covariance=np.array([[p00, p01], [p01, p11]]))
 
 
 def kf_predict(state: HeadingKfState, gyro_yaw_rate: float, dt: float, cfg: KfConfig) -> HeadingKfState:
     """Propagate heading by the bias-corrected gyro rate; grow covariance."""
     if dt <= 0:
         raise InvalidParameterError(f"dt must be positive, got {dt}")
-    return _pack(*_predict(*_unpack(state), gyro_yaw_rate, dt, cfg.q_heading, cfg.q_bias))
+    return kf_run(state, (gyro_yaw_rate,), (dt,), (None,), 0, 1, cfg)
 
 
 def kf_update(state: HeadingKfState, measured_heading: float, cfg: KfConfig) -> HeadingKfState:
     """Measurement update with H = [1, 0] and wrapped innovation."""
-    if not math.isfinite(cfg.r_mag):
-        return state  # uninformative measurement
-    return _pack(*_update(*_unpack(state), measured_heading, cfg.r_mag))
+    return kf_run(state, (0.0,), (0.0,), (measured_heading,), 0, 1, cfg)
 
 
 def kf_run(state: HeadingKfState, rates, dts, z, i0: int, i1: int, cfg: KfConfig) -> HeadingKfState:
-    """kf_predict with rates[i], dts[i], then kf_update with z[i] unless it
-    is None, for each i in range(i0, i1). The sequences hold Python floats;
-    every dt must be positive."""
-    x = _unpack(state)
-    qh, qb = cfg.q_heading, cfg.q_bias
-    r = cfg.r_mag if math.isfinite(cfg.r_mag) else None
-    for rate, dt, zi in zip(rates[i0:i1], dts[i0:i1], z[i0:i1]):
-        x = _predict(*x, rate, dt, qh, qb)
-        if zi is not None and r is not None:
-            x = _update(*x, zi, r)
-    return _pack(*x) if i1 > i0 else state
+    """For each i in range(i0, i1), predict with rates[i] over dts[i], then update
+    with the heading z[i] unless it is None (lists of Python floats). An empty
+    range returns state itself. Predict: x' = x + (rate - b) dt, P' = F P F^T + Q,
+    F = [[1, -dt], [0, 1]], Q = diag(q_heading, q_bias) dt; a dt of 0 skips it, and
+    kf_update is one such interval. Update: H = [1, 0], wrapped innovation, Joseph form
+    (I - KH) P (I - KH)^T + r K K^T, symmetrised; an infinite r_mag skips it.
+    Each line writes a 2x2 product on five floats out in its order of operations.
+    """
+    if i1 <= i0:
+        return state
+    h, b, p = state.heading, state.gyro_bias, state.covariance
+    p00, p01, p11 = float(p[0, 0]), float(p[0, 1]), float(p[1, 1])
+    qh, qb, r = cfg.q_heading, cfg.q_bias, cfg.r_mag
+    zs = z[i0:i1] if math.isfinite(r) else [None] * (i1 - i0)
+    lo, hi = -math.pi, math.pi
+    for rate, dt, zi in zip(rates[i0:i1], dts[i0:i1], zs):
+        if dt:
+            fp01 = p01 - dt * p11  # row 0 of F P, column 1
+            p00, p01, p11 = p00 - dt * p01 - dt * fp01 + qh * dt, fp01, p11 + qb * dt
+            h = h + (rate - b) * dt
+            if not lo < h <= hi:
+                h = wrap_angle(h)
+        if zi is not None:
+            e = zi - h
+            if not lo < e <= hi:
+                e = wrap_angle(e)
+            s = p00 + r
+            k0, k1 = p00 / s, p01 / s
+            g = 1.0 - k0
+            a00, a01, a10, a11 = g * p00, g * p01, p01 - k1 * p00, p11 - k1 * p01  # (I - KH) P
+            h, b = h + k0 * e, b + k1 * e
+            if not lo < h <= hi:
+                h = wrap_angle(h)
+            p00, p11 = a00 * g + r * (k0 * k0), a11 - k1 * a10 + r * (k1 * k1)
+            p01 = 0.5 * ((a01 - k1 * a00 + r * (k0 * k1)) + (a10 * g + r * (k1 * k0)))
+    return HeadingKfState(heading=h, gyro_bias=b, covariance=np.array([[p00, p01], [p01, p11]]))

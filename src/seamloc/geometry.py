@@ -217,11 +217,11 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.nda
         # compress, not a boolean index: it does not branch on each element.
         hit[np.compress(straddle & ~on_line, i)] = True
         for c in start + np.unique(np.compress(straddle & on_line, flat) // n):
-            # Collinear: require 1D overlap of projections onto the wall axis.
+            # Collinear: 1D overlap of projections onto the wall, times its squared
+            # length (dividing by it fails where it underflows, under ~1e-154 m).
             cross, on = _straddle(wall[:6, c], step)
             rows = np.flatnonzero(cross & on)
             wa, wd = wall[:2, c].copy(), wall[4:6, c].copy()
-            axis = wd / np.dot(wd, wd)
-            t0, t1 = (p0[rows] - wa) @ axis, (p1[rows] - wa) @ axis
-            hit[rows[(np.maximum(t0, t1) >= 0) & (np.minimum(t0, t1) <= 1)]] = True
+            t0, t1 = (p0[rows] - wa) @ wd, (p1[rows] - wa) @ wd
+            hit[rows[(np.maximum(t0, t1) >= 0) & (np.minimum(t0, t1) <= np.dot(wd, wd))]] = True
     return hit

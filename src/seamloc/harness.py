@@ -24,8 +24,9 @@ from .errors import (
     ParseError,
     StateInconsistencyError,
 )
-# kf_predict, kf_update, mag_heading: kept here for the benchmark's layer tracer (perfbench/layers.py).
-from .filters import HeadingKfState, KfConfig, ParticleSet, PfConfig, _mag_z, kf_init, kf_predict, kf_run, kf_update, mag_heading, pf_init, pf_step
+# track calls none of kf_predict, kf_update and mag_heading: perfbench/layers.py wraps these names
+# here, and its traced run fails without them; their per-layer metrics read 0, as kf_run does the work.
+from .filters import HeadingKfState, KfConfig, ParticleSet, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_step
 from .fingerprint import Fingerprint, RadioMap, WknnConfig
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
 from .pdr import _AXES, PdrConfig, Pose, propagate_step, wrap_angle
@@ -160,12 +161,14 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
         kf = tracker.kf
         if tracker.active_filter == KF:
             if mag_z is None:
-                mag_z = [_mag_z(mx, my, cfg.kf.declination) for mx, my in trace.mag[1:, :2].tolist()]
+                mag_z = mag_headings(trace.mag[1:, :2], cfg.kf.declination)
             kf = kf_run(kf, rates, dts, mag_z, cursor, i_k, cfg.kf)
             heading = kf.heading
         else:
             for inc in increments[cursor:i_k]:
-                heading = wrap_angle(heading + inc)
+                heading += inc
+                if not -math.pi < heading <= math.pi:
+                    heading = wrap_angle(heading)
         cursor = i_k
 
         prev_pos = tracker.pose.position
@@ -218,16 +221,16 @@ def evaluate(results, match_window: int = 5) -> EvalReport:
     Each result pairs one trial's EventLog with its GroundTruth. A true
     crossing counts as detected when a switch for the same door lands within
     match_window steps of the true crossing step. Negative opportunities are
-    the truth's turn-back approaches; unmatched switches count against them,
-    and the true-negative count stops at zero when they outnumber them. A
-    suite without turn-backs has no false-positive rate, so every unmatched
-    switch also shows in false_switches_per_trial.
+    the truth's turn-back approaches; a trial's unmatched switches count
+    against at most that trial's approaches, so FPR stays within [0, 1].
+    counts["false_positives"] keeps every unmatched switch, and so does
+    false_switches_per_trial, which a suite without turn-backs still has.
     """
     results = list(results)
     if not results:
         raise InvalidInputError("no trials to evaluate")
 
-    positives = negatives = tp = fp = 0
+    positives = negatives = tp = fp = charged = 0
     group_tp: dict[str, int] = {}
     group_pos: dict[str, int] = {}
     final_errors: list[float] = []
@@ -237,6 +240,7 @@ def evaluate(results, match_window: int = 5) -> EvalReport:
         negatives += len(truth.turn_backs)
         tp += trial_tp
         fp += trial_fp
+        charged += min(trial_fp, len(truth.turn_backs))
         group = truth.group or "all"
         group_tp[group] = group_tp.get(group, 0) + trial_tp
         group_pos[group] = group_pos.get(group, 0) + len(truth.crossings)
@@ -244,7 +248,7 @@ def evaluate(results, match_window: int = 5) -> EvalReport:
         final_errors.append(distance(last, truth.final_position))
 
     tpr = tp / positives if positives else float("nan")
-    fpr = fp / negatives if negatives else float("nan")
+    fpr = charged / negatives if negatives else float("nan")
     ordered = sorted(final_errors)
     n = len(ordered)
     cdf = [(e, (i + 1) / n) for i, e in enumerate(ordered)]
@@ -264,7 +268,7 @@ def evaluate(results, match_window: int = 5) -> EvalReport:
             "true_positives": tp,
             "false_negatives": positives - tp,
             "false_positives": fp,
-            "true_negatives": max(negatives - fp, 0),
+            "true_negatives": negatives - charged,
             "positives": positives,
             "negatives": negatives,
             "trials": len(results),
@@ -400,10 +404,8 @@ def _read(path, fields, head="version: 1", sep=None, lines=None) -> dict:
 
 
 def save_trace(trace: Trace, path) -> None:
-    lines = [TRACE_HEADER]
-    for i in range(len(trace)):
-        row = [trace.t[i], *trace.accel[i], *trace.gyro[i], *trace.mag[i]]
-        lines.append(",".join(_fmt(v) for v in row))
+    rows = np.column_stack((trace.t, trace.accel, trace.gyro, trace.mag)).tolist()  # Python floats: repr is _fmt
+    lines = [TRACE_HEADER, *(",".join(map(repr, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

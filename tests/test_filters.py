@@ -409,7 +409,7 @@ class TestKfOracle:
     def test_run_matches_per_sample_loop(self, state, samples, cfg, data):
         rate_list = [s[0] for s in samples]
         dt_list = [s[1] for s in samples]
-        z = [filters._mag_z(mx, my, cfg.declination) for _, _, (mx, my) in samples]
+        z = filters.mag_headings([xy for _, _, xy in samples], cfg.declination)
         i0 = data.draw(st.integers(0, len(samples)))
         i1 = data.draw(st.integers(i0, len(samples)))
         got = filters.kf_run(state, rate_list, dt_list, z, i0, i1, cfg)
@@ -428,7 +428,7 @@ class TestKfOracle:
         gz = trace.gyro[:, 2]
         rate_list = (0.5 * (gz[:-1] + gz[1:])).tolist()
         dt_list = np.diff(trace.t).tolist()
-        z = [filters._mag_z(mx, my, cfg.declination) for mx, my in mag[1:, :2].tolist()]
+        z = filters.mag_headings(mag[1:, :2], cfg.declination)
         assert None in z
         state = kf_init(0.0)
         got = filters.kf_run(state, rate_list, dt_list, z, 0, len(dt_list), cfg)
@@ -459,3 +459,177 @@ class TestKfOracle:
             assert got == want
         else:
             assert max(abs(wrap_angle(g - w)) for g, w in zip(got, want)) <= KF_TOL
+
+
+# --- Reference scalar heading KF: one Python call per predict and per update ---
+# kf_run, kf_predict and kf_update must give these functions' bits exactly.
+
+
+def scalar_predict(h, b, p00, p01, p11, rate, dt, q_heading, q_bias):
+    fp01 = p01 - dt * p11
+    p00 = p00 - dt * p01 - dt * fp01 + q_heading * dt
+    return wrap_angle(h + (rate - b) * dt), b, p00, fp01, p11 + q_bias * dt
+
+
+def scalar_update(h, b, p00, p01, p11, z, r):
+    innovation = wrap_angle(z - h)
+    s = p00 + r
+    k0, k1 = p00 / s, p01 / s
+    g = 1.0 - k0
+    a00, a01 = g * p00, g * p01
+    a10, a11 = p01 - k1 * p00, p11 - k1 * p01
+    return (
+        wrap_angle(h + k0 * innovation),
+        b + k1 * innovation,
+        a00 * g + r * (k0 * k0),
+        0.5 * ((a01 - k1 * a00 + r * (k0 * k1)) + (a10 * g + r * (k1 * k0))),
+        a11 - k1 * a10 + r * (k1 * k1),
+    )
+
+
+def scalar_mag_z(mx, my, declination):
+    if math.hypot(mx, my) < 1.0:
+        return None
+    return wrap_angle(math.atan2(-my, mx) + declination)
+
+
+def _unpack(state):
+    p = state.covariance
+    return state.heading, state.gyro_bias, float(p[0, 0]), float(p[0, 1]), float(p[1, 1])
+
+
+def _pack(h, b, p00, p01, p11):
+    return HeadingKfState(heading=h, gyro_bias=b, covariance=np.array([[p00, p01], [p01, p11]]))
+
+
+def scalar_kf_predict(state, rate, dt, cfg):
+    return _pack(*scalar_predict(*_unpack(state), rate, dt, cfg.q_heading, cfg.q_bias))
+
+
+def scalar_kf_update(state, z, cfg):
+    if not math.isfinite(cfg.r_mag):
+        return state
+    return _pack(*scalar_update(*_unpack(state), z, cfg.r_mag))
+
+
+def scalar_kf_run(state, rates, dts, z, i0, i1, cfg):
+    x = _unpack(state)
+    for rate, dt, zi in zip(rates[i0:i1], dts[i0:i1], z[i0:i1]):
+        x = scalar_predict(*x, rate, dt, cfg.q_heading, cfg.q_bias)
+        if zi is not None and math.isfinite(cfg.r_mag):
+            x = scalar_update(*x, zi, cfg.r_mag)
+    return _pack(*x) if i1 > i0 else state
+
+
+def bits(values):
+    """IEEE bit patterns, so -0.0 != 0.0 and NaN == NaN; None stays None."""
+    return [None if v is None else np.float64(v).view(np.int64).item() for v in values]
+
+
+def assert_kf_bits(got, want):
+    assert bits([got.heading, got.gyro_bias, *got.covariance.ravel()]) == bits(
+        [want.heading, want.gyro_bias, *want.covariance.ravel()]
+    )
+
+
+seam = st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0)])
+# Measured headings, on and past the seam: kf_update takes unwrapped input too.
+measured = st.one_of(near_pi, seam, st.floats(-10.0, 10.0))
+mag_rows = st.lists(mag_xy, max_size=60)
+
+
+class TestKfBitExact:
+    @settings(max_examples=300, deadline=None)
+    @given(kf_states, st.one_of(rates, st.just(0.0)), dts, kf_configs)
+    def test_predict(self, state, rate, dt, cfg):
+        assert_kf_bits(kf_predict(state, rate, dt, cfg), scalar_kf_predict(state, rate, dt, cfg))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kf_states, measured, kf_configs)
+    def test_update(self, state, z, cfg):
+        assert_kf_bits(kf_update(state, z, cfg), scalar_kf_update(state, z, cfg))
+
+    @settings(max_examples=200, deadline=None)
+    @given(kf_states, st.lists(st.tuples(rates, dts, st.one_of(st.none(), measured)), max_size=60), kf_configs, st.data())
+    def test_run(self, state, samples, cfg, data):
+        rate_list, dt_list, z = ([s[j] for s in samples] for j in range(3))
+        i0 = data.draw(st.integers(0, len(samples)))
+        i1 = data.draw(st.integers(i0, len(samples)))
+        got = filters.kf_run(state, rate_list, dt_list, z, i0, i1, cfg)
+        assert_kf_bits(got, scalar_kf_run(state, rate_list, dt_list, z, i0, i1, cfg))
+        if i0 == i1:
+            assert got is state
+
+    @pytest.mark.parametrize("cfg", [KfConfig(), KfConfig(declination=3.0), KfConfig(r_mag=float("inf"))])
+    def test_run_on_a_long_walk(self, cfg):
+        script = WalkScript(waypoints=(Point2(0, 0), Point2(40, 0), Point2(40, 30), Point2(0, 30)))
+        noise = NoiseModel(accel_sigma=0.05, gyro_sigma=0.01, gyro_bias=0.02, mag_sigma=2.2, seed=5)
+        trace, _ = generate_walk(script, noise)
+        mag = trace.mag.copy()
+        mag[::9, :2] *= 1e-3
+        gz = trace.gyro[:, 2]
+        rate_list = (0.5 * (gz[:-1] + gz[1:])).tolist()
+        dt_list = np.diff(trace.t).tolist()
+        z = [scalar_mag_z(mx, my, cfg.declination) for mx, my in mag[1:, :2].tolist()]
+        assert bits(filters.mag_headings(mag[1:, :2], cfg.declination)) == bits(z)
+        state = kf_init(3.1)
+        got = filters.kf_run(state, rate_list, dt_list, z, 0, len(dt_list), cfg)
+        assert_kf_bits(got, scalar_kf_run(state, rate_list, dt_list, z, 0, len(dt_list), cfg))
+
+
+# Horizontal components for the magnetometer heading, with the cases the
+# vectorised form must get right: weak fields, signed zeros, the atan2 = -pi
+# seam, NaN and infinities.
+mag_component = st.one_of(
+    st.floats(-60.0, 60.0),
+    st.floats(-0.8, 0.8),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.6, 0.8, math.inf, -math.inf, math.nan, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+declinations = st.one_of(st.just(0.0), st.floats(-math.pi, math.pi), st.floats(-10.0, 10.0), seam)
+
+
+class TestMagHeadings:
+    @staticmethod
+    def check(rows, declination):
+        want = [scalar_mag_z(mx, my, declination) for mx, my in rows]
+        got = filters.mag_headings(np.array(rows, dtype=float).reshape(-1, 2), declination)
+        assert bits(got) == bits(want)
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(mag_component, mag_component), max_size=40), declinations)
+    def test_matches_scalar_formula(self, rows, declination):
+        self.check(rows, declination)
+
+    def test_seam_and_edge_cases(self):
+        rows = [
+            (0.5, 0.5),  # under 1 uT
+            (0.6, 0.8),  # exactly 1 uT: used
+            (-22.0, 0.0),  # atan2(-0.0, -22) is -pi, which wraps to pi
+            (-22.0, -0.0),  # atan2(+0.0, -22) is pi
+            (22.0, 0.0),
+            (-22.0, 1e-300),
+            (math.nan, 22.0),
+            (22.0, math.inf),
+            (math.inf, math.nan),
+            (-math.inf, -math.inf),
+        ]
+        for declination in (0.0, 0.3, -0.3, math.pi, -math.pi, 7.0):
+            got = self.check(rows, declination)
+            assert got[0] is None and got[1] is not None
+            assert all(g is None or -math.pi < g <= math.pi for g in got)
+        assert self.check(rows[2:3], 0.0) == [math.pi]
+
+    def test_empty(self):
+        assert filters.mag_headings(np.zeros((0, 2)), 0.1) == []
+
+    def test_mag_heading_shares_the_definition(self):
+        for mx, my in [(22.0, 0.0), (-22.0, 0.0), (0.1, 0.1), (3.0, -4.0)]:
+            s = ImuSample(0.0, (0, 0, 9.81), (0, 0, 0), (mx, my, -43.0))
+            want = scalar_mag_z(mx, my, 0.2)
+            if want is None:
+                with pytest.raises(UnreliableMeasurementError):
+                    mag_heading(s, KfConfig(declination=0.2))
+            else:
+                assert bits([mag_heading(s, KfConfig(declination=0.2))]) == bits([want])

@@ -249,12 +249,12 @@ def per_wall_oracle(p0, p1, walls):
         hit |= straddle & ~((d1 == 0) & (d2 == 0))
         collinear = straddle & (d1 == 0) & (d2 == 0)
         if np.any(collinear):
-            axis = wd / np.dot(wd, wd)
-            t0 = (p0[collinear] - wa) @ axis
-            t1 = (p1[collinear] - wa) @ axis
+            # Projections scaled by the squared wall length, not divided by it.
+            t0 = (p0[collinear] - wa) @ wd
+            t1 = (p1[collinear] - wa) @ wd
             lo = np.minimum(t0, t1)
             hi = np.maximum(t0, t1)
-            hit[np.flatnonzero(collinear)[(hi >= 0) & (lo <= 1)]] = True
+            hit[np.flatnonzero(collinear)[(hi >= 0) & (lo <= np.dot(wd, wd))]] = True
     return hit
 
 
@@ -315,6 +315,16 @@ class TestSegmentsCrossOracle:
         hit = assert_same_mask(p0, p1, walls)
         overlaps = max(s0, s1) >= min(w0, w1) and min(s0, s1) <= max(w0, w1)
         assert hit[0] == overlaps
+
+    @pytest.mark.parametrize("length", [1e-294, 1e-160, 1e-150])
+    def test_step_on_a_wall_too_short_to_square(self, length):
+        # The wall's squared length underflows to 0 or to a subnormal; a
+        # collinear step at its start still touches it.
+        walls = np.array([[0.0, 0.0, 0.0, length]])
+        p0 = np.array([[0.0, 0.0], [0.0, -1.0], [1.0, 0.0]])
+        p1 = np.array([[0.0, 0.0], [0.0, -0.5], [1.0, 1.0]])
+        hit = assert_same_mask(p0, p1, walls)
+        assert hit.tolist() == [True, False, False]
 
     @settings(max_examples=100, deadline=None)
     @given(arrays(float, (12, 2), elements=coord), wall_rows)

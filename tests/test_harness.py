@@ -258,6 +258,30 @@ class TestEvaluate:
         assert report.counts["true_negatives"] == 0
         assert report.false_switches_per_trial == 2.0
 
+    def test_unmatched_switches_charge_at_most_the_trials_turn_backs(self):
+        truth = make_truth([1.0, 0.0], turn_backs=[(0, "doorA")])
+        report = evaluate([(log_with(switches=[switch(0), switch(2)], final=Point2(1, 0)), truth)])
+        assert report.false_positive_rate == 1.0
+        assert report.true_negative_rate == 0.0
+        assert report.counts["false_positives"] == 2
+        assert "false switches: 2" in format_report(report)
+
+    def test_crossing_trial_switch_does_not_charge_turn_backs(self):
+        crossing = make_truth([1.0, 0.0], crossings=[(0, "doorA")], group="crossing")
+        turn_back = make_truth([1.0, 0.0], turn_backs=[(0, "doorA")], group="turn_back")
+        results = [
+            (log_with(switches=[switch(0), switch(3, door="doorB")], final=Point2(1, 0)), crossing),
+            (log_with(final=Point2(1, 0)), turn_back),
+            (log_with(final=Point2(1, 0)), turn_back),
+        ]
+        report = evaluate(results)
+        assert report.counts["false_positives"] == 1
+        assert report.counts["true_negatives"] == 2
+        assert report.false_positive_rate == 0.0
+        assert report.true_negative_rate == 1.0
+        assert report.false_switches_per_trial == pytest.approx(1 / 3)
+        assert "false switches: 1" in format_report(report)
+
 
 class TestFormats:
     def test_trace_round_trip(self, tmp_path):
@@ -266,6 +290,29 @@ class TestFormats:
         save_trace(trace, p1)
         save_trace(load_trace(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @staticmethod
+    def row_writer_bytes(trace):
+        """The trace CSV written row by row, each value through repr(float(v))."""
+        lines = ["t,ax,ay,az,gx,gy,gz,mx,my,mz"]
+        for i in range(len(trace)):
+            row = [trace.t[i], *trace.accel[i], *trace.gyro[i], *trace.mag[i]]
+            lines.append(",".join(repr(float(v)) for v in row))
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_save_trace_matches_row_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        specials = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3])
+        cols = rng.choice(specials, size=(n, 9)) * rng.choice([1.0, -1.0], size=(n, 9))
+        trace = Trace(t=np.arange(n) * 0.01 + 1e-310, accel=cols[:, :3], gyro=cols[:, 3:6], mag=cols[:, 6:])
+        save_trace(trace, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == self.row_writer_bytes(trace)
+
+    def test_save_trace_matches_row_writer_on_a_walk(self, tmp_path):
+        trace, _ = generate_walk(crossing_script(two_building_plan()), NoiseModel(accel_sigma=0.03, seed=3))
+        save_trace(trace, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == self.row_writer_bytes(trace)
 
     def test_minimal_two_sample_trace(self, tmp_path):
         p = tmp_path / "two.csv"
