@@ -7,7 +7,7 @@ a WKNN radio-map positioning back-end and a synthetic walk simulator used as
 the verification oracle.
 """
 
-from .crossing import CrossingConfig, CrossingState, SwitchEvent, arm_check, build_zone_lookup, observe_step, on_switch
+from .crossing import CrossingConfig, CrossingState, SwitchEvent, arm_check, build_zone_lookup, observe_step
 from .errors import (
     FilterDivergenceError,
     InvalidInputError,
@@ -46,7 +46,6 @@ from .harness import (
     EvalReport,
     EventLog,
     PipelineConfig,
-    TrackerState,
     cdf_fraction_below,
     evaluate,
     format_report,

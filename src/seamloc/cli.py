@@ -70,12 +70,11 @@ def load_config(path) -> dict:
 
 
 def build_pipeline_config(raw: dict, seed: int | None = None) -> harness.PipelineConfig:
-    kwargs = {}
-    for section, cls in _SECTIONS.items():
-        if section == "noise":
-            continue
-        if section in raw:
-            kwargs[section] = _build_section(cls, raw[section])
+    kwargs = {  # the noise and wknn sections configure simulate and locate
+        section: _build_section(cls, raw[section])
+        for section, cls in _SECTIONS.items()
+        if section in raw and section not in ("noise", "wknn")
+    }
     if seed is not None:
         kwargs["seed"] = seed
     return harness.PipelineConfig(**kwargs)

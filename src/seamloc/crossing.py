@@ -13,10 +13,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Mapping
 
-from . import filters
 from .errors import InvalidParameterError, StateInconsistencyError
 from .geometry import CrossingZone, Door, Point2, Segment2, distance, segment_intersection, zone_for_door
-from .pdr import Pose
 
 IDLE = "IDLE"
 ARMED = "ARMED"
@@ -132,23 +130,3 @@ def observe_step(
         None,
     )
 
-
-def on_switch(tracker, ev: SwitchEvent, pf_cfg: filters.PfConfig, kf_cfg: filters.KfConfig):
-    """Apply a switch to the tracker: flip environment and swap the back-end.
-
-    Indoor gets a fresh particle cloud at the crossing point; outdoor gets a
-    Kalman heading filter seeded with the current heading.
-    """
-    if ev.from_env != tracker.environment:
-        raise StateInconsistencyError(
-            f"switch from {ev.from_env!r} but tracker is in {tracker.environment!r}"
-        )
-    if ev.to_env == tracker.indoor_label:
-        pf = filters.pf_init(
-            Pose(ev.crossing_point, tracker.pose.heading),
-            pf_cfg,
-            seed=tracker.seed + ev.step_index + 1,
-        )
-        return dataclasses.replace(tracker, environment=ev.to_env, active_filter="PF", pf=pf, kf=None)
-    kf = filters.kf_init(tracker.pose.heading)
-    return dataclasses.replace(tracker, environment=ev.to_env, active_filter="KF", pf=None, kf=kf)

@@ -7,7 +7,6 @@ repr; the field specs under "File formats" below say what each one holds.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -17,24 +16,17 @@ import numpy as np
 
 from . import crossing as crossing_mod
 from .crossing import CrossingConfig, CrossingState, SwitchEvent, build_zone_lookup
-from .errors import (
-    FilterDivergenceError,
-    InvalidInputError,
-    InvariantViolation,
-    ParseError,
-    StateInconsistencyError,
-)
+from .errors import FilterDivergenceError, InvalidInputError, InvariantViolation, ParseError
 # track calls none of kf_predict, kf_update and mag_heading: perfbench/layers.py wraps these names
 # here, and its traced run fails without them; their per-layer metrics read 0, as kf_run does the work.
-from .filters import HeadingKfState, KfConfig, ParticleSet, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_step
-from .fingerprint import Fingerprint, RadioMap, WknnConfig
+from .filters import KfConfig, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_step
+from .fingerprint import Fingerprint, RadioMap
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
 from .pdr import _AXES, PdrConfig, Pose, propagate_step, wrap_angle
 from .signal import DoorOpenEvent, SignalConfig, StepEvent, Trace, detect_door_openings, detect_steps, normalized_series
 from .sim import GroundTruth
 
-PF = "PF"
-KF = "KF"
+INDOOR = "indoor"  # the environment tracked by the particle filter; every other one runs the heading KF
 
 
 @dataclass(frozen=True)
@@ -44,29 +36,7 @@ class PipelineConfig:
     pf: PfConfig = field(default_factory=PfConfig)
     kf: KfConfig = field(default_factory=KfConfig)
     crossing: CrossingConfig = field(default_factory=CrossingConfig)
-    wknn: WknnConfig = field(default_factory=WknnConfig)
-    indoor_label: str = "indoor"
     seed: int = 0
-
-
-@dataclass(frozen=True)
-class TrackerState:
-    pose: Pose
-    environment: str
-    active_filter: str  # PF | KF
-    crossing: CrossingState
-    step_count: int
-    pf: ParticleSet | None
-    kf: HeadingKfState | None
-    seed: int
-    indoor_label: str
-
-    def __post_init__(self):
-        indoor = self.environment == self.indoor_label
-        if (self.active_filter == PF) != indoor:
-            raise StateInconsistencyError(
-                f"active filter {self.active_filter} inconsistent with environment {self.environment!r}"
-            )
 
 
 @dataclass
@@ -91,36 +61,6 @@ class EvalReport:
     false_switches_per_trial: float  # defined even when the suite has no turn-backs
 
 
-def init_tracker(plan: FloorPlan, cfg: PipelineConfig) -> TrackerState:
-    if plan.start_position is None or plan.start_heading is None or plan.start_environment is None:
-        raise InvalidInputError("floor plan lacks a start annotation (position, heading, environment)")
-    pose = Pose(plan.start_position, wrap_angle(plan.start_heading))
-    indoor = plan.start_environment == cfg.indoor_label
-    return TrackerState(
-        pose=pose,
-        environment=plan.start_environment,
-        active_filter=PF if indoor else KF,
-        crossing=CrossingState(environment=plan.start_environment),
-        step_count=0,
-        pf=pf_init(pose, cfg.pf, seed=cfg.seed) if indoor else None,
-        kf=None if indoor else kf_init(pose.heading),
-        seed=cfg.seed,
-        indoor_label=cfg.indoor_label,
-    )
-
-
-def _pf_step_with_recovery(tracker: TrackerState, heading: float, cfg: PipelineConfig, plan: FloorPlan, k: int):
-    try:
-        return pf_step(tracker.pf, heading, cfg.pf, cfg.pdr, plan)
-    except FilterDivergenceError:
-        # One reinitialization at the last valid estimate, then give up.
-        fresh = pf_init(Pose(tracker.pose.position, heading), cfg.pf, seed=tracker.seed + 7919 + k)
-        try:
-            return pf_step(fresh, heading, cfg.pf, cfg.pdr, plan)
-        except FilterDivergenceError as exc:
-            raise FilterDivergenceError(f"particle filter diverged at step {k}") from exc
-
-
 def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig()) -> tuple[list[Pose], EventLog]:
     """Run the whole pipeline over one trace.
 
@@ -128,6 +68,10 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     gyro-integrated (indoors) or Kalman-corrected with the magnetometer
     (outdoors); position advances per step through the active back-end; the
     crossing state machine arms near doors and switches environments.
+
+    The tracker's state is the loop's locals: position, heading, the crossing
+    state (which holds the environment) and the back-end, exactly one of the
+    particle filter pf (indoors) and the heading filter kf (elsewhere).
     """
     log = EventLog()
     if len(trace) == 0:
@@ -139,10 +83,14 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     log.steps = steps
     log.door_opens = door_opens
 
-    tracker = init_tracker(plan, cfg)
+    if plan.start_position is None or plan.start_heading is None or plan.start_environment is None:
+        raise InvalidInputError("floor plan lacks a start annotation (position, heading, environment)")
+    position, heading = plan.start_position, wrap_angle(plan.start_heading)
+    cstate = CrossingState(environment=plan.start_environment)
+    indoor = plan.start_environment == INDOOR
+    pf = pf_init(Pose(position, heading), cfg.pf, seed=cfg.seed) if indoor else None
+    kf = None if indoor else kf_init(heading)
     zones = build_zone_lookup(plan.doors, cfg.crossing)
-    pdr_cfg = dataclasses.replace(cfg.pdr, initial_pose=tracker.pose)
-    cfg = dataclasses.replace(cfg, pdr=pdr_cfg)
 
     gz = trace.gyro[:, _AXES[cfg.pdr.yaw_axis]]
     dt_arr = np.diff(trace.t)
@@ -152,51 +100,55 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     sample_at = np.maximum(np.searchsorted(trace.t, [s.t for s in steps], side="right") - 1, 0).tolist()
     open_starts = [ev.t_start for ev in door_opens]
     open_ends = [ev.t_end for ev in door_opens]  # sorted: merged openings are disjoint
-    heading = tracker.pose.heading
     cursor = 0
     path: list[Pose] = []
 
     for k, step in enumerate(steps):
         i_k = sample_at[k]
-        kf = tracker.kf
-        if tracker.active_filter == KF:
+        if pf is None:
             if mag_z is None:
                 mag_z = mag_headings(trace.mag[1:, :2], cfg.kf.declination)
             kf = kf_run(kf, rates, dts, mag_z, cursor, i_k, cfg.kf)
             heading = kf.heading
         else:
+            # Not pdr.heading_series: its np.cumsum runs unwrapped from the start
+            # heading, while this sum restarts at each switch and wraps as it
+            # goes, so sharing it would change the heading's bits.
             for inc in increments[cursor:i_k]:
                 heading += inc
                 if not -math.pi < heading <= math.pi:
                     heading = wrap_angle(heading)
         cursor = i_k
 
-        prev_pos = tracker.pose.position
-        if tracker.active_filter == PF:
-            pf, estimate = _pf_step_with_recovery(tracker, heading, cfg, plan, k)
-            pose = Pose(estimate, heading)
-            tracker = dataclasses.replace(tracker, pose=pose, pf=pf, step_count=k + 1)
+        prev_pos = position
+        if pf is None:
+            position = propagate_step(Pose(prev_pos, heading), cfg.pdr).position
         else:
-            pose = propagate_step(Pose(prev_pos, heading), cfg.pdr)
-            tracker = dataclasses.replace(tracker, pose=pose, kf=kf, step_count=k + 1)
+            try:
+                pf, position = pf_step(pf, heading, cfg.pf, cfg.pdr, plan)
+            except FilterDivergenceError:
+                # One reinitialization at the last valid estimate, then give up.
+                pf = pf_init(Pose(prev_pos, heading), cfg.pf, seed=cfg.seed + 7919 + k)
+                try:
+                    pf, position = pf_step(pf, heading, cfg.pf, cfg.pdr, plan)
+                except FilterDivergenceError as exc:
+                    raise FilterDivergenceError(f"particle filter diverged at step {k}") from exc
 
         # An opening overlaps (prev_t, step.t] when the first one ending after
         # prev_t starts by step.t.
         j = bisect.bisect_right(open_ends, steps[k - 1].t if k else float("-inf"))
         opened = j < len(open_starts) and open_starts[j] <= step.t
 
-        cstate = crossing_mod.arm_check(tracker.crossing, pose.position, plan.doors, cfg.crossing)
-        cstate, switch = crossing_mod.observe_step(
-            cstate, k, prev_pos, pose.position, opened, cfg.crossing, zones
-        )
-        tracker = dataclasses.replace(tracker, crossing=cstate)
+        cstate = crossing_mod.arm_check(cstate, position, plan.doors, cfg.crossing)
+        cstate, switch = crossing_mod.observe_step(cstate, k, prev_pos, position, opened, cfg.crossing, zones)
         if switch is not None:
             log.switches.append(switch)
-            tracker = crossing_mod.on_switch(tracker, switch, cfg.pf, cfg.kf)
-            heading = tracker.pose.heading if tracker.kf is None else tracker.kf.heading
+            indoor = switch.to_env == INDOOR
+            pf = pf_init(Pose(switch.crossing_point, heading), cfg.pf, seed=cfg.seed + k + 1) if indoor else None
+            kf = None if indoor else kf_init(heading)
 
-        path.append(pose)
-        log.environments.append(tracker.environment)
+        path.append(Pose(position, heading))
+        log.environments.append(cstate.environment)
 
     log.poses = path
     return path, log

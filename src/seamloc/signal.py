@@ -41,11 +41,11 @@ class Trace:
         n = len(self.t)
         if not (len(self.accel) == len(self.gyro) == len(self.mag) == n):
             raise InvariantViolation("trace-equal-lengths", "sensor columns differ in length")
-        if n and not np.all(np.diff(self.t) > 0):
-            raise InvariantViolation("trace-monotonic-time", "timestamps not strictly increasing")
         for name, arr in (("t", self.t), ("accel", self.accel), ("gyro", self.gyro), ("mag", self.mag)):
             if not np.all(np.isfinite(arr)):
                 raise InvariantViolation("trace-finite", f"non-finite value in {name}")
+        if n and not np.all(np.diff(self.t) > 0):
+            raise InvariantViolation("trace-monotonic-time", "timestamps not strictly increasing")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -120,15 +120,14 @@ def detect_steps(t: np.ndarray, a: np.ndarray, cfg: SignalConfig = SignalConfig(
     downward, and then drops to step_lo. The event is stamped at the cycle's
     peak; a refractory interval suppresses double counting.
     """
-    t = np.asarray(t, dtype=float)
-    a = np.asarray(a, dtype=float)
+    t = np.asarray(t, dtype=float).tolist()  # Python floats: no numpy scalar per sample
+    a = np.asarray(a, dtype=float).tolist()
     events: list[StepEvent] = []
     armed = False
     saw_zero = False
     peak = 0.0
     peak_t = 0.0
-    for i in range(len(a)):
-        v = a[i]
+    for i, v in enumerate(a):
         if not armed:
             if v >= cfg.step_hi:
                 armed = True
@@ -143,7 +142,7 @@ def detect_steps(t: np.ndarray, a: np.ndarray, cfg: SignalConfig = SignalConfig(
             saw_zero = True
         if saw_zero and v <= cfg.step_lo:
             if not events or peak_t - events[-1].t >= cfg.step_refractory:
-                events.append(StepEvent(index=len(events), t=float(peak_t), peak=float(peak)))
+                events.append(StepEvent(index=len(events), t=peak_t, peak=peak))
             armed = False
     return events
 

@@ -5,18 +5,20 @@ from seamloc import (
     CrossingConfig,
     CrossingState,
     Door,
-    KfConfig,
-    PfConfig,
+    PipelineConfig,
     Point2,
     Pose,
     StateInconsistencyError,
     arm_check,
     build_zone_lookup,
+    crossing_script,
+    generate_walk,
+    harness,
     observe_step,
-    on_switch,
+    track,
+    two_building_plan,
 )
 from seamloc.crossing import ARMED, IDLE
-from seamloc.harness import PipelineConfig, TrackerState
 
 CFG = CrossingConfig()
 DOOR = Door(id="front", center=Point2(0, 0), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor")
@@ -207,50 +209,27 @@ class TestObserveStep:
                     break
 
 
-def make_tracker(env="indoor"):
-    cfg = PipelineConfig()
-    pose = Pose(Point2(0.4, 0.1), 0.3)
-    from seamloc.filters import kf_init, pf_init
+class TestSwitchHandover:
+    """What track does at a switch: the new back-end starts from the tracked heading."""
 
-    return TrackerState(
-        pose=pose,
-        environment=env,
-        active_filter="PF" if env == "indoor" else "KF",
-        crossing=CrossingState(environment=env),
-        step_count=7,
-        pf=pf_init(pose, cfg.pf, seed=0) if env == "indoor" else None,
-        kf=None if env == "indoor" else kf_init(pose.heading),
-        seed=0,
-        indoor_label="indoor",
-    )
+    def test_switches_seed_the_new_back_end(self, monkeypatch):
+        plan = two_building_plan()
+        trace, _ = generate_walk(crossing_script(plan), doors=plan.doors)
+        cfg = PipelineConfig(seed=11)
+        calls = []
+        for name in ("kf_init", "pf_init"):
+            def recorder(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+                calls.append((_name, args, kwargs))
+                return _fn(*args, **kwargs)
 
+            monkeypatch.setattr(harness, name, recorder)
+        path, log = track(trace, plan, cfg)
 
-class TestOnSwitch:
-    def test_indoor_to_outdoor_swaps_to_kf(self):
-        from seamloc.crossing import SwitchEvent
-
-        tracker = make_tracker("indoor")
-        ev = SwitchEvent(step_index=7, door_id="front", crossing_point=Point2(0, 0), from_env="indoor", to_env="outdoor")
-        out = on_switch(tracker, ev, PfConfig(), KfConfig())
-        assert out.environment == "outdoor"
-        assert out.active_filter == "KF" and out.pf is None and out.kf is not None
-        assert out.kf.heading == tracker.pose.heading
-
-    def test_outdoor_to_indoor_reseeds_pf_at_crossing(self):
-        from seamloc.crossing import SwitchEvent
-
-        tracker = make_tracker("outdoor")
-        point = Point2(1.5, -0.25)
-        ev = SwitchEvent(step_index=9, door_id="front", crossing_point=point, from_env="outdoor", to_env="indoor")
-        out = on_switch(tracker, ev, PfConfig(init_sigma=0.0), KfConfig())
-        assert out.environment == "indoor"
-        assert out.active_filter == "PF" and out.kf is None
-        assert np.allclose(out.pf.positions, [point.x, point.y])
-
-    def test_mismatched_environment_rejected(self):
-        from seamloc.crossing import SwitchEvent
-
-        tracker = make_tracker("indoor")
-        ev = SwitchEvent(step_index=7, door_id="front", crossing_point=Point2(0, 0), from_env="outdoor", to_env="indoor")
-        with pytest.raises(StateInconsistencyError):
-            on_switch(tracker, ev, PfConfig(), KfConfig())
+        out, back = log.switches
+        assert (out.to_env, back.to_env) == ("outdoor", "indoor")
+        assert calls[0] == ("pf_init", (Pose(plan.start_position, plan.start_heading), cfg.pf), {"seed": cfg.seed})
+        k = out.step_index
+        assert calls[1] == ("kf_init", (path[k].heading,), {})
+        k = back.step_index
+        assert calls[2] == ("pf_init", (Pose(back.crossing_point, path[k].heading), cfg.pf), {"seed": cfg.seed + k + 1})
+        assert len(calls) == 3

@@ -181,6 +181,36 @@ class TestTrack:
         with pytest.raises(FilterDivergenceError, match="step 0"):
             track(trace, box, cfg)
 
+    def test_divergence_recovers_once(self, monkeypatch):
+        # pf_step diverges once at step k: the tracker restarts the cloud at
+        # the previous position and goes on to the last step.
+        from seamloc import FilterDivergenceError
+
+        plan = two_building_plan()
+        trace, _ = generate_walk(crossing_script(plan), doors=plan.doors)
+        cfg = PipelineConfig(seed=3)
+        path, _ = track(trace, plan, cfg)
+        k = 4
+        calls = {"step": 0, "init": []}
+        pf_step, pf_init = harness.pf_step, harness.pf_init
+
+        def failing_step(*args, **kwargs):
+            calls["step"] += 1
+            if calls["step"] == k + 1:
+                raise FilterDivergenceError("every particle crossed a wall")
+            return pf_step(*args, **kwargs)
+
+        def recorded_init(pose, pf_cfg, seed=0):
+            calls["init"].append((pose, seed))
+            return pf_init(pose, pf_cfg, seed=seed)
+
+        monkeypatch.setattr(harness, "pf_step", failing_step)
+        monkeypatch.setattr(harness, "pf_init", recorded_init)
+        recovered, log = track(trace, plan, cfg)
+        assert calls["init"][1] == (Pose(path[k - 1].position, path[k].heading), cfg.seed + 7919 + k)
+        assert recovered[k - 1] == path[k - 1]
+        assert len(recovered) == len(path) == len(log.steps)
+
 
 class TestEvaluate:
     def test_all_detected(self):
@@ -331,6 +361,16 @@ class TestFormats:
             "0.0,0,0,9.81,0,0,0,22,0,-43\n"
         )
         with pytest.raises(InvariantViolation, match="trace-monotonic-time"):
+            load_trace(p)
+
+    @pytest.mark.parametrize("tail", [("inf", "inf"), ("nan", "0.02")])
+    def test_trace_non_finite_time_rejected_before_order(self, tmp_path, tail):
+        # Finiteness comes first: inf timestamps would make the order check
+        # subtract inf - inf, and a NaN one would read as out of order.
+        p = tmp_path / "bad.csv"
+        rows = [f"{t},0,0,9.81,0,0,0,22,0,-43" for t in ("0.0", *tail)]
+        p.write_text("t,ax,ay,az,gx,gy,gz,mx,my,mz\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InvariantViolation, match="trace-finite"):
             load_trace(p)
 
     def test_trace_bad_column_count(self, tmp_path):
@@ -519,6 +559,17 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         x, y = (float(v) for v in out.split())
         assert x == pytest.approx(1.0)
+
+    def test_track_config_leaves_out_noise_and_wknn(self, tmp_path):
+        from seamloc import InvalidParameterError, PfConfig
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"wknn": {"k": 2}, "noise": {"seed": 4}, "pf": {"particle_count": 50}}')
+        built = cli.build_pipeline_config(cli.load_config(cfg), seed=3)
+        assert built == PipelineConfig(pf=PfConfig(particle_count=50), seed=3)
+        cfg.write_text('{"wknn": {"neighbours": 2}}')
+        with pytest.raises(InvalidParameterError):  # load_config still checks the wknn section
+            cli.load_config(cfg)
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
