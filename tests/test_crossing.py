@@ -5,6 +5,7 @@ from seamloc import (
     CrossingConfig,
     CrossingState,
     Door,
+    PfConfig,
     PipelineConfig,
     Point2,
     Pose,
@@ -209,27 +210,41 @@ class TestObserveStep:
                     break
 
 
-class TestSwitchHandover:
+def track_recording_inits(monkeypatch, cfg):
+    """Run track on the two-building crossing walk, recording each kf_init and pf_init call and its result."""
+    plan = two_building_plan()
+    trace, _ = generate_walk(crossing_script(plan), doors=plan.doors)
+    calls = []
+    for name in ("kf_init", "pf_init"):
+        def recorder(*args, _name=name, _fn=getattr(harness, name), **kwargs):
+            out = _fn(*args, **kwargs)
+            calls.append((_name, args, kwargs, out))
+            return out
+
+        monkeypatch.setattr(harness, name, recorder)
+    path, log = track(trace, plan, cfg)
+    out, back = log.switches
+    assert (out.to_env, back.to_env) == ("outdoor", "indoor")
+    assert calls[0][:3] == ("pf_init", (Pose(plan.start_position, plan.start_heading), cfg.pf), {"seed": cfg.seed})
+    assert len(calls) == 3
+    return path, log, calls
+
+
+class TestOnSwitch:
     """What track does at a switch: the new back-end starts from the tracked heading."""
 
-    def test_switches_seed_the_new_back_end(self, monkeypatch):
-        plan = two_building_plan()
-        trace, _ = generate_walk(crossing_script(plan), doors=plan.doors)
-        cfg = PipelineConfig(seed=11)
-        calls = []
-        for name in ("kf_init", "pf_init"):
-            def recorder(*args, _name=name, _fn=getattr(harness, name), **kwargs):
-                calls.append((_name, args, kwargs))
-                return _fn(*args, **kwargs)
+    def test_indoor_to_outdoor_swaps_to_kf(self, monkeypatch):
+        path, log, calls = track_recording_inits(monkeypatch, PipelineConfig(seed=11))
+        k = log.switches[0].step_index
+        assert calls[1][:3] == ("kf_init", (path[k].heading,), {})
+        assert calls[1][3].heading == path[k].heading
+        assert calls[2][0] == "pf_init"
 
-            monkeypatch.setattr(harness, name, recorder)
-        path, log = track(trace, plan, cfg)
-
-        out, back = log.switches
-        assert (out.to_env, back.to_env) == ("outdoor", "indoor")
-        assert calls[0] == ("pf_init", (Pose(plan.start_position, plan.start_heading), cfg.pf), {"seed": cfg.seed})
-        k = out.step_index
-        assert calls[1] == ("kf_init", (path[k].heading,), {})
+    def test_outdoor_to_indoor_reseeds_pf_at_crossing(self, monkeypatch):
+        cfg = PipelineConfig(pf=PfConfig(init_sigma=0.0), seed=11)
+        path, log, calls = track_recording_inits(monkeypatch, cfg)
+        back = log.switches[1]
         k = back.step_index
-        assert calls[2] == ("pf_init", (Pose(back.crossing_point, path[k].heading), cfg.pf), {"seed": cfg.seed + k + 1})
-        assert len(calls) == 3
+        assert calls[2][:3] == ("pf_init", (Pose(back.crossing_point, path[k].heading), cfg.pf), {"seed": cfg.seed + k + 1})
+        point = back.crossing_point
+        assert np.allclose(calls[2][3].positions, [point.x, point.y])
