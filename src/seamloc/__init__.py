@@ -16,7 +16,6 @@ from .errors import (
     InvariantViolation,
     ParseError,
     SeamlocError,
-    StateInconsistencyError,
     UnreliableMeasurementError,
 )
 from .filters import (
@@ -33,7 +32,6 @@ from .filters import (
 )
 from .fingerprint import Fingerprint, RadioMap, WknnConfig, estimate_position, rss_distance
 from .geometry import (
-    CrossingZone,
     Door,
     FloorPlan,
     Point2,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -24,7 +25,6 @@ EXIT_CODES = {
     "invalid-input": 5,
     "invalid-script": 6,
     "filter-divergence": 7,
-    "state-inconsistency": 8,
     "unreliable-measurement": 9,
 }
 
@@ -38,12 +38,32 @@ _SECTIONS = {
     "noise": NoiseModel,
 }
 
+# Sections the commands read key by key: key -> annotation, as on a config dataclass.
+_PLAIN_SECTIONS = {"sim": {"sample_rate": "float"}, "eval": {"match_window": "int"}}
 
-def _build_section(cls, values: dict):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(values) - names
+# The JSON values each annotation accepts. A field of any other type, such as
+# pdr.initial_pose, is no config key; bool, a subclass of int, is no number,
+# and NaN and Infinity, which Python's json module reads, are no JSON numbers.
+_JSON_TYPES = {"float": (int, float), "int": (int,), "str": (str,)}
+
+
+def _check_section(name: str, values, types: dict[str, str]):
+    """Reject a section that is not an object, an unknown key, or a value its annotation does not allow."""
+    if not isinstance(values, dict):
+        raise InvalidParameterError(f"{name} section must be a JSON object, got {values!r}")
+    unknown = set(values) - set(types)
     if unknown:
-        raise InvalidParameterError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+        raise InvalidParameterError(f"unknown {name} keys: {sorted(unknown)}")
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[types[key]]):
+            raise InvalidParameterError(f"{name}.{key} must be {types[key]}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidParameterError(f"{name}.{key} must be finite, got {value!r}")
+
+
+def _build_section(section: str, values: dict):
+    cls = _SECTIONS[section]
+    _check_section(section, values, {f.name: f.type for f in dataclasses.fields(cls) if f.type in _JSON_TYPES})
     return cls(**values)
 
 
@@ -59,20 +79,21 @@ def load_config(path) -> dict:
         raise ParseError(f"bad JSON: {exc}", path=str(path)) from exc
     if not isinstance(raw, dict):
         raise ParseError("config must be a JSON object", path=str(path))
-    known = set(_SECTIONS) | {"sim", "eval"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_SECTIONS) - set(_PLAIN_SECTIONS)
     if unknown:
         raise InvalidParameterError(f"unknown config sections: {sorted(unknown)}")
-    for section, cls in _SECTIONS.items():
-        if section in raw:
-            _build_section(cls, raw[section])  # validates keys and ranges eagerly
+    for section, values in raw.items():  # validates keys, types and ranges eagerly
+        if section in _SECTIONS:
+            _build_section(section, values)
+        else:
+            _check_section(section, values, _PLAIN_SECTIONS[section])
     return raw
 
 
 def build_pipeline_config(raw: dict, seed: int | None = None) -> harness.PipelineConfig:
     kwargs = {  # the noise and wknn sections configure simulate and locate
-        section: _build_section(cls, raw[section])
-        for section, cls in _SECTIONS.items()
+        section: _build_section(section, raw[section])
+        for section in _SECTIONS
         if section in raw and section not in ("noise", "wknn")
     }
     if seed is not None:
@@ -84,7 +105,7 @@ def build_noise(raw: dict, seed: int | None = None) -> NoiseModel:
     values = dict(raw.get("noise", {}))
     if seed is not None:
         values["seed"] = seed
-    return _build_section(NoiseModel, values)
+    return _build_section("noise", values)
 
 
 def _cmd_simulate(args) -> int:
@@ -93,9 +114,7 @@ def _cmd_simulate(args) -> int:
     noise = build_noise(raw, args.seed)
     sample_rate = float(raw.get("sim", {}).get("sample_rate", 100.0))
     doors = ()
-    zone_width = CrossingConfig().zone_width
-    if "crossing" in raw:
-        zone_width = _build_section(CrossingConfig, raw["crossing"]).zone_width
+    zone_width = _build_section("crossing", raw.get("crossing", {})).zone_width
     if args.plan:
         doors = harness.load_floorplan(args.plan).doors
     trace, truth = generate_walk(script, noise, sample_rate=sample_rate, doors=doors, zone_width=zone_width)
@@ -123,7 +142,7 @@ def _cmd_track(args) -> int:
 
 def _cmd_locate(args) -> int:
     raw = load_config(args.config)
-    cfg = _build_section(WknnConfig, raw.get("wknn", {}))
+    cfg = _build_section("wknn", raw.get("wknn", {}))
     observed = harness.load_observation(args.observation)
     radio_map = harness.load_radiomap(args.radiomap)
     position = estimate_position(observed, radio_map, cfg)

@@ -9,15 +9,11 @@ switch environments.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import InvalidParameterError, StateInconsistencyError
-from .geometry import CrossingZone, Door, Point2, Segment2, distance, segment_intersection, zone_for_door
-
-IDLE = "IDLE"
-ARMED = "ARMED"
+from .errors import InvalidParameterError
+from .geometry import Door, Point2, Segment2, distance, segment_intersection, zone_for_door
 
 
 @dataclass(frozen=True)
@@ -36,14 +32,9 @@ class CrossingState:
     """Detector state; the pending evidence is the latest record of each kind."""
 
     environment: str
-    phase: str = IDLE
-    armed_door: str | None = None
+    armed_door: str | None = None  # None while idle
     last_crossing: tuple[int, Point2] | None = None  # (step index, crossing point)
     last_door_open: int | None = None  # step index
-
-    def __post_init__(self):
-        if (self.phase == ARMED) != (self.armed_door is not None):
-            raise StateInconsistencyError("armed_door present iff phase is ARMED")
 
 
 @dataclass(frozen=True)
@@ -55,21 +46,17 @@ class SwitchEvent:
     to_env: str
 
 
-def build_zone_lookup(doors: tuple[Door, ...] | list[Door], cfg: CrossingConfig) -> dict[str, tuple[Door, CrossingZone]]:
-    """Door id -> (door, crossing zone of configured width)."""
+def build_zone_lookup(doors: tuple[Door, ...] | list[Door], cfg: CrossingConfig) -> dict[str, tuple[Door, Segment2]]:
+    """Door id -> (door, crossing-zone segment of configured width)."""
     return {d.id: (d, zone_for_door(d, cfg.zone_width)) for d in doors}
 
 
 def arm_check(state: CrossingState, pose_position: Point2, doors, cfg: CrossingConfig) -> CrossingState:
-    """Arm near a door, disarm (and drop evidence) on leaving the armed area."""
-    if state.phase == IDLE:
-        best = None
-        for door in doors:
-            d = distance(pose_position, door.center)
-            if d <= cfg.area_radius and (best is None or d < best[0]):
-                best = (d, door)
-        if best is not None:
-            return CrossingState(environment=state.environment, phase=ARMED, armed_door=best[1].id)
+    """Arm at the nearest door in reach (first in plan order on a tie); disarm, dropping evidence, on leaving it."""
+    if state.armed_door is None:
+        nearest = min(doors, key=lambda door: distance(pose_position, door.center), default=None)
+        if nearest is not None and distance(pose_position, nearest.center) <= cfg.area_radius:
+            return CrossingState(environment=state.environment, armed_door=nearest.id)
         return state
     armed = next((d for d in doors if d.id == state.armed_door), None)
     if armed is None or distance(pose_position, armed.center) > cfg.area_radius:
@@ -84,15 +71,15 @@ def observe_step(
     cur_pos: Point2,
     door_opened_now: bool,
     cfg: CrossingConfig,
-    zones: Mapping[str, tuple[Door, CrossingZone]],
+    zones: Mapping[str, tuple[Door, Segment2]],
 ) -> tuple[CrossingState, SwitchEvent | None]:
     """Feed one step of evidence; emit a SwitchEvent on door-open/crossing coincidence.
 
-    No-op while IDLE. Evidence older than coincidence_steps behind the
+    No-op while idle. Evidence older than coincidence_steps behind the
     current step is pruned; the coincidence test is order-independent and
     inclusive (|crossing step - door-open step| <= coincidence_steps).
     """
-    if state.phase == IDLE:
+    if state.armed_door is None:
         return state, None
 
     last_door_open = state.last_door_open
@@ -106,7 +93,7 @@ def observe_step(
         last_door_open = step_index
     door, zone = zones[state.armed_door]
     if (prev_pos.x, prev_pos.y) != (cur_pos.x, cur_pos.y):
-        point = segment_intersection(zone.segment, Segment2(prev_pos, cur_pos))
+        point = segment_intersection(zone, Segment2(prev_pos, cur_pos))
         if point is not None:
             last_crossing = (step_index, point)
 
@@ -125,8 +112,5 @@ def observe_step(
         )
         return CrossingState(environment=to_env), event
 
-    return (
-        dataclasses.replace(state, last_door_open=last_door_open, last_crossing=last_crossing),
-        None,
-    )
+    return CrossingState(state.environment, state.armed_door, last_crossing, last_door_open), None
 

@@ -59,9 +59,3 @@ class UnreliableMeasurementError(SeamlocError, RuntimeError):
     """A sensor reading is too weak to use (e.g. near-zero magnetic field)."""
 
     category = "unreliable-measurement"
-
-
-class StateInconsistencyError(SeamlocError, RuntimeError):
-    """An event does not match the tracker state it is applied to."""
-
-    category = "state-inconsistency"

@@ -25,9 +25,6 @@ class Point2:
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise InvariantViolation("point-finite", f"({self.x}, {self.y})")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class Segment2:
@@ -63,12 +60,6 @@ class Door:
 
     def other_side(self, env: str) -> str:
         return self.outer_env if env == self.inner_env else self.inner_env
-
-
-@dataclass(frozen=True)
-class CrossingZone:
-    door_id: str
-    segment: Segment2
 
 
 @dataclass(frozen=True)
@@ -131,24 +122,21 @@ def segment_intersection(l1: Segment2, l2: Segment2) -> Point2 | None:
     return None
 
 
-def zone_for_door(door: Door, width: float = 5.0) -> CrossingZone:
+def zone_for_door(door: Door, width: float = 5.0) -> Segment2:
     """Crossing-zone segment of the given width centered on the door, along the wall."""
     if width <= 0:
         raise InvalidParameterError(f"zone width must be positive, got {width}")
     half = 0.5 * width
     tx, ty = door.tangent
-    return CrossingZone(
-        door_id=door.id,
-        segment=Segment2(
-            Point2(door.center.x - half * tx, door.center.y - half * ty),
-            Point2(door.center.x + half * tx, door.center.y + half * ty),
-        ),
+    return Segment2(
+        Point2(door.center.x - half * tx, door.center.y - half * ty),
+        Point2(door.center.x + half * tx, door.center.y + half * ty),
     )
 
 
-# Broad-phase margin around each bounding box, in meters. Far above the
+# Margin around each bounding box of the box tests, in meters. Far above the
 # rounding of the orientation products at plan coordinates, so no wall it
-# drops can pass the narrow phase.
+# drops can pass the orientation test.
 _CULL_PAD = 1e-6
 # Upper bound on the elements of one (walls, N) box test and so on the pairs it
 # gathers. On a 2-core x86 VM, 2**18 ran 10,000 steps over 1000 scattered walls

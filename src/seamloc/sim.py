@@ -11,7 +11,7 @@ dead-reckons back to the true path to machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,14 +125,13 @@ class _Timeline:
         self.w: list[float] = []
         self.pending_turn = 0.0
 
-    def append(self, a_block: np.ndarray, w_block: np.ndarray | None = None) -> int:
+    def append(self, a_block: np.ndarray) -> int:
         start = len(self.a)
-        w_block = np.zeros(len(a_block)) if w_block is None else w_block.copy()
-        if self.pending_turn != 0.0 and len(a_block):
-            w_block[0] += self.pending_turn / self.dt
-            self.pending_turn = 0.0
         self.a.extend(float(v) for v in a_block)
-        self.w.extend(float(v) for v in w_block)
+        self.w.extend([0.0] * len(a_block))
+        if self.pending_turn != 0.0 and len(a_block):
+            self.w[start] = self.pending_turn / self.dt
+            self.pending_turn = 0.0
         return start
 
 
@@ -210,7 +209,7 @@ def generate_walk(
             step_headings.append(psi)
             seg = Segment2(Point2(*prev), Point2(*pos))
             for door_id, zone in zones.items():
-                if segment_intersection(zone.segment, seg) is not None:
+                if segment_intersection(zone, seg) is not None:
                     step_idx = len(step_times) - 1
                     if crossings and crossings[-1] == (step_idx - 1, door_id):
                         continue  # step landed on the zone line; same traversal, not a new crossing
@@ -370,13 +369,7 @@ def scenario_suite(
     n_cross = int(round(n_trials * crossing_fraction))
     trials = []
     for i in range(n_trials):
-        trial_noise = NoiseModel(
-            accel_sigma=noise.accel_sigma,
-            gyro_sigma=noise.gyro_sigma,
-            gyro_bias=noise.gyro_bias,
-            mag_sigma=noise.mag_sigma,
-            seed=noise.seed + i,
-        )
+        trial_noise = replace(noise, seed=noise.seed + i)
         if i < n_cross:
             script, group = crossing_script(plan), "crossing"
         else:

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from seamloc import (
     CrossingConfig,
@@ -9,7 +8,6 @@ from seamloc import (
     PipelineConfig,
     Point2,
     Pose,
-    StateInconsistencyError,
     arm_check,
     build_zone_lookup,
     crossing_script,
@@ -19,7 +17,6 @@ from seamloc import (
     track,
     two_building_plan,
 )
-from seamloc.crossing import ARMED, IDLE
 
 CFG = CrossingConfig()
 DOOR = Door(id="front", center=Point2(0, 0), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor")
@@ -28,7 +25,7 @@ ZONES = build_zone_lookup((DOOR, FAR_DOOR), CFG)
 
 
 def armed_state(env="indoor", door="front"):
-    return CrossingState(environment=env, phase=ARMED, armed_door=door)
+    return CrossingState(environment=env, armed_door=door)
 
 
 def away_segment(step):
@@ -45,20 +42,20 @@ class TestArmCheck:
     def test_arms_inside_area(self):
         state = CrossingState(environment="indoor")
         out = arm_check(state, Point2(3, 0), (DOOR,), CFG)
-        assert out.phase == ARMED and out.armed_door == "front"
+        assert out.armed_door == "front"
 
     def test_stays_idle_outside(self):
         state = CrossingState(environment="indoor")
         out = arm_check(state, Point2(6, 0), (DOOR,), CFG)
-        assert out.phase == IDLE
+        assert out.armed_door is None
 
     def test_disarms_on_exit_and_clears_evidence(self):
         state = CrossingState(
-            environment="indoor", phase=ARMED, armed_door="front",
+            environment="indoor", armed_door="front",
             last_door_open=3, last_crossing=(4, Point2(0, 0)),
         )
         out = arm_check(state, Point2(6, 0), (DOOR,), CFG)
-        assert out.phase == IDLE
+        assert out.armed_door is None
         assert out.last_door_open is None and out.last_crossing is None
 
     def test_nearest_door_wins(self):
@@ -67,28 +64,31 @@ class TestArmCheck:
         out = arm_check(CrossingState(environment="indoor"), Point2(0, 0), (far, near), CFG)
         assert out.armed_door == "near"
 
+    def test_equal_distance_arms_first_in_plan_order(self):
+        left = Door(id="left", center=Point2(-3, 0), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor")
+        right = Door(id="right", center=Point2(3, 0), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor")
+        for doors in ((left, right), (right, left)):
+            out = arm_check(CrossingState(environment="indoor"), Point2(0, 0), doors, CFG)
+            assert out.armed_door == doors[0].id
+
     # The arming disc around a door at (3, 4), radius 5, is inclusive: a
     # point on its rim arms an idle detector and keeps an armed one armed.
     area_door = Door(id="d", center=Point2(3, 4), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor")
 
-    def phases_at(self, x):
+    def armed_doors_at(self, x):
         cfg = CrossingConfig(area_radius=5.0)
         idle = arm_check(CrossingState(environment="indoor"), Point2(x, 4), (self.area_door,), cfg)
         armed = arm_check(armed_state(door="d"), Point2(x, 4), (self.area_door,), cfg)
-        return idle.phase, armed.phase
+        return idle.armed_door, armed.armed_door
 
     def test_arms_at_door_center(self):
-        assert self.phases_at(3.0) == (ARMED, ARMED)
+        assert self.armed_doors_at(3.0) == ("d", "d")
 
     def test_area_boundary_inclusive(self):
-        assert self.phases_at(3.0 + 5.0) == (ARMED, ARMED)
+        assert self.armed_doors_at(3.0 + 5.0) == ("d", "d")
 
     def test_idle_just_outside_area(self):
-        assert self.phases_at(3.0 + 5.01) == (IDLE, IDLE)
-
-    def test_armed_state_requires_door(self):
-        with pytest.raises(StateInconsistencyError):
-            CrossingState(environment="indoor", phase=ARMED)
+        assert self.armed_doors_at(3.0 + 5.01) == (None, None)
 
 
 class TestObserveStep:
@@ -108,7 +108,7 @@ class TestObserveStep:
         assert ev.step_index == 12
         assert ev.door_id == "front"
         assert ev.from_env == "indoor" and ev.to_env == "outdoor"
-        assert state.phase == IDLE and state.environment == "outdoor"
+        assert state.armed_door is None and state.environment == "outdoor"
 
     def test_crossing_without_door_never_switches(self):
         state = armed_state()
@@ -147,7 +147,7 @@ class TestObserveStep:
         state = armed_state()
         state, _ = observe_step(state, 1, *away_segment(1), True, CFG, ZONES)
         _, ev = observe_step(state, 2, *crossing_segment(), False, CFG, ZONES)
-        zone = ZONES["front"][1].segment
+        zone = ZONES["front"][1]
         dx, dy = zone.b.x - zone.a.x, zone.b.y - zone.a.y
         t = ((ev.crossing_point.x - zone.a.x) * dx + (ev.crossing_point.y - zone.a.y) * dy) / (dx * dx + dy * dy)
         assert -1e-9 <= t * zone.length <= zone.length + 1e-9
@@ -168,7 +168,7 @@ class TestObserveStep:
         state, ev1 = observe_step(state, 2, *crossing_segment(), False, CFG, ZONES)
         assert ev1.to_env == "outdoor"
         state = arm_check(state, Point2(0.5, 0.3), (DOOR, FAR_DOOR), CFG)
-        assert state.phase == ARMED
+        assert state.armed_door == "front"
         state, _ = observe_step(state, 3, *away_segment(3), True, CFG, ZONES)
         state, ev2 = observe_step(state, 4, *crossing_segment(), False, CFG, ZONES)
         assert ev2.from_env == "outdoor" and ev2.to_env == "indoor"
@@ -206,7 +206,7 @@ class TestObserveStep:
                 state, ev = observe_step(state, k, pos, nxt, False, CFG, ZONES)
                 assert ev is None  # door never opened
                 pos = nxt
-                if state.phase == IDLE:
+                if state.armed_door is None:
                     break
 
 

@@ -143,15 +143,13 @@ class TestZoneForDoor:
     door = Door(id="d", center=Point2(10, 5), tangent=(1.0, 0.0), inner_env="indoor", outer_env="outdoor")
 
     def test_default_five_meter_zone(self):
-        zone = zone_for_door(self.door, 5.0)
-        assert zone.segment.a == Point2(7.5, 5.0)
-        assert zone.segment.b == Point2(12.5, 5.0)
+        assert zone_for_door(self.door, 5.0) == Segment2(Point2(7.5, 5.0), Point2(12.5, 5.0))
 
     def test_door_width_zone(self):
         door = Door(id="d", center=Point2(0, 0), tangent=(0.0, 1.0), inner_env="in", outer_env="out")
         zone = zone_for_door(door, 0.9)
-        assert abs(zone.segment.a.y + 0.45) < 1e-12
-        assert abs(zone.segment.b.y - 0.45) < 1e-12
+        assert abs(zone.a.y + 0.45) < 1e-12
+        assert abs(zone.b.y - 0.45) < 1e-12
 
     def test_negative_width_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -168,9 +166,9 @@ class TestZoneForDoor:
                 inner_env="a", outer_env="b",
             )
             zone = zone_for_door(door, width)
-            mid = zone.segment.midpoint()
+            mid = zone.midpoint()
             assert math.hypot(mid.x - cx, mid.y - cy) < 1e-9
-            assert abs(zone.segment.length - width) < 1e-9
+            assert abs(zone.length - width) < 1e-9
 
 
 def step_hits_walls(step, plan):

@@ -840,3 +840,40 @@ def test_simulate_non_finite_script_value_is_invalid_script(tmp_path, row):
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 6
     assert "error[invalid-script]" in proc.stderr and "Traceback" not in proc.stderr
+
+
+BAD_CONFIGS = [
+    ("track", '{"pdr": {"step_length": "abc"}}'),
+    ("track", '{"pdr": {"initial_pose": 5}}'),
+    ("track", '{"pdr": 3}'),
+    ("eval", '{"eval": {"match_window": "abc"}}'),
+    ("eval", '{"eval": 5}'),
+    ("simulate", '{"sim": {"sample_rate": "x"}}'),
+    ("simulate", '{"sim": {"sample_rate": Infinity}}'),
+    ("track", '{"signal": {"g": NaN}}'),
+]
+
+
+@pytest.mark.parametrize("command, config", BAD_CONFIGS)
+def test_bad_config_value_is_invalid_parameter(cli_run, tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    d = cli_run
+    args = {
+        "simulate": ["--script", d / "walk.txt", "--plan", d / "plan.txt"],
+        "track": ["--trace", d / "trial.trace.csv", "--plan", d / "plan.txt"],
+        "eval": ["--events", d, "--truth", d],
+    }[command]
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    cmd = [sys.executable, "-m", "seamloc.cli", command, *map(str, args), "--out", str(tmp_path / "o"), "--config", str(cfg)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error[invalid-parameter]: ") and "Traceback" not in proc.stderr
+
+
+def test_config_float_takes_json_int(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"pdr": {"step_length": 1}, "sim": {"sample_rate": 50}, "eval": {"match_window": 3}}')
+    raw = cli.load_config(cfg)
+    assert cli.build_pipeline_config(raw).pdr.step_length == 1
