@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -192,7 +193,9 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command tree, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(prog="seamloc", description="Seamless indoor/outdoor localization replay engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -231,8 +234,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", help="print a saved evaluation report")
     p.add_argument("--in", dest="input", required=True)
     p.set_defaults(func=_cmd_report)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SeamlocError as exc:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import crossing as crossing_mod
 from .crossing import CrossingConfig, CrossingState, SwitchEvent, build_zone_lookup
-from .errors import FilterDivergenceError, InvalidInputError, InvariantViolation, ParseError
+from .errors import FilterDivergenceError, InvalidInputError, InvalidParameterError, InvariantViolation, ParseError
 # track calls none of kf_predict, kf_update and mag_heading: perfbench/layers.py wraps these names
 # here, and its traced run fails without them; their per-layer metrics read 0, as kf_run does the work.
 from .filters import KfConfig, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_step
@@ -178,6 +178,8 @@ def evaluate(results, match_window: int = 5) -> EvalReport:
     counts["false_positives"] keeps every unmatched switch, and so does
     false_switches_per_trial, which a suite without turn-backs still has.
     """
+    if match_window < 0:
+        raise InvalidParameterError(f"match_window must be >= 0, got {match_window}")
     results = list(results)
     if not results:
         raise InvalidInputError("no trials to evaluate")

@@ -6,6 +6,11 @@ per step, and a 1.5 s low-amplitude wiggle while a door is opened. Turns
 happen in place between legs as a single-sample gyro spike, which the
 trapezoidal heading integrator reproduces exactly, so a noiseless trace
 dead-reckons back to the true path to machine precision.
+
+The acceleration is a list of blocks joined once: zeros per pause, one
+wiggle per door opening, and per leg the step cycle tiled once per step. A
+turn spikes the first sample of the next non-empty block. Step positions are
+running sums along each leg, so traces are byte-identical to earlier versions.
 """
 
 from __future__ import annotations
@@ -116,25 +121,6 @@ class GroundTruth:
         return Point2(float(self.step_positions[-1, 0]), float(self.step_positions[-1, 1]))
 
 
-class _Timeline:
-    """Sample-block builder; a pending turn rides the next block's first sample."""
-
-    def __init__(self, dt: float):
-        self.dt = dt
-        self.a: list[float] = []
-        self.w: list[float] = []
-        self.pending_turn = 0.0
-
-    def append(self, a_block: np.ndarray) -> int:
-        start = len(self.a)
-        self.a.extend(float(v) for v in a_block)
-        self.w.extend([0.0] * len(a_block))
-        if self.pending_turn != 0.0 and len(a_block):
-            self.w[start] = self.pending_turn / self.dt
-            self.pending_turn = 0.0
-        return start
-
-
 def generate_walk(
     script: WalkScript,
     noise: NoiseModel = NoiseModel(),
@@ -154,40 +140,53 @@ def generate_walk(
     cycle = int(round(sample_rate / script.cadence))
     if cycle < 4:
         raise InvalidParameterError("cadence too fast for the sample rate")
+    step_cycle = STEP_AMPLITUDE * np.sin(2.0 * math.pi * np.arange(cycle) / cycle)
     jiggle_len = int(round(JIGGLE_DURATION * sample_rate))
+    jiggle = JIGGLE_AMPLITUDE * np.sin(2.0 * math.pi * (np.arange(jiggle_len) * dt) / JIGGLE_PERIOD)
 
     pauses = dict(script.pauses)
     actions: dict[int, DoorAction] = {a.waypoint: a for a in script.door_actions}
     zones = {d.id: zone_for_door(d, zone_width) for d in doors}
     door_by_id = {d.id: d for d in doors}
 
-    tl = _Timeline(dt)
+    blocks: list[np.ndarray] = []  # acceleration, one block per pause, wiggle and leg
+    spikes: dict[int, float] = {}  # sample index -> turn rate
+    n = 0
+    pending_turn = 0.0
     env = script.start_environment
     pos = np.array([script.waypoints[0].x, script.waypoints[0].y])
-    leg_headings = [
-        math.atan2(b.y - a.y, b.x - a.x)
-        for a, b in zip(script.waypoints, script.waypoints[1:])
-    ]
+    leg_headings = [math.atan2(b.y - a.y, b.x - a.x) for a, b in zip(script.waypoints, script.waypoints[1:])]
     heading = leg_headings[0]
 
     step_times: list[float] = []
-    step_positions: list[np.ndarray] = []
+    step_positions: list[np.ndarray] = [np.empty((0, 2))]
     step_headings: list[float] = []
     environments: list[str] = []
     door_intervals: list[tuple[float, float]] = []
     crossings: list[tuple[int, str]] = []
     turn_backs: list[tuple[int, str]] = []
 
+    def append(block: np.ndarray) -> int:
+        """Add a block; a pending turn rides its first sample. Returns its start index."""
+        nonlocal n, pending_turn
+        start = n
+        if len(block):
+            blocks.append(block)
+            n += len(block)
+            if pending_turn != 0.0:
+                spikes[start] = pending_turn / dt
+                pending_turn = 0.0
+        return start
+
     def dwell(waypoint: int):
         pause = pauses.get(waypoint, 0.0)
         if pause > 0:
-            tl.append(np.zeros(int(round(pause * sample_rate))))
+            append(np.zeros(int(round(pause * sample_rate))))
         action = actions.get(waypoint)
         if action is None:
             return
         if action.action == OPEN_AND_CROSS:
-            tau = np.arange(jiggle_len) * dt
-            start = tl.append(JIGGLE_AMPLITUDE * np.sin(2.0 * math.pi * tau / JIGGLE_PERIOD))
+            start = append(jiggle)
             door_intervals.append((start * dt, (start + jiggle_len) * dt))
         else:
             turn_backs.append((len(step_times) - 1, action.door_id))
@@ -195,33 +194,42 @@ def generate_walk(
     for j, (a, b) in enumerate(zip(script.waypoints, script.waypoints[1:])):
         dwell(j)
         psi = leg_headings[j]
-        tl.pending_turn += wrap_angle(psi - heading)
+        pending_turn += wrap_angle(psi - heading)
         heading = psi
         n_steps = int(round(math.hypot(b.x - a.x, b.y - a.y) / script.step_length_true))
-        direction = np.array([math.cos(psi), math.sin(psi)])
-        for _ in range(n_steps):
-            k = np.arange(cycle)
-            start = tl.append(STEP_AMPLITUDE * np.sin(2.0 * math.pi * k / cycle))
-            prev = pos
-            pos = pos + script.step_length_true * direction
-            step_times.append((start + 0.25 * cycle) * dt)
-            step_positions.append(pos)
-            step_headings.append(psi)
-            seg = Segment2(Point2(*prev), Point2(*pos))
-            for door_id, zone in zones.items():
-                if segment_intersection(zone, seg) is not None:
-                    step_idx = len(step_times) - 1
-                    if crossings and crossings[-1] == (step_idx - 1, door_id):
-                        continue  # step landed on the zone line; same traversal, not a new crossing
-                    crossings.append((step_idx, door_id))
-                    env = door_by_id[door_id].other_side(env)
-            environments.append(env)
+        start = append(np.tile(step_cycle, n_steps))
+        # Sequential sums from the leg's start, as one step after another.
+        d = script.step_length_true * np.array([math.cos(psi), math.sin(psi)])
+        leg = np.cumsum(np.vstack([pos, np.tile(d, (n_steps, 1))]), axis=0)
+        bad = ~np.isfinite(leg[1:]).all(axis=1) | (leg[1:] == leg[:-1]).all(axis=1)
+        if bad.any():  # the first bad step raises as its Point2 or Segment2 would
+            i = int(np.argmax(bad))
+            Segment2(Point2(*leg[i]), Point2(*leg[i + 1]))
+        base = len(step_times)
+        step_times += (((start + cycle * np.arange(n_steps)) + 0.25 * cycle) * dt).tolist()
+        step_positions.append(leg[1:])
+        step_headings += [psi] * n_steps
+        environments += [env] * n_steps
+        if zones:  # crossing truth: the scalar segment test, step by step
+            points = leg.tolist()
+            for i in range(n_steps):
+                seg = Segment2(Point2(*points[i]), Point2(*points[i + 1]))
+                for door_id, zone in zones.items():
+                    if segment_intersection(zone, seg) is not None:
+                        if crossings and crossings[-1] == (base + i - 1, door_id):
+                            continue  # step landed on the zone line; same traversal, not a new crossing
+                        crossings.append((base + i, door_id))
+                        env = door_by_id[door_id].other_side(env)
+                environments[base + i] = env
+        pos = leg[-1]
     dwell(len(script.waypoints) - 1)
+    if not n:
+        raise InvalidScriptError("walk has no samples: no steps, pauses or door wiggles")
 
-    n = len(tl.a)
     t = np.arange(n) * dt
-    a_norm = np.array(tl.a)
-    rate = np.array(tl.w)
+    a_norm = np.concatenate(blocks)
+    rate = np.zeros(n)
+    rate[list(spikes)] = list(spikes.values())
 
     # True heading per sample: trapezoidal integral of the clean turn rate.
     psi_true = np.empty(n)
@@ -255,7 +263,7 @@ def generate_walk(
     trace = Trace(t=t, accel=accel, gyro=gyro, mag=mag)
     truth = GroundTruth(
         step_times=np.array(step_times),
-        step_positions=np.array(step_positions).reshape(-1, 2),
+        step_positions=np.concatenate(step_positions),
         step_headings=np.array(step_headings),
         environments=tuple(environments),
         door_open_intervals=tuple(door_intervals),

@@ -17,6 +17,7 @@ from seamloc import (
     FloorPlan,
     GroundTruth,
     InvalidInputError,
+    InvalidParameterError,
     InvariantViolation,
     ParseError,
     PipelineConfig,
@@ -268,6 +269,13 @@ class TestEvaluate:
     def test_empty_input_rejected(self):
         with pytest.raises(InvalidInputError):
             evaluate([])
+
+    def test_negative_match_window_rejected(self):
+        truth = make_truth([1.0, 0.0], crossings=[(0, "doorA")])
+        results = [(log_with(switches=[switch(0)], final=Point2(1, 0)), truth)]
+        with pytest.raises(InvalidParameterError, match="match_window"):
+            evaluate(results, match_window=-1)
+        assert evaluate(results, match_window=0).counts["true_positives"] == 1
 
     def test_unmatched_switch_without_turn_backs(self):
         # A spurious switch in a crossing-only suite: no negative approaches,
@@ -529,6 +537,21 @@ class TestCli:
         text = capsys.readouterr().out
         assert "Confusion matrix" in text
         assert "CDF points" in text
+
+    def test_back_to_back_calls_share_no_values(self, tmp_path, capsys):
+        plan_file, script_file = self.write_inputs(tmp_path)
+        first, second = tmp_path / "first", tmp_path / "second"
+        args = ["--script", str(script_file), "--plan", str(plan_file)]
+        assert cli.main(["simulate", *args, "--out", str(first), "--name", "a", "--seed", "7"]) == 0
+        assert cli.main(["report", "--in", str(first)]) == 3  # no report.txt there
+        assert cli.main(["simulate", *args, "--out", str(second)]) == 0
+        assert sorted(p.name for p in second.iterdir()) == ["trial.trace.csv", "trial.truth.txt"]
+        assert cli._parser() is cli._parser()
+        parse = cli._parser().parse_args
+        seeded = parse(["track", "--trace", "t", "--plan", "p", "--out", "o", "--seed", "5", "--name", "x"])
+        plain = parse(["track", "--trace", "t", "--plan", "p", "--out", "o"])
+        assert (seeded.seed, seeded.name, plain.seed, plain.name) == (5, "x", None, "trial")
+        assert vars(parse(["report", "--in", "d"])) == {"command": "report", "input": "d", "func": cli._cmd_report}
 
     def test_locate_missing_config_is_parse_error(self, tmp_path, capsys):
         from seamloc import Fingerprint, RadioMap
@@ -847,6 +870,7 @@ BAD_CONFIGS = [
     ("track", '{"pdr": {"initial_pose": 5}}'),
     ("track", '{"pdr": 3}'),
     ("eval", '{"eval": {"match_window": "abc"}}'),
+    ("eval", '{"eval": {"match_window": -1}}'),
     ("eval", '{"eval": 5}'),
     ("simulate", '{"sim": {"sample_rate": "x"}}'),
     ("simulate", '{"sim": {"sample_rate": Infinity}}'),
