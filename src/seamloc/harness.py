@@ -1,7 +1,10 @@
 """End-to-end tracking pipeline, evaluation metrics, and file formats.
 
 Every file format is UTF-8 with floats written as their shortest round-trip
-repr; the field specs under "File formats" below say what each one holds.
+repr. The field specs under "File formats" below are the one description of
+each format: _read parses every file by them, and _write writes every file
+but the trace and the report by them, so that _read gives back what was
+written. Every numeric column is checked on read, a step's index and time too.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .fingerprint import Fingerprint, RadioMap
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
 from .pdr import _AXES, PdrConfig, Pose, propagate_step, wrap_angle
 from .signal import DoorOpenEvent, SignalConfig, StepEvent, Trace, detect_door_openings, detect_steps, normalized_series
-from .sim import GroundTruth
+from .sim import DoorAction, GroundTruth, WalkScript
 
 INDOOR = "indoor"  # the environment tracked by the particle filter; every other one runs the heading KF
 
@@ -263,15 +266,16 @@ def _tx_dbm(field: str) -> tuple[str, float]:
 
 
 # Field specs: each record key (None: the lines carry no key) maps to the
-# converters of the record's fields in file order. None skips a field, a
-# trailing ... lets the converter before it take every further field, and a
-# leading string names the fields in the field-count error.
+# converters of the record's fields in file order, and _read and _write both
+# follow it. None skips a field on read and writes it empty, a trailing ...
+# lets the converter before it take every further field, and a leading
+# string names the fields in the field-count error.
 _TRACE = {None: (float,) * 10}
-_PATH = {None: (None, None, float, float, float, str)}
+_PATH = {None: (int, float, float, float, float, str)}
 _EVENTS = {  # columns after kind: step,t,door,x,y,t_start,t_end,zero_crossings,from_env,to_env
     "step": (int, float, None, None, None, None, None, None, None, None),
     "door_open": (None, None, None, None, None, float, float, int, None, None),
-    "switch": (int, None, str, float, float, None, None, None, str, str),
+    "switch": (int, float, str, float, float, None, None, None, str, str),
 }
 _FLOORPLAN = {
     "wall": (float, float, float, float),  # x1 y1 x2 y2
@@ -284,7 +288,7 @@ _TRUTH = {
     "group": (str, ...),
     "initial": (float, float, float, str),  # x y heading environment
     "final": (float, float),  # x y; derived from the steps on load
-    "step": (None, float, float, float, float, str),  # index t x y heading environment
+    "step": (int, float, float, float, float, str),  # index t x y heading environment
     "door_open": (float, float),  # t_start t_end
     "crossing": (int, str),  # step door
     "turn_back": (int, str),  # step door
@@ -324,6 +328,16 @@ def _lines(path, head="version: 1", sep=None) -> list[tuple[int, str]]:
     return lines
 
 
+def _spec(fields, key, n: int):
+    """(field names or None, converters) of a key's record with n fields."""
+    names, convs = None, fields[key]
+    if isinstance(convs[0], str):
+        names, convs = convs[0], convs[1:]
+    if convs[-1] is ...:
+        convs = convs[:-1] + convs[-2:-1] * (n - len(convs) + 1)
+    return names, convs
+
+
 def _read(path, fields, head="version: 1", sep=None, lines=None) -> dict:
     """Record key -> [(line number, field values)], in file order.
 
@@ -340,12 +354,8 @@ def _read(path, fields, head="version: 1", sep=None, lines=None) -> dict:
             key = key.strip()
         if key not in fields:
             raise ParseError(f"unknown record {key!r}", path=str(path), line=lineno)
-        names, convs = None, fields[key]
-        if isinstance(convs[0], str):
-            names, convs = convs[0], convs[1:]
         parts = line.split(sep)
-        if convs[-1] is ...:
-            convs = convs[:-1] + convs[-2:-1] * (len(parts) - len(convs) + 1)
+        names, convs = _spec(fields, key, len(parts))
         if len(parts) != len(convs):
             message = f"{key} needs {names!r}" if names else f"expected {len(convs)} fields, got {len(parts)}"
             raise ParseError(message, path=str(path), line=lineno)
@@ -355,6 +365,22 @@ def _read(path, fields, head="version: 1", sep=None, lines=None) -> dict:
             raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
         records[key].append((lineno, values))
     return records
+
+
+# How _write turns a value back into the field its converter reads.
+_FORMATS = {float: _fmt, int: str, str: str, _tx_dbm: lambda pair: f"{pair[0]}={_fmt(pair[1])}"}
+
+
+def _write(path, fields, rows, head="version: 1", sep=None) -> None:
+    """Write rows, (record key, values) in file order, so that _read with the same
+    fields gives each values back: one value per converter that is not None."""
+    lines = [] if head is None else [head]
+    for key, values in rows:
+        # Every ... spec converts each of its fields, so its field count is len(values).
+        convs, values = _spec(fields, key, len(values))[1], iter(values)
+        line = (sep or " ").join(["" if conv is None else _FORMATS[conv](next(values)) for conv in convs])
+        lines.append(line if key is None else f"{key}: {line}" if sep is None else f"{key}{sep}{line}")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def save_trace(trace: Trace, path) -> None:
@@ -377,20 +403,12 @@ def load_trace(path) -> Trace:
 
 
 def save_floorplan(plan: FloorPlan, path) -> None:
-    lines = ["version: 1"]
-    for w in plan.walls:
-        lines.append(f"wall: {_fmt(w.a.x)} {_fmt(w.a.y)} {_fmt(w.b.x)} {_fmt(w.b.y)}")
-    for d in plan.doors:
-        lines.append(
-            f"door: {d.id} {_fmt(d.center.x)} {_fmt(d.center.y)} "
-            f"{_fmt(d.tangent[0])} {_fmt(d.tangent[1])} {d.inner_env} {d.outer_env}"
-        )
+    rows = [("wall", (w.a.x, w.a.y, w.b.x, w.b.y)) for w in plan.walls]
+    rows += [("door", (d.id, d.center.x, d.center.y, *d.tangent, d.inner_env, d.outer_env)) for d in plan.doors]
     if plan.start_position is not None:
-        lines.append(
-            f"start: {_fmt(plan.start_position.x)} {_fmt(plan.start_position.y)} "
-            f"{_fmt(plan.start_heading)} {plan.start_environment}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        start = plan.start_position
+        rows.append(("start", (start.x, start.y, plan.start_heading, plan.start_environment)))
+    _write(path, _FLOORPLAN, rows)
 
 
 def load_floorplan(path) -> FloorPlan:
@@ -417,11 +435,8 @@ def load_floorplan(path) -> FloorPlan:
 
 
 def save_radiomap(radio_map: RadioMap, path) -> None:
-    lines = ["version: 1"]
-    for fp in radio_map.entries:
-        rss = " ".join(f"{tx}={_fmt(dbm)}" for tx, dbm in sorted(fp.rss.items()))
-        lines.append(f"point: {_fmt(fp.position.x)} {_fmt(fp.position.y)} {rss}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [("point", (fp.position.x, fp.position.y, *sorted(fp.rss.items()))) for fp in radio_map.entries]
+    _write(path, _RADIOMAP, rows)
 
 
 def load_radiomap(path) -> RadioMap:
@@ -438,26 +453,16 @@ def load_observation(path) -> dict[str, float]:
 
 
 def save_truth(truth: GroundTruth, path) -> None:
-    lines = ["version: 1"]
-    if truth.group:
-        lines.append(f"group: {truth.group}")
-    lines.append(
-        f"initial: {_fmt(truth.initial_position.x)} {_fmt(truth.initial_position.y)} "
-        f"{_fmt(truth.initial_heading)} {truth.initial_environment}"
-    )
-    lines.append(f"final: {_fmt(truth.final_position.x)} {_fmt(truth.final_position.y)}")
-    for i in range(truth.step_count):
-        lines.append(
-            f"step: {i} {_fmt(truth.step_times[i])} {_fmt(truth.step_positions[i, 0])} "
-            f"{_fmt(truth.step_positions[i, 1])} {_fmt(truth.step_headings[i])} {truth.environments[i]}"
-        )
-    for t0, t1 in truth.door_open_intervals:
-        lines.append(f"door_open: {_fmt(t0)} {_fmt(t1)}")
-    for step, door in truth.crossings:
-        lines.append(f"crossing: {step} {door}")
-    for step, door in truth.turn_backs:
-        lines.append(f"turn_back: {step} {door}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [("group", (truth.group,))] if truth.group else []  # written as it stands, read back word by word
+    start = truth.initial_position
+    rows.append(("initial", (start.x, start.y, truth.initial_heading, truth.initial_environment)))
+    rows.append(("final", (truth.final_position.x, truth.final_position.y)))
+    times, positions, headings = truth.step_times.tolist(), truth.step_positions.tolist(), truth.step_headings.tolist()
+    rows += [("step", (i, times[i], *positions[i], headings[i], env)) for i, env in enumerate(truth.environments)]
+    rows += [("door_open", interval) for interval in truth.door_open_intervals]
+    rows += [("crossing", crossing) for crossing in truth.crossings]
+    rows += [("turn_back", turn_back) for turn_back in truth.turn_backs]
+    _write(path, _TRUTH, rows)
 
 
 def load_truth(path) -> GroundTruth:
@@ -465,12 +470,12 @@ def load_truth(path) -> GroundTruth:
     if not records["initial"]:
         raise ParseError("missing 'initial' record", path=str(path))
     x, y, heading, environment = records["initial"][-1][1]
-    steps = [step for _, step in records["step"]]
+    steps = [step for _, step in records["step"]]  # index t x y heading environment; the index is not kept
     return GroundTruth(
-        step_times=np.array([s[0] for s in steps]),
-        step_positions=np.array([s[1:3] for s in steps]).reshape(-1, 2),
-        step_headings=np.array([s[3] for s in steps]),
-        environments=tuple(s[4] for s in steps),
+        step_times=np.array([s[1] for s in steps]),
+        step_positions=np.array([s[2:4] for s in steps]).reshape(-1, 2),
+        step_headings=np.array([s[4] for s in steps]),
+        environments=tuple(s[5] for s in steps),
         door_open_intervals=tuple(interval for _, interval in records["door_open"]),
         crossings=tuple(crossing for _, crossing in records["crossing"]),
         turn_backs=tuple(turn_back for _, turn_back in records["turn_back"]),
@@ -484,8 +489,6 @@ def load_truth(path) -> GroundTruth:
 def load_walk_script(path):
     """Walk script records: waypoint/cadence/step_length/start_environment/
     door_action/pause lines after ``version: 1``."""
-    from .sim import DoorAction, WalkScript
-
     records = _read(path, _WALK_SCRIPT)
     # The last record of each setting wins; WalkScript holds the defaults.
     script_fields = {"cadence": "cadence", "step_length": "step_length_true", "start_environment": "start_environment"}
@@ -499,32 +502,21 @@ def load_walk_script(path):
 
 
 def save_path(log: EventLog, path) -> None:
-    lines = [PATH_HEADER]
-    for i, pose in enumerate(log.poses):
-        env = log.environments[i] if i < len(log.environments) else ""
-        lines.append(
-            f"{i},{_fmt(log.steps[i].t)},{_fmt(pose.position.x)},{_fmt(pose.position.y)},{_fmt(pose.heading)},{env}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    env = log.environments + [""] * (len(log.poses) - len(log.environments))  # a missing one is written empty
+    rows = [(None, (i, log.steps[i].t, p.position.x, p.position.y, p.heading, env[i])) for i, p in enumerate(log.poses)]
+    _write(path, _PATH, rows, PATH_HEADER, ",")
 
 
 def save_events(log: EventLog, path) -> None:
-    rows = []
-    for s in log.steps:
-        rows.append((s.t, f"step,{s.index},{_fmt(s.t)},,,,,,,,"))
-    for d in log.door_opens:
-        rows.append((d.t_start, f"door_open,,,,,,{_fmt(d.t_start)},{_fmt(d.t_end)},{d.zero_crossings},,"))
+    rows = [("step", (s.index, s.t)) for s in log.steps]
+    rows += [("door_open", (d.t_start, d.t_end, d.zero_crossings)) for d in log.door_opens]
     for sw in log.switches:
-        t_sw = log.steps[sw.step_index].t if sw.step_index < len(log.steps) else 0.0
-        rows.append(
-            (
-                t_sw,
-                f"switch,{sw.step_index},{_fmt(t_sw)},{sw.door_id},"
-                f"{_fmt(sw.crossing_point.x)},{_fmt(sw.crossing_point.y)},,,,{sw.from_env},{sw.to_env}",
-            )
-        )
-    rows.sort(key=lambda r: r[0])
-    Path(path).write_text("\n".join([EVENTS_HEADER] + [r[1] for r in rows]) + "\n", encoding="utf-8")
+        t = log.steps[sw.step_index].t if sw.step_index < len(log.steps) else 0.0
+        x, y = sw.crossing_point.x, sw.crossing_point.y
+        rows.append(("switch", (sw.step_index, t, sw.door_id, x, y, sw.from_env, sw.to_env)))
+    # A stable sort by time: at equal times, steps come first, then openings, then switches.
+    rows.sort(key=lambda row: row[1][0] if row[0] == "door_open" else row[1][1])
+    _write(path, _EVENTS, rows, EVENTS_HEADER, ",")
 
 
 def load_trial(events_path, path_path) -> EventLog:
@@ -536,10 +528,10 @@ def load_trial(events_path, path_path) -> EventLog:
         door_opens=[DoorOpenEvent(t_start=t0, t_end=t1, zero_crossings=z) for _, (t0, t1, z) in events["door_open"]],
         switches=[
             SwitchEvent(step_index=k, door_id=door, crossing_point=Point2(x, y), from_env=src, to_env=dst)
-            for _, (k, door, x, y, src, dst) in events["switch"]
+            for _, (k, _t, door, x, y, src, dst) in events["switch"]
         ],
-        poses=[Pose(Point2(x, y), heading) for _, (x, y, heading, _env) in rows],
-        environments=[env for _, (*_xyh, env) in rows],
+        poses=[Pose(Point2(x, y), heading) for _, (_step, _t, x, y, heading, _env) in rows],
+        environments=[env for _, (*_, env) in rows],
     )
 
 

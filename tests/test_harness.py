@@ -733,6 +733,7 @@ class TestReader:
         "radiomap": (load_radiomap, "version: 1\npoint: 0 0 ap1=-50\n\n\npoint: 0 0 ap1=x\n", 5),
         "observation": (load_observation, "ap1 -50\n\n\nap2 x\n", 4),
         "truth": (load_truth, "version: 1\ninitial: 0 0 0 indoor\n\n\nstep: 0 x 0 0 0 indoor\n", 5),
+        "truth step index": (load_truth, "version: 1\ninitial: 0 0 0 indoor\n\n\nstep: x 0.5 0 0 0 indoor\n", 5),
         "walk_script": (load_walk_script, "version: 1\nwaypoint: 0 0\n\n\nwaypoint: x 0\n", 5),
     }
     EVENTS = f"{harness.EVENTS_HEADER}\nstep,0,0.5,,,,,,,,\n"
@@ -752,15 +753,19 @@ class TestReader:
         [
             (EVENTS + "\n\nstep,x,1.0,,,,,,,,\n", PATH),
             (EVENTS, PATH + "\n\n1,1.0,x,0.0,0.0,indoor\n"),
+            (EVENTS + "\n\nswitch,0,x,doorA,0.0,0.0,,,,indoor,outdoor\n", PATH),
+            (EVENTS, PATH + "\n\nx,1.0,0.75,0.0,0.0,indoor\n"),
+            (EVENTS, PATH + "\n\n1,x,0.75,0.0,0.0,indoor\n"),
         ],
-        ids=["events", "path"],
+        ids=["events", "path", "events switch t", "path step", "path t"],
     )
     def test_trial_bad_field_after_blank_lines_names_its_line(self, tmp_path, events, path):
         (tmp_path / "t.events.csv").write_text(events)
         (tmp_path / "t.path.csv").write_text(path)
         with pytest.raises(ParseError) as info:
             load_trial(tmp_path / "t.events.csv", tmp_path / "t.path.csv")
-        assert info.value.line == 5
+        bad = tmp_path / ("t.events.csv" if events != self.EVENTS else "t.path.csv")
+        assert info.value.line == 5 and str(info.value).startswith(f"{bad}:5: ")
 
     def test_version_spacing_is_free(self, tmp_path):
         p = tmp_path / "plan.txt"
