@@ -65,6 +65,13 @@ class WalkScript:
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if a.x == b.x and a.y == b.y:
                 raise InvalidScriptError("coincident consecutive waypoints")
+            if math.hypot(b.x - a.x, b.y - a.y) == math.inf:
+                raise InvalidScriptError(f"leg from ({a.x}, {a.y}) to ({b.x}, {b.y}) has no finite length")
+        for waypoint in [w for w, _ in self.pauses] + [a.waypoint for a in self.door_actions]:
+            if not 0 <= waypoint < len(self.waypoints):
+                raise InvalidScriptError(f"pause or door action at waypoint {waypoint}: no such waypoint")
+        if not all(0 <= seconds < math.inf for _, seconds in self.pauses):
+            raise InvalidScriptError("pause seconds must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -179,9 +186,7 @@ def generate_walk(
         return start
 
     def dwell(waypoint: int):
-        pause = pauses.get(waypoint, 0.0)
-        if pause > 0:
-            append(np.zeros(int(round(pause * sample_rate))))
+        append(np.zeros(int(round(pauses.get(waypoint, 0.0) * sample_rate))))
         action = actions.get(waypoint)
         if action is None:
             return

@@ -858,10 +858,27 @@ def test_report_non_utf8_file_is_parse_error(tmp_path, name):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("row", ["cadence: nan", "cadence: inf", "step_length: inf", "step_length: nan"])
+@pytest.mark.parametrize(
+    "row",
+    [
+        "cadence: nan",
+        "cadence: inf",
+        "step_length: inf",
+        "step_length: nan",
+        # The first leg's length overflows; the leg after it is finite but would not fit in memory.
+        pytest.param("waypoint: -1.7e308 0\nwaypoint: 1.7e308 0", id="waypoint: -1.7e308 0, waypoint: 1.7e308 0"),
+        "pause: 0 inf",
+        "pause: 0 nan",
+        "pause: 1 -3",
+        "pause: 2 1.0",
+        "pause: -1 1.0",
+        "door_action: 7 doorA open-and-cross",
+        "door_action: -1 doorA open-and-cross",
+    ],
+)
 def test_simulate_non_finite_script_value_is_invalid_script(tmp_path, row):
     script = tmp_path / "walk.txt"
-    script.write_text(f"version: 1\nwaypoint: 0.0 0.0\nwaypoint: 6.0 0.0\n{row}\n")
+    script.write_text(f"version: 1\n{row}\nwaypoint: 0.0 0.0\nwaypoint: 6.0 0.0\n")
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     cmd = [sys.executable, "-m", "seamloc.cli", "simulate", "--script", str(script), "--out", str(tmp_path / "o")]
