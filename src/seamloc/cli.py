@@ -62,13 +62,9 @@ def _check_section(name: str, values, types: dict[str, str]):
             raise InvalidParameterError(f"{name}.{key} must be finite, got {value!r}")
 
 
-def _build_section(section: str, values: dict):
-    cls = _SECTIONS[section]
-    _check_section(section, values, {f.name: f.type for f in dataclasses.fields(cls) if f.type in _JSON_TYPES})
-    return cls(**values)
-
-
 def load_config(path) -> dict:
+    """Section name -> its dataclass built from the JSON file's values, or for
+    the plain sections (sim, eval) the values; {} when path is None."""
     if path is None:
         return {}
     p = Path(path)
@@ -83,39 +79,35 @@ def load_config(path) -> dict:
     unknown = set(raw) - set(_SECTIONS) - set(_PLAIN_SECTIONS)
     if unknown:
         raise InvalidParameterError(f"unknown config sections: {sorted(unknown)}")
+    config = {}
     for section, values in raw.items():  # validates keys, types and ranges eagerly
         if section in _SECTIONS:
-            _build_section(section, values)
+            cls = _SECTIONS[section]
+            _check_section(section, values, {f.name: f.type for f in dataclasses.fields(cls) if f.type in _JSON_TYPES})
+            config[section] = cls(**values)
         else:
             _check_section(section, values, _PLAIN_SECTIONS[section])
-    return raw
+            config[section] = values
+    return config
 
 
-def build_pipeline_config(raw: dict, seed: int | None = None) -> harness.PipelineConfig:
-    kwargs = {  # the noise and wknn sections configure simulate and locate
-        section: _build_section(section, raw[section])
-        for section in _SECTIONS
-        if section in raw and section not in ("noise", "wknn")
-    }
+def build_pipeline_config(config: dict, seed: int | None = None) -> harness.PipelineConfig:
+    # The noise and wknn sections configure simulate and locate.
+    kwargs = {section: config[section] for section in ("signal", "pdr", "pf", "kf", "crossing") if section in config}
     if seed is not None:
         kwargs["seed"] = seed
     return harness.PipelineConfig(**kwargs)
 
 
-def build_noise(raw: dict, seed: int | None = None) -> NoiseModel:
-    values = dict(raw.get("noise", {}))
-    if seed is not None:
-        values["seed"] = seed
-    return _build_section("noise", values)
-
-
 def _cmd_simulate(args) -> int:
-    raw = load_config(args.config)
+    config = load_config(args.config)
     script = harness.load_walk_script(args.script)
-    noise = build_noise(raw, args.seed)
-    sample_rate = float(raw.get("sim", {}).get("sample_rate", 100.0))
+    noise = config.get("noise", NoiseModel())
+    if args.seed is not None:
+        noise = dataclasses.replace(noise, seed=args.seed)
+    sample_rate = float(config.get("sim", {}).get("sample_rate", 100.0))
     doors = ()
-    zone_width = _build_section("crossing", raw.get("crossing", {})).zone_width
+    zone_width = config.get("crossing", CrossingConfig()).zone_width
     if args.plan:
         doors = harness.load_floorplan(args.plan).doors
     trace, truth = generate_walk(script, noise, sample_rate=sample_rate, doors=doors, zone_width=zone_width)
@@ -128,8 +120,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    raw = load_config(args.config)
-    cfg = build_pipeline_config(raw, args.seed)
+    cfg = build_pipeline_config(load_config(args.config), args.seed)
     trace = harness.load_trace(args.trace)
     plan = harness.load_floorplan(args.plan)
     path, log = harness.track(trace, plan, cfg)
@@ -142,8 +133,7 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_locate(args) -> int:
-    raw = load_config(args.config)
-    cfg = _build_section("wknn", raw.get("wknn", {}))
+    cfg = load_config(args.config).get("wknn", WknnConfig())
     observed = harness.load_observation(args.observation)
     radio_map = harness.load_radiomap(args.radiomap)
     position = estimate_position(observed, radio_map, cfg)
@@ -157,8 +147,8 @@ def _cmd_locate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    raw = load_config(args.config)
-    window = int(raw.get("eval", {}).get("match_window", CrossingConfig().coincidence_steps))
+    config = load_config(args.config)
+    window = int(config.get("eval", {}).get("match_window", CrossingConfig().coincidence_steps))
     events_dir = Path(args.events)
     truth_dir = Path(args.truth)
     results = []
