@@ -1,10 +1,8 @@
 """End-to-end tracking pipeline, evaluation metrics, and file formats.
 
 Every file format is UTF-8 with floats written as their shortest round-trip
-repr. The field specs under "File formats" below are the one description of
-each format: _read parses every file by them, and _write writes every file
-but the trace and the report by them, so that _read gives back what was
-written. Every numeric column is checked on read, a step's index and time too.
+repr. The field specs under "File formats" below drive both _read and _write,
+so a file reads back as written, and every written column is checked on read.
 """
 
 from __future__ import annotations
@@ -373,7 +371,7 @@ _FORMATS = {float: _fmt, int: str, str: str, _tx_dbm: lambda pair: f"{pair[0]}={
 
 def _write(path, fields, rows, head="version: 1", sep=None) -> None:
     """Write rows, (record key, values) in file order, so that _read with the same
-    fields gives each values back: one value per converter that is not None."""
+    fields returns them: values holds one value per converter that is not None."""
     lines = [] if head is None else [head]
     for key, values in rows:
         # Every ... spec converts each of its fields, so its field count is len(values).
@@ -511,7 +509,7 @@ def save_events(log: EventLog, path) -> None:
     rows = [("step", (s.index, s.t)) for s in log.steps]
     rows += [("door_open", (d.t_start, d.t_end, d.zero_crossings)) for d in log.door_opens]
     for sw in log.switches:
-        t = log.steps[sw.step_index].t if sw.step_index < len(log.steps) else 0.0
+        t = log.steps[sw.step_index].t if sw.step_index < len(log.steps) else 0.0  # past the last step: no time
         x, y = sw.crossing_point.x, sw.crossing_point.y
         rows.append(("switch", (sw.step_index, t, sw.door_id, x, y, sw.from_env, sw.to_env)))
     # A stable sort by time: at equal times, steps come first, then openings, then switches.
