@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seamloc import (
     CrossingConfig,
@@ -208,6 +210,40 @@ class TestObserveStep:
                 pos = nxt
                 if state.armed_door is None:
                     break
+
+
+def coincidence_reference(steps, n):
+    """Steps where the rule fires: the step brings new evidence, and the latest
+    door-open and the latest crossing since the last switch are at most n apart."""
+    last_open = last_crossing = None
+    fired = []
+    for k, (opened, crossed) in enumerate(steps):
+        last_open = k if opened else last_open
+        last_crossing = k if crossed else last_crossing
+        if (opened or crossed) and None not in (last_open, last_crossing) and abs(last_crossing - last_open) <= n:
+            fired.append(k)
+            last_open = last_crossing = None
+    return fired
+
+
+# Per step (door opened, zone crossed); mostly quiet, so evidence lands at every distance.
+STEP_EVIDENCE = st.sampled_from([(False, False)] * 5 + [(True, False), (False, True), (True, True)])
+
+
+class TestCoincidenceOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.lists(STEP_EVIDENCE, max_size=40))
+    def test_switches_match_reference(self, n, steps):
+        cfg = CrossingConfig(coincidence_steps=n)
+        state, fired = armed_state(), []
+        for k, (opened, crossed) in enumerate(steps):
+            segment = crossing_segment() if crossed else away_segment(k)
+            state, ev = observe_step(state, k, *segment, opened, cfg, ZONES)
+            if ev is not None:
+                assert ev.step_index == k and ev.door_id == "front"
+                fired.append(k)
+                state = armed_state(env=state.environment)  # the door stays in reach
+        assert fired == coincidence_reference(steps, n)
 
 
 def track_recording_inits(monkeypatch, cfg):

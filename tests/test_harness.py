@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import seamloc.cli as cli
-from seamloc import harness
+from seamloc import errors, harness
 from seamloc import (
     FloorPlan,
     GroundTruth,
@@ -923,3 +923,31 @@ def test_config_float_takes_json_int(tmp_path):
     cfg.write_text('{"pdr": {"step_length": 1}, "sim": {"sample_rate": 50}, "eval": {"match_window": 3}}')
     raw = cli.load_config(cfg)
     assert cli.build_pipeline_config(raw).pdr.step_length == 1
+
+
+EXIT_CODES = [
+    (errors.SeamlocError, 1),
+    (errors.InvalidParameterError, 2),
+    (errors.ParseError, 3),
+    (errors.InvariantViolation, 4),
+    (errors.InvalidInputError, 5),
+    (errors.InvalidScriptError, 6),
+    (errors.FilterDivergenceError, 7),
+    (errors.UnreliableMeasurementError, 9),
+    (OSError, 10),
+]
+
+
+def test_exit_codes_cover_every_error_class():
+    assert {cls for cls, _ in EXIT_CODES} == {errors.SeamlocError, *errors.SeamlocError.__subclasses__(), OSError}
+
+
+@pytest.mark.parametrize("error, code", EXIT_CODES, ids=[cls.__name__ for cls, _ in EXIT_CODES])
+def test_cli_prints_category_and_returns_exit_code(monkeypatch, capsys, error, code):
+    def load_trace(path):
+        raise error("some-invariant", "boom") if error is errors.InvariantViolation else error("boom")
+
+    monkeypatch.setattr(harness, "load_trace", load_trace)
+    assert cli.main(["track", "--trace", "t.csv", "--plan", "p.txt", "--out", "o"]) == code
+    category = "io" if error is OSError else error.category
+    assert capsys.readouterr().err.startswith(f"error[{category}]: ")
