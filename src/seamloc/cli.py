@@ -19,16 +19,6 @@ from .pdr import PdrConfig
 from .signal import SignalConfig
 from .sim import NoiseModel, generate_walk
 
-EXIT_CODES = {
-    "invalid-parameter": 2,
-    "parse": 3,
-    "invariant": 4,
-    "invalid-input": 5,
-    "invalid-script": 6,
-    "filter-divergence": 7,
-    "unreliable-measurement": 9,
-}
-
 _SECTIONS = {
     "signal": SignalConfig,
     "pdr": PdrConfig,
@@ -105,12 +95,9 @@ def _cmd_simulate(args) -> int:
     noise = config.get("noise", NoiseModel())
     if args.seed is not None:
         noise = dataclasses.replace(noise, seed=args.seed)
-    sample_rate = float(config.get("sim", {}).get("sample_rate", 100.0))
-    doors = ()
+    doors = harness.load_floorplan(args.plan).doors if args.plan else ()
     zone_width = config.get("crossing", CrossingConfig()).zone_width
-    if args.plan:
-        doors = harness.load_floorplan(args.plan).doors
-    trace, truth = generate_walk(script, noise, sample_rate=sample_rate, doors=doors, zone_width=zone_width)
+    trace, truth = generate_walk(script, noise, doors=doors, zone_width=zone_width, **config.get("sim", {}))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.save_trace(trace, out / f"{args.name}.trace.csv")
@@ -148,7 +135,6 @@ def _cmd_locate(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = load_config(args.config)
-    window = int(config.get("eval", {}).get("match_window", CrossingConfig().coincidence_steps))
     events_dir = Path(args.events)
     truth_dir = Path(args.truth)
     results = []
@@ -163,7 +149,7 @@ def _cmd_eval(args) -> int:
         log = harness.load_trial(events_file, path_file)
         truth = harness.load_truth(truth_file)
         results.append((log, truth))
-    report = harness.evaluate(results, match_window=window)
+    report = harness.evaluate(results, **config.get("eval", {}))
     harness.save_report(report, args.out)
     print(f"evaluated {len(results)} trials -> {args.out}/report.txt")
     return 0
@@ -233,7 +219,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SeamlocError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
-        return EXIT_CODES.get(exc.category, 1)
+        return exc.exit_code
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return 10

@@ -75,22 +75,15 @@ def observe_step(
 ) -> tuple[CrossingState, SwitchEvent | None]:
     """Feed one step of evidence; emit a SwitchEvent on door-open/crossing coincidence.
 
-    No-op while idle. Evidence older than coincidence_steps behind the
-    current step is pruned; the coincidence test is order-independent and
-    inclusive (|crossing step - door-open step| <= coincidence_steps).
+    No-op while idle. The test |crossing step - door-open step| <= coincidence_steps
+    is order-independent, inclusive and the only age rule: only a step's new record
+    can fire, and a record older than the window fails against it.
     """
     if state.armed_door is None:
         return state, None
 
-    last_door_open = state.last_door_open
+    last_door_open = step_index if door_opened_now else state.last_door_open
     last_crossing = state.last_crossing
-    if last_door_open is not None and step_index - last_door_open > cfg.coincidence_steps:
-        last_door_open = None
-    if last_crossing is not None and step_index - last_crossing[0] > cfg.coincidence_steps:
-        last_crossing = None
-
-    if door_opened_now:
-        last_door_open = step_index
     door, zone = zones[state.armed_door]
     if (prev_pos.x, prev_pos.y) != (cur_pos.x, cur_pos.y):
         point = segment_intersection(zone, Segment2(prev_pos, cur_pos))

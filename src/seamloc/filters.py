@@ -95,9 +95,7 @@ def pf_step(
     )
 
     weights = pset.weights.copy()
-    walls = plan.wall_array()
-    if walls.shape[0]:
-        weights[_segments_cross(pset.positions, moved, walls)] = 0.0
+    weights[_segments_cross(pset.positions, moved, plan.wall_array())] = 0.0
 
     total = weights.sum()
     if total <= 0.0:

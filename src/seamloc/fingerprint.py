@@ -54,7 +54,9 @@ class WknnConfig:
             raise InvalidParameterError(f"mode must be one of {MODES}")
 
 
-def rss_distance(observed: dict[str, float], reference: dict[str, float], floor: float = -100.0) -> float:
+def rss_distance(
+    observed: dict[str, float], reference: dict[str, float], floor: float = WknnConfig.missing_rss_floor
+) -> float:
     """Euclidean distance over the union of transmitter ids.
 
     Missing readings on either side take the floor value.

@@ -122,7 +122,7 @@ def segment_intersection(l1: Segment2, l2: Segment2) -> Point2 | None:
     return None
 
 
-def zone_for_door(door: Door, width: float = 5.0) -> Segment2:
+def zone_for_door(door: Door, width: float) -> Segment2:
     """Crossing-zone segment of the given width centered on the door, along the wall."""
     if width <= 0:
         raise InvalidParameterError(f"zone width must be positive, got {width}")

@@ -23,7 +23,7 @@ from .errors import FilterDivergenceError, InvalidInputError, InvalidParameterEr
 from .filters import KfConfig, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_step
 from .fingerprint import Fingerprint, RadioMap
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
-from .pdr import _AXES, PdrConfig, Pose, propagate_step, wrap_angle
+from .pdr import PdrConfig, Pose, propagate_step, wrap_angle
 from .signal import DoorOpenEvent, SignalConfig, StepEvent, Trace, detect_door_openings, detect_steps, normalized_series
 from .sim import DoorAction, GroundTruth, WalkScript
 
@@ -93,7 +93,7 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     kf = None if indoor else kf_init(heading)
     zones = build_zone_lookup(plan.doors, cfg.crossing)
 
-    gz = trace.gyro[:, _AXES[cfg.pdr.yaw_axis]]
+    gz = trace.gyro[:, 2]
     dt_arr = np.diff(trace.t)
     rate_arr = 0.5 * (gz[:-1] + gz[1:])  # trapezoid-equivalent rate per interval
     dts, rates, increments = dt_arr.tolist(), rate_arr.tolist(), (rate_arr * dt_arr).tolist()

@@ -13,10 +13,6 @@ from .signal import StepEvent, Trace
 
 TWO_PI = 2.0 * math.pi
 
-# Gyro axis indices for the yaw selector.
-_AXES = {"x": 0, "y": 1, "z": 2}
-
-
 def wrap_angle(angle: float) -> float:
     """Wrap to (-pi, pi]; angles already in range pass through unchanged."""
     if -math.pi < angle <= math.pi:
@@ -35,13 +31,10 @@ class Pose:
 class PdrConfig:
     step_length: float = 0.75
     initial_pose: Pose = field(default_factory=lambda: Pose(Point2(0.0, 0.0), 0.0))
-    yaw_axis: str = "z"
 
     def __post_init__(self):
         if self.step_length <= 0:
             raise InvalidParameterError(f"step_length must be positive, got {self.step_length}")
-        if self.yaw_axis not in _AXES:
-            raise InvalidParameterError(f"yaw_axis must be one of {sorted(_AXES)}")
 
 
 def propagate_step(pose: Pose, cfg: PdrConfig) -> Pose:
@@ -56,12 +49,12 @@ def propagate_step(pose: Pose, cfg: PdrConfig) -> Pose:
 
 
 def heading_series(trace: Trace, cfg: PdrConfig) -> np.ndarray:
-    """Heading at every sample: trapezoidal integration of the yaw gyro axis.
+    """Heading at every sample: trapezoidal integration of the gyro z axis (vertical).
 
     Integration runs unwrapped (exact cumulative angle); callers wrap when
     presenting a heading.
     """
-    omega = trace.gyro[:, _AXES[cfg.yaw_axis]]
+    omega = trace.gyro[:, 2]
     psi = np.empty(len(trace))
     if len(trace) == 0:
         return psi

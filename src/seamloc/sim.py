@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidParameterError, InvalidScriptError
-from .geometry import Door, FloorPlan, Point2, Segment2, segment_intersection, zone_for_door
+from .crossing import CrossingConfig, build_zone_lookup
+from .geometry import Door, FloorPlan, Point2, Segment2, segment_intersection
 from .pdr import wrap_angle
 from .signal import Trace
 
@@ -133,7 +134,7 @@ def generate_walk(
     noise: NoiseModel = NoiseModel(),
     sample_rate: float = 100.0,
     doors: tuple[Door, ...] = (),
-    zone_width: float = 5.0,
+    zone_width: float = CrossingConfig.zone_width,
     group: str = "",
 ) -> tuple[Trace, GroundTruth]:
     """Synthesize one walk: IMU trace plus per-step ground truth.
@@ -153,8 +154,7 @@ def generate_walk(
 
     pauses = dict(script.pauses)
     actions: dict[int, DoorAction] = {a.waypoint: a for a in script.door_actions}
-    zones = {d.id: zone_for_door(d, zone_width) for d in doors}
-    door_by_id = {d.id: d for d in doors}
+    zones = build_zone_lookup(doors, CrossingConfig(zone_width=zone_width))
 
     blocks: list[np.ndarray] = []  # acceleration, one block per pause, wiggle and leg
     spikes: dict[int, float] = {}  # sample index -> turn rate
@@ -219,12 +219,12 @@ def generate_walk(
             points = leg.tolist()
             for i in range(n_steps):
                 seg = Segment2(Point2(*points[i]), Point2(*points[i + 1]))
-                for door_id, zone in zones.items():
+                for door, zone in zones.values():
                     if segment_intersection(zone, seg) is not None:
-                        if crossings and crossings[-1] == (base + i - 1, door_id):
+                        if crossings and crossings[-1] == (base + i - 1, door.id):
                             continue  # step landed on the zone line; same traversal, not a new crossing
-                        crossings.append((base + i, door_id))
-                        env = door_by_id[door_id].other_side(env)
+                        crossings.append((base + i, door.id))
+                        env = door.other_side(env)
                 environments[base + i] = env
         pos = leg[-1]
     dwell(len(script.waypoints) - 1)
@@ -370,7 +370,7 @@ def scenario_suite(
     noise: NoiseModel = NoiseModel(),
     crossing_fraction: float = 1.0,
     sample_rate: float = 100.0,
-    zone_width: float = 5.0,
+    zone_width: float = CrossingConfig.zone_width,
 ) -> list[tuple[Trace, GroundTruth]]:
     """Independent seeded trials: crossing walks and turn-back walks.
 

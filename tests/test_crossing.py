@@ -157,12 +157,13 @@ class TestObserveStep:
         assert off < 1e-9
 
     def test_stale_door_open_pruned(self):
+        # A door-open six steps back is out of the window for every later crossing.
         state = armed_state()
         state, _ = observe_step(state, 10, *away_segment(10), True, CFG, ZONES)
-        # Re-observing at step 16 prunes the record before matching.
         state, ev = observe_step(state, 16, *crossing_segment(), False, CFG, ZONES)
         assert ev is None
-        assert state.last_door_open is None
+        state, ev = observe_step(state, 17, *crossing_segment(), False, CFG, ZONES)
+        assert ev is None and state.armed_door == "front"
 
     def test_environment_toggles_back_after_two_switches(self):
         state = armed_state(env="indoor")

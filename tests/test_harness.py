@@ -610,6 +610,15 @@ class TestCli:
         assert rc == 2
         assert "error[invalid-parameter]" in capsys.readouterr().err
 
+    def test_yaw_axis_is_no_config_key(self, tmp_path, capsys):
+        # The device z axis is vertical for the gyro and the magnetometer alike.
+        plan_file, _ = self.write_inputs(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"pdr": {"yaw_axis": "z"}}')
+        rc = cli.main(["track", "--trace", "t.csv", "--plan", str(plan_file), "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error[invalid-parameter]: unknown pdr keys: ['yaw_axis']")
+
     def _tracked_trial(self, tmp_path):
         plan_file, script_file = self.write_inputs(tmp_path)
         out = tmp_path / "run"
