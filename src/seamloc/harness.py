@@ -18,6 +18,7 @@ import numpy as np
 from . import crossing as crossing_mod
 from .crossing import CrossingConfig, CrossingState, SwitchEvent, build_zone_lookup
 from .errors import FilterDivergenceError, InvalidInputError, InvalidParameterError, InvariantViolation, ParseError
+from .errors import SeamlocError
 # track calls none of kf_predict, kf_update and mag_heading: perfbench/layers.py wraps these names
 # here, and its traced run fails without them; their per-layer metrics read 0, as kf_run does the work.
 from .filters import KfConfig, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_step
@@ -409,27 +410,35 @@ def save_floorplan(plan: FloorPlan, path) -> None:
     _write(path, _FLOORPLAN, rows)
 
 
+def _build(path, records, build) -> list:
+    """build(*values) of each (line number, values) record; a SeamlocError it raises
+    keeps its class and gains the record's path:line: in front of its message."""
+    built = []
+    for lineno, values in records:
+        try:
+            built.append(build(*values))
+        except SeamlocError as exc:
+            exc.args = (f"{path}:{lineno}: {exc}",)
+            raise
+    return built
+
+
+def _door(door_id, cx, cy, tx, ty, inner, outer) -> Door:
+    norm = math.hypot(tx, ty)
+    if abs(norm - 1.0) > 1e-6:
+        raise InvariantViolation("door-tangent-unit", f"|tangent| = {norm} beyond 1e-6 of unit")
+    if norm != 1.0:
+        warnings.warn(f"door {door_id}: tangent normalized on load ({norm})")
+        tx, ty = tx / norm, ty / norm
+    return Door(id=door_id, center=Point2(cx, cy), tangent=(tx, ty), inner_env=inner, outer_env=outer)
+
+
 def load_floorplan(path) -> FloorPlan:
     records = _read(path, _FLOORPLAN)
-    doors = []
-    for lineno, (door_id, cx, cy, tx, ty, inner, outer) in records["door"]:
-        norm = math.hypot(tx, ty)
-        if abs(norm - 1.0) > 1e-6:
-            raise InvariantViolation(
-                "door-tangent-unit", f"{path}:{lineno}: |tangent| = {norm} beyond 1e-6 of unit"
-            )
-        if norm != 1.0:
-            warnings.warn(f"door {door_id}: tangent normalized on load ({norm})")
-            tx, ty = tx / norm, ty / norm
-        doors.append(Door(id=door_id, center=Point2(cx, cy), tangent=(tx, ty), inner_env=inner, outer_env=outer))
-    start = records["start"][-1][1] if records["start"] else None
-    return FloorPlan(
-        walls=tuple(Segment2(Point2(x1, y1), Point2(x2, y2)) for _, (x1, y1, x2, y2) in records["wall"]),
-        doors=tuple(doors),
-        start_position=Point2(start[0], start[1]) if start else None,
-        start_heading=start[2] if start else None,
-        start_environment=start[3] if start else None,
-    )
+    doors = tuple(_build(path, records["door"], _door))
+    walls = tuple(_build(path, records["wall"], lambda x1, y1, x2, y2: Segment2(Point2(x1, y1), Point2(x2, y2))))
+    start = _build(path, records["start"][-1:], lambda x, y, heading, environment: (Point2(x, y), heading, environment))
+    return FloorPlan(walls, doors, *(start[0] if start else ()))
 
 
 def save_radiomap(radio_map: RadioMap, path) -> None:
@@ -439,7 +448,7 @@ def save_radiomap(radio_map: RadioMap, path) -> None:
 
 def load_radiomap(path) -> RadioMap:
     points = _read(path, _RADIOMAP)["point"]
-    return RadioMap(entries=tuple(Fingerprint(position=Point2(x, y), rss=dict(rss)) for _, (x, y, *rss) in points))
+    return RadioMap(entries=tuple(_build(path, points, lambda x, y, *rss: Fingerprint(Point2(x, y), dict(rss)))))
 
 
 def load_observation(path) -> dict[str, float]:
@@ -492,8 +501,8 @@ def load_walk_script(path):
     script_fields = {"cadence": "cadence", "step_length": "step_length_true", "start_environment": "start_environment"}
     settings = {name: values[0] for key, name in script_fields.items() for _, values in records[key]}
     return WalkScript(
-        waypoints=tuple(Point2(x, y) for _, (x, y) in records["waypoint"]),
-        door_actions=tuple(DoorAction(*action) for _, action in records["door_action"]),
+        waypoints=tuple(_build(path, records["waypoint"], Point2)),
+        door_actions=tuple(_build(path, records["door_action"], DoorAction)),
         pauses=tuple(pause for _, pause in records["pause"]),
         **settings,
     )

@@ -33,6 +33,8 @@ JIGGLE_PERIOD = 0.4  # s
 JIGGLE_DURATION = 1.5  # s
 MAG_HORIZONTAL = 22.0  # uT
 MAG_VERTICAL = -43.0  # uT
+# generate_walk refuses a walk of more samples than this (about 28 h at 100 Hz) before building it.
+MAX_WALK_SAMPLES = 10**7
 
 OPEN_AND_CROSS = "open-and-cross"
 TURN_BACK = "approach-and-turn-back"
@@ -144,6 +146,14 @@ def generate_walk(
     """
     if sample_rate < 20:
         raise InvalidParameterError(f"sample_rate must be >= 20 Hz, got {sample_rate}")
+    pauses = dict(script.pauses)
+    actions: dict[int, DoorAction] = {a.waypoint: a for a in script.door_actions}
+    # The walk's length, counted in floats (no size to overflow) before any array is built.
+    legs = sum(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(script.waypoints, script.waypoints[1:]))
+    wiggles = sum(action.action == OPEN_AND_CROSS for action in actions.values())
+    seconds = legs / script.step_length_true / script.cadence + sum(pauses.values()) + wiggles * JIGGLE_DURATION
+    if not seconds * sample_rate <= MAX_WALK_SAMPLES:
+        raise InvalidScriptError(f"walk of {seconds:.6g} s at {sample_rate} Hz exceeds {MAX_WALK_SAMPLES} samples")
     dt = 1.0 / sample_rate
     cycle = int(round(sample_rate / script.cadence))
     if cycle < 4:
@@ -152,8 +162,6 @@ def generate_walk(
     jiggle_len = int(round(JIGGLE_DURATION * sample_rate))
     jiggle = JIGGLE_AMPLITUDE * np.sin(2.0 * math.pi * (np.arange(jiggle_len) * dt) / JIGGLE_PERIOD)
 
-    pauses = dict(script.pauses)
-    actions: dict[int, DoorAction] = {a.waypoint: a for a in script.door_actions}
     zones = build_zone_lookup(doors, CrossingConfig(zone_width=zone_width))
 
     blocks: list[np.ndarray] = []  # acceleration, one block per pause, wiggle and leg

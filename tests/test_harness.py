@@ -53,7 +53,7 @@ from seamloc.harness import (
     save_trace,
     save_truth,
 )
-from seamloc.sim import NoiseModel
+from seamloc.sim import MAX_WALK_SAMPLES, NoiseModel
 
 
 def make_truth(final_xy, crossings=(), turn_backs=(), group=""):
@@ -886,14 +886,52 @@ def test_report_non_utf8_file_is_parse_error(tmp_path, name):
     ],
 )
 def test_simulate_non_finite_script_value_is_invalid_script(tmp_path, row):
+    proc = simulate_in_subprocess(tmp_path, f"version: 1\n{row}\nwaypoint: 0.0 0.0\nwaypoint: 6.0 0.0\n")
+    assert proc.returncode == 6
+    assert "error[invalid-script]" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def simulate_in_subprocess(tmp_path, script_text):
+    """seamloc simulate on a walk script, in a separate interpreter so that an uncaught exception shows as a traceback."""
     script = tmp_path / "walk.txt"
-    script.write_text(f"version: 1\n{row}\nwaypoint: 0.0 0.0\nwaypoint: 6.0 0.0\n")
+    script.write_text(script_text)
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     cmd = [sys.executable, "-m", "seamloc.cli", "simulate", "--script", str(script), "--out", str(tmp_path / "o")]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+
+# Each walk is far above the sample cap, so it is refused before any array is built.
+@pytest.mark.parametrize("row", ["pause: 0 1e300", "pause: 0 1e9", "waypoint: 1e12 0"])
+def test_simulate_walk_above_the_sample_cap_is_invalid_script(tmp_path, row):
+    proc = simulate_in_subprocess(tmp_path, f"version: 1\nwaypoint: 0.0 0.0\nwaypoint: 6.0 0.0\n{row}\n")
     assert proc.returncode == 6
-    assert "error[invalid-script]" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error[invalid-script]: walk of ") and "Traceback" not in proc.stderr
+    assert f"exceeds {MAX_WALK_SAMPLES} samples" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+RECORD_ERRORS = [
+    (load_floorplan, "wall: 0 0 0 0", InvariantViolation, "segment-positive-length: degenerate at"),
+    (load_floorplan, "door: d 0 0 0 1 indoor indoor", InvariantViolation, "door-distinct-env: door d"),
+    (load_floorplan, "door: d 0 0 1.5 0 indoor outdoor", InvariantViolation, "door-tangent-unit: |tangent| = 1.5"),
+    (load_floorplan, "start: nan 0 0 indoor", InvariantViolation, "point-finite: (nan, 0.0)"),
+    (load_radiomap, "point: 0 0 ap1=5", InvariantViolation, "fingerprint-dbm-range: ap1: 5.0 dBm"),
+    (load_walk_script, "waypoint: nan 0", InvariantViolation, "point-finite: (nan, 0.0)"),
+    (load_walk_script, "door_action: 1 doorA fly", InvalidParameterError, "unknown door action 'fly'"),
+]
+
+
+@pytest.mark.parametrize("load, record, error, message", RECORD_ERRORS, ids=[r[1] for r in RECORD_ERRORS])
+def test_record_error_names_its_file_and_line(tmp_path, load, record, error, message):
+    # Line 3 holds the bad record; a walk script needs two good waypoints after it.
+    path = tmp_path / "records.txt"
+    tail = "waypoint: 0 0\nwaypoint: 5 0\n" if load is load_walk_script else ""
+    path.write_text(f"version: 1\n# a comment\n{record}\n{tail}")
+    with pytest.raises(errors.SeamlocError) as got:
+        load(path)
+    assert type(got.value) is error
+    assert str(got.value).startswith(f"{path}:3: {message}")
 
 
 BAD_CONFIGS = [
