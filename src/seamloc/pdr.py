@@ -13,6 +13,7 @@ from .signal import StepEvent, Trace
 
 TWO_PI = 2.0 * math.pi
 
+
 def wrap_angle(angle: float) -> float:
     """Wrap to (-pi, pi]; angles already in range pass through unchanged."""
     if -math.pi < angle <= math.pi:

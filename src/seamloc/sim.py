@@ -149,9 +149,9 @@ def generate_walk(
     pauses = dict(script.pauses)
     actions: dict[int, DoorAction] = {a.waypoint: a for a in script.door_actions}
     # The walk's length, counted in floats (no size to overflow) before any array is built.
-    legs = sum(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(script.waypoints, script.waypoints[1:]))
+    length = sum(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(script.waypoints, script.waypoints[1:]))
     wiggles = sum(action.action == OPEN_AND_CROSS for action in actions.values())
-    seconds = legs / script.step_length_true / script.cadence + sum(pauses.values()) + wiggles * JIGGLE_DURATION
+    seconds = length / script.step_length_true / script.cadence + sum(pauses.values()) + wiggles * JIGGLE_DURATION
     if not seconds * sample_rate <= MAX_WALK_SAMPLES:
         raise InvalidScriptError(f"walk of {seconds:.6g} s at {sample_rate} Hz exceeds {MAX_WALK_SAMPLES} samples")
     dt = 1.0 / sample_rate
@@ -377,13 +377,12 @@ def scenario_suite(
     n_trials: int,
     noise: NoiseModel = NoiseModel(),
     crossing_fraction: float = 1.0,
-    sample_rate: float = 100.0,
-    zone_width: float = CrossingConfig.zone_width,
 ) -> list[tuple[Trace, GroundTruth]]:
     """Independent seeded trials: crossing walks and turn-back walks.
 
     The first round(n_trials * crossing_fraction) trials cross every door of
-    the plan; the rest approach the first door and turn back.
+    the plan; the rest approach the first door and turn back. Every walk
+    takes generate_walk's default sample rate and zone width.
     """
     if not plan.doors:
         raise InvalidParameterError("plan has no doors")
@@ -395,14 +394,5 @@ def scenario_suite(
             script, group = crossing_script(plan), "crossing"
         else:
             script, group = turn_back_script(plan), "turn_back"
-        trials.append(
-            generate_walk(
-                script,
-                trial_noise,
-                sample_rate=sample_rate,
-                doors=plan.doors,
-                zone_width=zone_width,
-                group=group,
-            )
-        )
+        trials.append(generate_walk(script, trial_noise, doors=plan.doors, group=group))
     return trials
