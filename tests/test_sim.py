@@ -122,6 +122,14 @@ class TestGenerateWalk:
         with pytest.raises(InvalidParameterError):
             generate_walk(STRAIGHT, sample_rate=10.0)
 
+    def test_walk_above_the_sample_cap_is_refused(self, monkeypatch):
+        # 3 m in 0.75 m steps at 2 Hz is 2 s; with an 8 s pause the walk is 1000 samples at 100 Hz.
+        monkeypatch.setattr(sim, "MAX_WALK_SAMPLES", 1000)
+        trace, _ = generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(3, 0)), pauses=((0, 8.0),)))
+        assert len(trace) == 1000
+        with pytest.raises(InvalidScriptError, match="walk of 10.01 s at 100.0 Hz exceeds 1000 samples"):
+            generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(3, 0)), pauses=((0, 8.01),)))
+
     def test_turns_recover_exactly(self):
         # Heading integration of the synthesized gyro must reproduce leg headings.
         from seamloc.pdr import PdrConfig, Pose, heading_series, wrap_angle
@@ -383,14 +391,6 @@ class TestPerStepOracle:
         script.write_text("version: 1\nwaypoint: 0 0\nwaypoint: 0.3 0\n")
         assert cli.main(["simulate", "--script", str(script), "--out", str(tmp_path / "o")]) == 6
         assert capsys.readouterr().err.startswith("error[invalid-script]: walk has no samples")
-
-    def test_walk_above_the_sample_cap_is_refused(self, monkeypatch):
-        # 3 m in 0.75 m steps at 2 Hz is 2 s; with an 8 s pause the walk is 1000 samples at 100 Hz.
-        monkeypatch.setattr(sim, "MAX_WALK_SAMPLES", 1000)
-        trace, _ = generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(3, 0)), pauses=((0, 8.0),)))
-        assert len(trace) == 1000
-        with pytest.raises(InvalidScriptError, match="walk of 10.01 s at 100.0 Hz exceeds 1000 samples"):
-            generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(3, 0)), pauses=((0, 8.01),)))
 
     def test_steps_that_vanish_in_rounding_raise_the_same_violation(self):
         # Near 1e17 m doubles are 16 m apart: the first 0.75 m step adds nothing.
