@@ -23,10 +23,18 @@ class InvalidInputError(SeamlocError, ValueError):
 
 
 class InvalidScriptError(SeamlocError, ValueError):
-    """A walk script cannot be realized (degenerate waypoints, bad cadence)."""
+    """A walk script cannot be realized (degenerate waypoints, bad cadence).
+
+    record is (record key, index among that key's records) of the script
+    record the error is about, or None; a loader uses it to name the line.
+    """
 
     category = "invalid-script"
     exit_code = 6
+
+    def __init__(self, message, record=None):
+        super().__init__(message)
+        self.record = record
 
 
 class ParseError(SeamlocError, ValueError):

@@ -80,22 +80,29 @@ def pf_step(
     """Advance the cloud one step and return (updated set, position estimate).
 
     Each particle moves step_length + N(0, step_sigma^2) along
-    heading + N(0, heading_sigma^2). Movements that cross a wall zero the
-    particle's weight; weights renormalize, and systematic resampling fires
-    when the effective sample size drops below the configured fraction.
+    heading + N(0, heading_sigma^2). The 2N normals come from one draw of
+    the set's own stream, lengths first: the same numbers, and the same
+    generator state after the call, as two normal(0, sigma, N) draws.
+    Movements that cross a wall zero the particle's weight; weights
+    renormalize, and systematic resampling fires when the effective sample
+    size drops below the configured fraction.
 
     Raises FilterDivergenceError when every particle crossed a wall; the
     caller re-initializes via pf_init at the last valid estimate.
     """
     n = len(pset)
-    lengths = pdr_cfg.step_length + pset.rng.normal(0.0, cfg.step_sigma, n)
-    headings = heading + pset.rng.normal(0.0, cfg.heading_sigma, n)
-    moved = pset.positions + np.column_stack(
-        [lengths * np.cos(headings), lengths * np.sin(headings)]
-    )
+    z = pset.rng.standard_normal(2 * n)
+    # normal(0, s, n) is 0.0 + s * z, and L + (0.0 + s * z) has the bits of
+    # s * z + (L + 0.0), where L + 0.0 turns a heading of -0.0 into 0.0 and
+    # leaves the step length, which is positive, as it is.
+    lengths = cfg.step_sigma * z[:n] + pdr_cfg.step_length
+    headings = cfg.heading_sigma * z[n:] + (heading + 0.0)
+    moved = np.empty((n, 2))
+    np.multiply(lengths, np.cos(headings), out=moved[:, 0])
+    np.multiply(lengths, np.sin(headings), out=moved[:, 1])
+    moved += pset.positions
 
-    weights = pset.weights.copy()
-    weights[_segments_cross(pset.positions, moved, plan.wall_array())] = 0.0
+    weights = np.where(_segments_cross(pset.positions, moved, plan.wall_array()), 0.0, pset.weights)
 
     total = weights.sum()
     if total <= 0.0:

@@ -145,7 +145,8 @@ _BLOCK_ELEMENTS = 1 << 15
 
 
 def _straddle(wall, steps) -> tuple[np.ndarray, np.ndarray]:
-    """Element-wise (straddle, step on the wall's line) of wall rows x1 y1 x2 y2 dx dy and step rows x0 x1 y0 y1."""
+    """Element-wise (straddle off the wall's line, straddle on it) of wall rows
+    x1 y1 x2 y2 dx dy and step rows x0 x1 y0 y1."""
     (x1, y1, x2, y2, wdx, wdy), (qx0, qx1, qy0, qy1) = wall, steps
     dx, dy = qx1 - qx0, qy1 - qy0
     d1 = wdx * (qy0 - y1) - wdy * (qx0 - x1)
@@ -153,9 +154,11 @@ def _straddle(wall, steps) -> tuple[np.ndarray, np.ndarray]:
     d3 = dx * (y1 - qy0) - dy * (x1 - qx0)
     d4 = dx * (y2 - qy0) - dy * (x2 - qx0)
     # Straddle by signs: a product such as d1 * d2 underflows to 0 for subnormals.
-    straddle = ((d1 <= 0) & (d2 >= 0)) | ((d1 >= 0) & (d2 <= 0))
-    straddle &= ((d3 <= 0) & (d4 >= 0)) | ((d3 >= 0) & (d4 <= 0))
-    return straddle, (d1 == 0) & (d2 == 0)
+    # min <= 0 <= max holds when one is <= 0 and the other >= 0; a NaN fails it.
+    straddle = (np.minimum(d1, d2) <= 0) & (np.maximum(d1, d2) >= 0)
+    straddle &= (np.minimum(d3, d4) <= 0) & (np.maximum(d3, d4) >= 0)
+    collinear = straddle & (d1 == 0) & (d2 == 0)
+    return straddle ^ collinear, collinear
 
 
 def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.ndarray:
@@ -165,12 +168,14 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.nda
     Returns an (N,) bool mask: True where the step segment touches any wall.
 
     Walls whose bounding box misses the box of all steps, padded by
-    _CULL_PAD, are dropped. The boxes of the K kept walls are compared with
-    each step's own padded box in (block, N) blocks of
+    _CULL_PAD, are dropped; when none is left, no step hits and the call
+    returns before it builds any per-step box. The boxes of the K kept walls
+    are compared with each step's own padded box in (block, N) blocks of
     max(1, _BLOCK_ELEMENTS // N) walls. The surviving (wall, step) pairs,
-    gathered in row-major order, run the orientation test. A wall with a
-    step exactly on its line runs the collinear-overlap test against every
-    step, because BLAS rounds a row's dot product by the rows batched with it.
+    gathered in row-major order, run the orientation test. Only in a block
+    where some step lies exactly on a wall's line does each such wall run
+    the collinear-overlap test against every step, because BLAS rounds a
+    row's dot product by the rows batched with it.
     A wall touches a step only where their boxes meet, and the padding is far
     above the rounding of the products, so no box drops a pair that a per-wall
     test reports. Each pair runs the per-wall test's element-wise formulas,
@@ -191,6 +196,8 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.nda
     wall_lo, wall_hi = np.minimum(w[:2], w[2:]), np.maximum(w[:2], w[2:])
     meets = (wall_hi >= lo[:, None]) & (wall_lo <= hi[:, None])
     wall = np.concatenate([w, w[2:] - w[:2], wall_lo, wall_hi])[:, meets[0] & meets[1]]
+    if wall.shape[1] == 0:
+        return hit
     slx, sly = np.minimum(step[0::2], step[1::2]) - _CULL_PAD
     shx, shy = np.maximum(step[0::2], step[1::2]) + _CULL_PAD
     block = max(1, _BLOCK_ELEMENTS // n)
@@ -201,14 +208,15 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.nda
         flat, counts = np.flatnonzero(close), np.count_nonzero(close, axis=1)
         i = flat - np.repeat(np.arange(0, close.size, n), counts)
         pairs = np.repeat(wall[:6, start : start + block], counts, axis=1)
-        straddle, on_line = _straddle(pairs, step.take(i, axis=1))
+        crossing, collinear = _straddle(pairs, step.take(i, axis=1))
         # compress, not a boolean index: it does not branch on each element.
-        hit[np.compress(straddle & ~on_line, i)] = True
-        for c in start + np.unique(np.compress(straddle & on_line, flat) // n):
+        hit[np.compress(crossing, i)] = True
+        if not collinear.any():
+            continue
+        for c in start + np.unique(np.compress(collinear, flat) // n):
             # Collinear: 1D overlap of projections onto the wall, times its squared
             # length (dividing by it fails where it underflows, under ~1e-154 m).
-            cross, on = _straddle(wall[:6, c], step)
-            rows = np.flatnonzero(cross & on)
+            rows = np.flatnonzero(_straddle(wall[:6, c], step)[1])
             wa, wd = wall[:2, c].copy(), wall[4:6, c].copy()
             t0, t1 = (p0[rows] - wa) @ wd, (p1[rows] - wa) @ wd
             hit[rows[(np.maximum(t0, t1) >= 0) & (np.minimum(t0, t1) <= np.dot(wd, wd))]] = True

@@ -18,7 +18,7 @@ import numpy as np
 from . import crossing as crossing_mod
 from .crossing import CrossingConfig, CrossingState, SwitchEvent, build_zone_lookup
 from .errors import FilterDivergenceError, InvalidInputError, InvalidParameterError, InvariantViolation, ParseError
-from .errors import SeamlocError
+from .errors import InvalidScriptError, SeamlocError
 # track calls none of kf_predict, kf_update and mag_heading: perfbench/layers.py wraps these names
 # here, and its traced run fails without them; their per-layer metrics read 0, as kf_run does the work.
 from .filters import KfConfig, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_step
@@ -26,7 +26,7 @@ from .fingerprint import Fingerprint, RadioMap
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
 from .pdr import PdrConfig, Pose, propagate_step, wrap_angle
 from .signal import DoorOpenEvent, SignalConfig, StepEvent, Trace, detect_door_openings, detect_steps, normalized_series
-from .sim import DoorAction, GroundTruth, WalkScript
+from .sim import DoorAction, GroundTruth, WalkScript, uncrossed_change
 
 INDOOR = "indoor"  # the environment tracked by the particle filter; every other one runs the heading KF
 
@@ -478,13 +478,19 @@ def load_truth(path) -> GroundTruth:
         raise ParseError("missing 'initial' record", path=str(path))
     x, y, heading, environment = records["initial"][-1][1]
     steps = [step for _, step in records["step"]]  # index t x y heading environment; the index is not kept
+    environments = tuple(s[5] for s in steps)
+    crossings = tuple(crossing for _, crossing in records["crossing"])
+    i = uncrossed_change(environment, environments, crossings)
+    if i is not None:
+        line = records["step"][i][0]
+        raise ParseError(f"environment changed at step {i} without a crossing", path=str(path), line=line)
     return GroundTruth(
         step_times=np.array([s[1] for s in steps]),
         step_positions=np.array([s[2:4] for s in steps]).reshape(-1, 2),
         step_headings=np.array([s[4] for s in steps]),
-        environments=tuple(s[5] for s in steps),
+        environments=environments,
         door_open_intervals=tuple(interval for _, interval in records["door_open"]),
-        crossings=tuple(crossing for _, crossing in records["crossing"]),
+        crossings=crossings,
         turn_backs=tuple(turn_back for _, turn_back in records["turn_back"]),
         initial_position=Point2(x, y),
         initial_heading=heading,
@@ -500,12 +506,18 @@ def load_walk_script(path):
     # The last record of each setting wins; WalkScript holds the defaults.
     script_fields = {"cadence": "cadence", "step_length": "step_length_true", "start_environment": "start_environment"}
     settings = {name: values[0] for key, name in script_fields.items() for _, values in records[key]}
-    return WalkScript(
-        waypoints=tuple(_build(path, records["waypoint"], Point2)),
-        door_actions=tuple(_build(path, records["door_action"], DoorAction)),
-        pauses=tuple(pause for _, pause in records["pause"]),
-        **settings,
-    )
+    try:
+        return WalkScript(
+            waypoints=tuple(_build(path, records["waypoint"], Point2)),
+            door_actions=tuple(_build(path, records["door_action"], DoorAction)),
+            pauses=tuple(pause for _, pause in records["pause"]),
+            **settings,
+        )
+    except InvalidScriptError as exc:
+        if exc.record is not None:
+            key, k = exc.record
+            exc.args = (f"{path}:{records[key][k][0]}: {exc}",)
+        raise
 
 
 def save_path(log: EventLog, path) -> None:

@@ -65,16 +65,22 @@ class WalkScript:
             raise InvalidScriptError("need at least two waypoints")
         if not (0 < self.cadence < math.inf and 0 < self.step_length_true < math.inf):
             raise InvalidScriptError("cadence and step length must be positive and finite")
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
+        # Each error names the record it is about: a leg by its second waypoint.
+        for i, (a, b) in enumerate(zip(self.waypoints, self.waypoints[1:]), start=1):
             if a.x == b.x and a.y == b.y:
-                raise InvalidScriptError("coincident consecutive waypoints")
+                raise InvalidScriptError("coincident consecutive waypoints", record=("waypoint", i))
             if math.hypot(b.x - a.x, b.y - a.y) == math.inf:
-                raise InvalidScriptError(f"leg from ({a.x}, {a.y}) to ({b.x}, {b.y}) has no finite length")
-        for waypoint in [w for w, _ in self.pauses] + [a.waypoint for a in self.door_actions]:
-            if not 0 <= waypoint < len(self.waypoints):
-                raise InvalidScriptError(f"pause or door action at waypoint {waypoint}: no such waypoint")
-        if not all(0 <= seconds < math.inf for _, seconds in self.pauses):
-            raise InvalidScriptError("pause seconds must be finite and >= 0")
+                raise InvalidScriptError(
+                    f"leg from ({a.x}, {a.y}) to ({b.x}, {b.y}) has no finite length", record=("waypoint", i)
+                )
+        at = {"pause": [w for w, _ in self.pauses], "door_action": [a.waypoint for a in self.door_actions]}
+        for key, waypoints in at.items():
+            for k, waypoint in enumerate(waypoints):
+                if not 0 <= waypoint < len(self.waypoints):
+                    raise InvalidScriptError(f"{key} at waypoint {waypoint}: no such waypoint", record=(key, k))
+        for k, (_, seconds) in enumerate(self.pauses):
+            if not 0 <= seconds < math.inf:
+                raise InvalidScriptError("pause seconds must be finite and >= 0", record=("pause", k))
 
 
 @dataclass(frozen=True)
@@ -95,6 +101,17 @@ class NoiseModel:
 CALIBRATED_NOISE = NoiseModel(accel_sigma=0.05, gyro_sigma=0.005, gyro_bias=0.002, mag_sigma=0.5)
 
 
+def uncrossed_change(initial_environment: str, environments, crossings) -> int | None:
+    """Index of the first step whose environment differs from the one before
+    it with no crossing at that step, or None."""
+    env, cross_steps = initial_environment, {s for s, _ in crossings}
+    for i, e in enumerate(environments):
+        if e != env and i not in cross_steps:
+            return i
+        env = e
+    return None
+
+
 @dataclass
 class GroundTruth:
     step_times: np.ndarray  # (K,)
@@ -113,12 +130,9 @@ class GroundTruth:
         k = len(self.step_times)
         if not (len(self.step_positions) == len(self.step_headings) == len(self.environments) == k):
             raise InvalidParameterError("ground truth arrays differ in length")
-        env = self.initial_environment
-        cross_steps = {s for s, _ in self.crossings}
-        for i, e in enumerate(self.environments):
-            if e != env and i not in cross_steps:
-                raise InvalidParameterError(f"environment changed at step {i} without a crossing")
-            env = e
+        i = uncrossed_change(self.initial_environment, self.environments, self.crossings)
+        if i is not None:
+            raise InvalidParameterError(f"environment changed at step {i} without a crossing")
 
     @property
     def step_count(self) -> int:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seamloc import (
@@ -35,8 +35,10 @@ from seamloc import (
     wrap_angle,
 )
 from seamloc import filters
+from seamloc.filters import ParticleSet
 from seamloc.geometry import _segments_cross
 from seamloc.pdr import heading_series
+from test_geometry import per_wall_oracle
 
 EMPTY_PLAN = FloorPlan(walls=(), doors=())
 
@@ -143,8 +145,6 @@ class TestPfStep:
         # Same run with the reference per-wall test in place of the culled,
         # blocked one; unlike the recorded digest this does not depend on the
         # platform's sin/cos.
-        from test_geometry import per_wall_oracle
-
         fast = _pieced_corridor_run()
         monkeypatch.setattr(filters, "_segments_cross", per_wall_oracle)
         assert _pieced_corridor_run() == fast
@@ -185,6 +185,98 @@ class TestPfStep:
             pf_errs.append(math.hypot(est.x - final.x, est.y - final.y))
             pdr_errs.append(math.hypot(pose.position.x - final.x, pose.position.y - final.y))
         assert np.mean(pf_errs) < np.mean(pdr_errs)
+
+
+def oracle_pf_step(pset, heading, cfg, pdr_cfg, plan):
+    """pf_step as it was written first: two normal draws, the moves joined by
+    np.column_stack, hit weights zeroed by a boolean index, and the per-wall
+    reference test in place of the culled, blocked one."""
+    n = len(pset)
+    lengths = pdr_cfg.step_length + pset.rng.normal(0.0, cfg.step_sigma, n)
+    headings = heading + pset.rng.normal(0.0, cfg.heading_sigma, n)
+    moved = pset.positions + np.column_stack(
+        [lengths * np.cos(headings), lengths * np.sin(headings)]
+    )
+
+    weights = pset.weights.copy()
+    weights[per_wall_oracle(pset.positions, moved, plan.wall_array())] = 0.0
+
+    total = weights.sum()
+    if total <= 0.0:
+        raise FilterDivergenceError("every particle crossed a wall")
+    weights /= total
+    estimate = Point2(float(weights @ moved[:, 0]), float(weights @ moved[:, 1]))
+
+    out = ParticleSet(positions=moved, weights=weights, rng=pset.rng)
+    ess = 1.0 / float(np.sum(weights**2))
+    if ess < cfg.resample_threshold * n:
+        filters._systematic_resample(out)
+    return out, estimate
+
+
+def _plan(*walls):
+    return FloorPlan(walls=tuple(Segment2(Point2(x1, y1), Point2(x2, y2)) for x1, y1, x2, y2 in walls), doors=())
+
+
+# Clouds start around the origin: no wall, a wall beside the cloud, walls
+# whose box misses it, a wall along the x axis (collinear steps when the
+# cloud sits on it), and a pieced corridor of 300 walls.
+PF_PLANS = {
+    "empty": EMPTY_PLAN,
+    "near": _plan((0.6, -5.0, 0.6, 5.0)),
+    "far": _plan((50.0, 50.0, 51.0, 50.0), (-50.0, -50.0, -50.0, -49.0)),
+    "on-axis": _plan((-5.0, 0.0, 5.0, 0.0), (0.5, -5.0, 0.5, 5.0)),
+    "corridor": _plan(*((a, y, a + 0.4, y) for y in (-0.6, 0.6) for a in (0.4 * i - 2.0 for i in range(150)))),
+}
+signed = st.sampled_from([0.0, -0.0, math.pi, -math.pi])
+pf_sigma = st.one_of(st.just(0.0), st.sampled_from([0.087, 0.1]), st.floats(0.0, 2.0))
+
+
+class TestPfStepBitExact:
+    """pf_step against oracle_pf_step: positions, weights, estimate and the
+    generator state after the call agree bit for bit."""
+
+    @staticmethod
+    def run(step, seed, n, spread, center, weights, heading, cfg, pdr_cfg, plan):
+        rng = np.random.default_rng(seed)
+        positions = center + spread * rng.standard_normal((n, 2))
+        w = np.ones(n)
+        if weights == "random":
+            w = rng.random(n) * (rng.random(n) >= 0.3)
+            w[0] = 1.0  # at least one live particle
+        w /= w.sum()
+        pset = ParticleSet(positions=positions, weights=w, rng=np.random.default_rng([seed, 1]))
+        try:
+            out, est = step(pset, heading, cfg, pdr_cfg, plan)
+        except FilterDivergenceError:
+            return "diverged", pset.rng.bit_generator.state
+        bits = (out.positions.tobytes(), out.weights.tobytes(), est.x.hex(), est.y.hex())
+        return (out.positions.shape, out.weights.shape, bits), out.rng.bit_generator.state
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        n=st.one_of(st.integers(1, 8), st.integers(1, 2000)),
+        spread=st.sampled_from([0.0, 0.3]),
+        center=st.sampled_from([(0.0, 0.0), (-0.0, -0.0), (0.25, -0.0)]),
+        weights=st.sampled_from(["uniform", "random"]),
+        heading=st.one_of(signed, st.floats(-4.0, 4.0)),
+        step_sigma=pf_sigma,
+        heading_sigma=pf_sigma,
+        step_length=st.sampled_from([0.75, 0.6]),
+        plan=st.sampled_from(sorted(PF_PLANS)),
+    )
+    # No noise at all: every particle at -0.0, moving along a -0.0 heading.
+    @example(seed=0, n=5, spread=0.0, center=(-0.0, -0.0), weights="uniform", heading=-0.0,
+             step_sigma=0.0, heading_sigma=0.0, step_length=0.75, plan="empty")
+    @example(seed=3, n=1000, spread=0.0, center=(0.0, 0.0), weights="random", heading=math.pi,
+             step_sigma=0.0, heading_sigma=0.0, step_length=0.75, plan="on-axis")
+    @example(seed=4, n=2000, spread=0.3, center=(0.0, 0.0), weights="random", heading=0.0,
+             step_sigma=0.1, heading_sigma=0.087, step_length=0.75, plan="corridor")
+    def test_matches_oracle(self, seed, n, spread, center, weights, heading, step_sigma, heading_sigma, step_length, plan):
+        cfg = PfConfig(particle_count=n, step_sigma=step_sigma, heading_sigma=heading_sigma)
+        args = (seed, n, spread, np.array(center), weights, heading, cfg, PdrConfig(step_length=step_length), PF_PLANS[plan])
+        assert self.run(pf_step, *args) == self.run(oracle_pf_step, *args)
 
 
 class TestMagHeading:

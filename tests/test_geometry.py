@@ -278,8 +278,21 @@ class TestSegmentsCrossOracle:
     @given(cloud, wall_rows)
     # A subnormal wall beside a zero-length step: d1 * d2 underflows to 0 there.
     @example((np.zeros((1, 2)), np.zeros((1, 2))), np.array([[0.5, 0.0, 0.5, 2.2250738585072014e-308]]))
+    # The cloud's box meets no wall: the call returns before any per-step box.
+    @example((np.array([[0.0, 0.0], [1.0, -1.0]]), np.array([[1.0, 1.0], [-1.0, 0.5]])), np.array([[4.0, -4.0, 4.0, 4.0], [-3.0, 2.0, 3.0, 2.0]]))
     def test_random_clouds_match_oracle(self, steps, walls):
         assert_same_mask(steps[0], steps[1], walls)
+
+    def test_collinear_and_crossing_pairs_in_one_block(self):
+        # Step 0 overlaps wall 0 along its line, step 1 crosses both walls,
+        # step 2 lies on wall 0's line beyond it and step 3 touches nothing.
+        p0 = np.array([[-1.0, 0.0], [0.5, -1.0], [2.5, 0.0], [1.5, 0.5]])
+        p1 = np.array([[0.5, 0.0], [0.5, 1.0], [3.0, 0.0], [1.5, 0.8]])
+        walls = np.array([[0.0, 0.0, 2.0, 0.0], [0.25, -1.0, 0.75, 1.0]])
+        assert assert_same_mask(p0, p1, walls).tolist() == [True, True, False, False]
+        # One wall per block: the collinear pass runs in the first block only.
+        with mock.patch.object(geometry, "_BLOCK_ELEMENTS", 4):
+            assert assert_same_mask(p0, p1, walls).tolist() == [True, True, False, False]
 
     @settings(max_examples=100, deadline=None)
     @given(wall_rows, st.data())

@@ -908,19 +908,27 @@ RECORD_ERRORS = [
     (load_radiomap, "point: 0 0 ap1=5", InvariantViolation, "fingerprint-dbm-range: ap1: 5.0 dBm"),
     (load_walk_script, "waypoint: nan 0", InvariantViolation, "point-finite: (nan, 0.0)"),
     (load_walk_script, "door_action: 1 doorA fly", InvalidParameterError, "unknown door action 'fly'"),
+    # Whole-script rules name the second waypoint of a leg, or the pause or door action.
+    (load_walk_script, "waypoint: 5 0\nwaypoint: 5 0", errors.InvalidScriptError, "coincident consecutive waypoints"),
+    (load_walk_script, "waypoint: 1.7e308 0\nwaypoint: -1.7e308 0", errors.InvalidScriptError, "leg from (1.7e+308, 0.0)"),
+    (load_walk_script, "pause: 7 1.0", errors.InvalidScriptError, "pause at waypoint 7: no such waypoint"),
+    (load_walk_script, "pause: 0 -1", errors.InvalidScriptError, "pause seconds must be finite and >= 0"),
+    (load_walk_script, "door_action: -1 doorA open-and-cross", errors.InvalidScriptError, "door_action at waypoint -1"),
+    (load_truth, "step: 0 0.1 0.75 0 0 outdoor", ParseError, "environment changed at step 0 without a crossing"),
 ]
+# Records after the bad one: a walk script needs two good waypoints, a truth file its start.
+RECORD_TAILS = {load_walk_script: "waypoint: 0 0\nwaypoint: 5 0\n", load_truth: "initial: 0 0 0 indoor\n"}
 
 
 @pytest.mark.parametrize("load, record, error, message", RECORD_ERRORS, ids=[r[1] for r in RECORD_ERRORS])
 def test_record_error_names_its_file_and_line(tmp_path, load, record, error, message):
-    # Line 3 holds the bad record; a walk script needs two good waypoints after it.
+    # The bad record starts on line 3 and is the last line of `record`.
     path = tmp_path / "records.txt"
-    tail = "waypoint: 0 0\nwaypoint: 5 0\n" if load is load_walk_script else ""
-    path.write_text(f"version: 1\n# a comment\n{record}\n{tail}")
+    path.write_text(f"version: 1\n# a comment\n{record}\n{RECORD_TAILS.get(load, '')}")
     with pytest.raises(errors.SeamlocError) as got:
         load(path)
     assert type(got.value) is error
-    assert str(got.value).startswith(f"{path}:3: {message}")
+    assert str(got.value).startswith(f"{path}:{3 + record.count(chr(10))}: {message}")
 
 
 BAD_CONFIGS = [
