@@ -136,27 +136,25 @@ class KfConfig:
             raise InvalidParameterError("noise terms must be positive")
 
 
-def kf_init(heading: float, heading_var: float = 0.25, bias_var: float = 0.0025) -> HeadingKfState:
-    """Kalman state at a known heading with default prior uncertainty."""
-    return HeadingKfState(
-        heading=wrap_angle(heading),
-        gyro_bias=0.0,
-        covariance=np.diag([heading_var, bias_var]),
-    )
+def kf_init(heading: float) -> HeadingKfState:
+    """Kalman state at a known heading, zero gyro bias, and prior covariance
+    diag(0.25 rad^2, 0.0025 (rad/s)^2)."""
+    return HeadingKfState(heading=wrap_angle(heading), gyro_bias=0.0, covariance=np.diag([0.25, 0.0025]))
 
 
 def mag_headings(mag_xy, declination: float) -> list[float | None]:
     """wrap_angle(atan2(-my, mx) + declination) of each (mx, my) row, or None
-    under 1 microtesla of horizontal field. math.atan2 and math.hypot, unlike
-    their numpy forms, give the scalar formula's bits; only entries outside
-    (-pi, pi] pay a wrap_angle call."""
+    under 1 microtesla of horizontal field or where that heading is NaN.
+    math.atan2 and math.hypot, unlike their numpy forms, give the scalar
+    formula's bits; only entries outside (-pi, pi] pay a wrap_angle call."""
     m = np.asarray(mag_xy, dtype=float).reshape(-1, 2)
     mx, my, n = m[:, 0].tolist(), m[:, 1].tolist(), len(m)
     z = np.fromiter(map(math.atan2, (-m[:, 1]).tolist(), mx), float, n) + declination
     out = ~((z > -math.pi) & (z <= math.pi))
     z[out] = list(map(wrap_angle, z[out].tolist()))
+    unusable = (np.fromiter(map(math.hypot, mx, my), float, n) < 1.0) | np.isnan(z)
     z = z.tolist()
-    for i in np.flatnonzero(np.fromiter(map(math.hypot, mx, my), float, n) < 1.0).tolist():
+    for i in np.flatnonzero(unusable).tolist():
         z[i] = None
     return z
 

@@ -11,6 +11,14 @@ from .geometry import Point2
 MODES = ("NN", "KNN", "WKNN")
 
 
+def dbm_reading(tx: str, dbm: float) -> tuple[str, float]:
+    """(tx, dbm) of a reading in [-120, 0] dBm, the rule of map and observation
+    alike; NaN and infinities fail it."""
+    if not -120.0 <= dbm <= 0.0:
+        raise InvariantViolation("fingerprint-dbm-range", f"{tx}: {dbm} dBm outside [-120, 0]")
+    return tx, dbm
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     position: Point2
@@ -19,9 +27,8 @@ class Fingerprint:
     def __post_init__(self):
         if not self.rss:
             raise InvariantViolation("fingerprint-nonempty", "no RSS entries")
-        for tx, dbm in self.rss.items():
-            if not -120.0 <= dbm <= 0.0:
-                raise InvariantViolation("fingerprint-dbm-range", f"{tx}: {dbm} dBm outside [-120, 0]")
+        for reading in self.rss.items():
+            dbm_reading(*reading)
 
 
 @dataclass(frozen=True)
@@ -52,6 +59,8 @@ class WknnConfig:
             raise InvalidParameterError(f"k must be >= 1, got {self.k}")
         if self.mode not in MODES:
             raise InvalidParameterError(f"mode must be one of {MODES}")
+        if not -120.0 <= self.missing_rss_floor <= 0.0:
+            raise InvalidParameterError(f"missing_rss_floor must be in [-120, 0] dBm, got {self.missing_rss_floor}")
 
 
 def rss_distance(
@@ -78,8 +87,11 @@ def estimate_position(observed: dict[str, float], radio_map: RadioMap, cfg: Wknn
     weights 1/d (WKNN) or 1 (KNN), the rest weight zero, and the estimate is
     the weighted mean of their positions. NN forces K = 1. Ties at the K-th
     rank break by ascending insertion index. An exact RSS match (d = 0 among
-    the nearest) returns that reference position directly.
+    the nearest) returns that reference position directly. Observed readings
+    follow the radio map's dBm rule, so every distance and weight is finite.
     """
+    for reading in observed.items():
+        dbm_reading(*reading)
     m = len(radio_map.entries)
     k = 1 if cfg.mode == "NN" else cfg.k
     if k > m:

@@ -1,7 +1,8 @@
 """Planar geometry: points, segments, crossing zones, wall tests.
 
-Everything is double precision in a local Cartesian frame (meters), with a
-1e-9 m tolerance on inclusion tests.
+Everything is double precision in a local Cartesian frame (meters). Whether
+a step touches a segment, a door's zone or a wall, is decided by one rule:
+the exact orientation signs of _straddle, with no tolerance.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, InvariantViolation
-
-TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -35,13 +34,6 @@ class Segment2:
         if self.a.x == self.b.x and self.a.y == self.b.y:
             raise InvariantViolation("segment-positive-length", f"degenerate at {self.a}")
 
-    @property
-    def length(self) -> float:
-        return math.hypot(self.b.x - self.a.x, self.b.y - self.a.y)
-
-    def midpoint(self) -> Point2:
-        return Point2(0.5 * (self.a.x + self.b.x), 0.5 * (self.a.y + self.b.y))
-
 
 @dataclass(frozen=True)
 class Door:
@@ -53,7 +45,7 @@ class Door:
 
     def __post_init__(self):
         norm = math.hypot(*self.tangent)
-        if abs(norm - 1.0) > TOL:
+        if abs(norm - 1.0) > 1e-9:
             raise InvariantViolation("door-tangent-unit", f"door {self.id}: |tangent| = {norm}")
         if self.inner_env == self.outer_env:
             raise InvariantViolation("door-distinct-env", f"door {self.id}: both sides {self.inner_env!r}")
@@ -71,6 +63,10 @@ class FloorPlan:
     start_position: Point2 | None = None
     start_heading: float | None = None
     start_environment: str | None = None
+
+    def __post_init__(self):
+        if self.start_heading is not None and not math.isfinite(self.start_heading):
+            raise InvariantViolation("heading-finite", f"start heading {self.start_heading}")
 
     def wall_array(self) -> np.ndarray:
         """Walls as an (M, 4) array of x1, y1, x2, y2 rows.
@@ -91,35 +87,37 @@ def distance(p: Point2, q: Point2) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def _within_segment(p: Point2, seg: Segment2, tol: float = TOL) -> bool:
-    # Metric check along the segment axis; p is already on the supporting line.
-    dx, dy = seg.b.x - seg.a.x, seg.b.y - seg.a.y
-    length = math.hypot(dx, dy)
-    s = ((p.x - seg.a.x) * dx + (p.y - seg.a.y) * dy) / length
-    return -tol <= s <= length + tol
-
-
 def segment_intersection(l1: Segment2, l2: Segment2) -> Point2 | None:
     """Intersection point of two segments, or None.
 
-    Evaluates the determinant form of the two-point line intersection for the
-    supporting lines, then keeps the point only if it lies within both
-    segments (inclusive, 1e-9 m). Parallel and collinear pairs yield None.
+    Decides as the particle filter's wall test, _segments_cross, does, with l1
+    as the wall and l2 as the step and no tolerance: an end exactly on the
+    other segment touches it, one 1e-10 m short does not. Pairs whose boxes,
+    padded by _CULL_PAD, do not meet miss at once; the rest touch where
+    _straddle finds them straddling off the wall's line. The point is the
+    determinant form of the two-point line intersection. Parallel and
+    collinear pairs yield None.
     """
     x1, y1, x2, y2 = l1.a.x, l1.a.y, l1.b.x, l1.b.y
     x3, y3, x4, y4 = l2.a.x, l2.a.y, l2.b.x, l2.b.y
     den = (x1 - x2) * (y3 - y4) - (y1 - y2) * (x3 - x4)
     if den == 0.0:
         return None
+    if (
+        max(x1, x2) < min(x3, x4) - _CULL_PAD
+        or min(x1, x2) > max(x3, x4) + _CULL_PAD
+        or max(y1, y2) < min(y3, y4) - _CULL_PAD
+        or min(y1, y2) > max(y3, y4) + _CULL_PAD
+    ):
+        return None
+    if not _straddle((x1, y1, x2, y2, x2 - x1, y2 - y1), (x3, x4, y3, y4))[0]:
+        return None
     det12 = x1 * y2 - y1 * x2
     det34 = x3 * y4 - y3 * x4
-    p = Point2(
+    return Point2(
         (det12 * (x3 - x4) - (x1 - x2) * det34) / den,
         (det12 * (y3 - y4) - (y1 - y2) * det34) / den,
     )
-    if _within_segment(p, l1) and _within_segment(p, l2):
-        return p
-    return None
 
 
 def zone_for_door(door: Door, width: float) -> Segment2:

@@ -22,7 +22,7 @@ from .errors import InvalidScriptError, SeamlocError
 # track calls none of kf_predict, kf_update and mag_heading: perfbench/layers.py wraps these names
 # here, and its traced run fails without them; their per-layer metrics read 0, as kf_run does the work.
 from .filters import KfConfig, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_step
-from .fingerprint import Fingerprint, RadioMap
+from .fingerprint import Fingerprint, RadioMap, dbm_reading
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
 from .pdr import PdrConfig, Pose, propagate_step, wrap_angle
 from .signal import DoorOpenEvent, SignalConfig, StepEvent, Trace, detect_door_openings, detect_steps, normalized_series
@@ -437,8 +437,8 @@ def load_floorplan(path) -> FloorPlan:
     records = _read(path, _FLOORPLAN)
     doors = tuple(_build(path, records["door"], _door))
     walls = tuple(_build(path, records["wall"], lambda x1, y1, x2, y2: Segment2(Point2(x1, y1), Point2(x2, y2))))
-    start = _build(path, records["start"][-1:], lambda x, y, heading, environment: (Point2(x, y), heading, environment))
-    return FloorPlan(walls, doors, *(start[0] if start else ()))
+    plan = _build(path, records["start"][-1:], lambda x, y, *rest: FloorPlan(walls, doors, Point2(x, y), *rest))
+    return plan[0] if plan else FloorPlan(walls, doors)
 
 
 def save_radiomap(radio_map: RadioMap, path) -> None:
@@ -453,7 +453,7 @@ def load_radiomap(path) -> RadioMap:
 
 def load_observation(path) -> dict[str, float]:
     """RSS observation file: one ``transmitter dbm`` pair per line."""
-    rss = dict(pair for _, pair in _read(path, _OBSERVATION, head=None)[None])
+    rss = dict(_build(path, _read(path, _OBSERVATION, head=None)[None], dbm_reading))
     if not rss:
         raise InvalidInputError(f"{path}: no RSS readings")
     return rss
@@ -476,8 +476,9 @@ def load_truth(path) -> GroundTruth:
     records = _read(path, _TRUTH)
     if not records["initial"]:
         raise ParseError("missing 'initial' record", path=str(path))
-    x, y, heading, environment = records["initial"][-1][1]
+    ((start, heading, environment),) = _build(path, records["initial"][-1:], lambda x, y, *rest: (Point2(x, y), *rest))
     steps = [step for _, step in records["step"]]  # index t x y heading environment; the index is not kept
+    _build(path, records["step"], lambda _i, _t, x, y, *_: Point2(x, y))  # a step's position must be finite
     environments = tuple(s[5] for s in steps)
     crossings = tuple(crossing for _, crossing in records["crossing"])
     i = uncrossed_change(environment, environments, crossings)
@@ -492,7 +493,7 @@ def load_truth(path) -> GroundTruth:
         door_open_intervals=tuple(interval for _, interval in records["door_open"]),
         crossings=crossings,
         turn_backs=tuple(turn_back for _, turn_back in records["turn_back"]),
-        initial_position=Point2(x, y),
+        initial_position=start,
         initial_heading=heading,
         initial_environment=environment,
         group=" ".join(records["group"][-1][1]) if records["group"] else "",
@@ -545,11 +546,12 @@ def load_trial(events_path, path_path) -> EventLog:
     return EventLog(
         steps=[StepEvent(index=index, t=t, peak=0.0) for _, (index, t) in events["step"]],
         door_opens=[DoorOpenEvent(t_start=t0, t_end=t1, zero_crossings=z) for _, (t0, t1, z) in events["door_open"]],
-        switches=[
-            SwitchEvent(step_index=k, door_id=door, crossing_point=Point2(x, y), from_env=src, to_env=dst)
-            for _, (k, _t, door, x, y, src, dst) in events["switch"]
-        ],
-        poses=[Pose(Point2(x, y), heading) for _, (_step, _t, x, y, heading, _env) in rows],
+        switches=_build(
+            events_path,
+            events["switch"],
+            lambda k, _t, door, x, y, src, dst: SwitchEvent(k, door, Point2(x, y), src, dst),
+        ),
+        poses=_build(path_path, rows, lambda _step, _t, x, y, heading, _env: Pose(Point2(x, y), heading)),
         environments=[env for _, (*_, env) in rows],
     )
 

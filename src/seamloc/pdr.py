@@ -15,11 +15,11 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(angle: float) -> float:
-    """Wrap to (-pi, pi]; angles already in range pass through unchanged."""
+    """Wrap to (-pi, pi]; angles already in range pass through unchanged, and NaN or infinity gives NaN."""
     if -math.pi < angle <= math.pi:
         return angle
     wrapped = math.pi - (math.pi - angle) % TWO_PI
-    return wrapped if wrapped > -math.pi else math.pi  # the modulo rounds up to 2 pi just above pi
+    return wrapped if not wrapped <= -math.pi else math.pi  # the modulo rounds up to 2 pi just above pi
 
 
 @dataclass(frozen=True)

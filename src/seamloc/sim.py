@@ -304,36 +304,23 @@ def generate_walk(
     return trace, truth
 
 
+# Two buildings joined by an outdoor stretch: A spans x in [0, 10], B x in
+# [20, 30], both y in [0, 8]; each has a 0.9 m doorway centered at y = 4 on
+# the facing wall. One x1 y1 x2 y2 row per wall piece.
+_TWO_BUILDING_WALLS = (
+    (0.0, 0.0, 10.0, 0.0), (10.0, 0.0, 10.0, 3.55), (10.0, 4.45, 10.0, 8.0), (10.0, 8.0, 0.0, 8.0), (0.0, 8.0, 0.0, 0.0),
+    (20.0, 0.0, 30.0, 0.0), (30.0, 0.0, 30.0, 8.0), (30.0, 8.0, 20.0, 8.0), (20.0, 0.0, 20.0, 3.55), (20.0, 4.45, 20.0, 8.0),
+)
+
+
 def two_building_plan() -> FloorPlan:
-    """Canonical fixture: two buildings joined by an outdoor stretch.
-
-    Building A spans x in [0, 10], building B x in [20, 30], both y in
-    [0, 8]; each has a 0.9 m doorway centered at y = 4 on the facing wall.
-    """
-    def rect_with_gap(x0, x1, y0, y1, gap_wall: str):
-        gap_lo, gap_hi = 4.0 - 0.45, 4.0 + 0.45
-        segs = []
-        for (ax, ay, bx, by), name in (
-            ((x0, y0, x1, y0), "south"),
-            ((x1, y0, x1, y1), "east"),
-            ((x1, y1, x0, y1), "north"),
-            ((x0, y1, x0, y0), "west"),
-        ):
-            if name == gap_wall:
-                x = ax  # vertical wall
-                segs.append(Segment2(Point2(x, y0), Point2(x, gap_lo)))
-                segs.append(Segment2(Point2(x, gap_hi), Point2(x, y1)))
-            else:
-                segs.append(Segment2(Point2(ax, ay), Point2(bx, by)))
-        return segs
-
-    walls = tuple(rect_with_gap(0.0, 10.0, 0.0, 8.0, "east") + rect_with_gap(20.0, 30.0, 0.0, 8.0, "west"))
+    """Canonical fixture: the two buildings above, doors doorA and doorB, start inside A."""
     doors = (
         Door(id="doorA", center=Point2(10.0, 4.0), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor"),
         Door(id="doorB", center=Point2(20.0, 4.0), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor"),
     )
     return FloorPlan(
-        walls=walls,
+        walls=tuple(Segment2(Point2(x1, y1), Point2(x2, y2)) for x1, y1, x2, y2 in _TWO_BUILDING_WALLS),
         doors=doors,
         start_position=Point2(4.6, 4.0),
         start_heading=0.0,
@@ -341,29 +328,25 @@ def two_building_plan() -> FloorPlan:
     )
 
 
-def _door_normal_toward(door: Door, point: np.ndarray) -> np.ndarray:
-    """Unit normal of the door wall pointing toward the given side."""
+def _beside(door: Door, cursor: Point2, d: float) -> Point2:
+    """The point d from the door's centre along the door wall's normal, on the
+    cursor's side; a negative d lands on the other side."""
     tx, ty = door.tangent
-    normal = np.array([ty, -tx])
-    offset = point - np.array([door.center.x, door.center.y])
-    return normal if float(offset @ normal) >= 0 else -normal
+    nx, ny = ty, -tx
+    if (cursor.x - door.center.x) * nx + (cursor.y - door.center.y) * ny < 0:
+        nx, ny = -nx, -ny
+    return Point2(door.center.x + d * nx, door.center.y + d * ny)
 
 
 def crossing_script(plan: FloorPlan, approach: float = 0.7, depart: float = 3.05) -> WalkScript:
     """Walk from the plan's start through every door in order."""
-    start = plan.start_position
-    waypoints = [start]
+    waypoints = [plan.start_position]
     actions = []
-    cursor = np.array([start.x, start.y])
     for door in plan.doors:
-        normal = _door_normal_toward(door, cursor)
-        center = np.array([door.center.x, door.center.y])
-        front = center + approach * normal
-        back = center - depart * normal
-        waypoints.append(Point2(float(front[0]), float(front[1])))
+        cursor = waypoints[-1]
+        waypoints.append(_beside(door, cursor, approach))
         actions.append(DoorAction(waypoint=len(waypoints) - 1, door_id=door.id, action=OPEN_AND_CROSS))
-        waypoints.append(Point2(float(back[0]), float(back[1])))
-        cursor = back
+        waypoints.append(_beside(door, cursor, -depart))
     return WalkScript(
         waypoints=tuple(waypoints),
         door_actions=tuple(actions),
@@ -373,14 +356,9 @@ def crossing_script(plan: FloorPlan, approach: float = 0.7, depart: float = 3.05
 
 def turn_back_script(plan: FloorPlan, approach: float = 1.45) -> WalkScript:
     """Walk toward the first door, reverse just in front of it, return."""
-    start = plan.start_position
-    door = plan.doors[0]
-    cursor = np.array([start.x, start.y])
-    normal = _door_normal_toward(door, cursor)
-    center = np.array([door.center.x, door.center.y])
-    front = center + approach * normal
+    start, door = plan.start_position, plan.doors[0]
     return WalkScript(
-        waypoints=(start, Point2(float(front[0]), float(front[1])), start),
+        waypoints=(start, _beside(door, start, approach), start),
         door_actions=(DoorAction(waypoint=1, door_id=door.id, action=TURN_BACK),),
         start_environment=plan.start_environment or "indoor",
     )

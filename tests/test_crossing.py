@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -151,9 +153,10 @@ class TestObserveStep:
         _, ev = observe_step(state, 2, *crossing_segment(), False, CFG, ZONES)
         zone = ZONES["front"][1]
         dx, dy = zone.b.x - zone.a.x, zone.b.y - zone.a.y
+        length = math.hypot(dx, dy)
         t = ((ev.crossing_point.x - zone.a.x) * dx + (ev.crossing_point.y - zone.a.y) * dy) / (dx * dx + dy * dy)
-        assert -1e-9 <= t * zone.length <= zone.length + 1e-9
-        off = abs((ev.crossing_point.x - zone.a.x) * dy - (ev.crossing_point.y - zone.a.y) * dx) / zone.length
+        assert -1e-9 <= t * length <= length + 1e-9
+        off = abs((ev.crossing_point.x - zone.a.x) * dy - (ev.crossing_point.y - zone.a.y) * dx) / length
         assert off < 1e-9
 
     def test_stale_door_open_pruned(self):

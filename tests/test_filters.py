@@ -580,7 +580,7 @@ def scalar_update(h, b, p00, p01, p11, z, r):
 
 
 def scalar_mag_z(mx, my, declination):
-    if math.hypot(mx, my) < 1.0:
+    if math.hypot(mx, my) < 1.0 or math.isnan(mx) or math.isnan(my):
         return None
     return wrap_angle(math.atan2(-my, mx) + declination)
 

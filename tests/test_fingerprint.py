@@ -171,3 +171,24 @@ class TestTypes:
     def test_radiomap_nonempty(self):
         with pytest.raises(InvariantViolation):
             RadioMap(entries=())
+
+
+class TestDbmRule:
+    """Observations and the missing-reading floor follow the radio map's [-120, 0] dBm rule."""
+
+    rm = RadioMap(entries=(Fingerprint(Point2(0, 0), {"ap1": -50.0}), Fingerprint(Point2(2, 0), {"ap1": -56.0})))
+
+    @pytest.mark.parametrize("dbm", [math.inf, -math.inf, math.nan, 1e200, -1e200, 0.5, -120.5])
+    def test_observed_reading_outside_the_rule_is_refused(self, dbm):
+        with pytest.raises(InvariantViolation):
+            estimate_position({"ap1": dbm}, self.rm, WknnConfig(k=2))
+
+    @pytest.mark.parametrize("floor", [math.inf, math.nan, 1e200, -1e200, 0.5, -120.5])
+    def test_floor_outside_the_rule_is_refused(self, floor):
+        with pytest.raises(InvalidParameterError):
+            WknnConfig(k=2, missing_rss_floor=floor)
+
+    @pytest.mark.parametrize("dbm", [-120.0, 0.0])
+    def test_range_ends_give_a_finite_estimate(self, dbm):
+        est = estimate_position({"ap2": dbm}, self.rm, WknnConfig(k=2, missing_rss_floor=-120.0 - dbm))
+        assert math.isfinite(est.x) and math.isfinite(est.y)

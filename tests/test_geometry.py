@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -136,7 +136,8 @@ class TestSegmentIntersection:
             for seg in (l1, l2):
                 dx, dy = seg.b.x - seg.a.x, seg.b.y - seg.a.y
                 t = ((p.x - seg.a.x) * dx + (p.y - seg.a.y) * dy) / (dx * dx + dy * dy)
-                assert -1e-9 <= t * seg.length <= seg.length + 1e-9
+                length = math.hypot(dx, dy)
+                assert -1e-9 <= t * length <= length + 1e-9
 
 
 class TestZoneForDoor:
@@ -166,9 +167,9 @@ class TestZoneForDoor:
                 inner_env="a", outer_env="b",
             )
             zone = zone_for_door(door, width)
-            mid = zone.midpoint()
-            assert math.hypot(mid.x - cx, mid.y - cy) < 1e-9
-            assert abs(zone.length - width) < 1e-9
+            mid_x, mid_y = 0.5 * (zone.a.x + zone.b.x), 0.5 * (zone.a.y + zone.b.y)
+            assert math.hypot(mid_x - cx, mid_y - cy) < 1e-9
+            assert abs(math.hypot(zone.b.x - zone.a.x, zone.b.y - zone.a.y) - width) < 1e-9
 
 
 def step_hits_walls(step, plan):
@@ -526,3 +527,58 @@ class TestWallArray:
         self.plan.wall_array()
         assert twin == self.plan and hash(twin) == hash(self.plan)
         assert "_wall_array" not in repr(self.plan)
+
+
+def on_line(seg, t):
+    """The point a + t (b - a) of seg's line; exact for grid ends and dyadic t."""
+    return Point2(seg.a.x + t * (seg.b.x - seg.a.x), seg.a.y + t * (seg.b.y - seg.a.y))
+
+
+def segments(ends):
+    return ends.filter(lambda e: e[:2] != e[2:]).map(lambda e: Segment2(Point2(*e[:2]), Point2(*e[2:])))
+
+
+segment = segments(st.tuples(coord, coord, coord, coord))
+# Vertical and horizontal segments on the half-metre grid.
+grid = st.integers(-8, 8).map(lambda k: 0.5 * k)
+axis_segment = st.one_of(
+    segments(st.tuples(grid, grid, grid).map(lambda v: (v[0], v[1], v[0], v[2]))),
+    segments(st.tuples(grid, grid, grid).map(lambda v: (v[1], v[0], v[2], v[0]))),
+)
+dyadic = st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def touching_pairs(draw):
+    """(zone, step) with an end of one exactly on the other's line, or both axis-aligned, or free."""
+    kind = draw(st.sampled_from(["step end on zone line", "zone end on step line", "axis", "free"]))
+    if kind == "axis":
+        return draw(axis_segment), draw(axis_segment)
+    zone, step = draw(segment), draw(segment)
+    end = on_line(zone, draw(dyadic)) if kind == "step end on zone line" else on_line(step, draw(dyadic))
+    if kind == "step end on zone line" and (end.x, end.y) != (step.b.x, step.b.y):
+        step = Segment2(step.b, end) if draw(st.booleans()) else Segment2(end, step.b)
+    elif kind == "zone end on step line" and (end.x, end.y) != (zone.b.x, zone.b.y):
+        zone = Segment2(zone.b, end)
+    return zone, step
+
+
+class TestOneTouchRule:
+    """segment_intersection and the particle filter's wall test agree on every pair off one line."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(touching_pairs())
+    # A step ending 1e-10 m short of the zone touches neither.
+    @example((Segment2(Point2(10.0, 1.5), Point2(10.0, 6.5)), Segment2(Point2(9.0, 4.0), Point2(10.0 - 1e-10, 4.0))))
+    # A step ending exactly on the zone touches both.
+    @example((Segment2(Point2(10.0, 1.5), Point2(10.0, 6.5)), Segment2(Point2(9.0, 4.0), Point2(10.0, 4.0))))
+    def test_zone_test_matches_wall_test(self, pair):
+        # Collinear here: the lines' determinant is 0 (segment_intersection has
+        # no point then) or both step ends lie on the zone's line.
+        zone, step = pair
+        wdx, wdy = zone.b.x - zone.a.x, zone.b.y - zone.a.y
+        sdx, sdy = step.b.x - step.a.x, step.b.y - step.a.y
+        on_zone_line = [wdx * (p.y - zone.a.y) - wdy * (p.x - zone.a.x) == 0 for p in (step.a, step.b)]
+        assume(wdx * sdy - wdy * sdx != 0 and not all(on_zone_line))
+        touches = segment_intersection(zone, step) is not None
+        assert touches == step_hits_walls(step, FloorPlan(walls=(zone,), doors=()))

@@ -583,6 +583,17 @@ class TestCli:
         x, y = (float(v) for v in out.split())
         assert x == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("reading", ["inf", "1e200", "-1e200", "nan"])
+    def test_locate_reading_outside_the_dbm_rule_names_its_line(self, cli_run, tmp_path, capsys, reading):
+        # Every WKNN weight was 0 here, and the sum of weights divided by zero.
+        obs = tmp_path / "obs.txt"
+        obs.write_text(f"ap1 -53.0\nap1 {reading}\n")
+        cfg = tmp_path / "k1.json"
+        cfg.write_text('{"wknn": {"k": 1}}')
+        args = ["locate", "--observation", str(obs), "--radiomap", str(cli_run / "rm.txt"), "--config", str(cfg)]
+        assert cli.main(args) == 4
+        assert capsys.readouterr().err.startswith(f"error[invariant]: {obs}:2: fingerprint-dbm-range: ap1: ")
+
     def test_track_config_leaves_out_noise_and_wknn(self, tmp_path):
         from seamloc import InvalidParameterError, PfConfig
 
@@ -900,12 +911,33 @@ def test_simulate_non_finite_script_value_is_invalid_script(tmp_path, row):
     assert "error[invalid-script]" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def load_path_rows(path):
+    """load_trial of a path file beside an events file with no records."""
+    events = path.with_name("beside.events.csv")
+    events.write_text(f"{harness.EVENTS_HEADER}\n")
+    return load_trial(events, path)
+
+
+def load_event_rows(path):
+    """load_trial of an events file beside a path file with no rows."""
+    rows = path.with_name("beside.path.csv")
+    rows.write_text(f"{harness.PATH_HEADER}\n")
+    return load_trial(path, rows)
+
+
 RECORD_ERRORS = [
     (load_floorplan, "wall: 0 0 0 0", InvariantViolation, "segment-positive-length: degenerate at"),
     (load_floorplan, "door: d 0 0 0 1 indoor indoor", InvariantViolation, "door-distinct-env: door d"),
     (load_floorplan, "door: d 0 0 1.5 0 indoor outdoor", InvariantViolation, "door-tangent-unit: |tangent| = 1.5"),
     (load_floorplan, "start: nan 0 0 indoor", InvariantViolation, "point-finite: (nan, 0.0)"),
+    (load_floorplan, "start: 0 0 nan indoor", InvariantViolation, "heading-finite: start heading nan"),
+    (load_floorplan, "start: 0 0 -inf indoor", InvariantViolation, "heading-finite: start heading -inf"),
     (load_radiomap, "point: 0 0 ap1=5", InvariantViolation, "fingerprint-dbm-range: ap1: 5.0 dBm"),
+    # Observed readings follow the radio map's rule.
+    (load_observation, "ap1 inf", InvariantViolation, "fingerprint-dbm-range: ap1: inf dBm"),
+    (load_observation, "ap1 1e200", InvariantViolation, "fingerprint-dbm-range: ap1: 1e+200 dBm"),
+    (load_observation, "ap1 -1e200", InvariantViolation, "fingerprint-dbm-range: ap1: -1e+200 dBm"),
+    (load_observation, "ap1 nan", InvariantViolation, "fingerprint-dbm-range: ap1: nan dBm"),
     (load_walk_script, "waypoint: nan 0", InvariantViolation, "point-finite: (nan, 0.0)"),
     (load_walk_script, "door_action: 1 doorA fly", InvalidParameterError, "unknown door action 'fly'"),
     # Whole-script rules name the second waypoint of a leg, or the pause or door action.
@@ -915,20 +947,32 @@ RECORD_ERRORS = [
     (load_walk_script, "pause: 0 -1", errors.InvalidScriptError, "pause seconds must be finite and >= 0"),
     (load_walk_script, "door_action: -1 doorA open-and-cross", errors.InvalidScriptError, "door_action at waypoint -1"),
     (load_truth, "step: 0 0.1 0.75 0 0 outdoor", ParseError, "environment changed at step 0 without a crossing"),
+    (load_truth, "step: 0 0.1 nan 0 0 indoor", InvariantViolation, "point-finite: (nan, 0.0)"),
+    (load_truth, "initial: inf 0 0 indoor", InvariantViolation, "point-finite: (inf, 0.0)"),
+    (load_path_rows, "0,0.5,nan,0.0,0.0,indoor", InvariantViolation, "point-finite: (nan, 0.0)"),
+    (load_event_rows, "switch,0,0.5,doorA,inf,4.0,,,,indoor,outdoor", InvariantViolation, "point-finite: (inf, 4.0)"),
 ]
-# Records after the bad one: a walk script needs two good waypoints, a truth file its start.
-RECORD_TAILS = {load_walk_script: "waypoint: 0 0\nwaypoint: 5 0\n", load_truth: "initial: 0 0 0 indoor\n"}
+# Lines before the bad record: a version line and a comment, where the format has them; a truth file its start.
+RECORD_HEADS = {
+    load_observation: "# a comment\n",
+    load_truth: "version: 1\ninitial: 0 0 0 indoor\n# a comment\n",
+    load_path_rows: f"{harness.PATH_HEADER}\n",
+    load_event_rows: f"{harness.EVENTS_HEADER}\n",
+}
+# Records after the bad one: a walk script needs two good waypoints.
+RECORD_TAILS = {load_walk_script: "waypoint: 0 0\nwaypoint: 5 0\n"}
 
 
 @pytest.mark.parametrize("load, record, error, message", RECORD_ERRORS, ids=[r[1] for r in RECORD_ERRORS])
 def test_record_error_names_its_file_and_line(tmp_path, load, record, error, message):
-    # The bad record starts on line 3 and is the last line of `record`.
+    # The bad record is the last line of `record`.
     path = tmp_path / "records.txt"
-    path.write_text(f"version: 1\n# a comment\n{record}\n{RECORD_TAILS.get(load, '')}")
+    head = RECORD_HEADS.get(load, "version: 1\n# a comment\n")
+    path.write_text(f"{head}{record}\n{RECORD_TAILS.get(load, '')}")
     with pytest.raises(errors.SeamlocError) as got:
         load(path)
     assert type(got.value) is error
-    assert str(got.value).startswith(f"{path}:{3 + record.count(chr(10))}: {message}")
+    assert str(got.value).startswith(f"{path}:{head.count(chr(10)) + 1 + record.count(chr(10))}: {message}")
 
 
 BAD_CONFIGS = [
@@ -941,6 +985,9 @@ BAD_CONFIGS = [
     ("simulate", '{"sim": {"sample_rate": "x"}}'),
     ("simulate", '{"sim": {"sample_rate": Infinity}}'),
     ("track", '{"signal": {"g": NaN}}'),
+    ("locate", '{"wknn": {"k": 2, "missing_rss_floor": 1e200}}'),
+    ("locate", '{"wknn": {"missing_rss_floor": 5}}'),
+    ("locate", '{"wknn": {"missing_rss_floor": -121}}'),
 ]
 
 
@@ -953,6 +1000,7 @@ def test_bad_config_value_is_invalid_parameter(cli_run, tmp_path, command, confi
         "simulate": ["--script", d / "walk.txt", "--plan", d / "plan.txt"],
         "track": ["--trace", d / "trial.trace.csv", "--plan", d / "plan.txt"],
         "eval": ["--events", d, "--truth", d],
+        "locate": ["--observation", d / "obs.txt", "--radiomap", d / "rm.txt"],
     }[command]
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seamloc import (
@@ -36,6 +36,21 @@ class TestWrapAngle:
         wrapped = wrap_angle(angle)
         assert -math.pi < wrapped <= math.pi
         assert abs(math.remainder(wrapped - angle, 2 * math.pi)) < 1e-12
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gives_nan(self, angle):
+        assert math.isnan(wrap_angle(angle))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(math.nextafter(math.pi, 4.0))
+    def test_finite_angles_wrap_as_by_the_modulo(self, angle):
+        # The reference: the modulo, with its round-up to -pi sent to pi.
+        if -math.pi < angle <= math.pi:
+            want = angle
+        else:
+            want = math.pi - (math.pi - angle) % (2 * math.pi)
+            want = want if want > -math.pi else math.pi
+        assert wrap_angle(angle).hex() == want.hex()
 
 
 class TestPropagateStep:
