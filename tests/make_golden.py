@@ -2,19 +2,26 @@
 
     PYTHONPATH=src python tests/make_golden.py
 
-Two kinds of file live there, both checked by tests/test_golden.py:
+Four kinds of file live there, all checked by tests/test_golden.py:
 - writer files: each is written by a save_* function from a hand-built
   object of literal values (writer_cases), and must keep its exact bytes;
 - track.json: what track returns on 16 seeded CALIBRATED_NOISE walks
-  (oracle_walks), the outputs a behaviour-preserving change keeps.
-A change that rewrites either says so, and why, in CHANGES.md.
+  (oracle_walks), the outputs a behaviour-preserving change keeps;
+- walks.json: the sha256 of the bytes save_trace and save_truth write for
+  each of those walks, so the simulator's files stay byte-identical;
+- report_<case>/: the report.txt, cdf.csv and confusion.csv that
+  save_report writes for evaluate over the walks of each report_cases case.
+A change that rewrites any of them says so, and why, in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import hashlib
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +48,8 @@ from seamloc import (
     turn_back_script,
     two_building_plan,
 )
-from seamloc.harness import EventLog, save_events, save_floorplan, save_path, save_radiomap, save_truth
+from seamloc import evaluate
+from seamloc.harness import EventLog, save_events, save_floorplan, save_path, save_radiomap, save_report, save_trace, save_truth
 from seamloc.sim import OPEN_AND_CROSS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -157,12 +165,23 @@ def oracle_walks() -> list[tuple[str, WalkScript, FloorPlan, int]]:
     return walks
 
 
+@functools.cache
+def oracle_runs() -> tuple:
+    """(name, trace, truth, log) of every oracle walk. The truth carries the
+    plan's door crossings and, as its group, the walk's name without its number."""
+    runs = []
+    for name, script, plan, seed in oracle_walks():
+        noise = dataclasses.replace(CALIBRATED_NOISE, seed=seed)
+        trace, truth = generate_walk(script, noise, doors=plan.doors, group=name.rsplit("-", 1)[0])
+        _, log = track(trace, plan, PipelineConfig(seed=seed))
+        runs.append((name, trace, truth, log))
+    return tuple(runs)
+
+
 def track_records() -> list[dict]:
     """track's outputs on every oracle walk, as JSON values."""
     records = []
-    for name, script, plan, seed in oracle_walks():
-        trace, _ = generate_walk(script, dataclasses.replace(CALIBRATED_NOISE, seed=seed))
-        _, log = track(trace, plan, PipelineConfig(seed=seed))
+    for name, _, _, log in oracle_runs():
         records.append(
             {
                 "name": name,
@@ -177,11 +196,42 @@ def track_records() -> list[dict]:
     return json.loads(json.dumps(records))
 
 
+def walk_digests() -> dict[str, dict[str, str]]:
+    """Walk name -> sha256 of the trace and truth files the simulator's writers make of it."""
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, trace, truth, _ in oracle_runs():
+            digests[name] = {}
+            for kind, save, obj in (("trace", save_trace, trace), ("truth", save_truth, truth)):
+                path = Path(tmp) / kind
+                save(obj, path)
+                digests[name][kind] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+REPORT_FILES = ("report.txt", "cdf.csv", "confusion.csv")
+
+
+def report_cases() -> dict[str, list]:
+    """Case -> the (log, truth) pairs evaluate scores: every walk, the crossing
+    walks alone (no negatives: FPR and TNR are NaN) and the turn-back walks alone
+    (no positives: TPR and FNR are NaN)."""
+    runs = oracle_runs()
+    return {
+        "all": [(log, truth) for _, _, truth, log in runs],
+        "crossing": [(log, truth) for _, _, truth, log in runs if truth.group == "crossing"],
+        "turn-back": [(log, truth) for _, _, truth, log in runs if truth.group == "turn-back"],
+    }
+
+
 def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, (save, obj) in writer_cases().items():
         save(obj, GOLDEN / name)
     (GOLDEN / "track.json").write_text(json.dumps(track_records(), indent=1) + "\n", encoding="utf-8")
+    (GOLDEN / "walks.json").write_text(json.dumps(walk_digests(), indent=1) + "\n", encoding="utf-8")
+    for case, results in report_cases().items():
+        save_report(evaluate(results), GOLDEN / f"report_{case}")
 
 
 if __name__ == "__main__":

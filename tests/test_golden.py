@@ -1,4 +1,5 @@
-"""Golden files: the writers' exact bytes and track's outputs on seeded walks.
+"""Golden files: the writers' exact bytes, track's outputs on seeded walks, and
+the bytes of those walks' trace, truth and evaluation files.
 
 tests/make_golden.py builds the inputs and rewrites tests/golden/.
 """
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import make_golden
-from seamloc import harness
+from seamloc import evaluate, harness
 from seamloc.harness import EVENTS_HEADER, PATH_HEADER
 
 EMPTY = None  # a column the line leaves empty
@@ -143,3 +144,15 @@ def test_track_matches_golden():
         for key in ("poses", "crossing_points"):
             assert len(g[key]) == len(w[key]), f"{g['name']}: {key}"
             np.testing.assert_allclose(g[key], w[key], rtol=0, atol=1e-9, err_msg=f"{g['name']}: {key}")
+
+
+def test_walk_files_match_golden():
+    want = json.loads((make_golden.GOLDEN / "walks.json").read_text(encoding="utf-8"))
+    assert make_golden.walk_digests() == want
+
+
+@pytest.mark.parametrize("case", sorted(make_golden.report_cases()))
+def test_report_files_match_golden(tmp_path, case):
+    harness.save_report(evaluate(make_golden.report_cases()[case]), tmp_path)
+    for name in make_golden.REPORT_FILES:
+        assert (tmp_path / name).read_bytes() == (make_golden.GOLDEN / f"report_{case}" / name).read_bytes(), name
