@@ -7,7 +7,7 @@ a WKNN radio-map positioning back-end and a synthetic walk simulator used as
 the verification oracle.
 """
 
-from .crossing import CrossingConfig, CrossingState, SwitchEvent, arm_check, build_zone_lookup, observe_step
+from .crossing import CrossingConfig, CrossingState, SwitchEvent, observe_step
 from .errors import (
     FilterDivergenceError,
     InvalidInputError,
@@ -30,7 +30,7 @@ from .filters import (
     pf_init,
     pf_step,
 )
-from .fingerprint import Fingerprint, RadioMap, WknnConfig, estimate_position, rss_distance
+from .fingerprint import Fingerprint, RadioMap, WknnConfig, estimate_position
 from .geometry import (
     Door,
     FloorPlan,
@@ -38,7 +38,6 @@ from .geometry import (
     Segment2,
     distance,
     segment_intersection,
-    zone_for_door,
 )
 from .harness import (
     EvalReport,
@@ -55,7 +54,7 @@ from .harness import (
     save_trace,
     track,
 )
-from .pdr import PdrConfig, Pose, propagate_step, run_pdr, wrap_angle
+from .pdr import PdrConfig, Pose, run_pdr, wrap_angle
 from .signal import (
     DoorOpenEvent,
     ImuSample,

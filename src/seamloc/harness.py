@@ -214,8 +214,8 @@ def evaluate(results, match_window: int = 5) -> EvalReport:
     }
     return EvalReport(
         true_positive_rate=tpr,
-        false_negative_rate=1.0 - tpr if positives else float("nan"),
-        true_negative_rate=1.0 - fpr if negatives else float("nan"),
+        false_negative_rate=1.0 - tpr,
+        true_negative_rate=1.0 - fpr,
         false_positive_rate=fpr,
         effectivity=effectivity,
         final_errors=final_errors,
@@ -283,6 +283,8 @@ _FLOORPLAN = {
 }
 _RADIOMAP = {"point": (float, float, _tx_dbm, ...)}  # x y tx=dbm ...
 _OBSERVATION = {None: (str, float)}  # transmitter dbm
+_CDF = {None: (float, float)}  # error fraction
+_CONFUSION = {None: (str, float, float)}  # row actual_positive actual_negative
 _TRUTH = {
     "group": (str, ...),
     "initial": (float, float, float, str),  # x y heading environment
@@ -585,10 +587,8 @@ def format_report(report: EvalReport) -> str:
         "",
         "Final position error [m]",
         f"  min {min(errs):.3f}   max {max(errs):.3f}   average {sum(errs) / len(errs):.3f}",
+        f"  70% of errors at or below {report.cdf[math.ceil(0.7 * len(errs)) - 1][0]:.3f} m",
     ]
-    if report.cdf:
-        q70 = report.cdf[min(int(math.ceil(0.7 * len(errs))) - 1, len(errs) - 1)][0]
-        lines.append(f"  70% of errors at or below {q70:.3f} m")
     return "\n".join(lines) + "\n"
 
 
@@ -596,11 +596,9 @@ def save_report(report: EvalReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.txt").write_text(format_report(report), encoding="utf-8")
-    cdf_lines = ["error,fraction"] + [f"{_fmt(e)},{_fmt(f)}" for e, f in report.cdf]
-    (out / "cdf.csv").write_text("\n".join(cdf_lines) + "\n", encoding="utf-8")
-    conf_lines = [
-        ",actual_positive,actual_negative",
-        f"estimated_positive,{_fmt(report.true_positive_rate)},{_fmt(report.false_positive_rate)}",
-        f"estimated_negative,{_fmt(report.false_negative_rate)},{_fmt(report.true_negative_rate)}",
+    _write(out / "cdf.csv", _CDF, [(None, point) for point in report.cdf], "error,fraction", ",")
+    confusion = [
+        (None, ("estimated_positive", report.true_positive_rate, report.false_positive_rate)),
+        (None, ("estimated_negative", report.false_negative_rate, report.true_negative_rate)),
     ]
-    (out / "confusion.csv").write_text("\n".join(conf_lines) + "\n", encoding="utf-8")
+    _write(out / "confusion.csv", _CONFUSION, confusion, ",actual_positive,actual_negative", ",")

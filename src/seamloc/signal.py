@@ -69,7 +69,6 @@ class SignalConfig:
     step_refractory: float = 0.3
     door_window: float = 1.5
     door_min_zero_crossings: int = 2
-    smooth_window: int = 1  # moving-average width in samples; 1 = off
 
     def __post_init__(self):
         if self.g <= 0:
@@ -80,8 +79,6 @@ class SignalConfig:
             raise InvalidParameterError("door_lo must be above step_lo")
         if self.step_refractory <= 0 or self.door_window <= 0:
             raise InvalidParameterError("time windows must be positive")
-        if self.smooth_window < 1:
-            raise InvalidParameterError("smooth_window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,11 +103,7 @@ def normalize_accel(sample: ImuSample, cfg: SignalConfig = SignalConfig()) -> fl
 
 def normalized_series(trace: Trace, cfg: SignalConfig = SignalConfig()) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample normalized acceleration for a whole trace."""
-    a = np.linalg.norm(trace.accel, axis=1) - cfg.g
-    if cfg.smooth_window > 1 and len(a):
-        kernel = np.full(cfg.smooth_window, 1.0 / cfg.smooth_window)
-        a = np.convolve(a, kernel, mode="same")
-    return trace.t, a
+    return trace.t, np.linalg.norm(trace.accel, axis=1) - cfg.g
 
 
 def detect_steps(t: np.ndarray, a: np.ndarray, cfg: SignalConfig = SignalConfig()) -> list[StepEvent]:

@@ -264,30 +264,16 @@ def generate_walk(
     if n > 1:
         psi_true[1:] = leg_headings[0] + np.cumsum(0.5 * (rate[:-1] + rate[1:]) * dt)
 
+    # One draw per sensor, axis after axis: the numbers of one draw per axis, in the same order.
     rng = np.random.default_rng(noise.seed)
-    accel = np.column_stack(
-        [
-            rng.normal(0.0, noise.accel_sigma, n),
-            rng.normal(0.0, noise.accel_sigma, n),
-            GRAVITY + a_norm + rng.normal(0.0, noise.accel_sigma, n),
-        ]
-    )
-    gyro = np.column_stack(
-        [
-            rng.normal(0.0, noise.gyro_sigma, n),
-            rng.normal(0.0, noise.gyro_sigma, n),
-            rate + noise.gyro_bias + rng.normal(0.0, noise.gyro_sigma, n),
-        ]
-    )
-    mag = np.column_stack(
-        [
-            MAG_HORIZONTAL * np.cos(psi_true) + rng.normal(0.0, noise.mag_sigma, n),
-            -MAG_HORIZONTAL * np.sin(psi_true) + rng.normal(0.0, noise.mag_sigma, n),
-            np.full(n, MAG_VERTICAL) + rng.normal(0.0, noise.mag_sigma, n),
-        ]
-    )
+    accel, gyro, mag = [rng.normal(0.0, s, (3, n)) for s in (noise.accel_sigma, noise.gyro_sigma, noise.mag_sigma)]
+    accel[2] += GRAVITY + a_norm
+    gyro[2] += rate + noise.gyro_bias
+    mag[0] += MAG_HORIZONTAL * np.cos(psi_true)
+    mag[1] += -MAG_HORIZONTAL * np.sin(psi_true)
+    mag[2] += MAG_VERTICAL
 
-    trace = Trace(t=t, accel=accel, gyro=gyro, mag=mag)
+    trace = Trace(t=t, accel=accel.T.copy(), gyro=gyro.T.copy(), mag=mag.T.copy())  # C order: (n, 3) rows
     truth = GroundTruth(
         step_times=np.array(step_times),
         step_positions=np.concatenate(step_positions),
@@ -338,15 +324,16 @@ def _beside(door: Door, cursor: Point2, d: float) -> Point2:
     return Point2(door.center.x + d * nx, door.center.y + d * ny)
 
 
-def crossing_script(plan: FloorPlan, approach: float = 0.7, depart: float = 3.05) -> WalkScript:
-    """Walk from the plan's start through every door in order."""
+def crossing_script(plan: FloorPlan) -> WalkScript:
+    """Walk from the plan's start through every door in order: open it 0.7 m
+    in front, stop 3.05 m behind it."""
     waypoints = [plan.start_position]
     actions = []
     for door in plan.doors:
         cursor = waypoints[-1]
-        waypoints.append(_beside(door, cursor, approach))
+        waypoints.append(_beside(door, cursor, 0.7))
         actions.append(DoorAction(waypoint=len(waypoints) - 1, door_id=door.id, action=OPEN_AND_CROSS))
-        waypoints.append(_beside(door, cursor, -depart))
+        waypoints.append(_beside(door, cursor, -3.05))
     return WalkScript(
         waypoints=tuple(waypoints),
         door_actions=tuple(actions),
@@ -354,11 +341,11 @@ def crossing_script(plan: FloorPlan, approach: float = 0.7, depart: float = 3.05
     )
 
 
-def turn_back_script(plan: FloorPlan, approach: float = 1.45) -> WalkScript:
-    """Walk toward the first door, reverse just in front of it, return."""
+def turn_back_script(plan: FloorPlan) -> WalkScript:
+    """Walk toward the first door, reverse 1.45 m in front of it, return."""
     start, door = plan.start_position, plan.doors[0]
     return WalkScript(
-        waypoints=(start, _beside(door, start, approach), start),
+        waypoints=(start, _beside(door, start, 1.45), start),
         door_actions=(DoorAction(waypoint=1, door_id=door.id, action=TURN_BACK),),
         start_environment=plan.start_environment or "indoor",
     )

@@ -12,8 +12,6 @@ from seamloc import (
     PipelineConfig,
     Point2,
     Pose,
-    arm_check,
-    build_zone_lookup,
     crossing_script,
     generate_walk,
     harness,
@@ -21,6 +19,7 @@ from seamloc import (
     track,
     two_building_plan,
 )
+from seamloc.crossing import arm_check, build_zone_lookup
 
 CFG = CrossingConfig()
 DOOR = Door(id="front", center=Point2(0, 0), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor")

@@ -12,8 +12,8 @@ from seamloc import (
     RadioMap,
     WknnConfig,
     estimate_position,
-    rss_distance,
 )
+from seamloc.fingerprint import rss_distance
 
 
 def brute_force_estimate(observed, radio_map, k, mode, floor=-100.0):

@@ -16,10 +16,9 @@ from seamloc import (
     Point2,
     Segment2,
     segment_intersection,
-    zone_for_door,
 )
 from seamloc import geometry
-from seamloc.geometry import _segments_cross
+from seamloc.geometry import _segments_cross, zone_for_door
 
 
 def parametric_oracle(l1, l2):

@@ -15,10 +15,10 @@ from seamloc import (
     detect_steps,
     generate_walk,
     normalized_series,
-    propagate_step,
     run_pdr,
     wrap_angle,
 )
+from seamloc.pdr import propagate_step
 
 
 class TestWrapAngle:

@@ -290,19 +290,6 @@ class TestDoorOpeningsOracle:
         assert len(assert_doors_match_oracle(t, a, CFG, detect_steps(t, a, CFG))) == 1
 
 
-class TestSmoothing:
-    def test_moving_average_preserves_step_count(self):
-        from seamloc import NoiseModel, Point2, WalkScript, generate_walk, normalized_series
-
-        trace, truth = generate_walk(
-            WalkScript(waypoints=(Point2(0, 0), Point2(7.5, 0))),
-            NoiseModel(accel_sigma=0.05, seed=9),
-        )
-        smoothed_cfg = SignalConfig(smooth_window=5)
-        t, a = normalized_series(trace, smoothed_cfg)
-        assert len(detect_steps(t, a, smoothed_cfg)) == truth.step_count
-
-
 class TestSignalConfig:
     def test_band_ordering_enforced(self):
         with pytest.raises(InvalidParameterError):
