@@ -2,8 +2,8 @@
 
 The walk signature is carried entirely by the normalized acceleration
 (magnitude minus gravity): gait cycles swing past +/-1.5 m/s^2, while door
-manipulation shows up as a low-amplitude (+/-0.5 to 1.5 m/s^2) wiggle with
-zero crossings and no step activity.
+manipulation shows up as a low-amplitude (+/-0.5 to 1.5 m/s^2) wiggle that
+swings from one edge of the door band to the other, with no step activity.
 """
 
 from __future__ import annotations
@@ -77,6 +77,8 @@ class SignalConfig:
             raise InvalidParameterError("door_hi must be below step_hi")
         if not self.door_lo > self.step_lo:
             raise InvalidParameterError("door_lo must be above step_lo")
+        if not self.door_lo < self.door_hi:
+            raise InvalidParameterError("door_lo must be below door_hi")
         if self.step_refractory <= 0 or self.door_window <= 0:
             raise InvalidParameterError("time windows must be positive")
 
@@ -140,16 +142,17 @@ def detect_steps(t: np.ndarray, a: np.ndarray, cfg: SignalConfig = SignalConfig(
     return events
 
 
-def _zero_crossing_flags(a: np.ndarray) -> np.ndarray:
-    """Sign-change indicator between consecutive samples (length N-1).
+def _zero_crossing_flags(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Band-to-band swing indicator between consecutive samples (length N-1).
 
-    Exact zeros carry the preceding sign, so a series passing through zero
-    counts one crossing rather than none.
+    A Schmitt trigger: the sign is +1 at a >= hi, -1 at a <= lo and 0 between,
+    and a 0 carries the sign before it, so a swing from <= lo to >= hi, or
+    back, counts once, and noise around zero inside the band counts none.
     """
     n = len(a)
     if n < 2:
         return np.zeros(0, dtype=int)
-    sign = np.sign(a)
+    sign = np.where(a >= hi, 1.0, np.where(a <= lo, -1.0, 0.0))
     idx = np.arange(n)
     last_nonzero = np.maximum.accumulate(np.where(sign != 0, idx, -1))
     filled = np.where(last_nonzero >= 0, sign[np.maximum(last_nonzero, 0)], 0.0)
@@ -165,8 +168,9 @@ def detect_door_openings(
     """Door-opening events: low-amplitude wiggle windows free of steps.
 
     A window of length door_window qualifies when its peak |a| sits in
-    [door_hi, step_hi), it contains at least door_min_zero_crossings sign
-    changes, and no step event falls inside it. Overlapping qualifying
+    [door_hi, step_hi), it contains at least door_min_zero_crossings swings
+    between the band edges (from <= door_lo to >= door_hi, or back; see
+    _zero_crossing_flags), and no step event falls inside it. Overlapping qualifying
     windows merge into a single event.
     """
     t = np.asarray(t, dtype=float)
@@ -177,7 +181,7 @@ def detect_door_openings(
     steps = steps or []
     step_times = np.array([s.t for s in steps])
 
-    crossings = _zero_crossing_flags(a)
+    crossings = _zero_crossing_flags(a, cfg.door_lo, cfg.door_hi)
     crossing_prefix = np.concatenate([[0], np.cumsum(crossings)])
 
     # Window [i, ends[i]) per start index i; only full-length windows, which

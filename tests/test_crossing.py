@@ -1,17 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seamloc import (
+    CALIBRATED_NOISE,
     CrossingConfig,
     CrossingState,
     Door,
+    DoorAction,
     PfConfig,
     PipelineConfig,
     Point2,
     Pose,
+    WalkScript,
     crossing_script,
     generate_walk,
     harness,
@@ -20,6 +25,7 @@ from seamloc import (
     two_building_plan,
 )
 from seamloc.crossing import arm_check, build_zone_lookup
+from seamloc.sim import TURN_BACK
 
 CFG = CrossingConfig()
 DOOR = Door(id="front", center=Point2(0, 0), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor")
@@ -287,3 +293,22 @@ class TestOnSwitch:
         assert calls[2][:3] == ("pf_init", (Pose(back.crossing_point, path[k].heading), cfg.pf), {"seed": cfg.seed + k + 1})
         point = back.crossing_point
         assert np.allclose(calls[2][3].positions, [point.x, point.y])
+
+
+@pytest.mark.parametrize("step_length", [0.55, 0.60, 0.65])
+def test_pause_and_turn_back_is_no_switch(step_length):
+    """A walker stops 0.7 m in front of door A for 3 s and walks back. The
+    tracker's 0.75 m steps carry its estimate into the door zone, so an
+    opening read into the stop would switch it: under a bare sign-change door
+    rule that happened on every seed at 0.55 and 0.60 m."""
+    plan = two_building_plan()
+    script = WalkScript(
+        waypoints=(plan.start_position, Point2(9.3, 4.0), plan.start_position),
+        step_length_true=step_length,
+        pauses=((1, 3.0),),
+        door_actions=(DoorAction(1, "doorA", TURN_BACK),),
+    )
+    for seed in range(5):
+        trace, _ = generate_walk(script, dataclasses.replace(CALIBRATED_NOISE, seed=seed))
+        _, log = track(trace, plan, PipelineConfig(seed=seed))
+        assert log.door_opens == [] and log.switches == []

@@ -1,17 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seamloc import (
+    CALIBRATED_NOISE,
     DoorOpenEvent,
     ImuSample,
     StepEvent,
     InvalidParameterError,
+    Point2,
     SignalConfig,
+    WalkScript,
+    crossing_script,
     detect_door_openings,
     detect_steps,
+    generate_walk,
     normalize_accel,
+    normalized_series,
+    two_building_plan,
 )
 from seamloc.signal import _zero_crossing_flags
 
@@ -106,7 +115,8 @@ def walking_pause_walking(pause_amplitude=0.8, pause_period=0.4, fs=100.0):
 
 
 def door_window_oracle(t, a, cfg, steps):
-    """Manual check of the three window conditions over every placement."""
+    """Manual check of the three window conditions over every placement; band
+    swings are counted inside the window only."""
     step_times = np.array([s.t for s in steps])
     qualifying = []
     for i in range(len(t)):
@@ -120,7 +130,7 @@ def door_window_oracle(t, a, cfg, steps):
         crossings = 0
         prev_sign = 0.0
         for v in window:
-            s = np.sign(v)
+            s = 1.0 if v >= cfg.door_hi else -1.0 if v <= cfg.door_lo else 0.0
             if s != 0 and prev_sign != 0 and s != prev_sign:
                 crossings += 1
             if s != 0:
@@ -187,7 +197,7 @@ def door_loop_oracle(t, a, cfg=CFG, steps=None):
     if n < 2:
         return []
     step_times = np.array([s.t for s in steps or []])
-    crossing_prefix = np.concatenate([[0], np.cumsum(_zero_crossing_flags(a))])
+    crossing_prefix = np.concatenate([[0], np.cumsum(_zero_crossing_flags(a, cfg.door_lo, cfg.door_hi))])
     ends = np.searchsorted(t, t + cfg.door_window, side="right")
     full = t + cfg.door_window <= t[-1]
     abs_a = np.abs(a)
@@ -290,12 +300,77 @@ class TestDoorOpeningsOracle:
         assert len(assert_doors_match_oracle(t, a, CFG, detect_steps(t, a, CFG))) == 1
 
 
+def schmitt_oracle(a, lo, hi):
+    """Independent band-swing counter: a state machine that remembers which
+    edge of the band the series last reached; 1 for each interval that ends on
+    the other edge."""
+    flags, side = [0] * max(len(a) - 1, 0), 0
+    for i, v in enumerate(a):
+        reached = 1 if v >= hi else -1 if v <= lo else 0
+        if reached and side and reached != side:
+            flags[i - 1] = 1
+        side = reached or side
+    return flags
+
+
+def door_openings_of(script, seed):
+    trace, truth = generate_walk(script, dataclasses.replace(CALIBRATED_NOISE, seed=seed))
+    t, a = normalized_series(trace)
+    steps = detect_steps(t, a)
+    return steps, detect_door_openings(t, a, CFG, steps), truth
+
+
+class TestDoorBand:
+    """A door opening needs swings from one edge of the door band to the
+    other; noise around zero, as at a plain stop, makes none."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(door_level, max_size=60), st.sampled_from([(-0.5, 0.5), (-0.2, 0.9), (0.0, 1e-9)]))
+    def test_flags_match_state_machine(self, values, band):
+        a = np.array(values, dtype=float)
+        assert _zero_crossing_flags(a, *band).tolist() == schmitt_oracle(a, *band)
+
+    def test_noise_inside_the_band_makes_no_swing(self):
+        a = np.random.default_rng(0).normal(0.0, 0.05, 500)
+        assert np.count_nonzero(np.diff(np.sign(a))) > 100
+        assert _zero_crossing_flags(a, CFG.door_lo, CFG.door_hi).sum() == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_plain_stop_is_no_opening(self, seed):
+        # A 3 s stop between two walks: accelerometer noise around 0 and the
+        # tail of the last step cycle gave two openings under the bare sign rule.
+        script = WalkScript(waypoints=(Point2(0, 0), Point2(6, 0), Point2(12, 0)), pauses=((1, 3.0),))
+        steps, openings, truth = door_openings_of(script, seed)
+        assert len(steps) == truth.step_count
+        assert openings == []
+
+    @pytest.mark.parametrize("cadence", [1.0, 1.4])
+    def test_slow_walking_is_no_opening(self, cadence):
+        script = WalkScript(waypoints=(Point2(0, 0), Point2(12, 0)), cadence=cadence, step_length_true=0.55)
+        for seed in range(3):
+            steps, openings, truth = door_openings_of(script, seed)
+            assert len(steps) == truth.step_count
+            assert openings == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_door_opened_while_walking_slowly(self, seed):
+        script = dataclasses.replace(crossing_script(two_building_plan()), cadence=1.2, step_length_true=0.55)
+        steps, openings, truth = door_openings_of(script, seed)
+        assert len(steps) == truth.step_count
+        assert len(openings) == len(truth.door_open_intervals) == 2
+        for ev, (t0, t1) in zip(openings, truth.door_open_intervals):
+            assert ev.t_start <= t1 and t0 <= ev.t_end
+            assert ev.zero_crossings >= CFG.door_min_zero_crossings
+
+
 class TestSignalConfig:
     def test_band_ordering_enforced(self):
         with pytest.raises(InvalidParameterError):
             SignalConfig(door_hi=2.0)
         with pytest.raises(InvalidParameterError):
             SignalConfig(door_lo=-2.0)
+        with pytest.raises(InvalidParameterError):
+            SignalConfig(door_lo=0.5, door_hi=0.5)
 
     def test_positive_windows(self):
         with pytest.raises(InvalidParameterError):
