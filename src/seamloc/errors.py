@@ -53,14 +53,19 @@ class ParseError(SeamlocError, ValueError):
 
 
 class InvariantViolation(SeamlocError, ValueError):
-    """A loaded value failed a named domain invariant."""
+    """A loaded value failed a named domain invariant.
+
+    record is the index of the trace sample the error is about, or None; a
+    loader uses it to name the line.
+    """
 
     category = "invariant"
     exit_code = 4
 
-    def __init__(self, invariant, message):
+    def __init__(self, invariant, message, record=None):
         super().__init__(f"{invariant}: {message}")
         self.invariant = invariant
+        self.record = record
 
 
 class FilterDivergenceError(SeamlocError, RuntimeError):

@@ -94,10 +94,7 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     kf = None if indoor else kf_init(heading)
     zones = build_zone_lookup(plan.doors, cfg.crossing)
 
-    gz = trace.gyro[:, 2]
-    dt_arr = np.diff(trace.t)
-    rate_arr = 0.5 * (gz[:-1] + gz[1:])  # trapezoid-equivalent rate per interval
-    dts, rates, increments = dt_arr.tolist(), rate_arr.tolist(), (rate_arr * dt_arr).tolist()
+    dts, rates, increments = (arr.tolist() for arr in trace.yaw_increments())
     mag_z = None  # magnetometer heading per interval end, computed on first KF use
     sample_at = np.maximum(np.searchsorted(trace.t, [s.t for s in steps], side="right") - 1, 0).tolist()
     open_starts = [ev.t_start for ev in door_opens]
@@ -157,9 +154,13 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
 
 
 def _match_switches(switches: list[SwitchEvent], truth: GroundTruth, window: int):
+    """(matched, unmatched) switch counts. Crossings and switches both go in step
+    order, each crossing taking the earliest free switch for its door within
+    window steps: in that order the greedy matching is a maximum one."""
+    switches = sorted(switches, key=lambda sw: sw.step_index)
     used = [False] * len(switches)
     tp = 0
-    for step_idx, door_id in truth.crossings:
+    for step_idx, door_id in sorted(truth.crossings):
         for i, sw in enumerate(switches):
             if not used[i] and sw.door_id == door_id and abs(sw.step_index - step_idx) <= window:
                 used[i] = True
@@ -400,7 +401,12 @@ def load_trace(path) -> Trace:
         # numpy rejects some fields that float() takes (1_0, non-ASCII digits):
         # the row loop returns the same values or names the bad line.
         data = np.array([row for _, row in _read(path, _TRACE, sep=",", lines=lines)[None]]).reshape(-1, 10)
-    return Trace(t=data[:, 0], accel=data[:, 1:4], gyro=data[:, 4:7], mag=data[:, 7:10])
+    try:
+        return Trace(t=data[:, 0], accel=data[:, 1:4], gyro=data[:, 4:7], mag=data[:, 7:10])
+    except InvariantViolation as exc:  # row i of data is lines[i]
+        if exc.record is not None:
+            exc.args = (f"{path}:{lines[exc.record][0]}: {exc}",)
+        raise
 
 
 def save_floorplan(plan: FloorPlan, path) -> None:

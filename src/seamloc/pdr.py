@@ -55,15 +55,8 @@ def heading_series(trace: Trace, cfg: PdrConfig) -> np.ndarray:
     Integration runs unwrapped (exact cumulative angle); callers wrap when
     presenting a heading.
     """
-    omega = trace.gyro[:, 2]
-    psi = np.empty(len(trace))
-    if len(trace) == 0:
-        return psi
-    psi[0] = cfg.initial_pose.heading
-    if len(trace) > 1:
-        dt = np.diff(trace.t)
-        increments = 0.5 * (omega[:-1] + omega[1:]) * dt
-        psi[1:] = psi[0] + np.cumsum(increments)
+    psi = np.full(len(trace), cfg.initial_pose.heading, dtype=float)
+    psi[1:] += np.cumsum(trace.yaw_increments()[2])
     return psi
 
 

@@ -41,14 +41,31 @@ class Trace:
         n = len(self.t)
         if not (len(self.accel) == len(self.gyro) == len(self.mag) == n):
             raise InvariantViolation("trace-equal-lengths", "sensor columns differ in length")
-        for name, arr in (("t", self.t), ("accel", self.accel), ("gyro", self.gyro), ("mag", self.mag)):
-            if not np.all(np.isfinite(arr)):
-                raise InvariantViolation("trace-finite", f"non-finite value in {name}")
-        if n and not np.all(np.diff(self.t) > 0):
-            raise InvariantViolation("trace-monotonic-time", "timestamps not strictly increasing")
+        # Each error names its first bad sample: for an interval, the sample that ends it.
+        for name, arr in (("t", self.t[:, None]), ("accel", self.accel), ("gyro", self.gyro), ("mag", self.mag)):
+            finite = np.isfinite(arr).all(axis=1)
+            if not finite.all():
+                raise InvariantViolation("trace-finite", f"non-finite value in {name}", record=int(np.argmin(finite)))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            dt, _, increments = self.yaw_increments()
+        later = dt > 0
+        if not later.all():
+            message = "timestamps not strictly increasing"
+            raise InvariantViolation("trace-monotonic-time", message, record=int(np.argmin(later)) + 1)
+        finite = np.isfinite(increments)
+        if not finite.all():
+            message = "the interval or yaw increment from the sample before overflows"
+            raise InvariantViolation("trace-increment-finite", message, record=int(np.argmin(finite)) + 1)
 
     def __len__(self) -> int:
         return len(self.t)
+
+    def yaw_increments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dt, rate, rate * dt) of each interval between consecutive samples:
+        the trapezoid rule on the gyro z axis (vertical), rate the mean of its ends."""
+        dt = np.diff(self.t)
+        rate = 0.5 * (self.gyro[:-1, 2] + self.gyro[1:, 2])
+        return dt, rate, rate * dt
 
     def sample(self, i: int) -> ImuSample:
         return ImuSample(

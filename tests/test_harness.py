@@ -240,6 +240,30 @@ class TestEvaluate:
         assert report.counts["true_positives"] == 0
         assert report.counts["false_positives"] == 1
 
+    def test_crossings_listed_out_of_step_order(self):
+        truth = make_truth([1.0, 0.0], crossings=[(14, "doorA"), (10, "doorA")])
+        report = evaluate([(log_with(switches=[switch(10), switch(16)], final=Point2(1, 0)), truth)])
+        assert report.counts["true_positives"] == 2
+        assert report.counts["false_positives"] == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["doorA", "doorB"])), max_size=6),
+        st.lists(st.tuples(st.integers(0, 30), st.sampled_from(["doorA", "doorB"])), max_size=6),
+        st.integers(0, 6),
+    )
+    def test_matching_is_a_maximum_matching(self, crossings, switches, window):
+        linear_sum_assignment = pytest.importorskip("scipy.optimize").linear_sum_assignment
+        truth = make_truth([1.0, 0.0], crossings=crossings)
+        events = [switch(step, door) for step, door in switches]
+        fits = np.array(
+            [[door == sw.door_id and abs(sw.step_index - step) <= window for sw in events] for step, door in crossings],
+            dtype=float,
+        ).reshape(len(crossings), len(events))
+        rows, cols = linear_sum_assignment(fits, maximize=True)
+        best = int(fits[rows, cols].sum())
+        assert harness._match_switches(events, truth, window) == (best, len(events) - best)
+
     def test_outside_window_not_matched(self):
         truth = make_truth([1.0, 0.0], crossings=[(0, "doorA")])
         report = evaluate([(log_with(switches=[switch(6)], final=Point2(1, 0)), truth)])
@@ -951,6 +975,12 @@ RECORD_ERRORS = [
     (load_truth, "initial: inf 0 0 indoor", InvariantViolation, "point-finite: (inf, 0.0)"),
     (load_path_rows, "0,0.5,nan,0.0,0.0,indoor", InvariantViolation, "point-finite: (nan, 0.0)"),
     (load_event_rows, "switch,0,0.5,doorA,inf,4.0,,,,indoor,outdoor", InvariantViolation, "point-finite: (inf, 4.0)"),
+    # A trace names its first bad sample; an interval's is the sample that ends it, and overflow warns nothing.
+    (load_trace, "0,0,0,9.81,0,0,0,22,0,-43\n0.01,0,0,9.81,0,0,0,nan,0,-43", InvariantViolation, "trace-finite: non-finite value in mag"),
+    (load_trace, "0,0,0,9.81,0,0,0,22,0,-43\n0,0,0,9.81,0,0,0,22,0,-43", InvariantViolation, "trace-monotonic-time"),
+    (load_trace, "0,0,0,9.81,0,0,1e308,22,0,-43\n0.01,0,0,9.81,0,0,1e308,22,0,-43", InvariantViolation, "trace-increment-finite"),
+    (load_trace, "-1e308,0,0,9.81,0,0,0,22,0,-43\n1e308,0,0,9.81,0,0,0,22,0,-43", InvariantViolation, "trace-increment-finite"),
+    (load_trace, "0,0,0,9.81,0,0,1e300,22,0,-43\n1e10,0,0,9.81,0,0,1e300,22,0,-43", InvariantViolation, "trace-increment-finite"),
 ]
 # Lines before the bad record: a version line and a comment, where the format has them; a truth file its start.
 RECORD_HEADS = {
@@ -958,6 +988,7 @@ RECORD_HEADS = {
     load_truth: "version: 1\ninitial: 0 0 0 indoor\n# a comment\n",
     load_path_rows: f"{harness.PATH_HEADER}\n",
     load_event_rows: f"{harness.EVENTS_HEADER}\n",
+    load_trace: f"{harness.TRACE_HEADER}\n",
 }
 # Records after the bad one: a walk script needs two good waypoints.
 RECORD_TAILS = {load_walk_script: "waypoint: 0 0\nwaypoint: 5 0\n"}
