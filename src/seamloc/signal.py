@@ -42,10 +42,10 @@ class Trace:
         if not (len(self.accel) == len(self.gyro) == len(self.mag) == n):
             raise InvariantViolation("trace-equal-lengths", "sensor columns differ in length")
         # Each error names its first bad sample: for an interval, the sample that ends it.
-        for name, arr in (("t", self.t[:, None]), ("accel", self.accel), ("gyro", self.gyro), ("mag", self.mag)):
-            finite = np.isfinite(arr).all(axis=1)
+        for name, arr in (("t", self.t), ("accel", self.accel), ("gyro", self.gyro), ("mag", self.mag)):
+            finite = np.isfinite(arr)
             if not finite.all():
-                raise InvariantViolation("trace-finite", f"non-finite value in {name}", record=int(np.argmin(finite)))
+                raise InvariantViolation("trace-finite", f"non-finite value in {name}", record=int(np.argwhere(~finite)[0, 0]))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             dt, _, increments = self.yaw_increments()
         later = dt > 0

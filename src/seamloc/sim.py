@@ -273,7 +273,8 @@ def generate_walk(
     mag[1] += -MAG_HORIZONTAL * np.sin(psi_true)
     mag[2] += MAG_VERTICAL
 
-    trace = Trace(t=t, accel=accel.T.copy(), gyro=gyro.T.copy(), mag=mag.T.copy())  # C order: (n, 3) rows
+    # (n, 3) in C order, as the tracker reads it fastest; column_stack copies faster than .T.copy().
+    trace = Trace(t=t, accel=np.column_stack(accel), gyro=np.column_stack(gyro), mag=np.column_stack(mag))
     truth = GroundTruth(
         step_times=np.array(step_times),
         step_positions=np.concatenate(step_positions),
