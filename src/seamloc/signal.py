@@ -45,7 +45,8 @@ class Trace:
         for name, arr in (("t", self.t), ("accel", self.accel), ("gyro", self.gyro), ("mag", self.mag)):
             finite = np.isfinite(arr)
             if not finite.all():
-                raise InvariantViolation("trace-finite", f"non-finite value in {name}", record=int(np.argwhere(~finite)[0, 0]))
+                first = int(np.argwhere(~finite)[0, 0])
+                raise InvariantViolation("trace-finite", f"non-finite value in {name}", record=first)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             dt, _, increments = self.yaw_increments()
         later = dt > 0
@@ -187,8 +188,8 @@ def detect_door_openings(
     A window of length door_window qualifies when its peak |a| sits in
     [door_hi, step_hi), it contains at least door_min_zero_crossings swings
     between the band edges (from <= door_lo to >= door_hi, or back; see
-    _zero_crossing_flags), and no step event falls inside it. Overlapping qualifying
-    windows merge into a single event.
+    _zero_crossing_flags), and no step event falls inside it. Overlapping
+    qualifying windows merge into a single event.
     """
     t = np.asarray(t, dtype=float)
     a = np.asarray(a, dtype=float)

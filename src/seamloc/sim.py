@@ -264,7 +264,7 @@ def generate_walk(
     if n > 1:
         psi_true[1:] = leg_headings[0] + np.cumsum(0.5 * (rate[:-1] + rate[1:]) * dt)
 
-    # One draw per sensor, axis after axis: the numbers of one draw per axis, in the same order.
+    # One (3, n) draw per sensor: the same numbers, in the same order, as one draw per axis.
     rng = np.random.default_rng(noise.seed)
     accel, gyro, mag = [rng.normal(0.0, s, (3, n)) for s in (noise.accel_sigma, noise.gyro_sigma, noise.mag_sigma)]
     accel[2] += GRAVITY + a_norm
