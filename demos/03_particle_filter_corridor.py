@@ -25,9 +25,8 @@ from seamloc import (
     pf_init,
     pf_step,
     run_pdr,
-    wrap_angle,
 )
-from seamloc.pdr import heading_series
+from seamloc.pdr import heading_series, step_samples
 
 corridor = FloorPlan(
     walls=(Segment2(Point2(-2, -1), Point2(35, -1)), Segment2(Point2(-2, 1), Point2(35, 1))),
@@ -53,9 +52,8 @@ for seed in range(8):
     pset = pf_init(pdr_cfg.initial_pose, pf_cfg, seed=seed)
     est = pdr_cfg.initial_pose.position
     estimates = []
-    for s in steps:
-        i = max(int(np.searchsorted(trace.t, s.t, side="right")) - 1, 0)
-        h = wrap_angle(psi[i])
+    for i in step_samples(trace, steps):
+        h = psi[i]
         try:
             pset, est = pf_step(pset, h, pf_cfg, pdr_cfg, corridor)
         except FilterDivergenceError:

@@ -31,14 +31,7 @@ from .filters import (
     pf_step,
 )
 from .fingerprint import Fingerprint, RadioMap, WknnConfig, estimate_position
-from .geometry import (
-    Door,
-    FloorPlan,
-    Point2,
-    Segment2,
-    distance,
-    segment_intersection,
-)
+from .geometry import Door, FloorPlan, Point2, Segment2, distance, segment_intersection
 from .harness import (
     EvalReport,
     EventLog,

@@ -33,6 +33,9 @@ class ParticleSet:
         return len(self.weights)
 
 
+MAX_PARTICLES = 10**6  # PfConfig refuses more before any array is made; the growth benchmarks stop at 10**4
+
+
 @dataclass(frozen=True)
 class PfConfig:
     particle_count: int = 1000
@@ -42,8 +45,8 @@ class PfConfig:
     resample_threshold: float = 0.5  # fraction of particle_count
 
     def __post_init__(self):
-        if self.particle_count < 1:
-            raise InvalidParameterError("particle_count must be >= 1")
+        if not 1 <= self.particle_count <= MAX_PARTICLES:
+            raise InvalidParameterError(f"particle_count must be in [1, {MAX_PARTICLES}], got {self.particle_count}")
         if min(self.step_sigma, self.heading_sigma, self.init_sigma) < 0:
             raise InvalidParameterError("noise sigmas must be non-negative")
         if not 0 < self.resample_threshold <= 1:

@@ -205,6 +205,7 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.nda
         # Pairs in row-major order: wall values repeat, step values gather.
         flat, counts = np.flatnonzero(close), np.count_nonzero(close, axis=1)
         i = flat - np.repeat(np.arange(0, close.size, n), counts)
+        # pairs stays bound until the next block: freed early, glibc returns and re-faults its pages, 2x slower.
         pairs = np.repeat(wall[:6, start : start + block], counts, axis=1)
         crossing, collinear = _straddle(pairs, step.take(i, axis=1))
         # compress, not a boolean index: it does not branch on each element.

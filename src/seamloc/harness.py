@@ -24,7 +24,7 @@ from .errors import InvalidScriptError, SeamlocError
 from .filters import KfConfig, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_step
 from .fingerprint import Fingerprint, RadioMap, dbm_reading
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
-from .pdr import PdrConfig, Pose, propagate_step, wrap_angle
+from .pdr import PdrConfig, Pose, integrate_heading, propagate_step, step_samples, wrap_angle
 from .signal import DoorOpenEvent, SignalConfig, StepEvent, Trace, detect_door_openings, detect_steps, normalized_series
 from .sim import DoorAction, GroundTruth, WalkScript, uncrossed_change
 
@@ -39,6 +39,10 @@ class PipelineConfig:
     kf: KfConfig = field(default_factory=KfConfig)
     crossing: CrossingConfig = field(default_factory=CrossingConfig)
     seed: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -96,7 +100,7 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
 
     dts, rates, increments = (arr.tolist() for arr in trace.yaw_increments())
     mag_z = None  # magnetometer heading per interval end, computed on first KF use
-    sample_at = np.maximum(np.searchsorted(trace.t, [s.t for s in steps], side="right") - 1, 0).tolist()
+    sample_at = step_samples(trace, steps)
     open_starts = [ev.t_start for ev in door_opens]
     open_ends = [ev.t_end for ev in door_opens]  # sorted: merged openings are disjoint
     cursor = 0
@@ -110,13 +114,7 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
             kf = kf_run(kf, rates, dts, mag_z, cursor, i_k, cfg.kf)
             heading = kf.heading
         else:
-            # Not pdr.heading_series: its np.cumsum runs unwrapped from the start
-            # heading, while this sum restarts at each switch and wraps as it
-            # goes, so sharing it would change the heading's bits.
-            for inc in increments[cursor:i_k]:
-                heading += inc
-                if not -math.pi < heading <= math.pi:
-                    heading = wrap_angle(heading)
+            heading = integrate_heading(heading, increments, cursor, i_k)
         cursor = i_k
 
         prev_pos = position

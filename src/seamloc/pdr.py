@@ -40,38 +40,41 @@ class PdrConfig:
 
 def propagate_step(pose: Pose, cfg: PdrConfig) -> Pose:
     """Advance one fixed-length step along the current heading."""
-    return Pose(
-        position=Point2(
-            pose.position.x + cfg.step_length * math.cos(pose.heading),
-            pose.position.y + cfg.step_length * math.sin(pose.heading),
-        ),
-        heading=pose.heading,
-    )
+    p, step, heading = pose.position, cfg.step_length, pose.heading
+    return Pose(Point2(p.x + step * math.cos(heading), p.y + step * math.sin(heading)), heading)
+
+
+def integrate_heading(heading: float, increments: list[float], i0: int, i1: int) -> float:
+    """heading plus the gyro yaw increments[i0:i1], added one at a time and
+    wrapped only when the sum leaves (-pi, pi], so it never overflows."""
+    for inc in increments[i0:i1]:
+        heading += inc
+        if not -math.pi < heading <= math.pi:
+            heading = wrap_angle(heading)
+    return heading
+
+
+def step_samples(trace: Trace, steps: list[StepEvent]) -> list[int]:
+    """Index of the last sample at or before each step (0 for a step before the first sample)."""
+    return np.maximum(np.searchsorted(trace.t, [s.t for s in steps], side="right") - 1, 0).tolist()
 
 
 def heading_series(trace: Trace, cfg: PdrConfig) -> np.ndarray:
-    """Heading at every sample: trapezoidal integration of the gyro z axis (vertical).
-
-    Integration runs unwrapped (exact cumulative angle); callers wrap when
-    presenting a heading.
-    """
-    psi = np.full(len(trace), cfg.initial_pose.heading, dtype=float)
-    psi[1:] += np.cumsum(trace.yaw_increments()[2])
-    return psi
+    """Heading at every sample, in (-pi, pi]: integrate_heading over one interval at a time."""
+    increments = trace.yaw_increments()[2].tolist()
+    psi = [wrap_angle(cfg.initial_pose.heading)] if len(trace) else []
+    for i in range(len(increments)):
+        psi.append(integrate_heading(psi[-1], increments, i, i + 1))
+    return np.array(psi)
 
 
 def run_pdr(trace: Trace, steps: list[StepEvent], cfg: PdrConfig) -> list[Pose]:
-    """Dead-reckoned pose at each step event.
-
-    Heading is integrated across all samples; each step advances the position
-    by step_length along the heading at the step's timestamp.
-    """
-    psi = heading_series(trace, cfg)
+    """Dead-reckoned pose at each step, steps in time order: the heading runs through
+    integrate_heading to the step's sample, and the step advances step_length along it."""
+    increments, samples = trace.yaw_increments()[2].tolist(), step_samples(trace, steps)
+    pose = Pose(cfg.initial_pose.position, wrap_angle(cfg.initial_pose.heading))
     poses: list[Pose] = []
-    pose = cfg.initial_pose
-    for step in steps:
-        i = int(np.searchsorted(trace.t, step.t, side="right")) - 1
-        i = max(i, 0)
-        pose = propagate_step(Pose(pose.position, wrap_angle(psi[i])), cfg)
+    for i0, i1 in zip([0, *samples], samples):
+        pose = propagate_step(Pose(pose.position, integrate_heading(pose.heading, increments, i0, i1)), cfg)
         poses.append(pose)
     return poses

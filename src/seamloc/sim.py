@@ -94,6 +94,8 @@ class NoiseModel:
     def __post_init__(self):
         if min(self.accel_sigma, self.gyro_sigma, self.mag_sigma) < 0:
             raise InvalidParameterError("noise sigmas must be non-negative")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
 
 # Noise level used by the synthetic evaluation protocol: small enough that
@@ -261,8 +263,7 @@ def generate_walk(
     # True heading per sample: trapezoidal integral of the clean turn rate.
     psi_true = np.empty(n)
     psi_true[0] = leg_headings[0]
-    if n > 1:
-        psi_true[1:] = leg_headings[0] + np.cumsum(0.5 * (rate[:-1] + rate[1:]) * dt)
+    psi_true[1:] = leg_headings[0] + np.cumsum(0.5 * (rate[:-1] + rate[1:]) * dt)
 
     # One (3, n) draw per sensor: the same numbers, in the same order, as one draw per axis.
     rng = np.random.default_rng(noise.seed)

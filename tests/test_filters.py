@@ -11,6 +11,7 @@ from seamloc import (
     FloorPlan,
     HeadingKfState,
     ImuSample,
+    InvalidParameterError,
     KfConfig,
     NoiseModel,
     PdrConfig,
@@ -35,7 +36,7 @@ from seamloc import (
     wrap_angle,
 )
 from seamloc import filters
-from seamloc.filters import ParticleSet
+from seamloc.filters import MAX_PARTICLES, ParticleSet
 from seamloc.geometry import _segments_cross
 from seamloc.pdr import heading_series
 from test_geometry import per_wall_oracle
@@ -62,6 +63,17 @@ def _pieced_corridor_run():
         h.update(pset.weights.astype("<f8").tobytes())
         live.append(int((pset.weights > 0).sum()))
     return h.hexdigest(), (est.x.hex(), est.y.hex()), live
+
+
+class TestPfConfig:
+    @pytest.mark.parametrize("count", [0, MAX_PARTICLES + 1, 10**12, 2**63])
+    def test_particle_count_outside_the_cap_is_refused(self, count):
+        # Refused by the config, before pf_init would try to allocate the cloud.
+        with pytest.raises(InvalidParameterError, match=f"particle_count must be in \\[1, {MAX_PARTICLES}\\], got {count}"):
+            PfConfig(particle_count=count)
+
+    def test_cap_itself_is_allowed(self):
+        assert PfConfig(particle_count=MAX_PARTICLES).particle_count == MAX_PARTICLES
 
 
 class TestPfInit:

@@ -1019,14 +1019,17 @@ BAD_CONFIGS = [
     ("locate", '{"wknn": {"k": 2, "missing_rss_floor": 1e200}}'),
     ("locate", '{"wknn": {"missing_rss_floor": 5}}'),
     ("locate", '{"wknn": {"missing_rss_floor": -121}}'),
+    # numpy's seeding rejected a negative seed with a ValueError traceback.
+    ("simulate", '{"noise": {"seed": -2}}'),
+    # pf_init failed to allocate these particles (a MemoryError, or a ValueError past the largest dimension).
+    ("track", '{"pf": {"particle_count": 1000000000000}}'),
+    ("track", '{"pf": {"particle_count": 9223372036854775808}}'),
 ]
 
 
-@pytest.mark.parametrize("command, config", BAD_CONFIGS)
-def test_bad_config_value_is_invalid_parameter(cli_run, tmp_path, command, config):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(config)
-    d = cli_run
+def _cli_exit_2(d, tmp_path, command, *extra):
+    """Run command on the valid inputs in d in a separate interpreter, so an
+    uncaught exception shows as a traceback; it must exit 2 with invalid-parameter."""
     args = {
         "simulate": ["--script", d / "walk.txt", "--plan", d / "plan.txt"],
         "track": ["--trace", d / "trial.trace.csv", "--plan", d / "plan.txt"],
@@ -1035,10 +1038,30 @@ def test_bad_config_value_is_invalid_parameter(cli_run, tmp_path, command, confi
     }[command]
     src = str(Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    cmd = [sys.executable, "-m", "seamloc.cli", command, *map(str, args), "--out", str(tmp_path / "o"), "--config", str(cfg)]
+    cmd = [sys.executable, "-m", "seamloc.cli", command, *map(str, args), "--out", str(tmp_path / "o"), *extra]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error[invalid-parameter]: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, config", BAD_CONFIGS)
+def test_bad_config_value_is_invalid_parameter(cli_run, tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    _cli_exit_2(cli_run, tmp_path, command, "--config", str(cfg))
+
+
+@pytest.mark.parametrize("command, seed", [("track", "-1"), ("simulate", "-3")])
+def test_negative_seed_is_invalid_parameter(cli_run, tmp_path, command, seed):
+    _cli_exit_2(cli_run, tmp_path, command, "--seed", seed)
+
+
+def test_negative_seed_is_rejected_by_each_config():
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+        PipelineConfig(seed=-1)
+    with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
+        NoiseModel(seed=-1)
+    assert PipelineConfig(seed=0).seed == NoiseModel(seed=0).seed == 0
 
 
 def test_config_float_takes_json_int(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seamloc import (
@@ -10,6 +10,7 @@ from seamloc import (
     PdrConfig,
     Point2,
     Pose,
+    StepEvent,
     Trace,
     WalkScript,
     detect_steps,
@@ -18,7 +19,7 @@ from seamloc import (
     run_pdr,
     wrap_angle,
 )
-from seamloc.pdr import propagate_step
+from seamloc.pdr import heading_series, propagate_step
 
 
 class TestWrapAngle:
@@ -72,6 +73,17 @@ class TestPropagateStep:
         assert math.hypot(pose.position.x, pose.position.y) < 1e-12
 
 
+def gyro_trace(gz, fs):
+    n = len(gz)
+    zeros = np.zeros(n)
+    return Trace(
+        t=np.arange(n) / fs,
+        accel=np.column_stack([zeros, zeros, zeros + 9.81]),
+        gyro=np.column_stack([zeros, zeros, gz]),
+        mag=np.column_stack([zeros + 22.0, zeros, zeros - 43.0]),
+    )
+
+
 def square_walk(side=7.5):
     return WalkScript(
         waypoints=(
@@ -113,18 +125,9 @@ class TestRunPdr:
 
     def test_constant_gyro_bias_linear_heading_error(self):
         bias, duration, fs = 0.01, 60.0, 50.0
-        n = int(duration * fs)
-        t = np.arange(n) / fs
-        trace = Trace(
-            t=t,
-            accel=np.column_stack([np.zeros(n), np.zeros(n), np.full(n, 9.81)]),
-            gyro=np.column_stack([np.zeros(n), np.zeros(n), np.full(n, bias)]),
-            mag=np.column_stack([np.full(n, 22.0), np.zeros(n), np.full(n, -43.0)]),
-        )
-        from seamloc.pdr import heading_series
-
+        trace = gyro_trace(np.full(int(duration * fs), bias), fs)
         psi = heading_series(trace, PdrConfig(initial_pose=Pose(Point2(0, 0), 0.0)))
-        assert abs(psi[-1] - bias * t[-1]) < 1e-9
+        assert abs(psi[-1] - bias * trace.t[-1]) < 1e-9
 
     def test_path_length_exact(self):
         trace, truth = generate_walk(square_walk(), NoiseModel(gyro_sigma=0.01, gyro_bias=0.01, seed=4))
@@ -152,3 +155,84 @@ class TestRunPdr:
         _, poses = run_pipeline_pdr(trace, truth)
         for pose in poses:
             assert -math.pi < pose.heading <= math.pi
+
+
+# ---------------------------------------------------------------------------
+# Oracle: dead reckoning by the unwrapped cumulative sum it used before the
+# one gyro heading rule (pdr.integrate_heading)
+# ---------------------------------------------------------------------------
+
+
+def cumsum_heading_series(trace, cfg):
+    """Heading at every sample, unwrapped: the start heading plus np.cumsum of the yaw increments."""
+    psi = np.full(len(trace), cfg.initial_pose.heading, dtype=float)
+    psi[1:] += np.cumsum(trace.yaw_increments()[2])
+    return psi
+
+
+def cumsum_run_pdr(trace, steps, cfg):
+    """Each step advances along wrap_angle of the cumsum heading at the sample at or before it."""
+    psi = cumsum_heading_series(trace, cfg)
+    poses = []
+    pose = cfg.initial_pose
+    for step in steps:
+        i = max(int(np.searchsorted(trace.t, step.t, side="right")) - 1, 0)
+        pose = propagate_step(Pose(pose.position, wrap_angle(psi[i])), cfg)
+        poses.append(pose)
+    return poses
+
+
+@st.composite
+def turning_walks(draw):
+    """A gyro trace of constant-rate turns (up to 10 rad/s, so the heading
+    crosses +/-pi many times), a start heading that may lie outside
+    (-pi, pi], and step times in order, some before the first sample,
+    between samples or after the last."""
+    fs = draw(st.sampled_from([20.0, 50.0, 100.0]))
+    turns = draw(st.lists(st.tuples(st.floats(-10.0, 10.0), st.integers(1, 80)), min_size=1, max_size=6))
+    gz = np.concatenate([np.full(k, rate) for rate, k in turns])
+    start = draw(st.floats(-20.0, 20.0))
+    end = (len(gz) - 1) / fs
+    times = sorted(draw(st.lists(st.floats(-0.5, end + 0.5), max_size=40)))
+    steps = [StepEvent(index=k, t=t, peak=2.0) for k, t in enumerate(times)]
+    return gyro_trace(gz, fs), steps, PdrConfig(initial_pose=Pose(Point2(1.0, -2.0), start))
+
+
+class TestOneHeadingRule:
+    @settings(max_examples=150, deadline=None)
+    @given(turning_walks())
+    def test_heading_series_is_the_wrapped_cumsum(self, walk):
+        trace, _, cfg = walk
+        got, want = heading_series(trace, cfg), cumsum_heading_series(trace, cfg)
+        assert len(got) == len(want) == len(trace)
+        for g, w in zip(got.tolist(), want.tolist()):
+            assert -math.pi < g <= math.pi
+            assert abs(wrap_angle(g - wrap_angle(w))) <= 1e-9  # the angle between them: pi and -pi + 1e-12 are close
+
+    @settings(max_examples=150, deadline=None)
+    @given(turning_walks())
+    def test_run_pdr_matches_the_cumsum_oracle(self, walk):
+        trace, steps, cfg = walk
+        got, want = run_pdr(trace, steps, cfg), cumsum_run_pdr(trace, steps, cfg)
+        assert len(got) == len(want) == len(steps)
+        for g, w in zip(got, want):
+            assert -math.pi < g.heading <= math.pi
+            assert abs(wrap_angle(g.heading - w.heading)) <= 1e-9
+            assert math.hypot(g.position.x - w.position.x, g.position.y - w.position.y) <= 1e-9
+
+    def test_huge_finite_rates_do_not_overflow_the_heading(self):
+        # Every increment is finite (1e305 rad), so Trace accepts the trace, but
+        # their running sum overflowed np.cumsum with a RuntimeWarning.
+        trace = gyro_trace(np.full(3000, 1e307), 100.0)
+        psi = heading_series(trace, PdrConfig())
+        assert len(psi) == 3000
+        assert np.isfinite(psi).all() and ((psi > -math.pi) & (psi <= math.pi)).all()
+        steps = [StepEvent(index=k, t=float(t), peak=2.0) for k, t in enumerate(trace.t[::50])]
+        poses = run_pdr(trace, steps, PdrConfig())
+        assert len(poses) == 60
+        for pose in poses:
+            assert math.isfinite(pose.position.x) and math.isfinite(pose.position.y)
+            assert -math.pi < pose.heading <= math.pi
+
+    def test_empty_trace_has_no_headings(self):
+        assert len(heading_series(gyro_trace(np.zeros(0), 100.0), PdrConfig())) == 0
