@@ -23,7 +23,7 @@ class CrossingConfig:
     coincidence_steps: int = 5
 
     def __post_init__(self):
-        if self.zone_width <= 0 or self.area_radius <= 0 or self.coincidence_steps <= 0:
+        if not (self.zone_width > 0 and self.area_radius > 0 and self.coincidence_steps > 0):
             raise InvalidParameterError("crossing parameters must be positive")
 
 

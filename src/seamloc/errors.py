@@ -2,10 +2,25 @@
 
 
 class SeamlocError(Exception):
-    """Base class for all package errors; the CLI prints error[category] and exits with exit_code."""
+    """Base class for all package errors; the CLI prints error[category] and exits with exit_code.
+
+    record is (key, index among that key's records) of the input record the error is about, or
+    None; a loader names the error's place with at(), which sets path and line (None until then).
+    """
 
     category = "error"
     exit_code = 1
+
+    def __init__(self, message, record=None):
+        super().__init__(message)
+        self.record = record
+        self.path = self.line = None
+
+    def at(self, path, line=None):
+        """Put path:line: (path: with no line) in front of the message, keep both, and return self."""
+        self.path, self.line = str(path), line
+        self.args = (f"{path}: {self}" if line is None else f"{path}:{line}: {self}",)
+        return self
 
 
 class InvalidParameterError(SeamlocError, ValueError):
@@ -23,18 +38,10 @@ class InvalidInputError(SeamlocError, ValueError):
 
 
 class InvalidScriptError(SeamlocError, ValueError):
-    """A walk script cannot be realized (degenerate waypoints, bad cadence).
-
-    record is (record key, index among that key's records) of the script
-    record the error is about, or None; a loader uses it to name the line.
-    """
+    """A walk script cannot be realized (degenerate waypoints, bad cadence)."""
 
     category = "invalid-script"
     exit_code = 6
-
-    def __init__(self, message, record=None):
-        super().__init__(message)
-        self.record = record
 
 
 class ParseError(SeamlocError, ValueError):
@@ -43,29 +50,21 @@ class ParseError(SeamlocError, ValueError):
     category = "parse"
     exit_code = 3
 
-    def __init__(self, message, path=None, line=None):
-        loc = ""
+    def __init__(self, message, path=None, line=None, record=None):
+        super().__init__(message, record)
         if path is not None:
-            loc = f"{path}:" if line is None else f"{path}:{line}:"
-        super().__init__(f"{loc} {message}" if loc else message)
-        self.path = path
-        self.line = line
+            self.at(path, line)
 
 
 class InvariantViolation(SeamlocError, ValueError):
-    """A loaded value failed a named domain invariant.
-
-    record is the index of the trace sample the error is about, or None; a
-    loader uses it to name the line.
-    """
+    """A loaded value failed a named domain invariant."""
 
     category = "invariant"
     exit_code = 4
 
     def __init__(self, invariant, message, record=None):
-        super().__init__(f"{invariant}: {message}")
+        super().__init__(f"{invariant}: {message}", record)
         self.invariant = invariant
-        self.record = record
 
 
 class FilterDivergenceError(SeamlocError, RuntimeError):

@@ -47,7 +47,7 @@ class PfConfig:
     def __post_init__(self):
         if not 1 <= self.particle_count <= MAX_PARTICLES:
             raise InvalidParameterError(f"particle_count must be in [1, {MAX_PARTICLES}], got {self.particle_count}")
-        if min(self.step_sigma, self.heading_sigma, self.init_sigma) < 0:
+        if not all(sigma >= 0 for sigma in (self.step_sigma, self.heading_sigma, self.init_sigma)):
             raise InvalidParameterError("noise sigmas must be non-negative")
         if not 0 < self.resample_threshold <= 1:
             raise InvalidParameterError("resample_threshold must be in (0, 1]")
@@ -135,8 +135,10 @@ class KfConfig:
     declination: float = 0.0
 
     def __post_init__(self):
-        if min(self.q_heading, self.q_bias) <= 0 or self.r_mag <= 0:
+        if not (self.q_heading > 0 and self.q_bias > 0 and self.r_mag > 0):  # r_mag inf: no magnetometer
             raise InvalidParameterError("noise terms must be positive")
+        if not math.isfinite(self.declination):
+            raise InvalidParameterError(f"declination must be finite, got {self.declination}")
 
 
 def kf_init(heading: float) -> HeadingKfState:

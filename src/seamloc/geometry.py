@@ -45,7 +45,7 @@ class Door:
 
     def __post_init__(self):
         norm = math.hypot(*self.tangent)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
             raise InvariantViolation("door-tangent-unit", f"door {self.id}: |tangent| = {norm}")
         if self.inner_env == self.outer_env:
             raise InvariantViolation("door-distinct-env", f"door {self.id}: both sides {self.inner_env!r}")

@@ -26,7 +26,7 @@ from .fingerprint import Fingerprint, RadioMap, dbm_reading
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
 from .pdr import PdrConfig, Pose, integrate_heading, propagate_step, step_samples, wrap_angle
 from .signal import DoorOpenEvent, SignalConfig, StepEvent, Trace, detect_door_openings, detect_steps, normalized_series
-from .sim import DoorAction, GroundTruth, WalkScript, uncrossed_change
+from .sim import DoorAction, GroundTruth, WalkScript
 
 INDOOR = "indoor"  # the environment tracked by the particle filter; every other one runs the heading KF
 
@@ -402,9 +402,7 @@ def load_trace(path) -> Trace:
     try:
         return Trace(t=data[:, 0], accel=data[:, 1:4], gyro=data[:, 4:7], mag=data[:, 7:10])
     except InvariantViolation as exc:  # row i of data is lines[i]
-        if exc.record is not None:
-            exc.args = (f"{path}:{lines[exc.record][0]}: {exc}",)
-        raise
+        raise _at_record(exc, path, {None: lines})
 
 
 def save_floorplan(plan: FloorPlan, path) -> None:
@@ -418,20 +416,24 @@ def save_floorplan(plan: FloorPlan, path) -> None:
 
 def _build(path, records, build) -> list:
     """build(*values) of each (line number, values) record; a SeamlocError it raises
-    keeps its class and gains the record's path:line: in front of its message."""
+    keeps its class and is named at the record's path and line."""
     built = []
     for lineno, values in records:
         try:
             built.append(build(*values))
         except SeamlocError as exc:
-            exc.args = (f"{path}:{lineno}: {exc}",)
-            raise
+            raise exc.at(path, lineno)
     return built
+
+
+def _at_record(exc: SeamlocError, path, records) -> SeamlocError:
+    """exc named at path and, when its record is (key, k), at the line of records[key][k]."""
+    return exc.at(path, None if exc.record is None else records[exc.record[0]][exc.record[1]][0])
 
 
 def _door(door_id, cx, cy, tx, ty, inner, outer) -> Door:
     norm = math.hypot(tx, ty)
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
         raise InvariantViolation("door-tangent-unit", f"|tangent| = {norm} beyond 1e-6 of unit")
     if norm != 1.0:
         warnings.warn(f"door {door_id}: tangent normalized on load ({norm})")
@@ -454,14 +456,18 @@ def save_radiomap(radio_map: RadioMap, path) -> None:
 
 def load_radiomap(path) -> RadioMap:
     points = _read(path, _RADIOMAP)["point"]
-    return RadioMap(entries=tuple(_build(path, points, lambda x, y, *rss: Fingerprint(Point2(x, y), dict(rss)))))
+    entries = tuple(_build(path, points, lambda x, y, *rss: Fingerprint(Point2(x, y), dict(rss))))
+    try:
+        return RadioMap(entries=entries)
+    except InvariantViolation as exc:  # no reference points: the error is about the whole file
+        raise exc.at(path)
 
 
 def load_observation(path) -> dict[str, float]:
     """RSS observation file: one ``transmitter dbm`` pair per line."""
     rss = dict(_build(path, _read(path, _OBSERVATION, head=None)[None], dbm_reading))
     if not rss:
-        raise InvalidInputError(f"{path}: no RSS readings")
+        raise InvalidInputError("no RSS readings").at(path)
     return rss
 
 
@@ -485,25 +491,22 @@ def load_truth(path) -> GroundTruth:
     ((start, heading, environment),) = _build(path, records["initial"][-1:], lambda x, y, *rest: (Point2(x, y), *rest))
     steps = [step for _, step in records["step"]]  # index t x y heading environment; the index is not kept
     _build(path, records["step"], lambda _i, _t, x, y, *_: Point2(x, y))  # a step's position must be finite
-    environments = tuple(s[5] for s in steps)
-    crossings = tuple(crossing for _, crossing in records["crossing"])
-    i = uncrossed_change(environment, environments, crossings)
-    if i is not None:
-        line = records["step"][i][0]
-        raise ParseError(f"environment changed at step {i} without a crossing", path=str(path), line=line)
-    return GroundTruth(
-        step_times=np.array([s[1] for s in steps]),
-        step_positions=np.array([s[2:4] for s in steps]).reshape(-1, 2),
-        step_headings=np.array([s[4] for s in steps]),
-        environments=environments,
-        door_open_intervals=tuple(interval for _, interval in records["door_open"]),
-        crossings=crossings,
-        turn_backs=tuple(turn_back for _, turn_back in records["turn_back"]),
-        initial_position=start,
-        initial_heading=heading,
-        initial_environment=environment,
-        group=" ".join(records["group"][-1][1]) if records["group"] else "",
-    )
+    try:
+        return GroundTruth(
+            step_times=np.array([s[1] for s in steps]),
+            step_positions=np.array([s[2:4] for s in steps]).reshape(-1, 2),
+            step_headings=np.array([s[4] for s in steps]),
+            environments=tuple(s[5] for s in steps),
+            door_open_intervals=tuple(interval for _, interval in records["door_open"]),
+            crossings=tuple(crossing for _, crossing in records["crossing"]),
+            turn_backs=tuple(turn_back for _, turn_back in records["turn_back"]),
+            initial_position=start,
+            initial_heading=heading,
+            initial_environment=environment,
+            group=" ".join(records["group"][-1][1]) if records["group"] else "",
+        )
+    except InvalidParameterError as exc:  # the step rule; a file that breaks it is a parse error
+        raise _at_record(ParseError(str(exc), record=exc.record), path, records) from None
 
 
 def load_walk_script(path):
@@ -521,10 +524,7 @@ def load_walk_script(path):
             **settings,
         )
     except InvalidScriptError as exc:
-        if exc.record is not None:
-            key, k = exc.record
-            exc.args = (f"{path}:{records[key][k][0]}: {exc}",)
-        raise
+        raise _at_record(exc, path, records)
 
 
 def save_path(log: EventLog, path) -> None:

@@ -34,7 +34,7 @@ class PdrConfig:
     initial_pose: Pose = field(default_factory=lambda: Pose(Point2(0.0, 0.0), 0.0))
 
     def __post_init__(self):
-        if self.step_length <= 0:
+        if not self.step_length > 0:
             raise InvalidParameterError(f"step_length must be positive, got {self.step_length}")
 
 

@@ -41,22 +41,22 @@ class Trace:
         n = len(self.t)
         if not (len(self.accel) == len(self.gyro) == len(self.mag) == n):
             raise InvariantViolation("trace-equal-lengths", "sensor columns differ in length")
-        # Each error names its first bad sample: for an interval, the sample that ends it.
+        # Each error's record (None, i) names its first bad sample: for an interval, the one ending it.
         for name, arr in (("t", self.t), ("accel", self.accel), ("gyro", self.gyro), ("mag", self.mag)):
             finite = np.isfinite(arr)
             if not finite.all():
                 first = int(np.argwhere(~finite)[0, 0])
-                raise InvariantViolation("trace-finite", f"non-finite value in {name}", record=first)
+                raise InvariantViolation("trace-finite", f"non-finite value in {name}", record=(None, first))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             dt, _, increments = self.yaw_increments()
         later = dt > 0
         if not later.all():
             message = "timestamps not strictly increasing"
-            raise InvariantViolation("trace-monotonic-time", message, record=int(np.argmin(later)) + 1)
+            raise InvariantViolation("trace-monotonic-time", message, record=(None, int(np.argmin(later)) + 1))
         finite = np.isfinite(increments)
         if not finite.all():
             message = "the interval or yaw increment from the sample before overflows"
-            raise InvariantViolation("trace-increment-finite", message, record=int(np.argmin(finite)) + 1)
+            raise InvariantViolation("trace-increment-finite", message, record=(None, int(np.argmin(finite)) + 1))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -89,7 +89,7 @@ class SignalConfig:
     door_min_zero_crossings: int = 2
 
     def __post_init__(self):
-        if self.g <= 0:
+        if not self.g > 0:
             raise InvalidParameterError(f"gravity must be positive, got {self.g}")
         if not self.door_hi < self.step_hi:
             raise InvalidParameterError("door_hi must be below step_hi")
@@ -97,7 +97,7 @@ class SignalConfig:
             raise InvalidParameterError("door_lo must be above step_lo")
         if not self.door_lo < self.door_hi:
             raise InvalidParameterError("door_lo must be below door_hi")
-        if self.step_refractory <= 0 or self.door_window <= 0:
+        if not (self.step_refractory > 0 and self.door_window > 0):
             raise InvalidParameterError("time windows must be positive")
 
 

@@ -63,8 +63,9 @@ class WalkScript:
     def __post_init__(self):
         if len(self.waypoints) < 2:
             raise InvalidScriptError("need at least two waypoints")
-        if not (0 < self.cadence < math.inf and 0 < self.step_length_true < math.inf):
-            raise InvalidScriptError("cadence and step length must be positive and finite")
+        for key, value in (("cadence", self.cadence), ("step_length", self.step_length_true)):
+            if not 0 < value < math.inf:  # the last record of a setting is the one in force
+                raise InvalidScriptError("cadence and step length must be positive and finite", record=(key, -1))
         # Each error names the record it is about: a leg by its second waypoint.
         for i, (a, b) in enumerate(zip(self.waypoints, self.waypoints[1:]), start=1):
             if a.x == b.x and a.y == b.y:
@@ -92,8 +93,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.accel_sigma, self.gyro_sigma, self.mag_sigma) < 0:
+        if not all(sigma >= 0 for sigma in (self.accel_sigma, self.gyro_sigma, self.mag_sigma)):
             raise InvalidParameterError("noise sigmas must be non-negative")
+        if not math.isfinite(self.gyro_bias):
+            raise InvalidParameterError(f"gyro_bias must be finite, got {self.gyro_bias}")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
@@ -101,17 +104,6 @@ class NoiseModel:
 # Noise level used by the synthetic evaluation protocol: small enough that
 # step detection stays reliable, large enough that dead reckoning drifts.
 CALIBRATED_NOISE = NoiseModel(accel_sigma=0.05, gyro_sigma=0.005, gyro_bias=0.002, mag_sigma=0.5)
-
-
-def uncrossed_change(initial_environment: str, environments, crossings) -> int | None:
-    """Index of the first step whose environment differs from the one before
-    it with no crossing at that step, or None."""
-    env, cross_steps = initial_environment, {s for s, _ in crossings}
-    for i, e in enumerate(environments):
-        if e != env and i not in cross_steps:
-            return i
-        env = e
-    return None
 
 
 @dataclass
@@ -132,9 +124,12 @@ class GroundTruth:
         k = len(self.step_times)
         if not (len(self.step_positions) == len(self.step_headings) == len(self.environments) == k):
             raise InvalidParameterError("ground truth arrays differ in length")
-        i = uncrossed_change(self.initial_environment, self.environments, self.crossings)
-        if i is not None:
-            raise InvalidParameterError(f"environment changed at step {i} without a crossing")
+        # A step's environment changes only at a crossing.
+        env, cross_steps = self.initial_environment, {s for s, _ in self.crossings}
+        for i, e in enumerate(self.environments):
+            if e != env and i not in cross_steps:
+                raise InvalidParameterError(f"environment changed at step {i} without a crossing", record=("step", i))
+            env = e
 
     @property
     def step_count(self) -> int:

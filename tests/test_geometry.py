@@ -224,6 +224,11 @@ class TestTypeInvariants:
         with pytest.raises(InvariantViolation):
             Door(id="d", center=Point2(0, 0), tangent=(1.0, 1.0), inner_env="a", outer_env="b")
 
+    def test_door_tangent_nan_rejected(self):
+        # abs(nan - 1) > tol is False: the rule must be written so that NaN fails it.
+        with pytest.raises(InvariantViolation, match="door-tangent-unit"):
+            Door(id="d", center=Point2(0, 0), tangent=(float("nan"), 1.0), inner_env="a", outer_env="b")
+
     def test_door_distinct_environments(self):
         with pytest.raises(InvariantViolation):
             Door(id="d", center=Point2(0, 0), tangent=(1.0, 0.0), inner_env="a", outer_env="a")

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -430,6 +431,31 @@ class TestFormats:
         p.write_text("version: 1\ndoor: d 0.0 0.0 1.5 0.0 indoor outdoor\n")
         with pytest.raises(InvariantViolation, match="door-tangent-unit"):
             load_floorplan(p)
+
+    def test_floorplan_nan_tangent_rejected_without_warning(self, tmp_path):
+        # abs(nan - 1) > tol is False: the load rule must be written so that NaN fails it.
+        p = tmp_path / "plan.txt"
+        p.write_text("version: 1\ndoor: doorA 10.0 4.0 nan 1.0 indoor outdoor\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match=r":2: door-tangent-unit: \|tangent\| = nan"):
+                load_floorplan(p)
+
+    @pytest.mark.parametrize(
+        "load, text, message",
+        [
+            (load_radiomap, "version: 1\n", "radiomap-nonempty: no reference points"),
+            (load_observation, "# no readings\n", "no RSS readings"),
+            (load_walk_script, "version: 1\nwaypoint: 0 0\n", "need at least two waypoints"),
+        ],
+    )
+    def test_whole_file_error_names_its_file(self, tmp_path, load, text, message):
+        p = tmp_path / "f.txt"
+        p.write_text(text)
+        with pytest.raises(errors.SeamlocError) as got:
+            load(p)
+        assert str(got.value) == f"{p}: {message}"
+        assert got.value.path == str(p) and got.value.line is None
 
     def test_floorplan_requires_version(self, tmp_path):
         p = tmp_path / "plan.txt"
@@ -953,6 +979,7 @@ RECORD_ERRORS = [
     (load_floorplan, "wall: 0 0 0 0", InvariantViolation, "segment-positive-length: degenerate at"),
     (load_floorplan, "door: d 0 0 0 1 indoor indoor", InvariantViolation, "door-distinct-env: door d"),
     (load_floorplan, "door: d 0 0 1.5 0 indoor outdoor", InvariantViolation, "door-tangent-unit: |tangent| = 1.5"),
+    (load_floorplan, "door: d 0 0 nan 1.0 indoor outdoor", InvariantViolation, "door-tangent-unit: |tangent| = nan"),
     (load_floorplan, "start: nan 0 0 indoor", InvariantViolation, "point-finite: (nan, 0.0)"),
     (load_floorplan, "start: 0 0 nan indoor", InvariantViolation, "heading-finite: start heading nan"),
     (load_floorplan, "start: 0 0 -inf indoor", InvariantViolation, "heading-finite: start heading -inf"),
@@ -964,6 +991,9 @@ RECORD_ERRORS = [
     (load_observation, "ap1 nan", InvariantViolation, "fingerprint-dbm-range: ap1: nan dBm"),
     (load_walk_script, "waypoint: nan 0", InvariantViolation, "point-finite: (nan, 0.0)"),
     (load_walk_script, "door_action: 1 doorA fly", InvalidParameterError, "unknown door action 'fly'"),
+    # A setting names its last record, the one in force.
+    (load_walk_script, "cadence: 2.0\ncadence: nan", errors.InvalidScriptError, "cadence and step length must be"),
+    (load_walk_script, "step_length: inf", errors.InvalidScriptError, "cadence and step length must be"),
     # Whole-script rules name the second waypoint of a leg, or the pause or door action.
     (load_walk_script, "waypoint: 5 0\nwaypoint: 5 0", errors.InvalidScriptError, "coincident consecutive waypoints"),
     (load_walk_script, "waypoint: 1.7e308 0\nwaypoint: -1.7e308 0", errors.InvalidScriptError, "leg from (1.7e+308, 0.0)"),
@@ -1002,8 +1032,87 @@ def test_record_error_names_its_file_and_line(tmp_path, load, record, error, mes
     path.write_text(f"{head}{record}\n{RECORD_TAILS.get(load, '')}")
     with pytest.raises(errors.SeamlocError) as got:
         load(path)
+    line = head.count(chr(10)) + 1 + record.count(chr(10))
     assert type(got.value) is error
-    assert str(got.value).startswith(f"{path}:{head.count(chr(10)) + 1 + record.count(chr(10))}: {message}")
+    assert str(got.value).startswith(f"{path}:{line}: {message}")
+    assert got.value.path == str(path) and got.value.line == line
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# The walk script and observation that CI's console-script step runs on.
+CI_WALK = """version: 1
+waypoint: 4.6 4.0
+waypoint: 9.3 4.0
+waypoint: 13.05 4.0
+waypoint: 13.05 6.0
+door_action: 1 doorA open-and-cross
+pause: 2 1.5
+"""
+CI_OBSERVATION = "ap1 -53.0\nap2 -71.5\n"
+
+
+@pytest.fixture(scope="module")
+def fuzz_sources(tmp_path_factory):
+    """Loader name -> (load taking the dict of file texts, file name -> valid text)."""
+    d = tmp_path_factory.mktemp("fuzz_sources")
+    (d / "walk.txt").write_text(CI_WALK)
+    plan = two_building_plan()
+    trace, _ = generate_walk(load_walk_script(d / "walk.txt"), doors=plan.doors)
+    save_trace(Trace(trace.t[:12], trace.accel[:12], trace.gyro[:12], trace.mag[:12]), d / "trace.csv")
+    golden = {name: (GOLDEN / name).read_text() for name in ("trial.events.csv", "trial.path.csv")}
+    return {
+        "floorplan": (lambda p: load_floorplan(p["plan.txt"]), {"plan.txt": (GOLDEN / "plan.txt").read_text()}),
+        "radiomap": (lambda p: load_radiomap(p["rm.txt"]), {"rm.txt": (GOLDEN / "radiomap.txt").read_text()}),
+        "observation": (lambda p: load_observation(p["obs.txt"]), {"obs.txt": CI_OBSERVATION}),
+        "truth": (lambda p: load_truth(p["truth.txt"]), {"truth.txt": (GOLDEN / "truth_group.txt").read_text()}),
+        "walk_script": (lambda p: load_walk_script(p["walk.txt"]), {"walk.txt": CI_WALK}),
+        "trial": (lambda p: load_trial(p["trial.events.csv"], p["trial.path.csv"]), golden),
+        "trace": (lambda p: load_trace(p["trace.csv"]), {"trace.csv": (d / "trace.csv").read_text()}),
+    }
+
+
+def mutate_line(line: str, sep, at: int, value) -> str:
+    """line with its field at (modulo the field count) set to value; in a tx=dbm field, its dbm."""
+    fields = line.split(sep)
+    k = at % len(fields)
+    tx, eq, _ = fields[k].rpartition("=")
+    fields[k] = f"{tx}={value}" if eq else value
+    return (sep or " ").join(fields)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    loader=st.sampled_from(["floorplan", "radiomap", "observation", "truth", "walk_script", "trial", "trace"]),
+    target=st.integers(0, 1),
+    row=st.integers(0, 100),
+    at=st.integers(0, 20),
+    value=st.sampled_from(["nan", "-nan", "inf", "-inf", "1e309", "", "x", None, "duplicate"]),
+)
+def test_mutated_input_loads_or_names_its_file(fuzz_sources, tmp_path, loader, target, row, at, value):
+    """One field or line of a valid file becomes NaN, infinite, past the float range,
+    empty or not a number (value None empties the whole line), or a line is repeated:
+    the file loads, or the error names it, and no warning mentions NaN."""
+    load, texts = fuzz_sources[loader]
+    name = sorted(texts)[target % len(texts)]
+    lines = texts[name].splitlines()
+    k = row % len(lines)
+    if value == "duplicate":
+        lines.insert(k, lines[k])
+    elif value is None:
+        lines[k] = ""
+    else:
+        lines[k] = mutate_line(lines[k], "," if name.endswith(".csv") else None, at, value)
+    paths = {n: tmp_path / n for n in texts}
+    for n, text in texts.items():
+        paths[n].write_text("\n".join(lines) + "\n" if n == name else text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            load(paths)
+        except errors.SeamlocError as exc:
+            assert exc.path == str(paths[name]), str(exc)
+            assert str(exc).startswith(f"{exc.path}: " if exc.line is None else f"{exc.path}:{exc.line}: ")
+    assert not [w for w in caught if "nan" in str(w.message).lower() or w.category is RuntimeWarning]
 
 
 BAD_CONFIGS = [
@@ -1062,6 +1171,18 @@ def test_negative_seed_is_rejected_by_each_config():
     with pytest.raises(InvalidParameterError, match="seed must be >= 0, got -1"):
         NoiseModel(seed=-1)
     assert PipelineConfig(seed=0).seed == NoiseModel(seed=0).seed == 0
+
+
+CONFIG_FLOATS = [
+    (cls, f.name) for cls in cli._SECTIONS.values() for f in dataclasses.fields(cls) if f.type == "float"
+]
+
+
+@pytest.mark.parametrize("cls, name", CONFIG_FLOATS, ids=[f"{cls.__name__}.{name}" for cls, name in CONFIG_FLOATS])
+def test_nan_config_value_is_invalid_parameter(cls, name):
+    # The JSON reader refuses NaN; the dataclasses refuse it for Python callers too.
+    with pytest.raises(InvalidParameterError):
+        cls(**{name: float("nan")})
 
 
 def test_config_float_takes_json_int(tmp_path):

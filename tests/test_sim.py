@@ -114,6 +114,27 @@ class TestGenerateWalk:
                 env = e
             assert e == env
 
+    @pytest.mark.parametrize(
+        "environments, crossings, step",
+        [(("outdoor",), (), 0), (("indoor", "outdoor", "outdoor"), (), 1), (("outdoor", "indoor"), ((0, "doorA"),), 1)],
+    )
+    def test_uncrossed_environment_change_names_its_step(self, environments, crossings, step):
+        k = len(environments)
+        with pytest.raises(InvalidParameterError, match=f"environment changed at step {step} without a crossing") as got:
+            GroundTruth(
+                step_times=np.arange(k) + 0.5,
+                step_positions=np.zeros((k, 2)),
+                step_headings=np.zeros(k),
+                environments=environments,
+                door_open_intervals=(),
+                crossings=crossings,
+                turn_backs=(),
+                initial_position=Point2(0.0, 0.0),
+                initial_heading=0.0,
+                initial_environment="indoor",
+            )
+        assert got.value.record == ("step", step)
+
     def test_coincident_waypoints_rejected(self):
         with pytest.raises(InvalidScriptError):
             WalkScript(waypoints=(Point2(0, 0), Point2(0, 0)))
