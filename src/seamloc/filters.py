@@ -151,13 +151,20 @@ def mag_headings(mag_xy, declination: float) -> list[float | None]:
     """wrap_angle(atan2(-my, mx) + declination) of each (mx, my) row, or None
     under 1 microtesla of horizontal field or where that heading is NaN.
     math.atan2 and math.hypot, unlike their numpy forms, give the scalar
-    formula's bits; only entries outside (-pi, pi] pay a wrap_angle call."""
+    formula's bits; only entries outside (-pi, pi] pay a wrap_angle call.
+    The squared norm decides "under 1 microtesla" outside [0.999, 1.001];
+    only rows inside that band, or with a NaN, pay a math.hypot call."""
     m = np.asarray(mag_xy, dtype=float).reshape(-1, 2)
-    mx, my, n = m[:, 0].tolist(), m[:, 1].tolist(), len(m)
-    z = np.fromiter(map(math.atan2, (-m[:, 1]).tolist(), mx), float, n) + declination
+    mx, my, n = m[:, 0], m[:, 1], len(m)
+    z = np.fromiter(map(math.atan2, (-my).tolist(), mx.tolist()), float, n) + declination
     out = ~((z > -math.pi) & (z <= math.pi))
     z[out] = list(map(wrap_angle, z[out].tolist()))
-    unusable = (np.fromiter(map(math.hypot, mx, my), float, n) < 1.0) | np.isnan(z)
+    with np.errstate(over="ignore"):  # an overflowing square is past the band: inf is not under 1
+        squared = mx * mx + my * my
+    under = squared < 0.999
+    near = ~(under | (squared > 1.001))
+    under[near] = [math.hypot(x, y) < 1.0 for x, y in m[near].tolist()]
+    unusable = under | np.isnan(z)
     z = z.tolist()
     for i in np.flatnonzero(unusable).tolist():
         z[i] = None

@@ -67,6 +67,10 @@ class FloorPlan:
     def __post_init__(self):
         if self.start_heading is not None and not math.isfinite(self.start_heading):
             raise InvariantViolation("heading-finite", f"start heading {self.start_heading}")
+        ids = [door.id for door in self.doors]  # the crossing machine looks doors up by id
+        for k, door_id in enumerate(ids):
+            if door_id in ids[:k]:
+                raise InvariantViolation("door-id-unique", f"door {door_id} repeats an id", record=("door", k))
 
     def wall_array(self) -> np.ndarray:
         """Walls as an (M, 4) array of x1, y1, x2, y2 rows.

@@ -98,8 +98,7 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     kf = None if indoor else kf_init(heading)
     zones = build_zone_lookup(plan.doors, cfg.crossing)
 
-    dts, rates, increments = (arr.tolist() for arr in trace.yaw_increments())
-    mag_z = None  # magnetometer heading per interval end, computed on first KF use
+    mag_z = increments = None  # built on first use: dts, rates and mag_z for the KF, increments for the PF
     sample_at = step_samples(trace, steps)
     open_starts = [ev.t_start for ev in door_opens]
     open_ends = [ev.t_end for ev in door_opens]  # sorted: merged openings are disjoint
@@ -110,10 +109,13 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
         i_k = sample_at[k]
         if pf is None:
             if mag_z is None:
+                dts, rates = (arr.tolist() for arr in trace.yaw_increments()[:2])
                 mag_z = mag_headings(trace.mag[1:, :2], cfg.kf.declination)
             kf = kf_run(kf, rates, dts, mag_z, cursor, i_k, cfg.kf)
             heading = kf.heading
         else:
+            if increments is None:
+                increments = trace.yaw_increments()[2].tolist()
             heading = integrate_heading(heading, increments, cursor, i_k)
         cursor = i_k
 
@@ -445,8 +447,12 @@ def load_floorplan(path) -> FloorPlan:
     records = _read(path, _FLOORPLAN)
     doors = tuple(_build(path, records["door"], _door))
     walls = tuple(_build(path, records["wall"], lambda x1, y1, x2, y2: Segment2(Point2(x1, y1), Point2(x2, y2))))
-    plan = _build(path, records["start"][-1:], lambda x, y, *rest: FloorPlan(walls, doors, Point2(x, y), *rest))
-    return plan[0] if plan else FloorPlan(walls, doors)
+    try:
+        plan = FloorPlan(walls, doors)
+    except InvariantViolation as exc:  # a repeated door id names the later door's line
+        raise _at_record(exc, path, records)
+    start = _build(path, records["start"][-1:], lambda x, y, *rest: FloorPlan(walls, doors, Point2(x, y), *rest))
+    return start[0] if start else plan
 
 
 def save_radiomap(radio_map: RadioMap, path) -> None:

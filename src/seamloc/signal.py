@@ -8,6 +8,7 @@ swings from one edge of the door band to the other, with no step activity.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -129,34 +130,33 @@ def normalized_series(trace: Trace, cfg: SignalConfig = SignalConfig()) -> tuple
 def detect_steps(t: np.ndarray, a: np.ndarray, cfg: SignalConfig = SignalConfig()) -> list[StepEvent]:
     """Step events from a normalized-acceleration series.
 
-    A gait cycle fires once the series rises to step_hi, crosses zero
-    downward, and then drops to step_lo. The event is stamped at the cycle's
-    peak; a refractory interval suppresses double counting.
+    A gait cycle arms at a sample with a >= step_hi and fires at the first
+    a <= step_lo at or after the next downward zero crossing (a[i-1] > 0 >= a[i]);
+    the next cycle arms after it. Each cycle is three bisections into index
+    lists. The event is stamped at the cycle's first maximum, one of its arm
+    samples (never NaN), found for all cycles by one reduceat over their runs
+    arm[firsts[k]:firsts[k + 1]]; a refractory interval suppresses double counting.
     """
-    t = np.asarray(t, dtype=float).tolist()  # Python floats: no numpy scalar per sample
-    a = np.asarray(a, dtype=float).tolist()
+    t, a = np.asarray(t, dtype=float), np.asarray(a, dtype=float)
+    arm = np.flatnonzero(a >= cfg.step_hi)
+    cross = (np.flatnonzero((a[:-1] > 0.0) & (a[1:] <= 0.0)) + 1).tolist()
+    low = np.flatnonzero(a <= cfg.step_lo).tolist()
+    arm_at, firsts, end = arm.tolist(), [], 0
+    while end < len(arm_at):
+        k_cross = bisect.bisect_right(cross, arm_at[end])
+        k_low = bisect.bisect_left(low, cross[k_cross]) if k_cross < len(cross) else len(low)
+        if k_low == len(low):
+            break
+        firsts.append(end)
+        end = bisect.bisect_right(arm_at, low[k_low])
+    runs = a[arm[:end]]
+    is_top = runs == np.repeat(np.maximum.reduceat(runs, firsts), np.diff([*firsts, end]))
+    tops = np.flatnonzero(is_top)
+    peak_at = arm[tops[np.searchsorted(tops, firsts)]]  # the first maximum of each run
     events: list[StepEvent] = []
-    armed = False
-    saw_zero = False
-    peak = 0.0
-    peak_t = 0.0
-    for i, v in enumerate(a):
-        if not armed:
-            if v >= cfg.step_hi:
-                armed = True
-                saw_zero = False
-                peak = v
-                peak_t = t[i]
-            continue
-        if v > peak:
-            peak = v
-            peak_t = t[i]
-        if not saw_zero and i > 0 and a[i - 1] > 0.0 >= v:
-            saw_zero = True
-        if saw_zero and v <= cfg.step_lo:
-            if not events or peak_t - events[-1].t >= cfg.step_refractory:
-                events.append(StepEvent(index=len(events), t=peak_t, peak=peak))
-            armed = False
+    for peak_t, peak in zip(t[peak_at].tolist(), a[peak_at].tolist()):
+        if not events or peak_t - events[-1].t >= cfg.step_refractory:
+            events.append(StepEvent(index=len(events), t=peak_t, peak=peak))
     return events
 
 
@@ -188,16 +188,16 @@ def detect_door_openings(
     A window of length door_window qualifies when its peak |a| sits in
     [door_hi, step_hi), it contains at least door_min_zero_crossings swings
     between the band edges (from <= door_lo to >= door_hi, or back; see
-    _zero_crossing_flags), and no step event falls inside it. Overlapping
-    qualifying windows merge into a single event.
+    _zero_crossing_flags), and no step event, in any order, falls inside it.
+    All windows are tested at once from prefix counts; a NaN fails the peak
+    test. Overlapping qualifying windows merge into a single event.
     """
     t = np.asarray(t, dtype=float)
     a = np.asarray(a, dtype=float)
     n = len(a)
     if n < 2:
         return []
-    steps = steps or []
-    step_times = np.array([s.t for s in steps])
+    step_times = np.array(sorted([s.t for s in steps or []]))
 
     crossings = _zero_crossing_flags(a, cfg.door_lo, cfg.door_hi)
     crossing_prefix = np.concatenate([[0], np.cumsum(crossings)])
@@ -206,15 +206,16 @@ def detect_door_openings(
     # are a prefix of the starts because t + door_window never decreases.
     window_end = t + cfg.door_window
     m = int(np.count_nonzero(window_end <= t[-1]))
-    starts, ends = np.arange(m), np.searchsorted(t, window_end[:m], side="right")
+    ends = np.searchsorted(t, window_end[:m], side="right")
 
-    # Range max by reduceat over [start, end) pairs; the appended sentinel
-    # keeps an end equal to n a valid index.
-    bounds = np.column_stack([starts, ends]).ravel()
-    window_max = np.maximum.reduceat(np.append(np.abs(a), 0.0), bounds)[::2]
-    ok = (cfg.door_hi <= window_max) & (window_max < cfg.step_hi)
-    ok &= crossing_prefix[ends - 1] - crossing_prefix[starts] >= cfg.door_min_zero_crossings
-    first_step = np.searchsorted(step_times, t[starts], side="left")
+    # The peak |a| is in [door_hi, step_hi) iff the window holds a sample at or
+    # above door_hi and none that is not below step_hi (a NaN is one of those).
+    abs_a = np.abs(a)
+    reach = np.concatenate([[0], np.cumsum(abs_a >= cfg.door_hi)])
+    over = np.concatenate([[0], np.cumsum(~(abs_a < cfg.step_hi))])
+    ok = (reach[ends] > reach[:m]) & (over[ends] == over[:m])
+    ok &= crossing_prefix[ends - 1] - crossing_prefix[:m] >= cfg.door_min_zero_crossings
+    first_step = np.searchsorted(step_times, t[:m], side="left")
     ok &= np.searchsorted(step_times, t[ends - 1], side="right") <= first_step
     qualifying = np.flatnonzero(ok)
     if len(qualifying) == 0:

@@ -693,6 +693,18 @@ mag_component = st.one_of(
 declinations = st.one_of(st.just(0.0), st.floats(-math.pi, math.pi), st.floats(-10.0, 10.0), seam)
 
 
+# (mx, my) rows whose squared norm mx * mx + my * my is one float under, on and one
+# over each edge of [0.999, 1.001], the band where mag_headings asks math.hypot.
+BAND_EDGE_ROWS = [
+    (0.9994998749374608, 0.0),
+    (0.8654478609367522, 0.5),
+    (0.999499874937461, 0.0),
+    (0.9275640139634567, 0.375),
+    (1.000499875062461, 0.0),
+    (0.9954898291795854, 0.1),
+]
+
+
 class TestMagHeadings:
     @staticmethod
     def check(rows, declination):
@@ -703,8 +715,14 @@ class TestMagHeadings:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(mag_component, mag_component), max_size=40), declinations)
+    @example(rows=BAND_EDGE_ROWS, declination=0.0)
+    @example(rows=[(0.0, 1.3407807929942597e154)], declination=0.0)  # its squares overflow
     def test_matches_scalar_formula(self, rows, declination):
         self.check(rows, declination)
+
+    def test_band_edge_rows_sit_on_the_edges(self):
+        edges = [x for e in (0.999, 1.001) for x in (math.nextafter(e, 0.0), e, math.nextafter(e, 2.0))]
+        assert [mx * mx + my * my for mx, my in BAND_EDGE_ROWS] == edges
 
     def test_seam_and_edge_cases(self):
         rows = [

@@ -233,6 +233,17 @@ class TestTypeInvariants:
         with pytest.raises(InvariantViolation):
             Door(id="d", center=Point2(0, 0), tangent=(1.0, 0.0), inner_env="a", outer_env="a")
 
+    def test_door_ids_unique(self):
+        # The crossing machine looks doors up by id: a repeated id would hide a door.
+        doors = [
+            Door(id=door_id, center=Point2(x, 0), tangent=(1.0, 0.0), inner_env="a", outer_env="b")
+            for door_id, x in zip("ded", (0, 4, 8))
+        ]
+        with pytest.raises(InvariantViolation, match="door-id-unique: door d") as got:
+            FloorPlan(walls=(), doors=tuple(doors))
+        assert got.value.record == ("door", 2)
+        assert len(FloorPlan(walls=(), doors=tuple(doors[:2])).doors) == 2
+
 
 def per_wall_oracle(p0, p1, walls):
     """Reference wall test: one numpy pass per wall, no culling, no blocks."""

@@ -432,6 +432,15 @@ class TestFormats:
         with pytest.raises(InvariantViolation, match="door-tangent-unit"):
             load_floorplan(p)
 
+    @pytest.mark.parametrize("start", ["", "start: 4.6 4.0 0.0 indoor\n"])
+    def test_floorplan_repeated_door_id_names_the_later_door(self, tmp_path, start):
+        p = tmp_path / "plan.txt"
+        doors = "door: d 0 0 0 1 indoor outdoor\nwall: 0 0 1 0\ndoor: d 5 0 0 1 indoor outdoor\n"
+        p.write_text(f"version: 1\n{doors}{start}")
+        with pytest.raises(InvariantViolation, match=r":4: door-id-unique: door d") as got:
+            load_floorplan(p)
+        assert got.value.path == str(p) and got.value.line == 4
+
     def test_floorplan_nan_tangent_rejected_without_warning(self, tmp_path):
         # abs(nan - 1) > tol is False: the load rule must be written so that NaN fails it.
         p = tmp_path / "plan.txt"
@@ -662,6 +671,16 @@ class TestCli:
         rc = cli.main(["track", "--trace", str(bad), "--plan", str(plan_file), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "error[parse]" in capsys.readouterr().err
+
+    def test_repeated_door_id_exit_code(self, tmp_path, capsys):
+        plan_file, script_file = self.write_inputs(tmp_path)
+        lines = plan_file.read_text().splitlines()
+        door = next(k for k, line in enumerate(lines) if line.startswith("door: doorA"))
+        lines.insert(door + 1, lines[door])
+        plan_file.write_text("\n".join(lines) + "\n")
+        out = str(tmp_path / "o")
+        assert cli.main(["simulate", "--script", str(script_file), "--plan", str(plan_file), "--out", out]) == 4
+        assert capsys.readouterr().err.startswith(f"error[invariant]: {plan_file}:{door + 2}: door-id-unique")
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         plan_file, script_file = self.write_inputs(tmp_path)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -100,6 +101,88 @@ class TestDetectSteps:
         assert all(e.index == i for i, e in enumerate(events))
         assert all(abs(e.peak) >= CFG.step_hi for e in events)
         assert np.all(np.diff([e.t for e in events]) > 0)
+
+
+def step_loop_oracle(t, a, cfg=CFG):
+    """Reference step detector: the per-sample state machine."""
+    t, a = np.asarray(t, dtype=float).tolist(), np.asarray(a, dtype=float).tolist()
+    events = []
+    armed = saw_zero = False
+    peak = peak_t = 0.0
+    for i, v in enumerate(a):
+        if not armed:
+            if v >= cfg.step_hi:
+                armed, saw_zero, peak, peak_t = True, False, v, t[i]
+            continue
+        if v > peak:
+            peak, peak_t = v, t[i]
+        if not saw_zero and i > 0 and a[i - 1] > 0.0 >= v:
+            saw_zero = True
+        if saw_zero and v <= cfg.step_lo:
+            if not events or peak_t - events[-1].t >= cfg.step_refractory:
+                events.append(StepEvent(index=len(events), t=peak_t, peak=peak))
+            armed = False
+    return events
+
+
+def assert_steps_match_oracle(t, a, cfg=CFG):
+    got = detect_steps(t, a, cfg)
+    want = step_loop_oracle(t, a, cfg)
+    assert got == want
+    for e in got:
+        assert type(e.index) is int and type(e.t) is float and type(e.peak) is float
+    return got
+
+
+# Values around both thresholds of the default and the custom configurations:
+# repeated peaks, signed zeros, NaN and infinities.
+step_level = st.sampled_from(
+    [0.0, -0.0, 0.3, -0.3, 1.5, -1.5, 2.0, 2.5, -2.0, 3.0, math.nan, math.inf, -math.inf]
+) | st.floats(-3.0, 3.0)
+
+
+@st.composite
+def step_series(draw):
+    n = draw(st.integers(0, 150))
+    gaps = draw(st.lists(st.sampled_from([0.01, 0.05, 0.1]) | st.floats(0.001, 0.5), min_size=n, max_size=n))
+    t = np.cumsum(gaps) + draw(st.floats(0.0, 100.0))
+    a = np.array(draw(st.lists(step_level, min_size=n, max_size=n)), dtype=float)
+    hi = draw(st.sampled_from([1.5, 2.0, 0.5, 0.0, -0.25]) | st.floats(-1.0, 3.0))
+    gap = draw(st.sampled_from([3.0, 1.0, 0.25]) | st.floats(0.01, 5.0))
+    refractory = draw(st.sampled_from([0.3, 0.01]) | st.floats(0.001, 2.0))
+    cfg = SignalConfig(
+        step_hi=hi, step_lo=hi - gap, door_hi=hi - gap / 3, door_lo=hi - 2 * gap / 3, step_refractory=refractory
+    )
+    return t, a, cfg
+
+
+class TestDetectStepsOracle:
+    """detect_steps works per gait cycle; the per-sample loop is its reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_series())
+    def test_random_series_match_loop(self, series):
+        assert_steps_match_oracle(*series)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_samples(self, n):
+        assert assert_steps_match_oracle(np.arange(n) * 0.01, np.full(n, 2.0)) == []
+
+    def test_first_of_tied_peaks(self):
+        t = np.arange(6) * 0.1
+        (event,) = assert_steps_match_oracle(t, [0.0, 2.0, 1.0, 2.0, -0.5, -2.0])
+        assert event.t == t[1] and event.peak == 2.0
+
+    def test_nan_and_infinities(self):
+        # NaN never arms, crosses, fires or peaks; +inf is a peak and -inf fires.
+        t = np.arange(8) * 0.1
+        events = assert_steps_match_oracle(t, [math.nan, 2.0, math.nan, math.inf, -0.5, -math.inf, 2.0, -2.0])
+        assert [(e.t, e.peak) for e in events] == [(t[3], math.inf), (t[6], 2.0)]
+
+    def test_simulated_walk_matches_loop(self):
+        noise = dataclasses.replace(CALIBRATED_NOISE, seed=3)
+        trace, truth = generate_walk(crossing_script(two_building_plan()), noise)
+        assert len(assert_steps_match_oracle(*normalized_series(trace))) == truth.step_count
 
 
 def walking_pause_walking(pause_amplitude=0.8, pause_period=0.4, fs=100.0):
@@ -211,11 +294,8 @@ def door_loop_oracle(t, a, cfg=CFG, steps=None):
             continue
         if crossing_prefix[j - 1] - crossing_prefix[i] < cfg.door_min_zero_crossings:
             continue
-        if len(step_times):
-            k0 = np.searchsorted(step_times, t[i], side="left")
-            k1 = np.searchsorted(step_times, t[j - 1], side="right")
-            if k1 > k0:
-                continue
+        if np.any((t[i] <= step_times) & (step_times <= t[j - 1])):  # steps in any order
+            continue
         qualifying.append(i)
     events = []
     for i in qualifying:
@@ -242,7 +322,10 @@ def assert_doors_match_oracle(t, a, cfg=CFG, steps=None):
 
 
 # Sample values around the door band and the step band, exact zeros included.
-door_level = st.sampled_from([0.0, 0.3, -0.3, 0.5, -0.5, 0.9, -0.9, 1.49, -1.49, 1.5, -1.6]) | st.floats(-1.7, 1.7)
+# NaN and infinities fail a window's peak test, as the loop's NaN-propagating max does.
+door_level = st.sampled_from(
+    [0.0, 0.3, -0.3, 0.5, -0.5, 0.9, -0.9, 1.49, -1.49, 1.5, -1.6, math.nan, math.inf, -math.inf]
+) | st.floats(-1.7, 1.7)
 
 
 @st.composite
@@ -257,7 +340,7 @@ def door_series(draw):
     steps = [StepEvent(index=k, t=float(t[i]), peak=2.0) for k, i in enumerate(picks)]
     if draw(st.booleans()):
         steps.append(StepEvent(index=len(steps), t=float(t[-1] + 1.0) if n else 1.0, peak=2.0))
-    return t, a, cfg, steps
+    return t, a, cfg, draw(st.permutations(steps))
 
 
 class TestDoorOpeningsOracle:
@@ -298,6 +381,15 @@ class TestDoorOpeningsOracle:
     def test_walk_with_pause_matches_loop(self):
         t, a, _ = walking_pause_walking()
         assert len(assert_doors_match_oracle(t, a, CFG, detect_steps(t, a, CFG))) == 1
+
+    def test_steps_in_any_order(self):
+        # Each step splits the wiggle: steps at 1 s and 8 s leave one opening between and one after.
+        t = np.arange(0, 10, 0.01)
+        a = 0.8 * np.sin(2 * np.pi * t / 0.4)
+        steps = [StepEvent(index=0, t=8.0, peak=2.0), StepEvent(index=1, t=1.0, peak=2.0)]
+        got = assert_doors_match_oracle(t, a, CFG, steps)
+        assert got == detect_door_openings(t, a, CFG, steps[::-1])
+        assert len(got) == 2 and got[0].t_end < 8.0 < got[1].t_start
 
 
 def schmitt_oracle(a, lo, hi):
