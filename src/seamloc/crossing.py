@@ -51,15 +51,16 @@ def build_zone_lookup(doors: tuple[Door, ...] | list[Door], cfg: CrossingConfig)
     return {d.id: (d, zone_for_door(d, cfg.zone_width)) for d in doors}
 
 
-def arm_check(state: CrossingState, pose_position: Point2, doors, cfg: CrossingConfig) -> CrossingState:
+def arm_check(
+    state: CrossingState, pose_position: Point2, zones: Mapping[str, tuple[Door, Segment2]], cfg: CrossingConfig
+) -> CrossingState:
     """Arm at the nearest door in reach (first in plan order on a tie); disarm, dropping evidence, on leaving it."""
     if state.armed_door is None:
-        nearest = min(doors, key=lambda door: distance(pose_position, door.center), default=None)
+        nearest = min((door for door, _ in zones.values()), key=lambda d: distance(pose_position, d.center), default=None)
         if nearest is not None and distance(pose_position, nearest.center) <= cfg.area_radius:
             return CrossingState(environment=state.environment, armed_door=nearest.id)
         return state
-    armed = next((d for d in doors if d.id == state.armed_door), None)
-    if armed is None or distance(pose_position, armed.center) > cfg.area_radius:
+    if distance(pose_position, zones[state.armed_door][0].center) > cfg.area_radius:
         return CrossingState(environment=state.environment)
     return state
 

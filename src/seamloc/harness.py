@@ -28,8 +28,6 @@ from .pdr import PdrConfig, Pose, integrate_heading, propagate_step, step_sample
 from .signal import DoorOpenEvent, SignalConfig, StepEvent, Trace, detect_door_openings, detect_steps, normalized_series
 from .sim import DoorAction, GroundTruth, WalkScript
 
-INDOOR = "indoor"  # the environment tracked by the particle filter; every other one runs the heading KF
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -67,6 +65,13 @@ class EvalReport:
     false_switches_per_trial: float  # defined even when the suite has no turn-backs
 
 
+def _backend(environment: str, pose: Pose, cfg: PipelineConfig, seed: int):
+    """(pf, kf) on entering an environment at pose: the particle filter for "indoor", the heading KF for any other."""
+    if environment == "indoor":
+        return pf_init(pose, cfg.pf, seed=seed), None
+    return None, kf_init(pose.heading)
+
+
 def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig()) -> tuple[list[Pose], EventLog]:
     """Run the whole pipeline over one trace.
 
@@ -79,23 +84,16 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     state (which holds the environment) and the back-end, exactly one of the
     particle filter pf (indoors) and the heading filter kf (elsewhere).
     """
-    log = EventLog()
-    if len(trace) == 0:
-        return [], log
-
     t, a = normalized_series(trace, cfg.signal)
     steps = detect_steps(t, a, cfg.signal)
     door_opens = detect_door_openings(t, a, cfg.signal, steps)
-    log.steps = steps
-    log.door_opens = door_opens
+    log = EventLog(steps=steps, door_opens=door_opens)
 
     if plan.start_position is None or plan.start_heading is None or plan.start_environment is None:
         raise InvalidInputError("floor plan lacks a start annotation (position, heading, environment)")
     position, heading = plan.start_position, wrap_angle(plan.start_heading)
     cstate = CrossingState(environment=plan.start_environment)
-    indoor = plan.start_environment == INDOOR
-    pf = pf_init(Pose(position, heading), cfg.pf, seed=cfg.seed) if indoor else None
-    kf = None if indoor else kf_init(heading)
+    pf, kf = _backend(cstate.environment, Pose(position, heading), cfg, cfg.seed)
     zones = build_zone_lookup(plan.doors, cfg.crossing)
 
     mag_z = increments = None  # built on first use: dts, rates and mag_z for the KF, increments for the PF
@@ -103,26 +101,21 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     open_starts = [ev.t_start for ev in door_opens]
     open_ends = [ev.t_end for ev in door_opens]  # sorted: merged openings are disjoint
     cursor = 0
-    path: list[Pose] = []
 
     for k, step in enumerate(steps):
         i_k = sample_at[k]
+        prev_pos = position
         if pf is None:
             if mag_z is None:
                 dts, rates = (arr.tolist() for arr in trace.yaw_increments()[:2])
                 mag_z = mag_headings(trace.mag[1:, :2], cfg.kf.declination)
             kf = kf_run(kf, rates, dts, mag_z, cursor, i_k, cfg.kf)
             heading = kf.heading
+            position = propagate_step(Pose(prev_pos, heading), cfg.pdr).position
         else:
             if increments is None:
                 increments = trace.yaw_increments()[2].tolist()
             heading = integrate_heading(heading, increments, cursor, i_k)
-        cursor = i_k
-
-        prev_pos = position
-        if pf is None:
-            position = propagate_step(Pose(prev_pos, heading), cfg.pdr).position
-        else:
             try:
                 pf, position = pf_step(pf, heading, cfg.pf, cfg.pdr, plan)
             except FilterDivergenceError:
@@ -132,25 +125,23 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
                     pf, position = pf_step(pf, heading, cfg.pf, cfg.pdr, plan)
                 except FilterDivergenceError as exc:
                     raise FilterDivergenceError(f"particle filter diverged at step {k}") from exc
+        cursor = i_k
 
         # An opening overlaps (prev_t, step.t] when the first one ending after
         # prev_t starts by step.t.
         j = bisect.bisect_right(open_ends, steps[k - 1].t if k else float("-inf"))
         opened = j < len(open_starts) and open_starts[j] <= step.t
 
-        cstate = crossing_mod.arm_check(cstate, position, plan.doors, cfg.crossing)
+        cstate = crossing_mod.arm_check(cstate, position, zones, cfg.crossing)
         cstate, switch = crossing_mod.observe_step(cstate, k, prev_pos, position, opened, cfg.crossing, zones)
         if switch is not None:
             log.switches.append(switch)
-            indoor = switch.to_env == INDOOR
-            pf = pf_init(Pose(switch.crossing_point, heading), cfg.pf, seed=cfg.seed + k + 1) if indoor else None
-            kf = None if indoor else kf_init(heading)
+            pf, kf = _backend(switch.to_env, Pose(switch.crossing_point, heading), cfg, cfg.seed + k + 1)
 
-        path.append(Pose(position, heading))
+        log.poses.append(Pose(position, heading))
         log.environments.append(cstate.environment)
 
-    log.poses = path
-    return path, log
+    return log.poses, log
 
 
 def _match_switches(switches: list[SwitchEvent], truth: GroundTruth, window: int):

@@ -50,6 +50,11 @@ class Trace:
                 raise InvariantViolation("trace-finite", f"non-finite value in {name}", record=(None, first))
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
             dt, _, increments = self.yaw_increments()
+            accel_squared = np.einsum("ij,ij->i", self.accel, self.accel)  # normalized_series takes its root
+        finite = np.isfinite(accel_squared)
+        if not finite.all():
+            message = "the squared acceleration norm overflows"
+            raise InvariantViolation("trace-accel-norm-finite", message, record=(None, int(np.argmin(finite))))
         later = dt > 0
         if not later.all():
             message = "timestamps not strictly increasing"

@@ -50,12 +50,12 @@ def crossing_segment():
 class TestArmCheck:
     def test_arms_inside_area(self):
         state = CrossingState(environment="indoor")
-        out = arm_check(state, Point2(3, 0), (DOOR,), CFG)
+        out = arm_check(state, Point2(3, 0), build_zone_lookup((DOOR,), CFG), CFG)
         assert out.armed_door == "front"
 
     def test_stays_idle_outside(self):
         state = CrossingState(environment="indoor")
-        out = arm_check(state, Point2(6, 0), (DOOR,), CFG)
+        out = arm_check(state, Point2(6, 0), build_zone_lookup((DOOR,), CFG), CFG)
         assert out.armed_door is None
 
     def test_disarms_on_exit_and_clears_evidence(self):
@@ -63,21 +63,21 @@ class TestArmCheck:
             environment="indoor", armed_door="front",
             last_door_open=3, last_crossing=(4, Point2(0, 0)),
         )
-        out = arm_check(state, Point2(6, 0), (DOOR,), CFG)
+        out = arm_check(state, Point2(6, 0), build_zone_lookup((DOOR,), CFG), CFG)
         assert out.armed_door is None
         assert out.last_door_open is None and out.last_crossing is None
 
     def test_nearest_door_wins(self):
         near = Door(id="near", center=Point2(3, 0), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor")
         far = Door(id="far", center=Point2(-4, 0), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor")
-        out = arm_check(CrossingState(environment="indoor"), Point2(0, 0), (far, near), CFG)
+        out = arm_check(CrossingState(environment="indoor"), Point2(0, 0), build_zone_lookup((far, near), CFG), CFG)
         assert out.armed_door == "near"
 
     def test_equal_distance_arms_first_in_plan_order(self):
         left = Door(id="left", center=Point2(-3, 0), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor")
         right = Door(id="right", center=Point2(3, 0), tangent=(0.0, 1.0), inner_env="indoor", outer_env="outdoor")
         for doors in ((left, right), (right, left)):
-            out = arm_check(CrossingState(environment="indoor"), Point2(0, 0), doors, CFG)
+            out = arm_check(CrossingState(environment="indoor"), Point2(0, 0), build_zone_lookup(doors, CFG), CFG)
             assert out.armed_door == doors[0].id
 
     # The arming disc around a door at (3, 4), radius 5, is inclusive: a
@@ -86,8 +86,8 @@ class TestArmCheck:
 
     def armed_doors_at(self, x):
         cfg = CrossingConfig(area_radius=5.0)
-        idle = arm_check(CrossingState(environment="indoor"), Point2(x, 4), (self.area_door,), cfg)
-        armed = arm_check(armed_state(door="d"), Point2(x, 4), (self.area_door,), cfg)
+        idle = arm_check(CrossingState(environment="indoor"), Point2(x, 4), build_zone_lookup((self.area_door,), cfg), cfg)
+        armed = arm_check(armed_state(door="d"), Point2(x, 4), build_zone_lookup((self.area_door,), cfg), cfg)
         return idle.armed_door, armed.armed_door
 
     def test_arms_at_door_center(self):
@@ -178,7 +178,7 @@ class TestObserveStep:
         state, _ = observe_step(state, 1, *away_segment(1), True, CFG, ZONES)
         state, ev1 = observe_step(state, 2, *crossing_segment(), False, CFG, ZONES)
         assert ev1.to_env == "outdoor"
-        state = arm_check(state, Point2(0.5, 0.3), (DOOR, FAR_DOOR), CFG)
+        state = arm_check(state, Point2(0.5, 0.3), ZONES, CFG)
         assert state.armed_door == "front"
         state, _ = observe_step(state, 3, *away_segment(3), True, CFG, ZONES)
         state, ev2 = observe_step(state, 4, *crossing_segment(), False, CFG, ZONES)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import seamloc.cli as cli
@@ -91,6 +91,13 @@ class TestTrack:
         trace = Trace(t=np.array([]), accel=np.empty((0, 3)), gyro=np.empty((0, 3)), mag=np.empty((0, 3)))
         path, log = track(trace, two_building_plan())
         assert path == [] and log.steps == [] and log.switches == []
+
+    def test_empty_trace_needs_the_plan_start(self):
+        # The start check holds for an empty trace as for any other.
+        trace = Trace(t=np.array([]), accel=np.empty((0, 3)), gyro=np.empty((0, 3)), mag=np.empty((0, 3)))
+        plan = FloorPlan(walls=two_building_plan().walls, doors=())
+        with pytest.raises(InvalidInputError, match="floor plan lacks a start annotation"):
+            track(trace, plan)
 
     def test_noiseless_crossing_walk_two_switches(self):
         plan = two_building_plan()
@@ -368,6 +375,7 @@ class TestFormats:
         rng = np.random.default_rng(n)
         specials = np.array([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300, 0.1, 1 / 3])
         cols = rng.choice(specials, size=(n, 9)) * rng.choice([1.0, -1.0], size=(n, 9))
+        cols[:, :3][np.abs(cols[:, :3]) == 1e300] *= 1e-150  # an acceleration's squared norm must stay finite
         trace = Trace(t=np.arange(n) * 0.01 + 1e-310, accel=cols[:, :3], gyro=cols[:, 3:6], mag=cols[:, 6:])
         save_trace(trace, tmp_path / "t.csv")
         assert (tmp_path / "t.csv").read_bytes() == self.row_writer_bytes(trace)
@@ -405,6 +413,20 @@ class TestFormats:
         p.write_text("t,ax,ay,az,gx,gy,gz,mx,my,mz\n" + "\n".join(rows) + "\n")
         with pytest.raises(InvariantViolation, match="trace-finite"):
             load_trace(p)
+
+    @pytest.mark.parametrize("accel", [(1e200, 0.0, 9.81), (0.0, -1e200, 9.81), (1e154, 1e154, 1e154)])
+    def test_trace_accel_norm_overflow_rejected(self, accel):
+        # Every value is finite, but the squared norm that normalized_series takes overflows.
+        a = np.tile([0.0, 0.0, 9.81], (4, 1))
+        a[2] = accel
+        with pytest.raises(InvariantViolation, match="trace-accel-norm-finite") as got:
+            Trace(t=np.arange(4) * 0.01, accel=a, gyro=np.zeros((4, 3)), mag=np.tile([22.0, 0.0, -43.0], (4, 1)))
+        assert got.value.record == (None, 2)
+
+    def test_trace_accel_norms_whose_sum_alone_overflows_accepted(self):
+        a = np.tile([1e154, 0.0, 0.0], (4, 1))  # each squared norm is 1e308; their sum is not finite
+        trace = Trace(t=np.arange(4) * 0.01, accel=a, gyro=np.zeros((4, 3)), mag=np.tile([22.0, 0.0, -43.0], (4, 1)))
+        assert len(trace) == 4
 
     def test_trace_bad_column_count(self, tmp_path):
         p = tmp_path / "bad.csv"
@@ -671,6 +693,13 @@ class TestCli:
         rc = cli.main(["track", "--trace", str(bad), "--plan", str(plan_file), "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "error[parse]" in capsys.readouterr().err
+
+    def test_empty_trace_with_startless_plan_exit_code(self, tmp_path, capsys):
+        trace = tmp_path / "empty.csv"
+        trace.write_text(f"{TRACE_HEADER}\n")
+        plan_file = GOLDEN / "plan_no_start.txt"
+        assert cli.main(["track", "--trace", str(trace), "--plan", str(plan_file), "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err.startswith("error[invalid-input]: floor plan lacks a start annotation")
 
     def test_repeated_door_id_exit_code(self, tmp_path, capsys):
         plan_file, script_file = self.write_inputs(tmp_path)
@@ -1030,6 +1059,7 @@ RECORD_ERRORS = [
     (load_trace, "0,0,0,9.81,0,0,1e308,22,0,-43\n0.01,0,0,9.81,0,0,1e308,22,0,-43", InvariantViolation, "trace-increment-finite"),
     (load_trace, "-1e308,0,0,9.81,0,0,0,22,0,-43\n1e308,0,0,9.81,0,0,0,22,0,-43", InvariantViolation, "trace-increment-finite"),
     (load_trace, "0,0,0,9.81,0,0,1e300,22,0,-43\n1e10,0,0,9.81,0,0,1e300,22,0,-43", InvariantViolation, "trace-increment-finite"),
+    (load_trace, "0,0,0,9.81,0,0,0,22,0,-43\n0.01,1e200,0,9.81,0,0,0,22,0,-43", InvariantViolation, "trace-accel-norm-finite"),
 ]
 # Lines before the bad record: a version line and a comment, where the format has them; a truth file its start.
 RECORD_HEADS = {
@@ -1132,6 +1162,69 @@ def test_mutated_input_loads_or_names_its_file(fuzz_sources, tmp_path, loader, t
             assert exc.path == str(paths[name]), str(exc)
             assert str(exc).startswith(f"{exc.path}: " if exc.line is None else f"{exc.path}:{exc.line}: ")
     assert not [w for w in caught if "nan" in str(w.message).lower() or w.category is RuntimeWarning]
+
+
+def mutate_trace(rows: list[str], mutations) -> list[str]:
+    """Trace rows after each (kind, row, column, value) in turn; row and column wrap around."""
+    rows = list(rows)
+    for kind, row, column, value in mutations:
+        k = row % len(rows)
+        if kind == "repeat":
+            rows.insert(k, rows[k])
+        elif kind == "huge":
+            rows[k] = mutate_line(rows[k], ",", column, repr(value))
+        else:  # "gap": every later sample moves value seconds on
+            for j in range(k + 1, len(rows)):
+                t, rest = rows[j].split(",", 1)
+                rows[j] = f"{float(t) + value!r},{rest}"
+    return rows
+
+
+HUGE = st.tuples(st.floats(1e154, 1e308), st.sampled_from([1.0, -1.0])).map(lambda v: v[0] * v[1])
+TRACE_MUTATIONS = st.one_of(
+    st.tuples(st.just("repeat"), st.integers(0, 10**4), st.just(0), st.just(0.0)),
+    st.tuples(st.just("huge"), st.integers(0, 10**4), st.integers(0, 9), HUGE),
+    st.tuples(st.just("gap"), st.integers(0, 10**4), st.just(0), st.floats(1.0, 1e6)),
+)
+ACCEL_1E200 = [("huge", 100, 1, 1e200)]  # ax = 1e200 on line 102: finite, but its squared norm overflows
+
+
+def write_mutated_trace(d, path, mutations) -> None:
+    """d's simulated trace after mutations, written to path."""
+    header, *rows = (d / "trial.trace.csv").read_text().splitlines()
+    path.write_text("\n".join([header, *mutate_trace(rows, mutations)]) + "\n")
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=st.lists(TRACE_MUTATIONS, min_size=1, max_size=3))
+@example(mutations=ACCEL_1E200)
+def test_track_on_mutated_trace_exits_0_or_with_its_error(cli_run, tmp_path, capsys, mutations):
+    """A repeated row, a finite value of magnitude 1e154-1e308 in any column, or a time gap
+    of 1 s-1e6 s: track exits 0 or with an error's code, raising and warning nothing, and
+    the files of a 0 exit read back."""
+    trace, out = tmp_path / "mutated.trace.csv", tmp_path / "out"
+    write_mutated_trace(cli_run, trace, mutations)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["track", "--trace", str(trace), "--plan", str(cli_run / "plan.txt"), "--out", str(out), "--seed", "5"])
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert rc == 0 or (rc in {code for _, code in EXIT_CODES} and err.startswith("error[")), (rc, err)
+    if rc == 0:
+        load_trial(out / "trial.events.csv", out / "trial.path.csv")
+
+
+def test_accel_norm_overflow_names_its_line_without_traceback(cli_run, tmp_path):
+    # A separate interpreter shows an uncaught exception as a traceback and a numpy overflow as a warning.
+    trace = tmp_path / "accel.trace.csv"
+    write_mutated_trace(cli_run, trace, ACCEL_1E200)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    args = ["track", "--trace", str(trace), "--plan", str(cli_run / "plan.txt"), "--out", str(tmp_path / "o")]
+    proc = subprocess.run([sys.executable, "-m", "seamloc.cli", *args], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith(f"error[invariant]: {trace}:102: trace-accel-norm-finite: ")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 BAD_CONFIGS = [
