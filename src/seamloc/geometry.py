@@ -75,14 +75,15 @@ class FloorPlan:
     def wall_array(self) -> np.ndarray:
         """Walls as an (M, 4) array of x1, y1, x2, y2 rows.
 
-        Built on first call and cached on the instance outside the dataclass
-        fields, so equality and hashing still see only the fields. The
-        cached array is read-only; copy it before changing it.
+        Built on first call as a read-only view of the wall table that
+        _segments_cross reads (_wall_table), cached on the instance outside the
+        dataclass fields, so equality, hashing and repr see only the fields.
         """
         cached = self.__dict__.get("_wall_array")
         if cached is None:
-            cached = np.array([[w.a.x, w.a.y, w.b.x, w.b.y] for w in self.walls]).reshape(-1, 4)
-            cached.flags.writeable = False
+            table = _wall_table(np.array([[w.a.x, w.a.y, w.b.x, w.b.y] for w in self.walls]).reshape(-1, 4))
+            table.flags.writeable = False
+            cached = table[:4].T
             object.__setattr__(self, "_wall_array", cached)
         return cached
 
@@ -163,20 +164,28 @@ def _straddle(wall, steps) -> tuple[np.ndarray, np.ndarray]:
     return straddle ^ collinear, collinear
 
 
+def _wall_table(walls: np.ndarray) -> np.ndarray:
+    """The (10, M) table of (M, 4) walls: rows x1 y1 x2 y2 dx dy, box lows x y, box highs x y."""
+    w = walls.T
+    return np.concatenate([w, w[2:] - w[:2], np.minimum(w[:2], w[2:]), np.maximum(w[:2], w[2:])])
+
+
 def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.ndarray:
     """Vectorized inclusive segment-vs-walls test.
 
     p0, p1: (N, 2) step endpoints; walls: (M, 4) rows x1, y1, x2, y2.
     Returns an (N,) bool mask: True where the step segment touches any wall.
 
-    Walls whose bounding box misses the box of all steps, padded by
-    _CULL_PAD, are dropped; when none is left, no step hits and the call
-    returns before it builds any per-step box. The boxes of the K kept walls
-    are compared with each step's own padded box in (block, N) blocks of
-    max(1, _BLOCK_ELEMENTS // N) walls. The surviving (wall, step) pairs,
-    gathered in row-major order, run the orientation test. Only in a block
-    where some step lies exactly on a wall's line does each such wall run
-    the collinear-overlap test against every step, because BLAS rounds a
+    When walls is FloorPlan.wall_array(), a read-only view of a read-only
+    (10, M) wall table, that table is used as it is; any other walls, a
+    writable array above all, get a table built here by _wall_table, so no
+    change to them can meet a stale table. Walls whose bounding box misses
+    the box of all steps, padded by _CULL_PAD, are dropped. The boxes of the
+    K kept walls are compared with each step's own padded box in (block, N)
+    blocks of max(1, _BLOCK_ELEMENTS // N) walls. The surviving (wall, step)
+    pairs, gathered in row-major order, run the orientation test. Only in a
+    block where some step lies exactly on a wall's line does each such wall
+    run the collinear-overlap test against every step, because BLAS rounds a
     row's dot product by the rows batched with it.
     A wall touches a step only where their boxes meet, and the padding is far
     above the rounding of the products, so no box drops a pair that a per-wall
@@ -187,36 +196,38 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.nda
     hit = np.zeros(n, dtype=bool)
     if n == 0 or walls.shape[0] == 0:
         return hit
-    # Steps as rows x0, x1, y0, y1. The cloud box skips NaN rows (fmin/fmax);
-    # a step box with a NaN edge fails every comparison. A NaN step hits nothing.
+    table = walls.base
+    cached = isinstance(table, np.ndarray) and table.shape == (10, len(walls)) and not table.flags.writeable
+    if not (cached and walls.strides == table.strides[::-1]):
+        table = _wall_table(walls)
+    # Steps as rows x0, x1, y0, y1, and their padded boxes. A step box with a
+    # NaN edge fails every comparison, so a NaN step hits nothing; the cloud
+    # box skips such boxes (fmin/fmax).
     step = np.empty((4, n))
     step[0::2], step[1::2] = p0.T, p1.T
-    lo = np.fmin.reduce(step.reshape(2, -1), axis=1) - _CULL_PAD
-    hi = np.fmax.reduce(step.reshape(2, -1), axis=1) + _CULL_PAD
-    # Kept walls as rows x1, y1, x2, y2, dx, dy, box x, y lows, box x, y highs.
-    w = walls.T.copy()
-    wall_lo, wall_hi = np.minimum(w[:2], w[2:]), np.maximum(w[:2], w[2:])
-    meets = (wall_hi >= lo[:, None]) & (wall_lo <= hi[:, None])
-    wall = np.concatenate([w, w[2:] - w[:2], wall_lo, wall_hi])[:, meets[0] & meets[1]]
-    if wall.shape[1] == 0:
-        return hit
-    slx, sly = np.minimum(step[0::2], step[1::2]) - _CULL_PAD
-    shx, shy = np.maximum(step[0::2], step[1::2]) + _CULL_PAD
+    slx, sly = sl = np.minimum(step[0::2], step[1::2]) - _CULL_PAD
+    shx, shy = sh = np.maximum(step[0::2], step[1::2]) + _CULL_PAD
+    (lx, ly), (hx, hy) = np.fmin.reduce(sl, axis=1), np.fmax.reduce(sh, axis=1)
+    wall = table[:, (table[8] >= lx) & (table[9] >= ly) & (table[6] <= hx) & (table[7] <= hy)]
     block = max(1, _BLOCK_ELEMENTS // n)
     for start in range(0, wall.shape[1], block):
         wlx, wly, whx, why = wall[6:, start : start + block, None]
         close = (whx >= slx) & (wlx <= shx) & (why >= sly) & (wly <= shy)
-        # Pairs in row-major order: wall values repeat, step values gather.
-        flat, counts = np.flatnonzero(close), np.count_nonzero(close, axis=1)
-        i = flat - np.repeat(np.arange(0, close.size, n), counts)
-        # pairs stays bound until the next block: freed early, glibc returns and re-faults its pages, 2x slower.
-        pairs = np.repeat(wall[:6, start : start + block], counts, axis=1)
+        # Pairs in row-major order: wall values repeat, step values gather. Each wall's
+        # count is a binary search of flat, not a count_nonzero over all of close.
+        flat, first = np.flatnonzero(close), np.arange(0, close.size + 1, n)
+        bounds = flat.searchsorted(first)
+        counts = bounds[1:] - bounds[:-1]
+        i = flat - first[:-1].repeat(counts)
+        # pairs stays bound until the next block: freed early, glibc returns and re-faults its
+        # pages (1024 x 4096 dense comb, 2-core VM, median of 10 runs: 348 ms against 167).
+        pairs = wall[:6, start : start + block].repeat(counts, axis=1)
         crossing, collinear = _straddle(pairs, step.take(i, axis=1))
         # compress, not a boolean index: it does not branch on each element.
-        hit[np.compress(crossing, i)] = True
+        hit[i.compress(crossing)] = True
         if not collinear.any():
             continue
-        for c in start + np.unique(np.compress(collinear, flat) // n):
+        for c in start + np.unique(flat.compress(collinear) // n):
             # Collinear: 1D overlap of projections onto the wall, times its squared
             # length (dividing by it fails where it underflows, under ~1e-154 m).
             rows = np.flatnonzero(_straddle(wall[:6, c], step)[1])

@@ -13,11 +13,15 @@ from seamloc import (
     FloorPlan,
     InvalidParameterError,
     InvariantViolation,
+    PipelineConfig,
     Point2,
     Segment2,
+    WalkScript,
+    generate_walk,
     segment_intersection,
+    track,
 )
-from seamloc import geometry
+from seamloc import filters, geometry
 from seamloc.geometry import _segments_cross, zone_for_door
 
 
@@ -294,7 +298,7 @@ class TestSegmentsCrossOracle:
     @given(cloud, wall_rows)
     # A subnormal wall beside a zero-length step: d1 * d2 underflows to 0 there.
     @example((np.zeros((1, 2)), np.zeros((1, 2))), np.array([[0.5, 0.0, 0.5, 2.2250738585072014e-308]]))
-    # The cloud's box meets no wall: the call returns before any per-step box.
+    # The cloud's box meets no wall: no block runs.
     @example((np.array([[0.0, 0.0], [1.0, -1.0]]), np.array([[1.0, 1.0], [-1.0, 0.5]])), np.array([[4.0, -4.0, 4.0, 4.0], [-3.0, 2.0, 3.0, 2.0]]))
     def test_random_clouds_match_oracle(self, steps, walls):
         assert_same_mask(steps[0], steps[1], walls)
@@ -528,11 +532,17 @@ class TestWallArray:
     def test_values_and_cache(self):
         a = self.plan.wall_array()
         assert a.tolist() == [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 2.0]]
+        assert a.shape == (2, 4) and not a.flags.writeable
         assert self.plan.wall_array() is a
+        # The array is the first four rows of the wall table, read-only too.
+        assert a.base.shape == (10, 2) and not a.base.flags.writeable
+        assert np.array_equal(a.base, geometry._wall_table(np.array(a)))
 
     def test_cached_array_is_read_only(self):
         with pytest.raises(ValueError):
             self.plan.wall_array()[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            self.plan.wall_array().base[4, 0] = 5.0
 
     def test_empty_plan(self):
         assert FloorPlan(walls=(), doors=()).wall_array().shape == (0, 4)
@@ -540,8 +550,73 @@ class TestWallArray:
     def test_equality_and_hash_ignore_the_cache(self):
         twin = FloorPlan(walls=self.plan.walls, doors=())
         self.plan.wall_array()
+        assert "_wall_array" not in twin.__dict__
         assert twin == self.plan and hash(twin) == hash(self.plan)
-        assert "_wall_array" not in repr(self.plan)
+        assert repr(twin) == repr(self.plan) and "array" not in repr(self.plan)
+
+    def test_track_builds_the_table_once_per_plan(self, monkeypatch):
+        # An indoor walk down a corridor: the particle filter tests the walls
+        # at every step, and only the first test builds the table.
+        plan = FloorPlan(
+            walls=(Segment2(Point2(-2, -1), Point2(35, -1)), Segment2(Point2(-2, 1), Point2(35, 1))),
+            doors=(),
+            start_position=Point2(0.0, 0.0),
+            start_heading=0.0,
+            start_environment="indoor",
+        )
+        trace, _ = generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(10, 0)), start_environment="indoor"))
+        build = mock.Mock(wraps=geometry._wall_table)
+        wall_test = mock.Mock(wraps=geometry._segments_cross)
+        monkeypatch.setattr(geometry, "_wall_table", build)
+        monkeypatch.setattr(filters, "_segments_cross", wall_test)
+        _, log = track(trace, plan, PipelineConfig())
+        assert len(log.steps) > 10 and wall_test.call_count == len(log.steps)
+        assert build.call_count == 1
+
+
+def plan_of(walls: np.ndarray) -> FloorPlan:
+    return FloorPlan(walls=tuple(Segment2(Point2(*w[:2]), Point2(*w[2:])) for w in walls.tolist()), doors=())
+
+
+class TestWallTablePaths:
+    """The table a plan caches and the one _segments_cross builds give one mask."""
+
+    @pytest.mark.parametrize("block", [geometry._BLOCK_ELEMENTS, 8])
+    @settings(max_examples=50, deadline=None)
+    @given(steps=cloud, walls=wall_rows)
+    def test_cached_and_built_tables_match_oracle(self, block, steps, walls):
+        cached = plan_of(walls).wall_array()
+        writable = np.array(cached)
+        with mock.patch.object(geometry, "_BLOCK_ELEMENTS", block), mock.patch.object(
+            geometry, "_wall_table", wraps=geometry._wall_table
+        ) as build:
+            from_plan = _segments_cross(*steps, cached)
+            assert build.call_count == 0
+            from_copy = _segments_cross(*steps, writable)
+            assert build.call_count == 1
+        assert np.array_equal(from_plan, per_wall_oracle(*steps, walls))
+        assert np.array_equal(from_copy, from_plan)
+
+    def test_walls_edited_in_place_give_the_new_mask(self):
+        p0, p1 = np.array([[0.0, 0.0], [0.0, 3.0]]), np.array([[2.0, 0.0], [2.0, 3.0]])
+        walls = np.array([[1.0, -1.0, 1.0, 1.0]])
+        assert _segments_cross(p0, p1, walls).tolist() == [True, False]
+        walls[0] = [1.0, 2.0, 1.0, 4.0]
+        assert _segments_cross(p0, p1, walls).tolist() == [False, True]
+        # A writable table's rows passed as walls are rebuilt each call too.
+        table = geometry._wall_table(walls)
+        assert _segments_cross(p0, p1, table[:4].T).tolist() == [False, True]
+        table[1] = -1.0
+        assert _segments_cross(p0, p1, table[:4].T).tolist() == [True, True]
+
+    def test_other_views_of_a_cached_table_are_rebuilt(self):
+        # Walls reordered by a view: the cached table's rows would not match them.
+        p0, p1 = np.array([[0.0, 0.0]]), np.array([[0.5, 0.0]])
+        cached = plan_of(np.array([[2.0, -1.0, 2.0, 1.0], [0.25, -1.0, 0.25, 1.0]])).wall_array()
+        assert _segments_cross(p0, p1, cached).tolist() == [True]
+        for view in (cached[::-1], cached[:, [2, 3, 0, 1]], cached[:, ::-1]):
+            assert np.array_equal(_segments_cross(p0, p1, view), per_wall_oracle(p0, p1, view))
+        assert _segments_cross(p0, p1, cached[:, ::-1]).tolist() == [False]
 
 
 def on_line(seg, t):

@@ -1227,6 +1227,69 @@ def test_accel_norm_overflow_names_its_line_without_traceback(cli_run, tmp_path)
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+def mutate_trial(d, out, mutations) -> None:
+    """d's tracked trial (events, path, truth) after each (kind, row, value) in turn, written to out."""
+    header, *events = (d / "trial.events.csv").read_text().splitlines()
+    path_header, *path = (d / "trial.path.csv").read_text().splitlines()
+    truth = (d / "trial.truth.txt").read_text().splitlines()
+    for kind, row, value in mutations:
+        steps = [k for k, line in enumerate(events) if line.startswith("step,")]
+        if kind == "drop_step" and steps:
+            del events[steps[row % len(steps)]]
+        elif kind == "drop_path" and path:
+            del path[row % len(path)]
+        elif kind == "repeat_path" and path:
+            path.insert(row % len(path), path[row % len(path)])
+        elif kind == "switch_past_end":  # a switch moved, or one added, to the last step or past it
+            switches = [k for k, line in enumerate(events) if line.startswith("switch,")]
+            at = switches[row % len(switches)] if switches and row % 2 else len(events)
+            fields = (events[at] if at < len(events) else "switch,0,9.0,doorA,10.0,4.0,,,,indoor,outdoor").split(",")
+            fields[1] = str(len(steps) - 1 + value)
+            events[at:at + 1] = [",".join(fields)]
+        elif kind == "drop_truth_steps":  # every truth step, or one
+            truth = [line for k, line in enumerate(truth) if not line.startswith("step:") or (value and k != row % len(truth))]
+    out.mkdir()
+    (out / "trial.events.csv").write_text("\n".join([header, *events]) + "\n")
+    (out / "trial.path.csv").write_text("\n".join([path_header, *path]) + "\n")
+    (out / "trial.truth.txt").write_text("\n".join(truth) + "\n")
+
+
+TRIAL_MUTATIONS = st.tuples(
+    st.sampled_from(["drop_step", "drop_path", "repeat_path", "switch_past_end", "drop_truth_steps"]),
+    st.integers(0, 10**4),
+    st.integers(0, 10**6),
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mutations=st.lists(TRIAL_MUTATIONS, min_size=1, max_size=3))
+def test_eval_on_mutated_trial_exits_0_or_with_its_error(cli_run, tmp_path_factory, capsys, mutations):
+    """Events and path files of different lengths, switches at or past the last
+    step, and a truth file with no steps or one fewer: eval exits 0 or with an
+    error's code, raising and warning nothing, and a 0 exit writes its report."""
+    d = tmp_path_factory.mktemp("trial")
+    mutate_trial(cli_run, d / "in", mutations)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["eval", "--events", str(d / "in"), "--truth", str(d / "in"), "--out", str(d / "out")])
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert rc == 0 or (rc in {code for _, code in EXIT_CODES} and err.startswith("error[")), (rc, err)
+    if rc == 0:
+        assert (d / "out" / "report.txt").read_text().startswith("Door crossing evaluation")
+
+
+def test_eval_of_a_truth_without_steps_prints_no_traceback(cli_run, tmp_path):
+    # A separate interpreter shows an uncaught exception as a traceback.
+    mutate_trial(cli_run, tmp_path / "in", [("drop_truth_steps", 0, 0), ("switch_past_end", 1, 5)])
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    args = ["eval", "--events", str(tmp_path / "in"), "--truth", str(tmp_path / "in"), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "seamloc.cli", *args], capture_output=True, text=True, env=env, timeout=120)
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.returncode in {0} | {code for _, code in EXIT_CODES}, proc.stderr
+
+
 BAD_CONFIGS = [
     ("track", '{"pdr": {"step_length": "abc"}}'),
     ("track", '{"pdr": {"initial_pose": 5}}'),
