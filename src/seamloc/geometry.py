@@ -73,19 +73,17 @@ class FloorPlan:
                 raise InvariantViolation("door-id-unique", f"door {door_id} repeats an id", record=("door", k))
 
     def wall_array(self) -> np.ndarray:
-        """Walls as an (M, 4) array of x1, y1, x2, y2 rows.
+        """The read-only (10, M) wall table that _segments_cross reads (_wall_table).
 
-        Built on first call as a read-only view of the wall table that
-        _segments_cross reads (_wall_table), cached on the instance outside the
-        dataclass fields, so equality, hashing and repr see only the fields.
+        Built on first call and cached on the instance outside the dataclass
+        fields, so equality, hashing and repr see only the fields.
         """
-        cached = self.__dict__.get("_wall_array")
-        if cached is None:
+        table = self.__dict__.get("_wall_array")
+        if table is None:
             table = _wall_table(np.array([[w.a.x, w.a.y, w.b.x, w.b.y] for w in self.walls]).reshape(-1, 4))
             table.flags.writeable = False
-            cached = table[:4].T
-            object.__setattr__(self, "_wall_array", cached)
-        return cached
+            object.__setattr__(self, "_wall_array", table)
+        return table
 
 
 def distance(p: Point2, q: Point2) -> float:
@@ -170,23 +168,21 @@ def _wall_table(walls: np.ndarray) -> np.ndarray:
     return np.concatenate([w, w[2:] - w[:2], np.minimum(w[:2], w[2:]), np.maximum(w[:2], w[2:])])
 
 
-def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.ndarray:
+def _segments_cross(p0: np.ndarray, p1: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Vectorized inclusive segment-vs-walls test.
 
-    p0, p1: (N, 2) step endpoints; walls: (M, 4) rows x1, y1, x2, y2.
+    p0, p1: (N, 2) step endpoints; table: the (10, M) wall table of _wall_table,
+    as FloorPlan.wall_array() caches it.
     Returns an (N,) bool mask: True where the step segment touches any wall.
 
-    When walls is FloorPlan.wall_array(), a read-only view of a read-only
-    (10, M) wall table, that table is used as it is; any other walls, a
-    writable array above all, get a table built here by _wall_table, so no
-    change to them can meet a stale table. Walls whose bounding box misses
-    the box of all steps, padded by _CULL_PAD, are dropped. The boxes of the
-    K kept walls are compared with each step's own padded box in (block, N)
-    blocks of max(1, _BLOCK_ELEMENTS // N) walls. The surviving (wall, step)
-    pairs, gathered in row-major order, run the orientation test. Only in a
-    block where some step lies exactly on a wall's line does each such wall
-    run the collinear-overlap test against every step, because BLAS rounds a
-    row's dot product by the rows batched with it.
+    Walls whose bounding box misses the box of all steps, padded by
+    _CULL_PAD, are dropped. The boxes of the K kept walls are compared with
+    each step's own padded box in (block, N) blocks of max(1,
+    _BLOCK_ELEMENTS // N) walls. The surviving (wall, step) pairs, gathered
+    in row-major order, run the orientation test. Only in a block where some
+    step lies exactly on a wall's line does each such wall run the
+    collinear-overlap test against every step, because BLAS rounds a row's
+    dot product by the rows batched with it.
     A wall touches a step only where their boxes meet, and the padding is far
     above the rounding of the products, so no box drops a pair that a per-wall
     test reports. Each pair runs the per-wall test's element-wise formulas,
@@ -194,12 +190,8 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, walls: np.ndarray) -> np.nda
     """
     n = p0.shape[0]
     hit = np.zeros(n, dtype=bool)
-    if n == 0 or walls.shape[0] == 0:
+    if n == 0 or table.shape[1] == 0:
         return hit
-    table = walls.base
-    cached = isinstance(table, np.ndarray) and table.shape == (10, len(walls)) and not table.flags.writeable
-    if not (cached and walls.strides == table.strides[::-1]):
-        table = _wall_table(walls)
     # Steps as rows x0, x1, y0, y1, and their padded boxes. A step box with a
     # NaN edge fails every comparison, so a NaN step hits nothing; the cloud
     # box skips such boxes (fmin/fmax).

@@ -489,7 +489,7 @@ def load_truth(path) -> GroundTruth:
     steps = [step for _, step in records["step"]]  # index t x y heading environment; the index is not kept
     _build(path, records["step"], lambda _i, _t, x, y, *_: Point2(x, y))  # a step's position must be finite
     try:
-        return GroundTruth(
+        truth = GroundTruth(
             step_times=np.array([s[1] for s in steps]),
             step_positions=np.array([s[2:4] for s in steps]).reshape(-1, 2),
             step_headings=np.array([s[4] for s in steps]),
@@ -504,6 +504,11 @@ def load_truth(path) -> GroundTruth:
         )
     except InvalidParameterError as exc:  # the step rule; a file that breaks it is a parse error
         raise _at_record(ParseError(str(exc), record=exc.record), path, records) from None
+    for lineno, (step, door) in records["crossing"]:  # evaluate matches crossings to steps by index
+        if not 0 <= step < len(steps):
+            message = f"crossing of {door} at step {step}: the file has {len(steps)} step lines"
+            raise ParseError(message, path=str(path), line=lineno)
+    return truth
 
 
 def load_walk_script(path):
@@ -543,10 +548,11 @@ def save_events(log: EventLog, path) -> None:
 
 
 def load_trial(events_path, path_path) -> EventLog:
-    """Rebuild the EventLog parts evaluation needs from serialized files."""
+    """Rebuild the EventLog parts evaluation needs from serialized files. Path row k
+    must be the events' step row k: step k, that row's t, one row per step row."""
     events = _read(events_path, _EVENTS, EVENTS_HEADER, ",")
     rows = _read(path_path, _PATH, PATH_HEADER, ",")[None]
-    return EventLog(
+    log = EventLog(
         steps=[StepEvent(index=index, t=t, peak=0.0) for _, (index, t) in events["step"]],
         door_opens=[DoorOpenEvent(t_start=t0, t_end=t1, zero_crossings=z) for _, (t0, t1, z) in events["door_open"]],
         switches=_build(
@@ -557,6 +563,16 @@ def load_trial(events_path, path_path) -> EventLog:
         poses=_build(path_path, rows, lambda _step, _t, x, y, heading, _env: Pose(Point2(x, y), heading)),
         environments=[env for _, (*_, env) in rows],
     )
+    times = [step.t for step in log.steps]
+    for k, (lineno, (step, t, *_)) in enumerate(rows):
+        if k == len(times) or step != k or t != times[k]:
+            at = f"t {times[k]!r}" if k < len(times) else f"only {len(times)} step rows"
+            message = f"path row {k} (step {step}, t {t!r}) disagrees with step row {k} of {events_path} ({at})"
+            raise ParseError(message, path=str(path_path), line=lineno)
+    if len(rows) < len(times):
+        message = f"{len(rows)} path rows disagree with the {len(times)} step rows of {events_path}"
+        raise ParseError(message, path=str(path_path), line=rows[-1][0] + 1 if rows else None)
+    return log
 
 
 def format_report(report: EvalReport) -> str:

@@ -158,7 +158,7 @@ class TestPfStep:
         # blocked one; unlike the recorded digest this does not depend on the
         # platform's sin/cos.
         fast = _pieced_corridor_run()
-        monkeypatch.setattr(filters, "_segments_cross", per_wall_oracle)
+        monkeypatch.setattr(filters, "_segments_cross", lambda p0, p1, table: per_wall_oracle(p0, p1, table[:4].T))
         assert _pieced_corridor_run() == fast
 
     def test_corridor_beats_raw_pdr(self):
@@ -211,7 +211,7 @@ def oracle_pf_step(pset, heading, cfg, pdr_cfg, plan):
     )
 
     weights = pset.weights.copy()
-    weights[per_wall_oracle(pset.positions, moved, plan.wall_array())] = 0.0
+    weights[per_wall_oracle(pset.positions, moved, plan.wall_array()[:4].T)] = 0.0
 
     total = weights.sum()
     if total <= 0.0:

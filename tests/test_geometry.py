@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -22,7 +23,7 @@ from seamloc import (
     track,
 )
 from seamloc import filters, geometry
-from seamloc.geometry import _segments_cross, zone_for_door
+from seamloc.geometry import _segments_cross, _wall_table, zone_for_door
 
 
 def parametric_oracle(l1, l2):
@@ -277,7 +278,7 @@ def per_wall_oracle(p0, p1, walls):
 
 
 def assert_same_mask(p0, p1, walls):
-    got = _segments_cross(p0, p1, walls)
+    got = _segments_cross(p0, p1, _wall_table(walls))
     want = per_wall_oracle(p0, p1, walls)
     assert got.dtype == bool and got.shape == (p0.shape[0],)
     assert np.array_equal(got, want)
@@ -291,6 +292,17 @@ cloud = st.integers(1, 25).flatmap(lambda n: st.tuples(arrays(float, (n, 2), ele
 wall_rows = st.integers(1, 20).flatmap(lambda m: arrays(float, (m, 4), elements=coord)).filter(
     lambda w: bool(np.all((w[:, 0] != w[:, 2]) | (w[:, 1] != w[:, 3])))
 )
+
+
+def dense_comb():
+    """(p0, p1, walls) of a dense comb: 1024 steps of 50 m across 4096 walls 1 mm wide."""
+    n, m = 1024, 4096
+    rng = np.random.default_rng(9)
+    xs = np.sort(rng.uniform(0.5, 49.5, m))
+    walls = np.column_stack([xs, np.full(m, -30.0), xs + 0.001, np.full(m, 30.0)])
+    p0 = np.column_stack([np.zeros(n), rng.uniform(-10, 10, n)])
+    p1 = p0 + np.column_stack([np.full(n, 50.0), rng.uniform(-1, 1, n)])
+    return p0, p1, walls
 
 
 class TestSegmentsCrossOracle:
@@ -393,8 +405,8 @@ class TestSegmentsCrossOracle:
         assert assert_same_mask(p0, p1, walls).tolist() == [True, False]
 
     def test_empty_inputs(self):
-        assert _segments_cross(np.empty((0, 2)), np.empty((0, 2)), np.array([[0.0, 0.0, 1.0, 0.0]])).shape == (0,)
-        assert not _segments_cross(np.zeros((3, 2)), np.ones((3, 2)), np.empty((0, 4))).any()
+        assert _segments_cross(np.empty((0, 2)), np.empty((0, 2)), _wall_table(np.array([[0.0, 0.0, 1.0, 0.0]]))).shape == (0,)
+        assert not _segments_cross(np.zeros((3, 2)), np.ones((3, 2)), _wall_table(np.empty((0, 4)))).any()
 
     @settings(max_examples=50, deadline=None)
     @given(cloud, wall_rows)
@@ -427,33 +439,42 @@ class TestSegmentsCrossOracle:
         p1 = p0 + 0.75
         tracemalloc.start()
         try:
-            _segments_cross(p0, p1, walls)
+            _segments_cross(p0, p1, _wall_table(walls))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < n * m * 8 // 4
 
     def test_every_pair_surviving_the_step_boxes_matches_oracle(self):
-        # A dense comb: 1024 steps of 50 m across 4096 walls 1 mm wide, so
-        # every (wall, step) pair survives the per-step box and every pair
-        # runs the orientation test. Blocks keep the peak as above.
+        # Every (wall, step) pair of the dense comb survives the per-step box
+        # and runs the orientation test. Blocks keep the peak as above.
         n, m = 1024, 4096
-        rng = np.random.default_rng(9)
-        xs = np.sort(rng.uniform(0.5, 49.5, m))
-        walls = np.column_stack([xs, np.full(m, -30.0), xs + 0.001, np.full(m, 30.0)])
-        p0 = np.column_stack([np.zeros(n), rng.uniform(-10, 10, n)])
-        p1 = p0 + np.column_stack([np.full(n, 50.0), rng.uniform(-1, 1, n)])
+        p0, p1, walls = dense_comb()
         assert np.minimum(p0, p1)[:, 0].max() <= walls[:, 0].min() and np.maximum(p0, p1)[:, 0].min() >= walls[:, 2].max()
         assert np.maximum(p0, p1)[:, 1].max() <= 30.0 and np.minimum(p0, p1)[:, 1].min() >= -30.0
         tracemalloc.start()
         try:
-            got = _segments_cross(p0, p1, walls)
+            got = _segments_cross(p0, p1, _wall_table(walls))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < n * m * 8 // 4
         assert np.array_equal(got, per_wall_oracle(p0, p1, walls))
         assert got.all()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults as Linux reports them")
+    def test_dense_comb_keeps_its_pages_between_blocks(self):
+        # pairs stays bound until the next block. Freed early, glibc returns its
+        # pages and faults them in again at every block: about 123,000 minor
+        # faults per call against 1,300 (2-core x86 VM).
+        import resource
+
+        p0, p1, walls = dense_comb()
+        table = _wall_table(walls)
+        _segments_cross(p0, p1, table)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        _segments_cross(p0, p1, table)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 30_000
 
 
 class TestStepBoxes:
@@ -530,22 +551,21 @@ class TestWallArray:
     )
 
     def test_values_and_cache(self):
+        # The wall table: its first four rows are the walls' x1 y1 x2 y2.
         a = self.plan.wall_array()
-        assert a.tolist() == [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 2.0]]
-        assert a.shape == (2, 4) and not a.flags.writeable
+        assert a[:4].T.tolist() == [[0.0, 0.0, 1.0, 0.0], [1.0, 0.0, 1.0, 2.0]]
+        assert a.shape == (10, 2) and not a.flags.writeable
         assert self.plan.wall_array() is a
-        # The array is the first four rows of the wall table, read-only too.
-        assert a.base.shape == (10, 2) and not a.base.flags.writeable
-        assert np.array_equal(a.base, geometry._wall_table(np.array(a)))
+        assert np.array_equal(a, _wall_table(a[:4].T))
 
     def test_cached_array_is_read_only(self):
         with pytest.raises(ValueError):
             self.plan.wall_array()[0, 0] = 5.0
         with pytest.raises(ValueError):
-            self.plan.wall_array().base[4, 0] = 5.0
+            self.plan.wall_array()[4, 0] = 5.0
 
     def test_empty_plan(self):
-        assert FloorPlan(walls=(), doors=()).wall_array().shape == (0, 4)
+        assert FloorPlan(walls=(), doors=()).wall_array().shape == (10, 0)
 
     def test_equality_and_hash_ignore_the_cache(self):
         twin = FloorPlan(walls=self.plan.walls, doors=())
@@ -579,44 +599,17 @@ def plan_of(walls: np.ndarray) -> FloorPlan:
 
 
 class TestWallTablePaths:
-    """The table a plan caches and the one _segments_cross builds give one mask."""
+    """The table a plan caches and the one _wall_table builds of the same rows give one mask."""
 
     @pytest.mark.parametrize("block", [geometry._BLOCK_ELEMENTS, 8])
     @settings(max_examples=50, deadline=None)
     @given(steps=cloud, walls=wall_rows)
     def test_cached_and_built_tables_match_oracle(self, block, steps, walls):
-        cached = plan_of(walls).wall_array()
-        writable = np.array(cached)
-        with mock.patch.object(geometry, "_BLOCK_ELEMENTS", block), mock.patch.object(
-            geometry, "_wall_table", wraps=geometry._wall_table
-        ) as build:
-            from_plan = _segments_cross(*steps, cached)
-            assert build.call_count == 0
-            from_copy = _segments_cross(*steps, writable)
-            assert build.call_count == 1
+        with mock.patch.object(geometry, "_BLOCK_ELEMENTS", block):
+            from_plan = _segments_cross(*steps, plan_of(walls).wall_array())
+            built = _segments_cross(*steps, _wall_table(walls))
         assert np.array_equal(from_plan, per_wall_oracle(*steps, walls))
-        assert np.array_equal(from_copy, from_plan)
-
-    def test_walls_edited_in_place_give_the_new_mask(self):
-        p0, p1 = np.array([[0.0, 0.0], [0.0, 3.0]]), np.array([[2.0, 0.0], [2.0, 3.0]])
-        walls = np.array([[1.0, -1.0, 1.0, 1.0]])
-        assert _segments_cross(p0, p1, walls).tolist() == [True, False]
-        walls[0] = [1.0, 2.0, 1.0, 4.0]
-        assert _segments_cross(p0, p1, walls).tolist() == [False, True]
-        # A writable table's rows passed as walls are rebuilt each call too.
-        table = geometry._wall_table(walls)
-        assert _segments_cross(p0, p1, table[:4].T).tolist() == [False, True]
-        table[1] = -1.0
-        assert _segments_cross(p0, p1, table[:4].T).tolist() == [True, True]
-
-    def test_other_views_of_a_cached_table_are_rebuilt(self):
-        # Walls reordered by a view: the cached table's rows would not match them.
-        p0, p1 = np.array([[0.0, 0.0]]), np.array([[0.5, 0.0]])
-        cached = plan_of(np.array([[2.0, -1.0, 2.0, 1.0], [0.25, -1.0, 0.25, 1.0]])).wall_array()
-        assert _segments_cross(p0, p1, cached).tolist() == [True]
-        for view in (cached[::-1], cached[:, [2, 3, 0, 1]], cached[:, ::-1]):
-            assert np.array_equal(_segments_cross(p0, p1, view), per_wall_oracle(p0, p1, view))
-        assert _segments_cross(p0, p1, cached[:, ::-1]).tolist() == [False]
+        assert np.array_equal(built, from_plan)
 
 
 def on_line(seg, t):

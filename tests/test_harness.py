@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import shutil
@@ -84,6 +85,15 @@ def log_with(switches=(), final=Point2(0.0, 0.0)):
 
 def switch(step, door="doorA"):
     return SwitchEvent(step_index=step, door_id=door, crossing_point=Point2(0, 0), from_env="indoor", to_env="outdoor")
+
+
+def seamloc_subprocess(*args):
+    """`python -m seamloc.cli args` in a separate interpreter, where an uncaught
+    exception shows on stderr as a traceback and a numpy overflow as a warning."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    cmd = [sys.executable, "-m", "seamloc.cli", *map(str, args)]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestTrack:
@@ -736,11 +746,7 @@ class TestCli:
         return out
 
     def _eval_subprocess(self, out, tmp_path):
-        # A separate interpreter, so an uncaught exception shows as a traceback.
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        cmd = [sys.executable, "-m", "seamloc.cli", "eval", "--events", str(out), "--truth", str(out), "--out", str(tmp_path / "rep")]
-        return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        return seamloc_subprocess("eval", "--events", out, "--truth", out, "--out", tmp_path / "rep")
 
     @staticmethod
     def _replace_first(path, prefix, new_line):
@@ -966,10 +972,7 @@ def test_report_non_utf8_file_is_parse_error(tmp_path, name):
     (tmp_path / "report.txt").write_text("suite: s\n")
     (tmp_path / "cdf.csv").write_text("error_m,fraction\n0.5,1.0\n")
     (tmp_path / name).write_bytes(b"x\xff\n")
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    cmd = [sys.executable, "-m", "seamloc.cli", "report", "--in", str(tmp_path)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    proc = seamloc_subprocess("report", "--in", tmp_path)
     assert proc.returncode == 3
     assert proc.stderr.startswith("error[parse]: ") and "Traceback" not in proc.stderr
     assert f"{name}:1: not UTF-8 text" in proc.stderr
@@ -1001,10 +1004,7 @@ def test_report_non_utf8_file_is_parse_error(tmp_path, name):
 def test_simulate_non_finite_script_value_is_invalid_script(tmp_path, row):
     script = tmp_path / "walk.txt"
     script.write_text(f"version: 1\n{row}\nwaypoint: 0.0 0.0\nwaypoint: 6.0 0.0\n")
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    cmd = [sys.executable, "-m", "seamloc.cli", "simulate", "--script", str(script), "--out", str(tmp_path / "o")]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    proc = seamloc_subprocess("simulate", "--script", script, "--out", tmp_path / "o")
     assert proc.returncode == 6
     assert "error[invalid-script]" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -1140,7 +1140,8 @@ def mutate_line(line: str, sep, at: int, value) -> str:
 def test_mutated_input_loads_or_names_its_file(fuzz_sources, tmp_path, loader, target, row, at, value):
     """One field or line of a valid file becomes NaN, infinite, past the float range,
     empty or not a number (value None empties the whole line), or a line is repeated:
-    the file loads, or the error names it, and no warning mentions NaN."""
+    the file loads, or the error names it, and no warning mentions NaN. A trial's path
+    rows that disagree with its events' step rows name the path file, whichever changed."""
     load, texts = fuzz_sources[loader]
     name = sorted(texts)[target % len(texts)]
     lines = texts[name].splitlines()
@@ -1159,7 +1160,8 @@ def test_mutated_input_loads_or_names_its_file(fuzz_sources, tmp_path, loader, t
         try:
             load(paths)
         except errors.SeamlocError as exc:
-            assert exc.path == str(paths[name]), str(exc)
+            disagree = loader == "trial" and "disagree" in str(exc) and exc.path == str(paths["trial.path.csv"])
+            assert exc.path == str(paths[name]) or disagree, str(exc)
             assert str(exc).startswith(f"{exc.path}: " if exc.line is None else f"{exc.path}:{exc.line}: ")
     assert not [w for w in caught if "nan" in str(w.message).lower() or w.category is RuntimeWarning]
 
@@ -1215,13 +1217,9 @@ def test_track_on_mutated_trace_exits_0_or_with_its_error(cli_run, tmp_path, cap
 
 
 def test_accel_norm_overflow_names_its_line_without_traceback(cli_run, tmp_path):
-    # A separate interpreter shows an uncaught exception as a traceback and a numpy overflow as a warning.
     trace = tmp_path / "accel.trace.csv"
     write_mutated_trace(cli_run, trace, ACCEL_1E200)
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    args = ["track", "--trace", str(trace), "--plan", str(cli_run / "plan.txt"), "--out", str(tmp_path / "o")]
-    proc = subprocess.run([sys.executable, "-m", "seamloc.cli", *args], capture_output=True, text=True, env=env, timeout=120)
+    proc = seamloc_subprocess("track", "--trace", trace, "--plan", cli_run / "plan.txt", "--out", tmp_path / "o")
     assert proc.returncode == 4
     assert proc.stderr.startswith(f"error[invariant]: {trace}:102: trace-accel-norm-finite: ")
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
@@ -1280,14 +1278,198 @@ def test_eval_on_mutated_trial_exits_0_or_with_its_error(cli_run, tmp_path_facto
 
 
 def test_eval_of_a_truth_without_steps_prints_no_traceback(cli_run, tmp_path):
-    # A separate interpreter shows an uncaught exception as a traceback.
     mutate_trial(cli_run, tmp_path / "in", [("drop_truth_steps", 0, 0), ("switch_past_end", 1, 5)])
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    args = ["eval", "--events", str(tmp_path / "in"), "--truth", str(tmp_path / "in"), "--out", str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, "-m", "seamloc.cli", *args], capture_output=True, text=True, env=env, timeout=120)
+    proc = seamloc_subprocess("eval", "--events", tmp_path / "in", "--truth", tmp_path / "in", "--out", tmp_path / "out")
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert proc.returncode in {0} | {code for _, code in EXIT_CODES}, proc.stderr
+
+
+PATH_ROWS = (GOLDEN / "trial.path.csv").read_text().splitlines()[1:]  # the rows of steps 0, 1 and 2
+
+
+@pytest.mark.parametrize(
+    "rows, line, message",
+    [
+        (PATH_ROWS[:2], 4, "2 path rows disagree with the 3 step rows of {events}"),
+        ([], None, "0 path rows disagree with the 3 step rows of {events}"),
+        (PATH_ROWS + PATH_ROWS[-1:], 5, "path row 3 (step 2, t 1e+300) disagrees with step row 3 of {events} (only 3 step rows)"),
+        (PATH_ROWS[:1] + PATH_ROWS[:2], 3, "path row 1 (step 0, t 0.5) disagrees with step row 1 of {events} (t 1.0)"),
+        ([PATH_ROWS[0], "1,1.5,0.75,0.0,0.0,outdoor", PATH_ROWS[2]], 3, "path row 1 (step 1, t 1.5) disagrees with step row 1 of {events} (t 1.0)"),
+    ],
+    ids=["short", "empty", "long", "step", "t"],
+)
+def test_path_rows_that_are_not_the_step_rows_name_the_path_file(tmp_path, rows, line, message):
+    events, path = tmp_path / "t.events.csv", tmp_path / "t.path.csv"
+    shutil.copy(GOLDEN / "trial.events.csv", events)
+    path.write_text("\n".join([harness.PATH_HEADER, *rows]) + "\n")
+    with pytest.raises(ParseError) as got:
+        load_trial(events, path)
+    assert (got.value.path, got.value.line) == (str(path), line)
+    assert str(got.value) == f"{path}{'' if line is None else f':{line}'}: {message.format(events=events)}"
+
+
+@pytest.mark.parametrize("steps, crossing", [(0, 7), (1, 1), (1, -1), (2, 2)])
+def test_truth_crossing_at_no_step_names_its_line(tmp_path, steps, crossing):
+    path = tmp_path / "truth.txt"
+    rows = [f"step: {i} {0.5 * (i + 1)} {0.75 * (i + 1)} 0 0 indoor" for i in range(steps)]
+    path.write_text("\n".join(["version: 1", "initial: 0 0 0 indoor", *rows, f"crossing: {crossing} doorA"]) + "\n")
+    with pytest.raises(ParseError) as got:
+        load_truth(path)
+    message = f"crossing of doorA at step {crossing}: the file has {steps} step lines"
+    assert str(got.value) == f"{path}:{steps + 3}: {message}"
+    if steps:  # the last step is a step
+        path.write_text(path.read_text().replace(f"crossing: {crossing}", f"crossing: {steps - 1}"))
+        assert load_truth(path).crossings == ((steps - 1, "doorA"),)
+
+
+def cli_main_quietly(capsys, *args):
+    """(exit code, stderr) of cli.main in this process: it returns 0 or an error
+    class's exit code with its error line, and warns nothing."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(list(map(str, args)))
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert rc == 0 or (rc in {code for _, code in EXIT_CODES} and err.startswith("error[")), (rc, err)
+    return rc, err
+
+
+def test_eval_of_a_path_short_of_its_last_row_names_the_path_file(cli_run, tmp_path, capsys):
+    # eval exited 0 here, taking the tenth of eleven steps as the walk's end: a final error of 0.837 m, not 0.087 m.
+    for name in ("trial.events.csv", "trial.path.csv", "trial.truth.txt"):
+        shutil.copy(cli_run / name, tmp_path / name)
+    path = tmp_path / "trial.path.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    args = ("eval", "--events", tmp_path, "--truth", tmp_path, "--out", tmp_path / "rep")
+    rc, err = cli_main_quietly(capsys, *args)
+    message = f"{len(lines) - 2} path rows disagree with the {len(lines) - 1} step rows of {tmp_path / 'trial.events.csv'}"
+    assert (rc, err) == (3, f"error[parse]: {path}:{len(lines)}: {message}\n")
+    proc = seamloc_subprocess(*args)
+    assert (proc.returncode, proc.stderr) == (3, err)
+
+
+def test_eval_of_a_crossing_at_no_truth_step_names_its_line(cli_run, tmp_path, capsys):
+    for name in ("trial.events.csv", "trial.path.csv"):
+        shutil.copy(cli_run / name, tmp_path / name)
+    truth = tmp_path / "trial.truth.txt"
+    truth.write_text("version: 1\ninitial: 0 0 0 indoor\ncrossing: 7 doorA\n")
+    args = ("eval", "--events", tmp_path, "--truth", tmp_path, "--out", tmp_path / "rep")
+    rc, err = cli_main_quietly(capsys, *args)
+    assert (rc, err) == (3, f"error[parse]: {truth}:3: crossing of doorA at step 7: the file has 0 step lines\n")
+    proc = seamloc_subprocess(*args)
+    assert (proc.returncode, proc.stderr) == (3, err)
+
+
+# Field values for the fuzz below: quarters up to 50, so that no walk nears the sample cap, and non-numbers.
+FIELD_VALUES = st.one_of(st.integers(-200, 200).map(lambda k: repr(k / 4)), st.sampled_from(["nan", "inf", "-inf", "1e309", "", "x"]))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    row=st.integers(0, 10**4),
+    at=st.integers(0, 5),
+    value=st.one_of(st.none(), FIELD_VALUES),
+    sample_rate=st.one_of(st.just(20), st.floats(20.0, 120.0)),
+    cadence=st.floats(0.5, 7.0),
+)
+# At 20 Hz a step cycle of 20 / cadence samples rounds to 4, the fewest allowed, up to 5.71 steps/s.
+@example(row=0, at=0, value=None, sample_rate=20, cadence=5.0)
+@example(row=0, at=0, value=None, sample_rate=20, cadence=20 / 3.5)
+@example(row=0, at=0, value=None, sample_rate=20, cadence=5.8)
+def test_simulate_on_mutated_inputs_exits_0_or_with_its_error(cli_run, tmp_path_factory, capsys, row, at, value, sample_rate, cadence):
+    """The CI walk script with a cadence line and one record field mutated (value None
+    leaves it as it is), at a sample rate from 20 Hz: simulate exits 0 or with an error's code,
+    raising and warning nothing, and the files of a 0 exit read back."""
+    d = tmp_path_factory.mktemp("simulate")
+    lines = [*CI_WALK.splitlines(), f"cadence: {cadence!r}"]
+    if value is not None:  # a field of a record after the version line
+        k = 1 + row % (len(lines) - 1)
+        key, fields = lines[k].split(": ")
+        lines[k] = f"{key}: {mutate_line(fields, None, at, value)}"
+    (d / "walk.txt").write_text("\n".join(lines) + "\n")
+    (d / "cfg.json").write_text(json.dumps({"sim": {"sample_rate": sample_rate}}))
+    args = ("simulate", "--script", d / "walk.txt", "--plan", cli_run / "plan.txt", "--out", d / "out", "--config", d / "cfg.json")
+    rc, _ = cli_main_quietly(capsys, *args, "--seed", "3")
+    if rc == 0:
+        load_trace(d / "out" / "trial.trace.csv")
+        load_truth(d / "out" / "trial.truth.txt")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    radio_map=st.sampled_from(["golden", "ci", "both"]),
+    readings=st.lists(st.tuples(st.sampled_from(["ap1", "ap2", "a", "b", "zz9"]), st.floats(-120.0, 0.0).map(repr)), max_size=4),
+    bad=st.one_of(st.none(), st.tuples(st.integers(0, 10), FIELD_VALUES)),
+    wknn=st.fixed_dictionaries(
+        {}, optional={"k": st.integers(0, 3), "mode": st.sampled_from(["NN", "KNN", "WKNN", "knn"]), "missing_rss_floor": st.floats(-125.0, 5.0)}
+    ),
+)
+# An observation that shares no transmitter with the map: every distance comes from the floor.
+@example(radio_map="both", readings=[("zz9", "-60.0")], bad=None, wknn={})
+@example(radio_map="golden", readings=[("zz9", "-60.0"), ("b", "-5e-324")], bad=None, wknn={"k": 2, "mode": "KNN"})
+def test_locate_on_mutated_inputs_exits_0_or_with_its_error(cli_run, tmp_path_factory, capsys, radio_map, readings, bad, wknn):
+    """Observations of the map's transmitters, others or none, one reading perhaps made
+    a bad value, against the golden map, CI's or both joined, under any wknn section:
+    locate exits 0 with a finite position or with an error's code, raising and warning nothing."""
+    d = tmp_path_factory.mktemp("locate")
+    if bad is not None and readings:
+        readings[bad[0] % len(readings)] = (readings[bad[0] % len(readings)][0], bad[1])
+    (d / "obs.txt").write_text("".join(f"{tx} {dbm}\n" for tx, dbm in readings))
+    golden, ci = (GOLDEN / "radiomap.txt").read_text(), (cli_run / "rm.txt").read_text()
+    maps = {"golden": golden, "ci": ci, "both": golden + ci.split("\n", 1)[1]}
+    (d / "rm.txt").write_text(maps[radio_map])
+    (d / "cfg.json").write_text(json.dumps({"wknn": wknn}))
+    args = ("locate", "--observation", d / "obs.txt", "--radiomap", d / "rm.txt", "--config", d / "cfg.json", "--out", d / "out")
+    rc, _ = cli_main_quietly(capsys, *args)
+    if rc == 0:
+        x, y = map(float, (d / "out" / "position.txt").read_text().split())
+        assert math.isfinite(x) and math.isfinite(y)
+
+
+UTF8_OR_NOT = st.one_of(st.text(max_size=20).map(str.encode), st.binary(max_size=40))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(report=UTF8_OR_NOT, cdf=st.one_of(st.none(), UTF8_OR_NOT), at=st.integers(0, 10**4))
+@example(report=b"x\xff\n", cdf=None, at=0)
+@example(report=b"", cdf=b"\xc3", at=0)
+def test_report_on_mutated_files_exits_0_or_with_its_error(tmp_path_factory, capsys, report, cdf, at):
+    """A golden report and CDF with bytes, UTF-8 or not, put in at any place, or no CDF file:
+    report exits 0 and prints both, or exits 3 naming the file, raising and warning nothing."""
+    d = tmp_path_factory.mktemp("report")
+    for name, extra in {"report.txt": report, "cdf.csv": cdf}.items():
+        if extra is not None:
+            text = (GOLDEN / "report_all" / name).read_bytes()
+            k = at % (len(text) + 1)
+            (d / name).write_bytes(text[:k] + extra + text[k:])
+    rc, err = cli_main_quietly(capsys, "report", "--in", d)
+    assert rc in (0, 3)
+    if rc == 3:
+        assert err.startswith(f"error[parse]: {d}") and ": not UTF-8 text" in err
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("simulate", 2), ("locate", 0), ("report", 3)],
+    ids=["simulate at 20 Hz, cadence 5.8", "locate with no shared transmitter", "report of a non-UTF-8 CDF"],
+)
+def test_fuzz_case_in_a_subprocess_prints_no_traceback_or_warning(cli_run, tmp_path, case, code):
+    if case == "simulate":
+        (tmp_path / "walk.txt").write_text(CI_WALK + "cadence: 5.8\n")
+        (tmp_path / "cfg.json").write_text('{"sim": {"sample_rate": 20}}')
+        args = ("--script", tmp_path / "walk.txt", "--plan", cli_run / "plan.txt", "--out", tmp_path / "o", "--config", tmp_path / "cfg.json")
+    elif case == "locate":
+        (tmp_path / "obs.txt").write_text("zz9 -60.0\n")
+        (tmp_path / "cfg.json").write_text('{"wknn": {"k": 2}}')
+        args = ("--observation", tmp_path / "obs.txt", "--radiomap", GOLDEN / "radiomap.txt", "--config", tmp_path / "cfg.json")
+    else:
+        shutil.copy(GOLDEN / "report_all" / "report.txt", tmp_path / "report.txt")
+        (tmp_path / "cdf.csv").write_bytes(b"error,fraction\n0.5,\xff1.0\n")
+        args = ("--in", tmp_path)
+    proc = seamloc_subprocess(case, *args)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 BAD_CONFIGS = [
@@ -1320,10 +1502,7 @@ def _cli_exit_2(d, tmp_path, command, *extra):
         "eval": ["--events", d, "--truth", d],
         "locate": ["--observation", d / "obs.txt", "--radiomap", d / "rm.txt"],
     }[command]
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    cmd = [sys.executable, "-m", "seamloc.cli", command, *map(str, args), "--out", str(tmp_path / "o"), *extra]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    proc = seamloc_subprocess(command, *args, "--out", tmp_path / "o", *extra)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error[invalid-parameter]: ") and "Traceback" not in proc.stderr
 
