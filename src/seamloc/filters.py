@@ -203,7 +203,7 @@ def kf_run(state: HeadingKfState, rates, dts, z, i0: int, i1: int, cfg: KfConfig
     F = [[1, -dt], [0, 1]], Q = diag(q_heading, q_bias) dt; a dt of 0 skips it, and
     kf_update is one such interval. Update: H = [1, 0], wrapped innovation, Joseph form
     (I - KH) P (I - KH)^T + r K K^T, symmetrised; an infinite r_mag skips it.
-    Each line writes a 2x2 product on five floats out in its order of operations.
+    Each line writes 2x2 products out on floats in their order of operations (r k0 k1 once).
     """
     if i1 <= i0:
         return state
@@ -226,10 +226,10 @@ def kf_run(state: HeadingKfState, rates, dts, z, i0: int, i1: int, cfg: KfConfig
             s = p00 + r
             k0, k1 = p00 / s, p01 / s
             g = 1.0 - k0
-            a00, a01, a10, a11 = g * p00, g * p01, p01 - k1 * p00, p11 - k1 * p01  # (I - KH) P
+            a00, a10, rk01 = g * p00, p01 - k1 * p00, r * (k0 * k1)  # a00, a10: column 0 of (I - KH) P
             h, b = h + k0 * e, b + k1 * e
             if not lo < h <= hi:
                 h = wrap_angle(h)
-            p00, p11 = a00 * g + r * (k0 * k0), a11 - k1 * a10 + r * (k1 * k1)
-            p01 = 0.5 * ((a01 - k1 * a00 + r * (k0 * k1)) + (a10 * g + r * (k1 * k0)))
+            p00, p11 = a00 * g + r * (k0 * k0), p11 - k1 * p01 - k1 * a10 + r * (k1 * k1)
+            p01 = 0.5 * ((g * p01 - k1 * a00 + rk01) + (a10 * g + rk01))
     return HeadingKfState(heading=h, gyro_bias=b, covariance=np.array([[p00, p01], [p01, p11]]))

@@ -111,7 +111,7 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
                 mag_z = mag_headings(trace.mag[1:, :2], cfg.kf.declination)
             kf = kf_run(kf, rates, dts, mag_z, cursor, i_k, cfg.kf)
             heading = kf.heading
-            position = propagate_step(Pose(prev_pos, heading), cfg.pdr).position
+            pose = propagate_step(Pose(prev_pos, heading), cfg.pdr)
         else:
             if increments is None:
                 increments = trace.yaw_increments()[2].tolist()
@@ -125,7 +125,8 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
                     pf, position = pf_step(pf, heading, cfg.pf, cfg.pdr, plan)
                 except FilterDivergenceError as exc:
                     raise FilterDivergenceError(f"particle filter diverged at step {k}") from exc
-        cursor = i_k
+            pose = Pose(position, heading)
+        position, cursor = pose.position, i_k
 
         # An opening overlaps (prev_t, step.t] when the first one ending after
         # prev_t starts by step.t.
@@ -138,7 +139,7 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
             log.switches.append(switch)
             pf, kf = _backend(switch.to_env, Pose(switch.crossing_point, heading), cfg, cfg.seed + k + 1)
 
-        log.poses.append(Pose(position, heading))
+        log.poses.append(pose)
         log.environments.append(cstate.environment)
 
     return log.poses, log
@@ -504,10 +505,11 @@ def load_truth(path) -> GroundTruth:
         )
     except InvalidParameterError as exc:  # the step rule; a file that breaks it is a parse error
         raise _at_record(ParseError(str(exc), record=exc.record), path, records) from None
-    for lineno, (step, door) in records["crossing"]:  # evaluate matches crossings to steps by index
-        if not 0 <= step < len(steps):
-            message = f"crossing of {door} at step {step}: the file has {len(steps)} step lines"
-            raise ParseError(message, path=str(path), line=lineno)
+    for kind in ("crossing", "turn_back"):  # each is at a step; evaluate matches crossings to steps by index
+        for lineno, (step, door) in records[kind]:
+            if not 0 <= step < len(steps):
+                message = f"{kind} of {door} at step {step}: the file has {len(steps)} step lines"
+                raise ParseError(message, path=str(path), line=lineno)
     return truth
 
 

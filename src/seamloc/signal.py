@@ -128,8 +128,9 @@ def normalize_accel(sample: ImuSample, cfg: SignalConfig = SignalConfig()) -> fl
 
 
 def normalized_series(trace: Trace, cfg: SignalConfig = SignalConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample normalized acceleration for a whole trace."""
-    return trace.t, np.linalg.norm(trace.accel, axis=1) - cfg.g
+    """Per-sample normalized acceleration for a whole trace, summed in np.linalg.norm's order."""
+    ax, ay, az = trace.accel.T
+    return trace.t, np.sqrt(ax * ax + ay * ay + az * az) - cfg.g
 
 
 def detect_steps(t: np.ndarray, a: np.ndarray, cfg: SignalConfig = SignalConfig()) -> list[StepEvent]:
@@ -171,15 +172,13 @@ def _zero_crossing_flags(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
     A Schmitt trigger: the sign is +1 at a >= hi, -1 at a <= lo and 0 between,
     and a 0 carries the sign before it, so a swing from <= lo to >= hi, or
     back, counts once, and noise around zero inside the band counts none.
+    Flag i is 1 when sample i + 1 is out of band opposite the out-of-band sample before it.
     """
-    n = len(a)
-    if n < 2:
-        return np.zeros(0, dtype=int)
-    sign = np.where(a >= hi, 1.0, np.where(a <= lo, -1.0, 0.0))
-    idx = np.arange(n)
-    last_nonzero = np.maximum.accumulate(np.where(sign != 0, idx, -1))
-    filled = np.where(last_nonzero >= 0, sign[np.maximum(last_nonzero, 0)], 0.0)
-    return (filled[:-1] * filled[1:] < 0).astype(int)
+    out = np.flatnonzero((a >= hi) | (a <= lo))
+    high = a[out] >= hi
+    flags = np.zeros(max(len(a) - 1, 0), dtype=int)
+    flags[out[1:][high[1:] != high[:-1]] - 1] = 1
+    return flags
 
 
 def detect_door_openings(
@@ -202,7 +201,9 @@ def detect_door_openings(
     n = len(a)
     if n < 2:
         return []
-    step_times = np.array(sorted([s.t for s in steps or []]))
+    step_times = [s.t for s in steps or []]
+    # Per-sample step counts: left[j] steps at or before t[j], right[j] steps before t[j].
+    left, right = (np.bincount(t.searchsorted(step_times, s), minlength=n + 1).cumsum() for s in ("left", "right"))
 
     crossings = _zero_crossing_flags(a, cfg.door_lo, cfg.door_hi)
     crossing_prefix = np.concatenate([[0], np.cumsum(crossings)])
@@ -220,8 +221,7 @@ def detect_door_openings(
     over = np.concatenate([[0], np.cumsum(~(abs_a < cfg.step_hi))])
     ok = (reach[ends] > reach[:m]) & (over[ends] == over[:m])
     ok &= crossing_prefix[ends - 1] - crossing_prefix[:m] >= cfg.door_min_zero_crossings
-    first_step = np.searchsorted(step_times, t[:m], side="left")
-    ok &= np.searchsorted(step_times, t[ends - 1], side="right") <= first_step
+    ok &= left[ends - 1] == right[:m]  # no step in [t[i], t[ends[i] - 1]]
     qualifying = np.flatnonzero(ok)
     if len(qualifying) == 0:
         return []

@@ -212,6 +212,8 @@ def generate_walk(
         if action.action == OPEN_AND_CROSS:
             start = append(jiggle)
             door_intervals.append((start * dt, (start + jiggle_len) * dt))
+        elif not step_times:  # a turn-back is recorded at the step before it
+            raise InvalidScriptError(f"door_action: {waypoint} {action.door_id} {TURN_BACK} comes before any step")
         else:
             turn_backs.append((len(step_times) - 1, action.door_id))
 

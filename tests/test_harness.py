@@ -1322,6 +1322,21 @@ def test_truth_crossing_at_no_step_names_its_line(tmp_path, steps, crossing):
         assert load_truth(path).crossings == ((steps - 1, "doorA"),)
 
 
+@pytest.mark.parametrize("steps, turn_back", [(0, 0), (1, -1), (1, 1), (2, 2)])
+def test_truth_turn_back_at_no_step_names_its_line(tmp_path, steps, turn_back):
+    # generate_walk wrote turn_back: -1 for a turn-back before any step; no truth file holds one now.
+    path = tmp_path / "truth.txt"
+    rows = [f"step: {i} {0.5 * (i + 1)} {0.75 * (i + 1)} 0 0 indoor" for i in range(steps)]
+    path.write_text("\n".join(["version: 1", "initial: 0 0 0 indoor", *rows, f"turn_back: {turn_back} doorA"]) + "\n")
+    with pytest.raises(ParseError) as got:
+        load_truth(path)
+    message = f"turn_back of doorA at step {turn_back}: the file has {steps} step lines"
+    assert str(got.value) == f"{path}:{steps + 3}: {message}"
+    if steps:  # the last step is a step
+        path.write_text(path.read_text().replace(f"turn_back: {turn_back}", f"turn_back: {steps - 1}"))
+        assert load_truth(path).turn_backs == ((steps - 1, "doorA"),)
+
+
 def cli_main_quietly(capsys, *args):
     """(exit code, stderr) of cli.main in this process: it returns 0 or an error
     class's exit code with its error line, and warns nothing."""
@@ -1357,6 +1372,18 @@ def test_eval_of_a_crossing_at_no_truth_step_names_its_line(cli_run, tmp_path, c
     args = ("eval", "--events", tmp_path, "--truth", tmp_path, "--out", tmp_path / "rep")
     rc, err = cli_main_quietly(capsys, *args)
     assert (rc, err) == (3, f"error[parse]: {truth}:3: crossing of doorA at step 7: the file has 0 step lines\n")
+    proc = seamloc_subprocess(*args)
+    assert (proc.returncode, proc.stderr) == (3, err)
+
+
+def test_eval_of_a_turn_back_at_no_truth_step_names_its_line(cli_run, tmp_path, capsys):
+    for name in ("trial.events.csv", "trial.path.csv"):
+        shutil.copy(cli_run / name, tmp_path / name)
+    truth = tmp_path / "trial.truth.txt"
+    truth.write_text("version: 1\ninitial: 0 0 0 indoor\nstep: 0 0.5 0.75 0 0 indoor\nturn_back: -1 doorA\n")
+    args = ("eval", "--events", tmp_path, "--truth", tmp_path, "--out", tmp_path / "rep")
+    rc, err = cli_main_quietly(capsys, *args)
+    assert (rc, err) == (3, f"error[parse]: {truth}:4: turn_back of doorA at step -1: the file has 1 step lines\n")
     proc = seamloc_subprocess(*args)
     assert (proc.returncode, proc.stderr) == (3, err)
 

@@ -23,7 +23,7 @@ from seamloc import (
     normalized_series,
     two_building_plan,
 )
-from seamloc.signal import _zero_crossing_flags
+from seamloc.signal import Trace, _zero_crossing_flags
 
 CFG = SignalConfig()
 
@@ -59,6 +59,52 @@ class TestNormalizeAccel:
 
     def test_three_four_five(self):
         assert abs(normalize_accel(make_sample(3, 4, 0), CFG) + 4.81) < 1e-12
+
+
+# Its squares sum to 1 + 2^-52 left to right and to 1 right to left.
+ORDER_ROW = (1.0, 2**-26.5, 2**-26.5)
+accel_value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2**-26.5, -(2**-26.5), 9.81, 5e-324]) | st.floats(-1e150, 1e150)
+
+
+@st.composite
+def accel_rows(draw):
+    row = st.tuples(accel_value, accel_value, accel_value) | st.permutations(ORDER_ROW).map(tuple)
+    return np.array(draw(st.lists(row, max_size=40)), dtype=float).reshape(-1, 3)
+
+
+def trace_with_accel(accel, layout):
+    """A trace whose accel array has the given memory layout: "C", "fortran", or "strided",
+    the column view that load_trace takes of its (n, 10) table."""
+    n = len(accel)
+    if layout == "strided":
+        data = np.zeros((n, 10))
+        data[:, 1:4] = accel
+        accel = data[:, 1:4]
+    elif layout == "fortran":
+        accel = np.asfortranarray(accel)
+    trace = Trace(t=np.arange(n) * 0.01, accel=accel, gyro=np.zeros((n, 3)), mag=np.ones((n, 3)))
+    assert trace.accel.flags.c_contiguous == (layout == "C" or n < 2)  # the trace keeps the layout
+    return trace
+
+
+class TestNormalizedSeriesOracle:
+    """normalized_series has the bits of np.linalg.norm(accel, axis=1) - g."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(accel_rows(), st.sampled_from(["C", "fortran", "strided"]), st.sampled_from([9.81, 1.0]) | st.floats(1e-3, 20.0))
+    def test_matches_linalg_norm(self, accel, layout, g):
+        trace = trace_with_accel(accel, layout)
+        t, a = normalized_series(trace, SignalConfig(g=g))
+        assert t is trace.t
+        assert a.tobytes() == (np.linalg.norm(trace.accel, axis=1) - g).tobytes()
+
+    @pytest.mark.parametrize("layout", ["C", "fortran", "strided"])
+    def test_squares_summed_left_to_right(self, layout):
+        x2 = ORDER_ROW[1] * ORDER_ROW[1]
+        assert math.sqrt((1.0 + x2) + x2).hex() == "0x1.0000000000001p+0"
+        assert math.sqrt(1.0 + (x2 + x2)).hex() == "0x1.0000000000000p+0"
+        trace = trace_with_accel(np.array([ORDER_ROW, ORDER_ROW[::-1]]), layout)
+        assert normalized_series(trace, SignalConfig(g=1.0))[1].tolist() == [2.0**-52, 0.0]
 
 
 class TestDetectSteps:
@@ -392,6 +438,99 @@ class TestDoorOpeningsOracle:
         assert len(got) == 2 and got[0].t_end < 8.0 < got[1].t_start
 
 
+def door_searchsorted_oracle(t, a, cfg=CFG, steps=None):
+    """The detector with its former step test: a window [i, ends[i]) is free of
+    steps when as many sorted step times lie before t[i] (searchsorted left) as
+    at or before t[ends[i] - 1] (searchsorted right)."""
+    t = np.asarray(t, dtype=float)
+    a = np.asarray(a, dtype=float)
+    n = len(a)
+    if n < 2:
+        return []
+    step_times = np.array(sorted([s.t for s in steps or []]))
+    crossing_prefix = np.concatenate([[0], np.cumsum(_zero_crossing_flags(a, cfg.door_lo, cfg.door_hi))])
+    window_end = t + cfg.door_window
+    m = int(np.count_nonzero(window_end <= t[-1]))
+    ends = np.searchsorted(t, window_end[:m], side="right")
+    abs_a = np.abs(a)
+    reach = np.concatenate([[0], np.cumsum(abs_a >= cfg.door_hi)])
+    over = np.concatenate([[0], np.cumsum(~(abs_a < cfg.step_hi))])
+    ok = (reach[ends] > reach[:m]) & (over[ends] == over[:m])
+    ok &= crossing_prefix[ends - 1] - crossing_prefix[:m] >= cfg.door_min_zero_crossings
+    first_step = np.searchsorted(step_times, t[:m], side="left")
+    ok &= np.searchsorted(step_times, t[ends - 1], side="right") <= first_step
+    qualifying = np.flatnonzero(ok)
+    if len(qualifying) == 0:
+        return []
+    t_start = t[qualifying]
+    t_end = t_start + cfg.door_window
+    first = np.flatnonzero(np.concatenate([[True], t_start[1:] > t_end[:-1]]))
+    last = np.append(first[1:], len(qualifying)) - 1
+    zero_crossings = crossing_prefix[ends[qualifying[last]] - 1] - crossing_prefix[qualifying[first]]
+    return [
+        DoorOpenEvent(t_start=ts, t_end=te, zero_crossings=zc)
+        for ts, te, zc in zip(t_start[first].tolist(), t_end[last].tolist(), zero_crossings.tolist())
+    ]
+
+
+@st.composite
+def stepped_wiggle(draw):
+    """A door wiggle, so that the step test decides most windows, with steps on
+    sample times, between samples, before the first and after the last sample,
+    some repeated, in any order."""
+    n = draw(st.integers(0, 150))
+    gaps = draw(st.lists(st.sampled_from([0.01, 0.05, 0.25]) | st.floats(0.005, 0.3), min_size=n, max_size=n))
+    t = (np.cumsum(gaps) + draw(st.floats(0.0, 100.0))).tolist()
+    a = 0.8 * np.sin(2 * np.pi * np.array(t) / draw(st.floats(0.1, 1.0)))
+    window = draw(st.sampled_from([0.1, 0.5, 1.5]) | st.floats(0.01, 3.0))
+    cfg = SignalConfig(door_window=window, door_min_zero_crossings=draw(st.integers(0, 2)))
+    times = []
+    for where in draw(st.lists(st.sampled_from(["on", "between", "before", "after"]), max_size=6)):
+        if n < 2:
+            times.append(draw(st.floats(-10.0, 110.0)))
+            continue
+        i = draw(st.integers(0, n - 2))
+        gap = draw(st.floats(1e-9, 5.0))
+        times.append({"on": t[i], "between": 0.5 * (t[i] + t[i + 1]), "before": t[0] - gap, "after": t[-1] + gap}[where])
+    if times:
+        times += draw(st.lists(st.sampled_from(times), max_size=3))
+    steps = [StepEvent(index=k, t=v, peak=2.0) for k, v in enumerate(draw(st.permutations(times)))]
+    return np.array(t), a, cfg, steps
+
+
+class TestDoorStepTestOracle:
+    """detect_door_openings' per-sample step counts give the windows that the
+    two searchsorted calls into the sorted step times gave."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(stepped_wiggle())
+    def test_matches_searchsorted_step_test(self, series):
+        t, a, cfg, steps = series
+        assert detect_door_openings(t, a, cfg, steps) == door_searchsorted_oracle(t, a, cfg, steps)
+
+    @pytest.mark.parametrize("k", range(12))
+    def test_step_on_each_sample_time(self, k):
+        t = np.arange(12) * 0.25  # binary-exact: windows of 0.5 s end exactly on samples
+        a = np.array([0.8, -0.8] * 6)
+        cfg = SignalConfig(door_window=0.5, door_min_zero_crossings=1)
+        for steps in ([StepEvent(index=0, t=t[k], peak=2.0)], [StepEvent(index=i, t=t[k], peak=2.0) for i in range(3)]):
+            got = detect_door_openings(t, a, cfg, steps)
+            assert got == door_searchsorted_oracle(t, a, cfg, steps) == door_loop_oracle(t, a, cfg, steps)
+            assert got and all(not ev.t_start <= t[k] <= ev.t_end for ev in got)
+
+
+def fill_forward_oracle(a, lo, hi):
+    """The former vector form of the flags: each in-band sample takes the sign of
+    the last out-of-band sample before it (0 before any), and a flag marks a sign change."""
+    n = len(a)
+    if n < 2:
+        return np.zeros(0, dtype=int)
+    sign = np.where(a >= hi, 1.0, np.where(a <= lo, -1.0, 0.0))
+    last_nonzero = np.maximum.accumulate(np.where(sign != 0, np.arange(n), -1))
+    filled = np.where(last_nonzero >= 0, sign[np.maximum(last_nonzero, 0)], 0.0)
+    return (filled[:-1] * filled[1:] < 0).astype(int)
+
+
 def schmitt_oracle(a, lo, hi):
     """Independent band-swing counter: a state machine that remembers which
     edge of the band the series last reached; 1 for each interval that ends on
@@ -421,6 +560,36 @@ class TestDoorBand:
     def test_flags_match_state_machine(self, values, band):
         a = np.array(values, dtype=float)
         assert _zero_crossing_flags(a, *band).tolist() == schmitt_oracle(a, *band)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(door_level, max_size=60), st.sampled_from([(-0.5, 0.5), (-0.2, 0.9), (0.0, 1e-9)]))
+    def test_flags_match_fill_forward_form(self, values, band):
+        a = np.array(values, dtype=float)
+        got, want = _zero_crossing_flags(a, *band), fill_forward_oracle(a, *band)
+        assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [],
+            [0.5],
+            [math.nan],
+            [-0.5, 0.5],
+            [0.5, -0.5],
+            [0.5, 0.5],
+            [0.4999999999999999, -0.4999999999999999],
+            [math.nan, math.nan, math.nan],
+            [-0.5, math.nan, math.nan, 0.5, math.nan, -0.5],
+            [math.nan, math.nan, 0.5, 0.0, -0.5, math.nan],
+            [0.5, 0.4999999999999999, -0.5, -0.4999999999999999, 0.5],
+        ],
+    )
+    def test_short_nan_and_band_edge_series(self, values):
+        a = np.array(values, dtype=float)
+        got = _zero_crossing_flags(a, CFG.door_lo, CFG.door_hi)
+        want = fill_forward_oracle(a, CFG.door_lo, CFG.door_hi)
+        assert got.dtype == want.dtype and got.shape == (max(len(a) - 1, 0),)
+        assert got.tolist() == want.tolist() == schmitt_oracle(a, CFG.door_lo, CFG.door_hi)
 
     def test_noise_inside_the_band_makes_no_swing(self):
         a = np.random.default_rng(0).normal(0.0, 0.05, 500)

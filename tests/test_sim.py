@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import seamloc.cli as cli
+import seamloc.harness as harness
 import seamloc.sim as sim
 from seamloc import (
     CALIBRATED_NOISE,
@@ -37,6 +38,7 @@ from seamloc.sim import (
     MAG_VERTICAL,
     OPEN_AND_CROSS,
     STEP_AMPLITUDE,
+    TURN_BACK,
     GroundTruth,
 )
 
@@ -150,6 +152,30 @@ class TestGenerateWalk:
         assert len(trace) == 1000
         with pytest.raises(InvalidScriptError, match="walk of 10.01 s at 100.0 Hz exceeds 1000 samples"):
             generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(3, 0)), pauses=((0, 8.01),)))
+
+    # A turn-back is recorded at the step before it; before any step it would be at step -1.
+    TURN_BACK_BEFORE_ANY_STEP = [((Point2(0, 0), Point2(5, 0)), 0), ((Point2(0, 0), Point2(0.3, 0), Point2(5, 0)), 1)]
+
+    @pytest.mark.parametrize("waypoints, at", TURN_BACK_BEFORE_ANY_STEP, ids=["waypoint-0", "leg-under-half-a-step"])
+    def test_turn_back_before_any_step_is_an_invalid_script(self, waypoints, at):
+        script = WalkScript(waypoints=waypoints, door_actions=(DoorAction(waypoint=at, door_id="doorA", action=TURN_BACK),))
+        with pytest.raises(InvalidScriptError) as got:
+            generate_walk(script, doors=two_building_plan().doors)
+        assert str(got.value) == f"door_action: {at} doorA approach-and-turn-back comes before any step"
+        _, truth = generate_walk(dataclasses.replace(script, door_actions=(DoorAction(at + 1, "doorA", TURN_BACK),)))
+        assert truth.turn_backs == ((truth.step_count - 1, "doorA"),)
+
+    @pytest.mark.parametrize("waypoints, at", TURN_BACK_BEFORE_ANY_STEP, ids=["waypoint-0", "leg-under-half-a-step"])
+    def test_turn_back_before_any_step_exits_6_through_the_cli(self, tmp_path, capsys, waypoints, at):
+        script = tmp_path / "walk.txt"
+        lines = [f"waypoint: {p.x} {p.y}" for p in waypoints] + [f"door_action: {at} doorA {TURN_BACK}"]
+        script.write_text("\n".join(["version: 1", *lines]) + "\n")
+        with pytest.raises(InvalidScriptError, match="comes before any step"):  # on file: the script loads, the walk refuses
+            generate_walk(harness.load_walk_script(script))
+        assert cli.main(["simulate", "--script", str(script), "--out", str(tmp_path / "o")]) == 6
+        err = capsys.readouterr().err
+        assert err == f"error[invalid-script]: door_action: {at} doorA approach-and-turn-back comes before any step\n"
+        assert not (tmp_path / "o" / "trial.truth.txt").exists()
 
     def test_turns_recover_exactly(self):
         # Heading integration of the synthesized gyro must reproduce leg headings.
