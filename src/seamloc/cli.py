@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import harness
 from .crossing import CrossingConfig
-from .errors import InvalidParameterError, ParseError, SeamlocError
+from .errors import InvalidParameterError, InvalidScriptError, InvariantViolation, ParseError, SeamlocError
 from .filters import KfConfig, PfConfig
 from .fingerprint import WknnConfig, estimate_position
 from .pdr import PdrConfig
@@ -97,7 +97,10 @@ def _cmd_simulate(args) -> int:
         noise = dataclasses.replace(noise, seed=args.seed)
     doors = harness.load_floorplan(args.plan).doors if args.plan else ()
     zone_width = config.get("crossing", CrossingConfig()).zone_width
-    trace, truth = generate_walk(script, noise, doors=doors, zone_width=zone_width, **config.get("sim", {}))
+    try:
+        trace, truth = generate_walk(script, noise, doors=doors, zone_width=zone_width, **config.get("sim", {}))
+    except (InvalidScriptError, InvariantViolation) as exc:  # about the whole walk: the script, at no line
+        raise exc.at(args.script)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.save_trace(trace, out / f"{args.name}.trace.csv")

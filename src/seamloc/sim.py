@@ -7,9 +7,9 @@ happen in place between legs as a single-sample gyro spike, which the
 trapezoidal heading integrator reproduces exactly, so a noiseless trace
 dead-reckons back to the true path to machine precision.
 
-The acceleration is a list of blocks joined once: zeros per pause, one
-wiggle per door opening, and per leg the step cycle tiled once per step. A
-turn spikes the first sample of the next non-empty block. Step positions are
+The acceleration is blocks joined once: zeros per pause, one wiggle per door
+opening, and per leg the step cycle tiled by the step count WalkScript plans.
+A turn spikes the first sample of the next non-empty block. Step positions are
 running sums along each leg, so traces are byte-identical to earlier versions.
 """
 
@@ -33,7 +33,7 @@ JIGGLE_PERIOD = 0.4  # s
 JIGGLE_DURATION = 1.5  # s
 MAG_HORIZONTAL = 22.0  # uT
 MAG_VERTICAL = -43.0  # uT
-# generate_walk refuses a walk of more samples than this (about 28 h at 100 Hz) before building it.
+# WalkScript refuses a leg of more steps than this, generate_walk a walk of more samples (about 28 h at 100 Hz).
 MAX_WALK_SAMPLES = 10**7
 
 OPEN_AND_CROSS = "open-and-cross"
@@ -67,21 +67,34 @@ class WalkScript:
             if not 0 < value < math.inf:  # the last record of a setting is the one in force
                 raise InvalidScriptError("cadence and step length must be positive and finite", record=(key, -1))
         # Each error names the record it is about: a leg by its second waypoint.
+        legs = []
         for i, (a, b) in enumerate(zip(self.waypoints, self.waypoints[1:]), start=1):
             if a.x == b.x and a.y == b.y:
                 raise InvalidScriptError("coincident consecutive waypoints", record=("waypoint", i))
-            if math.hypot(b.x - a.x, b.y - a.y) == math.inf:
-                raise InvalidScriptError(
-                    f"leg from ({a.x}, {a.y}) to ({b.x}, {b.y}) has no finite length", record=("waypoint", i)
-                )
+            steps = math.hypot(b.x - a.x, b.y - a.y) / self.step_length_true
+            if not steps <= MAX_WALK_SAMPLES:  # an infinite leg too: no leg's step count can overflow
+                leg = f"leg from ({a.x}, {a.y}) to ({b.x}, {b.y})"
+                raise InvalidScriptError(f"{leg} is {steps:.6g} steps, over {MAX_WALK_SAMPLES}", record=("waypoint", i))
+            legs.append((math.atan2(b.y - a.y, b.x - a.x), int(round(steps))))
+        object.__setattr__(self, "_legs", tuple(legs))  # outside the fields, as FloorPlan.wall_array
         at = {"pause": [w for w, _ in self.pauses], "door_action": [a.waypoint for a in self.door_actions]}
         for key, waypoints in at.items():
             for k, waypoint in enumerate(waypoints):
                 if not 0 <= waypoint < len(self.waypoints):
                     raise InvalidScriptError(f"{key} at waypoint {waypoint}: no such waypoint", record=(key, k))
+                if waypoint in waypoints[:k]:
+                    raise InvalidScriptError(f"{key} at waypoint {waypoint}: one {key} per waypoint", record=(key, k))
+        for k, a in enumerate(self.door_actions):  # a turn-back is recorded at the step before it
+            if a.action == TURN_BACK and not any(steps for _, steps in legs[: a.waypoint]):
+                message = f"door_action: {a.waypoint} {a.door_id} {TURN_BACK} comes before any step"
+                raise InvalidScriptError(message, record=("door_action", k))
         for k, (_, seconds) in enumerate(self.pauses):
             if not 0 <= seconds < math.inf:
                 raise InvalidScriptError("pause seconds must be finite and >= 0", record=("pause", k))
+
+    def legs(self) -> tuple[tuple[float, int], ...]:
+        """(heading, step count) of each leg, computed once when the script is built."""
+        return self._legs
 
 
 @dataclass(frozen=True)
@@ -150,19 +163,18 @@ def generate_walk(
     zone_width: float = CrossingConfig.zone_width,
     group: str = "",
 ) -> tuple[Trace, GroundTruth]:
-    """Synthesize one walk: IMU trace plus per-step ground truth.
+    """Render the script's plan (WalkScript.legs) as an IMU trace plus per-step ground truth.
 
-    When doors are given, true zone crossings are located geometrically on
-    the true step segments and the environment label toggles there.
+    Only the checks that need the sample rate are made here. With doors, true
+    zone crossings are found on the true step segments; the label toggles there.
     """
     if sample_rate < 20:
         raise InvalidParameterError(f"sample_rate must be >= 20 Hz, got {sample_rate}")
     pauses = dict(script.pauses)
     actions: dict[int, DoorAction] = {a.waypoint: a for a in script.door_actions}
-    # The walk's length, counted in floats (no size to overflow) before any array is built.
-    length = sum(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(script.waypoints, script.waypoints[1:]))
+    legs = script.legs()
     wiggles = sum(action.action == OPEN_AND_CROSS for action in actions.values())
-    seconds = length / script.step_length_true / script.cadence + sum(pauses.values()) + wiggles * JIGGLE_DURATION
+    seconds = sum(n for _, n in legs) / script.cadence + sum(pauses.values()) + wiggles * JIGGLE_DURATION
     if not seconds * sample_rate <= MAX_WALK_SAMPLES:
         raise InvalidScriptError(f"walk of {seconds:.6g} s at {sample_rate} Hz exceeds {MAX_WALK_SAMPLES} samples")
     dt = 1.0 / sample_rate
@@ -181,8 +193,7 @@ def generate_walk(
     pending_turn = 0.0
     env = script.start_environment
     pos = np.array([script.waypoints[0].x, script.waypoints[0].y])
-    leg_headings = [math.atan2(b.y - a.y, b.x - a.x) for a, b in zip(script.waypoints, script.waypoints[1:])]
-    heading = leg_headings[0]
+    heading = legs[0][0]
 
     step_times: list[float] = []
     step_positions: list[np.ndarray] = [np.empty((0, 2))]
@@ -207,22 +218,16 @@ def generate_walk(
     def dwell(waypoint: int):
         append(np.zeros(int(round(pauses.get(waypoint, 0.0) * sample_rate))))
         action = actions.get(waypoint)
-        if action is None:
-            return
-        if action.action == OPEN_AND_CROSS:
+        if action and action.action == OPEN_AND_CROSS:
             start = append(jiggle)
             door_intervals.append((start * dt, (start + jiggle_len) * dt))
-        elif not step_times:  # a turn-back is recorded at the step before it
-            raise InvalidScriptError(f"door_action: {waypoint} {action.door_id} {TURN_BACK} comes before any step")
-        else:
+        elif action:  # a turn-back: WalkScript puts a step before every one
             turn_backs.append((len(step_times) - 1, action.door_id))
 
-    for j, (a, b) in enumerate(zip(script.waypoints, script.waypoints[1:])):
+    for j, (psi, n_steps) in enumerate(legs):
         dwell(j)
-        psi = leg_headings[j]
         pending_turn += wrap_angle(psi - heading)
         heading = psi
-        n_steps = int(round(math.hypot(b.x - a.x, b.y - a.y) / script.step_length_true))
         start = append(np.tile(step_cycle, n_steps))
         # Sequential sums from the leg's start, as one step after another.
         d = script.step_length_true * np.array([math.cos(psi), math.sin(psi)])
@@ -259,8 +264,8 @@ def generate_walk(
 
     # True heading per sample: trapezoidal integral of the clean turn rate.
     psi_true = np.empty(n)
-    psi_true[0] = leg_headings[0]
-    psi_true[1:] = leg_headings[0] + np.cumsum(0.5 * (rate[:-1] + rate[1:]) * dt)
+    psi_true[0] = legs[0][0]
+    psi_true[1:] = legs[0][0] + np.cumsum(0.5 * (rate[:-1] + rate[1:]) * dt)
 
     # One (3, n) draw per sensor: the same numbers, in the same order, as one draw per axis.
     rng = np.random.default_rng(noise.seed)
@@ -282,7 +287,7 @@ def generate_walk(
         crossings=tuple(crossings),
         turn_backs=tuple(turn_backs),
         initial_position=script.waypoints[0],
-        initial_heading=leg_headings[0],
+        initial_heading=legs[0][0],
         initial_environment=script.start_environment,
         group=group,
     )

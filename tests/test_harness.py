@@ -1048,6 +1048,8 @@ RECORD_ERRORS = [
     (load_walk_script, "pause: 7 1.0", errors.InvalidScriptError, "pause at waypoint 7: no such waypoint"),
     (load_walk_script, "pause: 0 -1", errors.InvalidScriptError, "pause seconds must be finite and >= 0"),
     (load_walk_script, "door_action: -1 doorA open-and-cross", errors.InvalidScriptError, "door_action at waypoint -1"),
+    (load_walk_script, "pause: 0 1.0\npause: 0 2.0", errors.InvalidScriptError, "pause at waypoint 0: one pause per waypoint"),
+    (load_walk_script, "door_action: 1 d open-and-cross\n# a comment\ndoor_action: 1 e approach-and-turn-back", errors.InvalidScriptError, "door_action at waypoint 1: one door_action per waypoint"),
     (load_truth, "step: 0 0.1 0.75 0 0 outdoor", ParseError, "environment changed at step 0 without a crossing"),
     (load_truth, "step: 0 0.1 nan 0 0 indoor", InvariantViolation, "point-finite: (nan, 0.0)"),
     (load_truth, "initial: inf 0 0 indoor", InvariantViolation, "point-finite: (inf, 0.0)"),

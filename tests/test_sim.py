@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import seamloc.cli as cli
 import seamloc.harness as harness
@@ -158,24 +160,56 @@ class TestGenerateWalk:
 
     @pytest.mark.parametrize("waypoints, at", TURN_BACK_BEFORE_ANY_STEP, ids=["waypoint-0", "leg-under-half-a-step"])
     def test_turn_back_before_any_step_is_an_invalid_script(self, waypoints, at):
-        script = WalkScript(waypoints=waypoints, door_actions=(DoorAction(waypoint=at, door_id="doorA", action=TURN_BACK),))
-        with pytest.raises(InvalidScriptError) as got:
-            generate_walk(script, doors=two_building_plan().doors)
-        assert str(got.value) == f"door_action: {at} doorA approach-and-turn-back comes before any step"
-        _, truth = generate_walk(dataclasses.replace(script, door_actions=(DoorAction(at + 1, "doorA", TURN_BACK),)))
+        script = WalkScript(waypoints=waypoints, door_actions=(DoorAction(at + 1, "doorA", TURN_BACK),))
+        _, truth = generate_walk(script)
         assert truth.turn_backs == ((truth.step_count - 1, "doorA"),)
+        with pytest.raises(InvalidScriptError) as got:  # refused when the script is built, before any walk
+            dataclasses.replace(script, door_actions=(DoorAction(waypoint=at, door_id="doorA", action=TURN_BACK),))
+        assert str(got.value) == f"door_action: {at} doorA approach-and-turn-back comes before any step"
+        assert got.value.record == ("door_action", 0)
 
     @pytest.mark.parametrize("waypoints, at", TURN_BACK_BEFORE_ANY_STEP, ids=["waypoint-0", "leg-under-half-a-step"])
     def test_turn_back_before_any_step_exits_6_through_the_cli(self, tmp_path, capsys, waypoints, at):
         script = tmp_path / "walk.txt"
         lines = [f"waypoint: {p.x} {p.y}" for p in waypoints] + [f"door_action: {at} doorA {TURN_BACK}"]
         script.write_text("\n".join(["version: 1", *lines]) + "\n")
-        with pytest.raises(InvalidScriptError, match="comes before any step"):  # on file: the script loads, the walk refuses
-            generate_walk(harness.load_walk_script(script))
+        line = len(lines) + 1  # the door action's
+        with pytest.raises(InvalidScriptError, match="comes before any step") as got:  # on file: refused at its line
+            harness.load_walk_script(script)
+        assert (got.value.path, got.value.line) == (str(script), line)
         assert cli.main(["simulate", "--script", str(script), "--out", str(tmp_path / "o")]) == 6
         err = capsys.readouterr().err
-        assert err == f"error[invalid-script]: door_action: {at} doorA approach-and-turn-back comes before any step\n"
+        assert err == f"error[invalid-script]: {script}:{line}: door_action: {at} doorA approach-and-turn-back comes before any step\n"
         assert not (tmp_path / "o" / "trial.truth.txt").exists()
+
+    # A waypoint takes one door action and one pause; the second is refused by its record, whose
+    # line RECORD_ERRORS in test_harness.py checks on file.
+    SECOND_AT_A_WAYPOINT = [
+        ("door_action", "door_actions", (DoorAction(1, "doorA", OPEN_AND_CROSS), DoorAction(1, "doorB", TURN_BACK)), 1),
+        ("pause", "pauses", ((0, 1.0), (0, 2.0)), 0),
+    ]
+
+    @pytest.mark.parametrize("key, field, records, waypoint", SECOND_AT_A_WAYPOINT, ids=["door_action", "pause"])
+    def test_second_record_at_a_waypoint_is_refused(self, key, field, records, waypoint):
+        waypoints = (Point2(4.6, 4.0), Point2(9.3, 4.0), Point2(13.05, 4.0))
+        generate_walk(WalkScript(waypoints=waypoints, **{field: records[:1]}), doors=two_building_plan().doors)
+        with pytest.raises(InvalidScriptError) as got:
+            WalkScript(waypoints=waypoints, **{field: records})
+        assert str(got.value) == f"{key} at waypoint {waypoint}: one {key} per waypoint"
+        assert got.value.record == (key, 1)
+
+    # Whole-walk errors of generate_walk: no one record is at fault, so simulate names the script file alone.
+    WHOLE_WALK_ERRORS = [
+        ("waypoint: 0 0\nwaypoint: 5 0\npause: 0 1e300", 6, "error[invalid-script]", "walk of 1e+300 s at 100.0 Hz exceeds"),
+        ("waypoint: 1e17 0\nwaypoint: 1.0000000000000064e17 0", 4, "error[invariant]", "segment-positive-length"),
+    ]
+
+    @pytest.mark.parametrize("records, code, category, message", WHOLE_WALK_ERRORS, ids=["cap", "rounding"])
+    def test_whole_walk_error_names_the_script_file(self, tmp_path, capsys, records, code, category, message):
+        script = tmp_path / "walk.txt"
+        script.write_text(f"version: 1\n{records}\n")
+        assert cli.main(["simulate", "--script", str(script), "--out", str(tmp_path / "o")]) == code
+        assert capsys.readouterr().err.startswith(f"{category}: {script}: {message}")
 
     def test_turns_recover_exactly(self):
         # Heading integration of the synthesized gyro must reproduce leg headings.
@@ -437,7 +471,7 @@ class TestPerStepOracle:
         script = tmp_path / "walk.txt"
         script.write_text("version: 1\nwaypoint: 0 0\nwaypoint: 0.3 0\n")
         assert cli.main(["simulate", "--script", str(script), "--out", str(tmp_path / "o")]) == 6
-        assert capsys.readouterr().err.startswith("error[invalid-script]: walk has no samples")
+        assert capsys.readouterr().err.startswith(f"error[invalid-script]: {script}: walk has no samples")
 
     def test_steps_that_vanish_in_rounding_raise_the_same_violation(self):
         # Near 1e17 m doubles are 16 m apart: the first 0.75 m step adds nothing.
@@ -458,3 +492,78 @@ class TestPerStepOracle:
                 per_step_walk_oracle(script)
         assert got.value.invariant == want.value.invariant == "point-finite"
         assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# Random walk-script files: refused at a line (or the file), or walked in full
+# ---------------------------------------------------------------------------
+
+# Waypoints near the two buildings' doors, and far ones whose legs WalkScript refuses as too many steps.
+NEAR_XS = [0.0, 0.3, 4.6, 9.3, 10.2, 13.05, 20.5, 25.0]
+FAR_XS = [1.7e308, -1.7e308, 1e6]
+SCRIPT_YS = [0.0, 4.0, 4.3, 6.0, 7.5]
+# What generate_walk may still refuse: a walk of no samples or over the sample cap, a cadence too fast for 100 Hz.
+WALK_ERRORS = ("walk has no samples", "walk of ", "cadence too fast for the sample rate")
+
+
+def waypoint_lines(xs):
+    return st.builds("waypoint: {} {}".format, st.sampled_from(xs), st.sampled_from(SCRIPT_YS))
+
+
+NEAR_WAYPOINTS = [f"waypoint: {x} {y}" for x in NEAR_XS for y in SCRIPT_YS]
+
+
+@st.composite
+def script_lines(draw) -> list[str]:
+    """A walk script's lines: distinct waypoints, then door actions and pauses mostly at one of them,
+    settings, and more waypoints, near or far, with values WalkScript refuses among them."""
+    n = draw(st.sampled_from([2, 3, 4, 5, 6, 1]))
+    picks = draw(st.lists(st.integers(0, len(NEAR_WAYPOINTS) - 1), min_size=n, max_size=n, unique=True))
+    # A strategy given twice to one_of is drawn about twice as often: two in three door actions and
+    # pauses name a waypoint after the first, where a turn-back can follow a step.
+    after_first = st.integers(1, max(1, n - 1))
+    at = st.one_of(after_first, after_first, st.sampled_from([-1, 0, n]))
+    actions = st.sampled_from([TURN_BACK, OPEN_AND_CROSS])
+    door_action = st.builds("door_action: {} {} {}".format, at, st.sampled_from(["doorA", "doorB"]), actions)
+    records = st.one_of(
+        door_action,
+        door_action,
+        st.builds("pause: {} {}".format, at, st.sampled_from(["0", "0.004", "1.5", "2.5", "-1", "inf", "nan"])),
+        st.builds("cadence: {}".format, st.sampled_from(["2.0", "1.6", "2.4", "30", "0", "inf"])),
+        # 0.001 m steps: a leg of over 20 m is more steps than the cap below, a shorter one takes a walk over it.
+        st.builds("step_length: {}".format, st.sampled_from(["0.75", "0.6", "0.5", "0.001", "-0.5"])),
+        st.one_of(waypoint_lines(NEAR_XS), waypoint_lines(FAR_XS)),
+    )
+    return ["version: 1", *(NEAR_WAYPOINTS[i] for i in picks), *draw(st.lists(records, min_size=1, max_size=5))]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=script_lines(), seed=st.integers(0, 3))
+def test_random_script_file_is_refused_at_a_line_or_walked(tmp_path, monkeypatch, lines, seed):
+    """A script file is refused at one of its lines (or as a whole), or generate_walk walks it
+    with every truth step index in range, as the per-step oracle does; the walk may still be
+    refused for its sample count, its cadence at 100 Hz or having no samples."""
+    monkeypatch.setattr(sim, "MAX_WALK_SAMPLES", 20_000)  # 200 s at 100 Hz keeps the oracle quick
+    path = tmp_path / "walk.txt"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        script = harness.load_walk_script(path)
+    except InvalidScriptError as exc:
+        assert exc.path == str(path)
+        if exc.record is None:  # a whole-script rule names the file alone
+            assert exc.line is None and str(exc).startswith(f"{path}: ")
+        else:
+            assert 1 <= exc.line <= len(lines) and lines[exc.line - 1].startswith(f"{exc.record[0]}: ")
+            assert str(exc).startswith(f"{path}:{exc.line}: ")
+        return
+    # The plan is what per_step_walk_oracle computes leg by leg.
+    legs = [(b.x - a.x, b.y - a.y) for a, b in zip(script.waypoints, script.waypoints[1:])]
+    assert script.legs() == tuple((math.atan2(y, x), int(round(math.hypot(x, y) / script.step_length_true))) for x, y in legs)
+    noise = dataclasses.replace(CALIBRATED_NOISE, seed=seed)
+    try:
+        _, truth = generate_walk(script, noise, doors=two_building_plan().doors)
+    except (InvalidScriptError, InvalidParameterError) as exc:
+        assert str(exc).startswith(WALK_ERRORS), str(exc)
+        return
+    assert all(0 <= step < truth.step_count for step, _ in truth.crossings + truth.turn_backs)
+    assert_same_walk(script, noise, doors=two_building_plan().doors)
