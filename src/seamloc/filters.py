@@ -91,8 +91,11 @@ def pf_step(
     size drops below the configured fraction.
 
     Raises FilterDivergenceError when every particle crossed a wall; the
-    caller re-initializes via pf_init at the last valid estimate.
+    caller re-initializes via pf_init at the last valid estimate. A heading
+    that is not finite is refused before the draw, so the stream stays put.
     """
+    if not math.isfinite(heading):
+        raise InvalidParameterError(f"heading must be finite, got {heading}")
     n = len(pset)
     z = pset.rng.standard_normal(2 * n)
     # normal(0, s, n) is 0.0 + s * z, and L + (0.0 + s * z) has the bits of
@@ -186,13 +189,17 @@ def mag_heading(sample: ImuSample, cfg: KfConfig = KfConfig()) -> float:
 
 def kf_predict(state: HeadingKfState, gyro_yaw_rate: float, dt: float, cfg: KfConfig) -> HeadingKfState:
     """Propagate heading by the bias-corrected gyro rate; grow covariance."""
-    if dt <= 0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
+    if not 0 < dt < math.inf:
+        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(gyro_yaw_rate):
+        raise InvalidParameterError(f"gyro_yaw_rate must be finite, got {gyro_yaw_rate}")
     return kf_run(state, (gyro_yaw_rate,), (dt,), (None,), 0, 1, cfg)
 
 
 def kf_update(state: HeadingKfState, measured_heading: float, cfg: KfConfig) -> HeadingKfState:
     """Measurement update with H = [1, 0] and wrapped innovation."""
+    if not math.isfinite(measured_heading):
+        raise InvalidParameterError(f"measured_heading must be finite, got {measured_heading}")
     return kf_run(state, (0.0,), (0.0,), (measured_heading,), 0, 1, cfg)
 
 

@@ -19,6 +19,17 @@ def dbm_reading(tx: str, dbm: float) -> tuple[str, float]:
     return tx, dbm
 
 
+def unique_readings(readings) -> dict[str, float]:
+    """{tx: dbm} of (tx, dbm) pairs. A transmitter read twice is refused, not
+    overwritten, with record (None, k) of its second reading."""
+    rss: dict[str, float] = {}
+    for k, (tx, dbm) in enumerate(readings):
+        if tx in rss:
+            raise InvariantViolation("transmitter-unique", f"transmitter {tx} read twice", record=(None, k))
+        rss[tx] = dbm
+    return rss
+
+
 @dataclass(frozen=True)
 class Fingerprint:
     position: Point2

@@ -22,7 +22,7 @@ from .errors import InvalidScriptError, SeamlocError
 # track calls none of kf_predict, kf_update and mag_heading: perfbench/layers.py wraps these names
 # here, and its traced run fails without them; their per-layer metrics read 0, as kf_run does the work.
 from .filters import KfConfig, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_step
-from .fingerprint import Fingerprint, RadioMap, dbm_reading
+from .fingerprint import Fingerprint, RadioMap, dbm_reading, unique_readings
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
 from .pdr import PdrConfig, Pose, integrate_heading, propagate_step, step_samples, wrap_angle
 from .signal import DoorOpenEvent, SignalConfig, StepEvent, Trace, detect_door_openings, detect_steps, normalized_series
@@ -454,7 +454,7 @@ def save_radiomap(radio_map: RadioMap, path) -> None:
 
 def load_radiomap(path) -> RadioMap:
     points = _read(path, _RADIOMAP)["point"]
-    entries = tuple(_build(path, points, lambda x, y, *rss: Fingerprint(Point2(x, y), dict(rss))))
+    entries = tuple(_build(path, points, lambda x, y, *rss: Fingerprint(Point2(x, y), unique_readings(rss))))
     try:
         return RadioMap(entries=entries)
     except InvariantViolation as exc:  # no reference points: the error is about the whole file
@@ -463,7 +463,12 @@ def load_radiomap(path) -> RadioMap:
 
 def load_observation(path) -> dict[str, float]:
     """RSS observation file: one ``transmitter dbm`` pair per line."""
-    rss = dict(_build(path, _read(path, _OBSERVATION, head=None)[None], dbm_reading))
+    records = _read(path, _OBSERVATION, head=None)
+    readings = _build(path, records[None], dbm_reading)
+    try:
+        rss = unique_readings(readings)
+    except InvariantViolation as exc:  # a repeated transmitter names its second line
+        raise _at_record(exc, path, records)
     if not rss:
         raise InvalidInputError("no RSS readings").at(path)
     return rss

@@ -7,16 +7,19 @@ happen in place between legs as a single-sample gyro spike, which the
 trapezoidal heading integrator reproduces exactly, so a noiseless trace
 dead-reckons back to the true path to machine precision.
 
-The acceleration is blocks joined once: zeros per pause, one wiggle per door
-opening, and per leg the step cycle tiled by the step count WalkScript plans.
-A turn spikes the first sample of the next non-empty block. Step positions are
-running sums along each leg, so traces are byte-identical to earlier versions.
+A walk is laid out before it is rendered: per waypoint its pause (zeros), its
+door wiggle and the leg that starts there (the step cycle tiled by the step
+count WalkScript plans), each block with its exact sample count. The sample cap
+reads the layout's total; a turn spikes the first sample of the next non-empty
+block. Step positions are running sums along each leg, so traces are
+byte-identical to earlier versions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -165,70 +168,67 @@ def generate_walk(
 ) -> tuple[Trace, GroundTruth]:
     """Render the script's plan (WalkScript.legs) as an IMU trace plus per-step ground truth.
 
-    Only the checks that need the sample rate are made here. With doors, true
-    zone crossings are found on the true step segments; the label toggles there.
+    The walk is laid out before any array is built: per waypoint its pause, its
+    door wiggle and the leg that starts there, each block with its exact sample
+    count. The sample cap reads the layout's total, and turns, door intervals and
+    step times read its block starts. Only the checks that need the sample rate
+    are made here. With doors, true zone crossings are found on the true step
+    segments; the label toggles there.
     """
-    if sample_rate < 20:
-        raise InvalidParameterError(f"sample_rate must be >= 20 Hz, got {sample_rate}")
-    pauses = dict(script.pauses)
-    actions: dict[int, DoorAction] = {a.waypoint: a for a in script.door_actions}
-    legs = script.legs()
-    wiggles = sum(action.action == OPEN_AND_CROSS for action in actions.values())
-    seconds = sum(n for _, n in legs) / script.cadence + sum(pauses.values()) + wiggles * JIGGLE_DURATION
-    if not seconds * sample_rate <= MAX_WALK_SAMPLES:
-        raise InvalidScriptError(f"walk of {seconds:.6g} s at {sample_rate} Hz exceeds {MAX_WALK_SAMPLES} samples")
+    if not 20 <= sample_rate < math.inf:
+        raise InvalidParameterError(f"sample_rate must be finite and >= 20 Hz, got {sample_rate}")
     dt = 1.0 / sample_rate
-    cycle = int(round(sample_rate / script.cadence))
+    # Counts stay whole floats up to the cap: a product that overflows is inf, over the cap, not an OverflowError.
+    cycle = round(sample_rate / script.cadence, 0)
     if cycle < 4:
         raise InvalidParameterError("cadence too fast for the sample rate")
-    step_cycle = STEP_AMPLITUDE * np.sin(2.0 * math.pi * np.arange(cycle) / cycle)
-    jiggle_len = int(round(JIGGLE_DURATION * sample_rate))
-    jiggle = JIGGLE_AMPLITUDE * np.sin(2.0 * math.pi * (np.arange(jiggle_len) * dt) / JIGGLE_PERIOD)
+    jiggle_len = round(JIGGLE_DURATION * sample_rate, 0)
+    pauses = dict(script.pauses)
+    actions = {a.waypoint: a for a in script.door_actions}
+    legs = script.legs()
+    steps = [n_steps for _, n_steps in legs] + [0]  # of the leg that starts at each waypoint; none at the last
+    sizes = []  # the layout: per waypoint its pause, its door wiggle, then its leg
+    for w, n_steps in enumerate(steps):
+        pause = round(pauses.get(w, 0.0) * sample_rate, 0)
+        wiggle = w in actions and actions[w].action == OPEN_AND_CROSS
+        sizes += [pause, jiggle_len if wiggle else 0, cycle * n_steps if n_steps else 0]
+    total = sum(sizes)
+    if not total <= MAX_WALK_SAMPLES:
+        raise InvalidScriptError(f"walk of {total / sample_rate:.6g} s at {sample_rate} Hz exceeds {MAX_WALK_SAMPLES} samples")
+    if not total:
+        raise InvalidScriptError("walk has no samples: no steps, pauses or door wiggles")
+    starts = list(accumulate(map(int, sizes), initial=0))  # block k is samples starts[k] to starts[k + 1]
+    n = starts[-1]
+
+    a_norm, turns = np.zeros(n), np.zeros(n)  # a pause is zeros; a turn is an angle on one sample
+    door_intervals: list[tuple[float, float]] = []
+    turn_backs: list[tuple[int, str]] = []
+    for w, action in sorted(actions.items()):
+        start, end = starts[3 * w + 1 : 3 * w + 3]
+        if action.action == OPEN_AND_CROSS:
+            a_norm[start:end] = JIGGLE_AMPLITUDE * np.sin(2.0 * math.pi * (np.arange(end - start) * dt) / JIGGLE_PERIOD)
+            door_intervals.append((start * dt, end * dt))
+        else:  # a turn-back is recorded at the last step laid out before it; WalkScript puts one there
+            turn_backs.append((sum(steps[:w]) - 1, action.door_id))
 
     zones = build_zone_lookup(doors, CrossingConfig(zone_width=zone_width))
-
-    blocks: list[np.ndarray] = []  # acceleration, one block per pause, wiggle and leg
-    spikes: dict[int, float] = {}  # sample index -> turn rate
-    n = 0
-    pending_turn = 0.0
     env = script.start_environment
     pos = np.array([script.waypoints[0].x, script.waypoints[0].y])
     heading = legs[0][0]
-
     step_times: list[float] = []
     step_positions: list[np.ndarray] = [np.empty((0, 2))]
     step_headings: list[float] = []
     environments: list[str] = []
-    door_intervals: list[tuple[float, float]] = []
     crossings: list[tuple[int, str]] = []
-    turn_backs: list[tuple[int, str]] = []
-
-    def append(block: np.ndarray) -> int:
-        """Add a block; a pending turn rides its first sample. Returns its start index."""
-        nonlocal n, pending_turn
-        start = n
-        if len(block):
-            blocks.append(block)
-            n += len(block)
-            if pending_turn != 0.0:
-                spikes[start] = pending_turn / dt
-                pending_turn = 0.0
-        return start
-
-    def dwell(waypoint: int):
-        append(np.zeros(int(round(pauses.get(waypoint, 0.0) * sample_rate))))
-        action = actions.get(waypoint)
-        if action and action.action == OPEN_AND_CROSS:
-            start = append(jiggle)
-            door_intervals.append((start * dt, (start + jiggle_len) * dt))
-        elif action:  # a turn-back: WalkScript puts a step before every one
-            turn_backs.append((len(step_times) - 1, action.door_id))
-
     for j, (psi, n_steps) in enumerate(legs):
-        dwell(j)
-        pending_turn += wrap_angle(psi - heading)
+        start, end = starts[3 * j + 2 : 3 * j + 4]
+        # A turn is made in place on the first sample of the next non-empty block, which starts where this
+        # leg does; turns before empty blocks add up there. A turn after the last sample is never made.
+        if start < n:
+            turns[start] += wrap_angle(psi - heading)
         heading = psi
-        start = append(np.tile(step_cycle, n_steps))
+        if n_steps:  # one sine cycle per step, built only where the cycle counted toward the cap
+            a_norm[start:end] = np.tile(STEP_AMPLITUDE * np.sin(2.0 * math.pi * np.arange(cycle) / cycle), n_steps)
         # Sequential sums from the leg's start, as one step after another.
         d = script.step_length_true * np.array([math.cos(psi), math.sin(psi)])
         leg = np.cumsum(np.vstack([pos, np.tile(d, (n_steps, 1))]), axis=0)
@@ -253,14 +253,9 @@ def generate_walk(
                         env = door.other_side(env)
                 environments[base + i] = env
         pos = leg[-1]
-    dwell(len(script.waypoints) - 1)
-    if not n:
-        raise InvalidScriptError("walk has no samples: no steps, pauses or door wiggles")
 
     t = np.arange(n) * dt
-    a_norm = np.concatenate(blocks)
-    rate = np.zeros(n)
-    rate[list(spikes)] = list(spikes.values())
+    rate = turns / dt
 
     # True heading per sample: trapezoidal integral of the clean turn rate.
     psi_true = np.empty(n)

@@ -388,6 +388,30 @@ class TestKfUpdate:
         assert 0.01 <= state.gyro_bias <= 0.03  # within 50% of the injected 0.02
 
 
+class TestNonFiniteInput:
+    """The scalar filter steps refuse input that is not finite, where they would return NaN or warn."""
+
+    @pytest.mark.parametrize("rate, dt", [(0.01, math.nan), (0.01, math.inf), (math.inf, 0.01), (math.nan, 0.01)])
+    def test_kf_predict(self, rate, dt):
+        with pytest.raises(InvalidParameterError, match="must be .*finite"):
+            kf_predict(kf_init(0.1), rate, dt, KfConfig())
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("r_mag", [0.05, math.inf])
+    def test_kf_update(self, z, r_mag):
+        with pytest.raises(InvalidParameterError, match=f"measured_heading must be finite, got {z}"):
+            kf_update(kf_init(0.1), z, KfConfig(r_mag=r_mag))
+
+    @pytest.mark.parametrize("heading", [math.inf, -math.inf, math.nan])
+    def test_pf_step_refuses_before_its_draw(self, heading):
+        cfg = PfConfig(particle_count=50)
+        pset = pf_init(Pose(Point2(0, 0), 0.0), cfg, seed=1)
+        before = pset.rng.bit_generator.state
+        with pytest.raises(InvalidParameterError, match=f"heading must be finite, got {heading}"):
+            pf_step(pset, heading, cfg, PdrConfig(), EMPTY_PLAN)
+        assert pset.rng.bit_generator.state == before
+
+
 # --- Reference heading KF: the numpy 2x2 matrix form, one sample at a time ---
 
 

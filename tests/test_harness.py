@@ -1032,6 +1032,9 @@ RECORD_ERRORS = [
     (load_floorplan, "start: 0 0 nan indoor", InvariantViolation, "heading-finite: start heading nan"),
     (load_floorplan, "start: 0 0 -inf indoor", InvariantViolation, "heading-finite: start heading -inf"),
     (load_radiomap, "point: 0 0 ap1=5", InvariantViolation, "fingerprint-dbm-range: ap1: 5.0 dBm"),
+    # A transmitter read twice is refused, not overwritten by its later reading.
+    (load_radiomap, "point: 0 0 ap1=-50 ap1=-80", InvariantViolation, "transmitter-unique: transmitter ap1 read twice"),
+    (load_observation, "ap1 -50\nap2 -70\nap1 -60", InvariantViolation, "transmitter-unique: transmitter ap1 read twice"),
     # Observed readings follow the radio map's rule.
     (load_observation, "ap1 inf", InvariantViolation, "fingerprint-dbm-range: ap1: inf dBm"),
     (load_observation, "ap1 1e200", InvariantViolation, "fingerprint-dbm-range: ap1: 1e+200 dBm"),

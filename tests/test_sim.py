@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import seamloc.cli as cli
@@ -154,6 +154,33 @@ class TestGenerateWalk:
         assert len(trace) == 1000
         with pytest.raises(InvalidScriptError, match="walk of 10.01 s at 100.0 Hz exceeds 1000 samples"):
             generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(3, 0)), pauses=((0, 8.01),)))
+
+    def test_cap_counts_the_samples_each_step_builds(self, monkeypatch):
+        # 24 steps at cadence 2.4 take 24 / 2.4 = 10 s, but each step builds round(100 / 2.4) = 42 samples.
+        monkeypatch.setattr(sim, "MAX_WALK_SAMPLES", 1000)
+        with pytest.raises(InvalidScriptError, match="^walk of 10.08 s at 100.0 Hz exceeds 1000 samples$"):
+            generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(18, 0)), cadence=2.4))
+
+    def test_pause_whose_sample_count_overflows_is_over_the_cap(self):
+        # 1e307 s at 100 Hz is inf samples: refused by the cap, not an OverflowError from rounding inf.
+        with pytest.raises(InvalidScriptError, match="^walk of inf s at 100.0 Hz exceeds"):
+            generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(5, 0)), pauses=((0, 1e307),)))
+
+    @pytest.mark.parametrize("sample_rate", [math.nan, math.inf, -math.inf])
+    def test_sample_rate_that_is_not_finite_is_an_invalid_parameter(self, sample_rate):
+        with pytest.raises(InvalidParameterError, match=f"sample_rate must be finite and >= 20 Hz, got {sample_rate}"):
+            generate_walk(STRAIGHT, sample_rate=sample_rate)
+
+    # A step cycle of 1e302 samples, and one that overflows to inf: with no step, no cycle is built.
+    @pytest.mark.parametrize("cadence", [1e-300, 1e-307])
+    def test_walk_with_no_steps_ignores_its_step_cycle(self, tmp_path, capsys, cadence):
+        script = WalkScript(waypoints=(Point2(0, 0), Point2(0.3, 0)), pauses=((0, 1.0),), cadence=cadence)
+        trace, truth = generate_walk(script)
+        assert (len(trace), truth.step_count) == (100, 0)
+        path = tmp_path / "walk.txt"
+        path.write_text(f"version: 1\ncadence: {cadence}\nwaypoint: 0 0\nwaypoint: 0.3 0\npause: 0 1\n")
+        assert cli.main(["simulate", "--script", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
 
     # A turn-back is recorded at the step before it; before any step it would be at step -1.
     TURN_BACK_BEFORE_ANY_STEP = [((Point2(0, 0), Point2(5, 0)), 0), ((Point2(0, 0), Point2(0.3, 0), Point2(5, 0)), 1)]
@@ -567,3 +594,44 @@ def test_random_script_file_is_refused_at_a_line_or_walked(tmp_path, monkeypatch
         return
     assert all(0 <= step < truth.step_count for step, _ in truth.crossings + truth.turn_backs)
     assert_same_walk(script, noise, doors=two_building_plan().doors)
+
+
+NEAR_POINTS = [Point2(x, y) for x in NEAR_XS for y in SCRIPT_YS]
+
+
+@st.composite
+def near_scripts(draw) -> WalkScript:
+    """A WalkScript near the two buildings' doors, with pauses and door actions at its waypoints."""
+    waypoints = tuple(draw(st.lists(st.sampled_from(NEAR_POINTS), min_size=2, max_size=5, unique=True)))
+    at = st.lists(st.integers(1, len(waypoints) - 1), unique=True, max_size=2)
+    actions = tuple(DoorAction(w, "doorA", draw(st.sampled_from([OPEN_AND_CROSS, TURN_BACK]))) for w in draw(at))
+    pauses = tuple((w, draw(st.sampled_from([0.004, 0.005, 0.015, 1.5]))) for w in draw(at))
+    cadence = draw(st.sampled_from([1.6, 2.0, 2.4]))
+    try:
+        return WalkScript(waypoints=waypoints, cadence=cadence, door_actions=actions, pauses=pauses)
+    except InvalidScriptError:  # a turn-back before any step
+        assume(False)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(script=near_scripts(), sample_rate=st.sampled_from([20.0, 25.0, 100.0, 133.0]), delta=st.integers(-40, 40))
+def test_cap_refuses_exactly_the_walks_the_oracle_builds_over_it(monkeypatch, script, sample_rate, delta):
+    """With the cap a few samples either side of the walk's length, generate_walk refuses the walk
+    if and only if per_step_walk_oracle builds more samples than the cap."""
+    try:
+        trace, _ = generate_walk(script, sample_rate=sample_rate)
+    except InvalidScriptError as exc:
+        assert str(exc) == "walk has no samples: no steps, pauses or door wiggles"
+        return
+    n = len(per_step_walk_oracle(script, sample_rate=sample_rate)[0])
+    assert len(trace) == n
+    cap = max(1, n + delta)
+    with monkeypatch.context() as patch:  # undone before the next example
+        patch.setattr(sim, "MAX_WALK_SAMPLES", cap)
+        try:
+            generate_walk(script, sample_rate=sample_rate)
+        except InvalidScriptError as exc:
+            assert str(exc) == f"walk of {n / sample_rate:.6g} s at {sample_rate} Hz exceeds {cap} samples"
+            assert n > cap
+        else:
+            assert n <= cap
