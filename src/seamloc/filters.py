@@ -193,14 +193,21 @@ def kf_predict(state: HeadingKfState, gyro_yaw_rate: float, dt: float, cfg: KfCo
         raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(gyro_yaw_rate):
         raise InvalidParameterError(f"gyro_yaw_rate must be finite, got {gyro_yaw_rate}")
-    return kf_run(state, (gyro_yaw_rate,), (dt,), (None,), 0, 1, cfg)
+    return _finite(kf_run(state, (gyro_yaw_rate,), (dt,), (None,), 0, 1, cfg), "predict")
 
 
 def kf_update(state: HeadingKfState, measured_heading: float, cfg: KfConfig) -> HeadingKfState:
     """Measurement update with H = [1, 0] and wrapped innovation."""
     if not math.isfinite(measured_heading):
         raise InvalidParameterError(f"measured_heading must be finite, got {measured_heading}")
-    return kf_run(state, (0.0,), (0.0,), (measured_heading,), 0, 1, cfg)
+    return _finite(kf_run(state, (0.0,), (0.0,), (measured_heading,), 0, 1, cfg), "update")
+
+
+def _finite(state: HeadingKfState, step: str) -> HeadingKfState:
+    """The state a step returns, refused unless all of it is finite: finite inputs whose products overflow."""
+    if not all(map(math.isfinite, (state.heading, state.gyro_bias, *state.covariance.flat))):
+        raise InvalidParameterError(f"kf_{step} overflows: heading {state.heading}, covariance {state.covariance.tolist()}")
+    return state
 
 
 def kf_run(state: HeadingKfState, rates, dts, z, i0: int, i1: int, cfg: KfConfig) -> HeadingKfState:

@@ -27,7 +27,9 @@ class ImuSample:
 
 @dataclass
 class Trace:
-    """Column-oriented IMU stream: t (N,), accel/gyro/mag (N, 3)."""
+    """Column-oriented IMU stream: t (N,), accel/gyro/mag (N, 3). Construction checks the sample rules in
+    order (every value finite, accel_squared finite, t increasing, each yaw increment finite); the first
+    that fails raises with record (None, i), i its first bad sample (of an interval, the one ending it)."""
 
     t: np.ndarray
     accel: np.ndarray
@@ -42,27 +44,19 @@ class Trace:
         n = len(self.t)
         if not (len(self.accel) == len(self.gyro) == len(self.mag) == n):
             raise InvariantViolation("trace-equal-lengths", "sensor columns differ in length")
-        # Each error's record (None, i) names its first bad sample: for an interval, the one ending it.
-        for name, arr in (("t", self.t), ("accel", self.accel), ("gyro", self.gyro), ("mag", self.mag)):
-            finite = np.isfinite(arr)
-            if not finite.all():
-                first = int(np.argwhere(~finite)[0, 0])
-                raise InvariantViolation("trace-finite", f"non-finite value in {name}", record=(None, first))
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-            dt, _, increments = self.yaw_increments()
-            accel_squared = np.einsum("ij,ij->i", self.accel, self.accel)  # normalized_series takes its root
-        finite = np.isfinite(accel_squared)
-        if not finite.all():
-            message = "the squared acceleration norm overflows"
-            raise InvariantViolation("trace-accel-norm-finite", message, record=(None, int(np.argmin(finite))))
-        later = dt > 0
-        if not later.all():
-            message = "timestamps not strictly increasing"
-            raise InvariantViolation("trace-monotonic-time", message, record=(None, int(np.argmin(later)) + 1))
-        finite = np.isfinite(increments)
-        if not finite.all():
-            message = "the interval or yaw increment from the sample before overflows"
-            raise InvariantViolation("trace-increment-finite", message, record=(None, int(np.argmin(finite)) + 1))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a rule's failure
+            dt, _, dyaw = self.yaw_increments()
+            accel_squared = self.accel_squared()
+        columns = (("t", self.t), ("accel", self.accel), ("gyro", self.gyro), ("mag", self.mag))
+        rules = [("trace-finite", f"non-finite value in {name}", np.isfinite(a), 0) for name, a in columns]
+        rules += [
+            ("trace-accel-norm-finite", "the squared acceleration norm overflows", np.isfinite(accel_squared), 0),
+            ("trace-monotonic-time", "timestamps not strictly increasing", dt > 0, 1),
+            ("trace-increment-finite", "the interval or yaw increment from the sample before overflows", np.isfinite(dyaw), 1),
+        ]
+        for invariant, message, ok, offset in rules:
+            if not ok.all():
+                raise InvariantViolation(invariant, message, record=(None, int(np.argwhere(~ok)[0, 0]) + offset))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -73,6 +67,11 @@ class Trace:
         dt = np.diff(self.t)
         rate = 0.5 * (self.gyro[:-1, 2] + self.gyro[1:, 2])
         return dt, rate, rate * dt
+
+    def accel_squared(self) -> np.ndarray:
+        """Each sample's ax * ax + ay * ay + az * az, summed left to right; normalized_series takes its root."""
+        ax, ay, az = self.accel.T
+        return ax * ax + ay * ay + az * az
 
     def sample(self, i: int) -> ImuSample:
         return ImuSample(
@@ -128,9 +127,8 @@ def normalize_accel(sample: ImuSample, cfg: SignalConfig = SignalConfig()) -> fl
 
 
 def normalized_series(trace: Trace, cfg: SignalConfig = SignalConfig()) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample normalized acceleration for a whole trace, summed in np.linalg.norm's order."""
-    ax, ay, az = trace.accel.T
-    return trace.t, np.sqrt(ax * ax + ay * ay + az * az) - cfg.g
+    """Per-sample normalized acceleration for a whole trace: the root of Trace.accel_squared, minus g."""
+    return trace.t, np.sqrt(trace.accel_squared()) - cfg.g
 
 
 def detect_steps(t: np.ndarray, a: np.ndarray, cfg: SignalConfig = SignalConfig()) -> list[StepEvent]:

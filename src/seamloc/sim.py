@@ -193,8 +193,9 @@ def generate_walk(
         wiggle = w in actions and actions[w].action == OPEN_AND_CROSS
         sizes += [pause, jiggle_len if wiggle else 0, cycle * n_steps if n_steps else 0]
     total = sum(sizes)
-    if not total <= MAX_WALK_SAMPLES:
-        raise InvalidScriptError(f"walk of {total / sample_rate:.6g} s at {sample_rate} Hz exceeds {MAX_WALK_SAMPLES} samples")
+    if not total <= MAX_WALK_SAMPLES:  # a count that overflowed is inf: name the length from the pauses and steps
+        seconds = total / sample_rate if total < math.inf else sum(pauses.values()) + sum(steps) / script.cadence
+        raise InvalidScriptError(f"walk of {seconds:.6g} s at {sample_rate} Hz exceeds {MAX_WALK_SAMPLES} samples")
     if not total:
         raise InvalidScriptError("walk has no samples: no steps, pauses or door wiggles")
     starts = list(accumulate(map(int, sizes), initial=0))  # block k is samples starts[k] to starts[k + 1]

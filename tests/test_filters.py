@@ -402,6 +402,23 @@ class TestNonFiniteInput:
         with pytest.raises(InvalidParameterError, match=f"measured_heading must be finite, got {z}"):
             kf_update(kf_init(0.1), z, KfConfig(r_mag=r_mag))
 
+    # Finite input whose products overflow: the heading goes NaN, or the covariance infinite.
+    @pytest.mark.parametrize("rate, dt", [(1e308, 10.0), (0.0, 1e308), (1e200, 1e200)])
+    def test_kf_predict_overflow(self, rate, dt):
+        with pytest.raises(InvalidParameterError, match="^kf_predict overflows: heading "):
+            kf_predict(kf_init(0.1), rate, dt, KfConfig())
+
+    def test_kf_update_overflow(self):
+        # A finite prior whose gain terms overflow: p01 * k1 is inf.
+        state = HeadingKfState(heading=0.0, gyro_bias=0.0, covariance=np.array([[1.0, 1e300], [1e300, 1e300]]))
+        with pytest.raises(InvalidParameterError, match="^kf_update overflows: heading "):
+            kf_update(state, 1.0, KfConfig(r_mag=1e-300))
+
+    def test_kf_steps_at_the_edge_of_overflow_pass(self):
+        state = kf_predict(kf_init(0.1), 0.0, 1e150, KfConfig())
+        assert all(map(math.isfinite, (state.heading, state.gyro_bias, *state.covariance.flat)))
+        assert kf_update(state, 0.5, KfConfig()).heading == pytest.approx(0.5)
+
     @pytest.mark.parametrize("heading", [math.inf, -math.inf, math.nan])
     def test_pf_step_refuses_before_its_draw(self, heading):
         cfg = PfConfig(particle_count=50)

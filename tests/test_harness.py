@@ -1194,6 +1194,14 @@ TRACE_MUTATIONS = st.one_of(
     st.tuples(st.just("gap"), st.integers(0, 10**4), st.just(0), st.floats(1.0, 1e6)),
 )
 ACCEL_1E200 = [("huge", 100, 1, 1e200)]  # ax = 1e200 on line 102: finite, but its squared norm overflows
+# Accelerations on line 102 whose squared norms, summed left to right, just overflow and just do not.
+ACCEL_EDGE, ACCEL_EDGE_FINITE = (
+    [("huge", 100, column, v) for column, v in enumerate(row, start=1)]
+    for row in [
+        (6.519186188128723e153, 1.0117508093489196e154, 5.9080923240013664e153),
+        (7.95658427630762e153, 1.0752255955300567e154, 9.22535642644458e152),
+    ]
+)
 
 
 def write_mutated_trace(d, path, mutations) -> None:
@@ -1205,6 +1213,8 @@ def write_mutated_trace(d, path, mutations) -> None:
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mutations=st.lists(TRACE_MUTATIONS, min_size=1, max_size=3))
 @example(mutations=ACCEL_1E200)
+@example(mutations=ACCEL_EDGE)
+@example(mutations=ACCEL_EDGE_FINITE)
 def test_track_on_mutated_trace_exits_0_or_with_its_error(cli_run, tmp_path, capsys, mutations):
     """A repeated row, a finite value of magnitude 1e154-1e308 in any column, or a time gap
     of 1 s-1e6 s: track exits 0 or with an error's code, raising and warning nothing, and
@@ -1222,12 +1232,16 @@ def test_track_on_mutated_trace_exits_0_or_with_its_error(cli_run, tmp_path, cap
 
 
 def test_accel_norm_overflow_names_its_line_without_traceback(cli_run, tmp_path):
-    trace = tmp_path / "accel.trace.csv"
-    write_mutated_trace(cli_run, trace, ACCEL_1E200)
+    for mutations in (ACCEL_1E200, ACCEL_EDGE):
+        trace = tmp_path / "accel.trace.csv"
+        write_mutated_trace(cli_run, trace, mutations)
+        proc = seamloc_subprocess("track", "--trace", trace, "--plan", cli_run / "plan.txt", "--out", tmp_path / "o")
+        assert proc.returncode == 4, mutations
+        assert proc.stderr.startswith(f"error[invariant]: {trace}:102: trace-accel-norm-finite: ")
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    write_mutated_trace(cli_run, trace, ACCEL_EDGE_FINITE)  # its root is finite, so it is tracked
     proc = seamloc_subprocess("track", "--trace", trace, "--plan", cli_run / "plan.txt", "--out", tmp_path / "o")
-    assert proc.returncode == 4
-    assert proc.stderr.startswith(f"error[invariant]: {trace}:102: trace-accel-norm-finite: ")
-    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def mutate_trial(d, out, mutations) -> None:

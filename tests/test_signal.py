@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seamloc import (
@@ -23,6 +25,7 @@ from seamloc import (
     normalized_series,
     two_building_plan,
 )
+from seamloc.errors import InvariantViolation
 from seamloc.signal import Trace, _zero_crossing_flags
 
 CFG = SignalConfig()
@@ -105,6 +108,45 @@ class TestNormalizedSeriesOracle:
         assert math.sqrt(1.0 + (x2 + x2)).hex() == "0x1.0000000000000p+0"
         trace = trace_with_accel(np.array([ORDER_ROW, ORDER_ROW[::-1]]), layout)
         assert normalized_series(trace, SignalConfig(g=1.0))[1].tolist() == [2.0**-52, 0.0]
+
+
+# Rows whose squared norm sits at the float limit: sqrt(w * max) per axis for Dirichlet(1, 1, 1) weights w.
+# Near it the order of the sum decides whether it overflows.
+EDGE_REFUSED = (6.519186188128723e153, 1.0117508093489196e154, 5.9080923240013664e153)
+EDGE_ACCEPTED = (7.95658427630762e153, 1.0752255955300567e154, 9.22535642644458e152)
+
+
+@st.composite
+def overflow_edge_rows(draw):
+    exponential = [-math.log(draw(st.floats(2**-53, 1.0, exclude_max=True))) for _ in range(3)]
+    signs = draw(st.tuples(*[st.sampled_from([1.0, -1.0])] * 3))
+    return tuple(s * math.sqrt(e / sum(exponential) * sys.float_info.max) for s, e in zip(signs, exponential))
+
+
+class TestAccelNormRule:
+    """Trace refuses a row exactly when normalized_series, which roots the same sum, would overflow on it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(overflow_edge_rows())
+    @example(EDGE_REFUSED)
+    @example(EDGE_ACCEPTED)
+    def test_trace_accepts_a_row_iff_its_normalized_value_is_finite(self, row):
+        columns = dict(t=[0.0], gyro=[[0.0, 0.0, 0.0]], mag=[[22.0, 0.0, -43.0]])
+        unchecked = Trace(accel=[[0.0, 0.0, 9.81]], **columns)
+        unchecked.accel = np.array([row])  # set after the checks: what normalized_series would see
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                finite = bool(np.isfinite(normalized_series(unchecked)[1]).all())
+            except RuntimeWarning:
+                finite = False
+        try:
+            Trace(accel=[row], **columns)
+            accepted = True
+        except InvariantViolation as exc:
+            assert (exc.invariant, exc.record) == ("trace-accel-norm-finite", (None, 0))
+            accepted = False
+        assert accepted == finite
 
 
 class TestDetectSteps:

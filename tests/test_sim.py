@@ -163,8 +163,13 @@ class TestGenerateWalk:
 
     def test_pause_whose_sample_count_overflows_is_over_the_cap(self):
         # 1e307 s at 100 Hz is inf samples: refused by the cap, not an OverflowError from rounding inf.
-        with pytest.raises(InvalidScriptError, match="^walk of inf s at 100.0 Hz exceeds"):
+        with pytest.raises(InvalidScriptError, match=r"^walk of 1e\+307 s at 100.0 Hz exceeds 10000000 samples$"):
             generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(5, 0)), pauses=((0, 1e307),)))
+
+    def test_leg_whose_sample_count_overflows_names_a_finite_length(self):
+        # 7 steps of round(100 / 1e-306) = 1e308 samples each overflow; 7 steps at cadence 1e-306 take 7e306 s.
+        with pytest.raises(InvalidScriptError, match=r"^walk of 7e\+306 s at 100.0 Hz exceeds 10000000 samples$"):
+            generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(5, 0)), cadence=1e-306))
 
     @pytest.mark.parametrize("sample_rate", [math.nan, math.inf, -math.inf])
     def test_sample_rate_that_is_not_finite_is_an_invalid_parameter(self, sample_rate):
