@@ -113,7 +113,10 @@ def _cmd_track(args) -> int:
     cfg = build_pipeline_config(load_config(args.config), args.seed)
     trace = harness.load_trace(args.trace)
     plan = harness.load_floorplan(args.plan)
-    path, log = harness.track(trace, plan, cfg)
+    try:
+        path, log = harness.track(trace, plan, cfg)
+    except InvariantViolation as exc:
+        raise exc if exc.record is None else exc.at(args.trace)  # an error about a sample names the trace
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.save_path(log, out / f"{args.name}.path.csv")

@@ -8,6 +8,7 @@ the exact orientation signs of _straddle, with no tolerance.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,17 @@ class Segment2:
 class Door:
     id: str
     center: Point2
-    tangent: tuple[float, float]  # unit vector along the wall
+    tangent: tuple[float, float]  # along the wall: kept within 1e-9 of unit length, normalized up to 1e-6 off
     inner_env: str
     outer_env: str
 
     def __post_init__(self):
         norm = math.hypot(*self.tangent)
-        if not abs(norm - 1.0) <= 1e-9:  # NaN fails too
-            raise InvariantViolation("door-tangent-unit", f"door {self.id}: |tangent| = {norm}")
+        if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
+            raise InvariantViolation("door-tangent-unit", f"|tangent| = {norm} beyond 1e-6 of unit, door {self.id}")
+        if abs(norm - 1.0) > 1e-9:
+            warnings.warn(f"door {self.id}: tangent normalized ({norm})")
+            object.__setattr__(self, "tangent", (self.tangent[0] / norm, self.tangent[1] / norm))
         if self.inner_env == self.outer_env:
             raise InvariantViolation("door-distinct-env", f"door {self.id}: both sides {self.inner_env!r}")
 
@@ -66,7 +70,7 @@ class FloorPlan:
 
     def __post_init__(self):
         if self.start_heading is not None and not math.isfinite(self.start_heading):
-            raise InvariantViolation("heading-finite", f"start heading {self.start_heading}")
+            raise InvariantViolation("heading-finite", f"start heading {self.start_heading}", record=("start", -1))
         ids = [door.id for door in self.doors]  # the crossing machine looks doors up by id
         for k, door_id in enumerate(ids):
             if door_id in ids[:k]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 import math
-import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -18,7 +18,7 @@ import numpy as np
 from . import crossing as crossing_mod
 from .crossing import CrossingConfig, CrossingState, SwitchEvent, build_zone_lookup
 from .errors import FilterDivergenceError, InvalidInputError, InvalidParameterError, InvariantViolation, ParseError
-from .errors import InvalidScriptError, SeamlocError
+from .errors import SeamlocError
 # track calls none of kf_predict, kf_update and mag_heading: perfbench/layers.py wraps these names
 # here, and its traced run fails without them; their per-layer metrics read 0, as kf_run does the work.
 from .filters import KfConfig, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_step
@@ -111,6 +111,8 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
                 mag_z = mag_headings(trace.mag[1:, :2], cfg.kf.declination)
             kf = kf_run(kf, rates, dts, mag_z, cursor, i_k, cfg.kf)
             heading = kf.heading
+            if not math.isfinite(heading):  # the filter overflowed, as on a trace whose times are near 1e120
+                raise InvariantViolation("heading-finite", f"KF heading {heading} at sample {i_k}", record=(None, i_k))
             pose = propagate_step(Pose(prev_pos, heading), cfg.pdr)
         else:
             if increments is None:
@@ -393,10 +395,8 @@ def load_trace(path) -> Trace:
         # numpy rejects some fields that float() takes (1_0, non-ASCII digits):
         # the row loop returns the same values or names the bad line.
         data = np.array([row for _, row in _read(path, _TRACE, sep=",", lines=lines)[None]]).reshape(-1, 10)
-    try:
+    with _located(path, {None: lines}):  # row i of data is lines[i]
         return Trace(t=data[:, 0], accel=data[:, 1:4], gyro=data[:, 4:7], mag=data[:, 7:10])
-    except InvariantViolation as exc:  # row i of data is lines[i]
-        raise _at_record(exc, path, {None: lines})
 
 
 def save_floorplan(plan: FloorPlan, path) -> None:
@@ -420,31 +420,24 @@ def _build(path, records, build) -> list:
     return built
 
 
-def _at_record(exc: SeamlocError, path, records) -> SeamlocError:
-    """exc named at path and, when its record is (key, k), at the line of records[key][k]."""
-    return exc.at(path, None if exc.record is None else records[exc.record[0]][exc.record[1]][0])
-
-
-def _door(door_id, cx, cy, tx, ty, inner, outer) -> Door:
-    norm = math.hypot(tx, ty)
-    if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
-        raise InvariantViolation("door-tangent-unit", f"|tangent| = {norm} beyond 1e-6 of unit")
-    if norm != 1.0:
-        warnings.warn(f"door {door_id}: tangent normalized on load ({norm})")
-        tx, ty = tx / norm, ty / norm
-    return Door(id=door_id, center=Point2(cx, cy), tangent=(tx, ty), inner_env=inner, outer_env=outer)
+@contextmanager
+def _located(path, records):
+    """Name a SeamlocError raised in the block at path and, if its record is (key, k), the line of records[key][k]."""
+    try:
+        yield
+    except SeamlocError as exc:
+        if exc.path is None:  # one that _build named keeps its line
+            exc.at(path, None if exc.record is None else records[exc.record[0]][exc.record[1]][0])
+        raise
 
 
 def load_floorplan(path) -> FloorPlan:
     records = _read(path, _FLOORPLAN)
-    doors = tuple(_build(path, records["door"], _door))
+    doors = tuple(_build(path, records["door"], lambda i, x, y, tx, ty, *envs: Door(i, Point2(x, y), (tx, ty), *envs)))
     walls = tuple(_build(path, records["wall"], lambda x1, y1, x2, y2: Segment2(Point2(x1, y1), Point2(x2, y2))))
-    try:
-        plan = FloorPlan(walls, doors)
-    except InvariantViolation as exc:  # a repeated door id names the later door's line
-        raise _at_record(exc, path, records)
-    start = _build(path, records["start"][-1:], lambda x, y, *rest: FloorPlan(walls, doors, Point2(x, y), *rest))
-    return start[0] if start else plan
+    start = _build(path, records["start"][-1:], lambda x, y, *rest: (Point2(x, y), *rest))  # the last start wins
+    with _located(path, records):  # a repeated door id names the later door's line, a bad heading its start's
+        return FloorPlan(walls, doors, *(start[0] if start else ()))
 
 
 def save_radiomap(radio_map: RadioMap, path) -> None:
@@ -453,24 +446,20 @@ def save_radiomap(radio_map: RadioMap, path) -> None:
 
 
 def load_radiomap(path) -> RadioMap:
-    points = _read(path, _RADIOMAP)["point"]
-    entries = tuple(_build(path, points, lambda x, y, *rss: Fingerprint(Point2(x, y), unique_readings(rss))))
-    try:
+    records = _read(path, _RADIOMAP)
+    entries = tuple(_build(path, records["point"], lambda x, y, *rss: Fingerprint(Point2(x, y), unique_readings(rss))))
+    with _located(path, records):  # no reference points: the error is about the whole file
         return RadioMap(entries=entries)
-    except InvariantViolation as exc:  # no reference points: the error is about the whole file
-        raise exc.at(path)
 
 
 def load_observation(path) -> dict[str, float]:
     """RSS observation file: one ``transmitter dbm`` pair per line."""
     records = _read(path, _OBSERVATION, head=None)
     readings = _build(path, records[None], dbm_reading)
-    try:
+    with _located(path, records):  # a repeated transmitter names its second line, no readings the file
         rss = unique_readings(readings)
-    except InvariantViolation as exc:  # a repeated transmitter names its second line
-        raise _at_record(exc, path, records)
-    if not rss:
-        raise InvalidInputError("no RSS readings").at(path)
+        if not rss:
+            raise InvalidInputError("no RSS readings")
     return rss
 
 
@@ -494,22 +483,23 @@ def load_truth(path) -> GroundTruth:
     ((start, heading, environment),) = _build(path, records["initial"][-1:], lambda x, y, *rest: (Point2(x, y), *rest))
     steps = [step for _, step in records["step"]]  # index t x y heading environment; the index is not kept
     _build(path, records["step"], lambda _i, _t, x, y, *_: Point2(x, y))  # a step's position must be finite
-    try:
-        truth = GroundTruth(
-            step_times=np.array([s[1] for s in steps]),
-            step_positions=np.array([s[2:4] for s in steps]).reshape(-1, 2),
-            step_headings=np.array([s[4] for s in steps]),
-            environments=tuple(s[5] for s in steps),
-            door_open_intervals=tuple(interval for _, interval in records["door_open"]),
-            crossings=tuple(crossing for _, crossing in records["crossing"]),
-            turn_backs=tuple(turn_back for _, turn_back in records["turn_back"]),
-            initial_position=start,
-            initial_heading=heading,
-            initial_environment=environment,
-            group=" ".join(records["group"][-1][1]) if records["group"] else "",
-        )
-    except InvalidParameterError as exc:  # the step rule; a file that breaks it is a parse error
-        raise _at_record(ParseError(str(exc), record=exc.record), path, records) from None
+    with _located(path, records):
+        try:
+            truth = GroundTruth(
+                step_times=np.array([s[1] for s in steps]),
+                step_positions=np.array([s[2:4] for s in steps]).reshape(-1, 2),
+                step_headings=np.array([s[4] for s in steps]),
+                environments=tuple(s[5] for s in steps),
+                door_open_intervals=tuple(interval for _, interval in records["door_open"]),
+                crossings=tuple(crossing for _, crossing in records["crossing"]),
+                turn_backs=tuple(turn_back for _, turn_back in records["turn_back"]),
+                initial_position=start,
+                initial_heading=heading,
+                initial_environment=environment,
+                group=" ".join(records["group"][-1][1]) if records["group"] else "",
+            )
+        except InvalidParameterError as exc:  # the step rule; a file that breaks it is a parse error
+            raise ParseError(str(exc), record=exc.record) from None
     for kind in ("crossing", "turn_back"):  # each is at a step; evaluate matches crossings to steps by index
         for lineno, (step, door) in records[kind]:
             if not 0 <= step < len(steps):
@@ -525,15 +515,13 @@ def load_walk_script(path):
     # The last record of each setting wins; WalkScript holds the defaults.
     script_fields = {"cadence": "cadence", "step_length": "step_length_true", "start_environment": "start_environment"}
     settings = {name: values[0] for key, name in script_fields.items() for _, values in records[key]}
-    try:
+    with _located(path, records):  # a whole-script rule names the line of the record it is about
         return WalkScript(
             waypoints=tuple(_build(path, records["waypoint"], Point2)),
             door_actions=tuple(_build(path, records["door_action"], DoorAction)),
             pauses=tuple(pause for _, pause in records["pause"]),
             **settings,
         )
-    except InvalidScriptError as exc:
-        raise _at_record(exc, path, records)
 
 
 def save_path(log: EventLog, path) -> None:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import seamloc.cli as cli
 from seamloc import errors, harness
 from seamloc import (
+    Door,
     FloorPlan,
     GroundTruth,
     InvalidInputError,
@@ -55,7 +57,7 @@ from seamloc.harness import (
     save_trace,
     save_truth,
 )
-from seamloc.sim import NoiseModel
+from seamloc.sim import NoiseModel, WalkScript
 
 
 def make_truth(final_xy, crossings=(), turn_backs=(), group=""):
@@ -85,6 +87,17 @@ def log_with(switches=(), final=Point2(0.0, 0.0)):
 
 def switch(step, door="doorA"):
     return SwitchEvent(step_index=step, door_id=door, crossing_point=Point2(0, 0), from_env="indoor", to_env="outdoor")
+
+
+# An outdoor start with no walls or doors: the heading Kalman filter tracks every step.
+OUTDOOR_PLAN = FloorPlan(walls=(), doors=(), start_position=Point2(0, 0), start_heading=0.0, start_environment="outdoor")
+
+
+def outdoor_trace(scale: float) -> Trace:
+    """A 6 m outdoor walk with its sample times multiplied by scale."""
+    script = WalkScript(waypoints=(Point2(0, 0), Point2(6, 0)), start_environment="outdoor")
+    trace, _ = generate_walk(script, NoiseModel(seed=1))
+    return dataclasses.replace(trace, t=trace.t * scale)
 
 
 def seamloc_subprocess(*args):
@@ -229,6 +242,20 @@ class TestTrack:
         assert calls["init"][1] == (Pose(path[k - 1].position, path[k].heading), cfg.seed + 7919 + k)
         assert recovered[k - 1] == path[k - 1]
         assert len(recovered) == len(path) == len(log.steps)
+
+    @pytest.mark.parametrize("scale", [1e120, 1e188])
+    def test_kf_heading_overflow_names_its_sample(self, scale):
+        # Every interval and yaw increment is finite, but over intervals of 1e118 s and more
+        # the heading filter's covariance overflows and its heading turns NaN.
+        with pytest.raises(InvariantViolation, match=r"^heading-finite: KF heading nan at sample \d+$") as got:
+            track(outdoor_trace(scale), OUTDOOR_PLAN)
+        key, sample = got.value.record
+        assert key is None and str(got.value).endswith(f"at sample {sample}")
+
+    def test_kf_heading_within_float_range_is_tracked(self):
+        path, log = track(outdoor_trace(1e100), OUTDOOR_PLAN)
+        assert len(path) == len(log.steps) > 0
+        assert all(math.isfinite(pose.heading) for pose in path)
 
 
 class TestEvaluate:
@@ -481,6 +508,39 @@ class TestFormats:
             warnings.simplefilter("error")
             with pytest.raises(InvariantViolation, match=r":2: door-tangent-unit: \|tangent\| = nan"):
                 load_floorplan(p)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(theta=st.floats(-math.pi, math.pi), e=st.floats(-2e-6, 2e-6))
+    @example(theta=1.0187, e=0.0)  # |(cos, sin)| is 0.9999999999999999
+    @example(theta=1.0187, e=5e-7)
+    @example(theta=1.0187, e=-1.5e-6)
+    def test_door_tangent_rule_is_the_same_on_load_and_in_code(self, tmp_path, theta, e):
+        """Within 1e-9 of unit length a tangent is kept; up to 1e-6 off it is normalized
+        with one warning; beyond, it is refused. Every door accepted saves and loads back equal."""
+        tangent = (math.cos(theta) * (1.0 + e), math.sin(theta) * (1.0 + e))
+        off = abs(math.hypot(*tangent) - 1.0)
+        p = tmp_path / "plan.txt"
+        p.write_text(f"version: 1\ndoor: d 1.0 2.0 {tangent[0]!r} {tangent[1]!r} indoor outdoor\n")
+        builds = [lambda: Door("d", Point2(1.0, 2.0), tangent, "indoor", "outdoor"), lambda: load_floorplan(p).doors[0]]
+        if not off <= 1e-6:
+            for build in builds:
+                with pytest.raises(InvariantViolation, match=r"door-tangent-unit: \|tangent\| = "):
+                    build()
+            return
+        doors = []
+        for build in builds:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                doors.append(build())
+            assert len(caught) == (off > 1e-9), [str(w.message) for w in caught]
+        door = doors[0]
+        assert doors[1] == door
+        assert door.tangent == tangent if off <= 1e-9 else abs(math.hypot(*door.tangent) - 1.0) <= 1e-9
+        plan = FloorPlan(walls=(), doors=(door,))
+        save_floorplan(plan, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_floorplan(p) == plan
 
     @pytest.mark.parametrize(
         "load, text, message",
@@ -1242,6 +1302,16 @@ def test_accel_norm_overflow_names_its_line_without_traceback(cli_run, tmp_path)
     write_mutated_trace(cli_run, trace, ACCEL_EDGE_FINITE)  # its root is finite, so it is tracked
     proc = seamloc_subprocess("track", "--trace", trace, "--plan", cli_run / "plan.txt", "--out", tmp_path / "o")
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_kf_heading_overflow_names_the_trace_without_traceback(tmp_path):
+    trace, plan = tmp_path / "far.trace.csv", tmp_path / "plan.txt"
+    save_trace(outdoor_trace(1e120), trace)
+    save_floorplan(OUTDOOR_PLAN, plan)
+    proc = seamloc_subprocess("track", "--trace", trace, "--plan", plan, "--out", tmp_path / "o")
+    assert proc.returncode == 4
+    assert re.fullmatch(rf"error\[invariant\]: {re.escape(str(trace))}: heading-finite: KF heading nan at sample \d+\n", proc.stderr)
+    assert not (tmp_path / "o").exists()
 
 
 def mutate_trial(d, out, mutations) -> None:
