@@ -69,6 +69,8 @@ class FloorPlan:
     start_environment: str | None = None
 
     def __post_init__(self):
+        if (self.start_position, self.start_heading, self.start_environment).count(None) not in (0, 3):
+            raise InvariantViolation("start-whole", "position, heading and environment together", record=("start", -1))
         if self.start_heading is not None and not math.isfinite(self.start_heading):
             raise InvariantViolation("heading-finite", f"start heading {self.start_heading}", record=("start", -1))
         ids = [door.id for door in self.doors]  # the crossing machine looks doors up by id

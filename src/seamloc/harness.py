@@ -89,7 +89,7 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     door_opens = detect_door_openings(t, a, cfg.signal, steps)
     log = EventLog(steps=steps, door_opens=door_opens)
 
-    if plan.start_position is None or plan.start_heading is None or plan.start_environment is None:
+    if plan.start_position is None:  # FloorPlan holds a whole start or none
         raise InvalidInputError("floor plan lacks a start annotation (position, heading, environment)")
     position, heading = plan.start_position, wrap_angle(plan.start_heading)
     cstate = CrossingState(environment=plan.start_environment)
@@ -464,7 +464,7 @@ def load_observation(path) -> dict[str, float]:
 
 
 def save_truth(truth: GroundTruth, path) -> None:
-    rows = [("group", (truth.group,))] if truth.group else []  # written as it stands, read back word by word
+    rows = [("group", (truth.group,))] if truth.group else []  # words, single-spaced: they read back as written
     start = truth.initial_position
     rows.append(("initial", (start.x, start.y, truth.initial_heading, truth.initial_environment)))
     rows.append(("final", (truth.final_position.x, truth.final_position.y)))
@@ -482,10 +482,9 @@ def load_truth(path) -> GroundTruth:
         raise ParseError("missing 'initial' record", path=str(path))
     ((start, heading, environment),) = _build(path, records["initial"][-1:], lambda x, y, *rest: (Point2(x, y), *rest))
     steps = [step for _, step in records["step"]]  # index t x y heading environment; the index is not kept
-    _build(path, records["step"], lambda _i, _t, x, y, *_: Point2(x, y))  # a step's position must be finite
-    with _located(path, records):
+    with _located(path, records):  # GroundTruth's rules name the step, crossing or turn_back line
         try:
-            truth = GroundTruth(
+            return GroundTruth(
                 step_times=np.array([s[1] for s in steps]),
                 step_positions=np.array([s[2:4] for s in steps]).reshape(-1, 2),
                 step_headings=np.array([s[4] for s in steps]),
@@ -498,14 +497,8 @@ def load_truth(path) -> GroundTruth:
                 initial_environment=environment,
                 group=" ".join(records["group"][-1][1]) if records["group"] else "",
             )
-        except InvalidParameterError as exc:  # the step rule; a file that breaks it is a parse error
+        except InvalidParameterError as exc:  # a step or event rule; a file that breaks it is a parse error
             raise ParseError(str(exc), record=exc.record) from None
-    for kind in ("crossing", "turn_back"):  # each is at a step; evaluate matches crossings to steps by index
-        for lineno, (step, door) in records[kind]:
-            if not 0 <= step < len(steps):
-                message = f"{kind} of {door} at step {step}: the file has {len(steps)} step lines"
-                raise ParseError(message, path=str(path), line=lineno)
-    return truth
 
 
 def load_walk_script(path):

@@ -23,7 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import InvalidParameterError, InvalidScriptError
+from .errors import InvalidParameterError, InvalidScriptError, InvariantViolation
 from .crossing import CrossingConfig, build_zone_lookup
 from .geometry import Door, FloorPlan, Point2, Segment2, segment_intersection
 from .pdr import wrap_angle
@@ -140,12 +140,22 @@ class GroundTruth:
         k = len(self.step_times)
         if not (len(self.step_positions) == len(self.step_headings) == len(self.environments) == k):
             raise InvalidParameterError("ground truth arrays differ in length")
+        if not np.isfinite(self.step_positions).all():  # the first bad step raises as its Point2 would
+            i = int(np.argmin(np.isfinite(self.step_positions).all(axis=-1)))
+            raise InvariantViolation("point-finite", str(tuple(self.step_positions[i].tolist())), record=("step", i))
         # A step's environment changes only at a crossing.
         env, cross_steps = self.initial_environment, {s for s, _ in self.crossings}
         for i, e in enumerate(self.environments):
             if e != env and i not in cross_steps:
                 raise InvalidParameterError(f"environment changed at step {i} without a crossing", record=("step", i))
             env = e
+        for kind, events in (("crossing", self.crossings), ("turn_back", self.turn_backs)):
+            for j, (step, door) in enumerate(events):  # each is at a step: evaluate matches crossings by index
+                if not 0 <= step < k:
+                    message = f"{kind} of {door} at step {step}: the file has {k} step lines"
+                    raise InvalidParameterError(message, record=(kind, j))
+        if " ".join(self.group.split()) != self.group:  # a truth file holds the group as words
+            raise InvalidParameterError(f"group {self.group!r} is not single-spaced words", record=("group", -1))
 
     @property
     def step_count(self) -> int:
@@ -337,7 +347,7 @@ def crossing_script(plan: FloorPlan) -> WalkScript:
     return WalkScript(
         waypoints=tuple(waypoints),
         door_actions=tuple(actions),
-        start_environment=plan.start_environment or "indoor",
+        start_environment=plan.start_environment,
     )
 
 
@@ -347,7 +357,7 @@ def turn_back_script(plan: FloorPlan) -> WalkScript:
     return WalkScript(
         waypoints=(start, _beside(door, start, 1.45), start),
         door_actions=(DoorAction(waypoint=1, door_id=door.id, action=TURN_BACK),),
-        start_environment=plan.start_environment or "indoor",
+        start_environment=plan.start_environment,
     )
 
 

@@ -249,6 +249,15 @@ class TestTypeInvariants:
         assert got.value.record == ("door", 2)
         assert len(FloorPlan(walls=(), doors=tuple(doors[:2])).doors) == 2
 
+    @pytest.mark.parametrize("fields", [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)])
+    def test_start_is_whole_or_absent(self, fields):
+        # A start record holds position, heading and environment: the tracker and the plan file need all three.
+        whole = (("start_position", Point2(0, 0)), ("start_heading", 0.0), ("start_environment", "indoor"))
+        start = dict(whole[k] for k in fields)
+        with pytest.raises(InvariantViolation, match="start-whole") as got:
+            FloorPlan(walls=(), doors=(), **start)
+        assert got.value.record == ("start", -1)
+
 
 def per_wall_oracle(p0, p1, walls):
     """Reference wall test: one numpy pass per wall, no culling, no blocks."""

@@ -61,12 +61,14 @@ from seamloc.sim import NoiseModel, WalkScript
 
 
 def make_truth(final_xy, crossings=(), turn_backs=(), group=""):
-    """Minimal one-step ground truth ending at final_xy."""
+    """Minimal ground truth ending at final_xy: one step, or as many as its last crossing or turn-back
+    needs, every step at final_xy."""
+    k = 1 + max([step for step, _ in [*crossings, *turn_backs]] + [0])
     return GroundTruth(
-        step_times=np.array([0.5]),
-        step_positions=np.array([final_xy]),
-        step_headings=np.array([0.0]),
-        environments=("indoor",),
+        step_times=0.5 * np.arange(1, k + 1),
+        step_positions=np.tile(np.asarray(final_xy, dtype=float), (k, 1)),
+        step_headings=np.zeros(k),
+        environments=("indoor",) * k,
         door_open_intervals=(),
         crossings=tuple(crossings),
         turn_backs=tuple(turn_backs),
@@ -1424,6 +1426,108 @@ def test_truth_turn_back_at_no_step_names_its_line(tmp_path, steps, turn_back):
     if steps:  # the last step is a step
         path.write_text(path.read_text().replace(f"turn_back: {turn_back}", f"turn_back: {steps - 1}"))
         assert load_truth(path).turn_backs == ((steps - 1, "doorA"),)
+
+
+# Names a file can hold (one word each), and finite floats well inside float range, signed zeros and subnormals included.
+WORDS = st.text(alphabet="abAB01_-.", min_size=1, max_size=5)
+FINITE = st.floats(-1e300, 1e300)
+
+
+@st.composite
+def truth_fields(draw):
+    """GroundTruth fields whose steps and events agree: environments change only at crossing steps."""
+    k = draw(st.integers(0, 5))
+    env = initial_environment = draw(WORDS)
+    crossings = draw(st.lists(st.tuples(st.integers(0, k - 1), WORDS), max_size=3)) if k else []
+    environments = []
+    for i in range(k):
+        if any(step == i for step, _ in crossings):
+            env = draw(WORDS)
+        environments.append(env)
+    return {
+        "step_times": np.array(draw(st.lists(FINITE, min_size=k, max_size=k)), dtype=float),
+        "step_positions": np.array(draw(st.lists(st.tuples(FINITE, FINITE), min_size=k, max_size=k)), dtype=float).reshape(k, 2),
+        "step_headings": np.array(draw(st.lists(FINITE, min_size=k, max_size=k)), dtype=float),
+        "environments": tuple(environments),
+        "door_open_intervals": tuple(draw(st.lists(st.tuples(FINITE, FINITE), max_size=3))),
+        "crossings": tuple(crossings),
+        "turn_backs": tuple(draw(st.lists(st.tuples(st.integers(0, k - 1), WORDS), max_size=3)) if k else []),
+        "initial_position": Point2(draw(FINITE), draw(FINITE)),
+        "initial_heading": draw(FINITE),
+        "initial_environment": initial_environment,
+        "group": " ".join(draw(st.lists(WORDS, max_size=3))),
+    }
+
+
+def assert_same_fields(a, b):
+    """Every dataclass field of a and b equal: arrays by shape and bytes, other values by repr (so -0.0 is not 0.0)."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert (x.shape, x.tobytes()) == (y.shape, y.tobytes()), f.name
+        else:
+            assert repr(x) == repr(y), f.name
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=truth_fields(), refused=st.none())
+# A turn-back at no step built, saved, and then failed to load: it is refused where the truth is built.
+@example(
+    fields={
+        "step_times": np.array([0.5]),
+        "step_positions": np.array([[0.75, 0.0]]),
+        "step_headings": np.array([0.0]),
+        "environments": ("indoor",),
+        "door_open_intervals": (),
+        "crossings": (),
+        "turn_backs": ((3, "doorA"),),
+        "initial_position": Point2(0.0, 0.0),
+        "initial_heading": 0.0,
+        "initial_environment": "indoor",
+    },
+    refused=("turn_back", 0),
+)
+def test_truth_that_builds_loads_back_as_saved(tmp_path, fields, refused):
+    if refused is not None:
+        with pytest.raises(errors.SeamlocError) as got:
+            GroundTruth(**fields)
+        assert got.value.record == refused
+        return
+    truth = GroundTruth(**fields)
+    save_truth(truth, tmp_path / "truth.txt")
+    assert_same_fields(load_truth(tmp_path / "truth.txt"), truth)
+
+
+@st.composite
+def floorplan_fields(draw):
+    """FloorPlan fields with walls of positive length, doors of distinct ids and sides, and a whole start or none."""
+    walls = draw(st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE).filter(lambda w: w[:2] != w[2:]), max_size=3))
+    doors = []
+    for door_id in draw(st.lists(WORDS, max_size=3, unique=True)):
+        angle = draw(st.floats(-math.pi, math.pi))
+        inner, outer = draw(st.lists(WORDS, min_size=2, max_size=2, unique=True))
+        doors.append(Door(door_id, Point2(draw(FINITE), draw(FINITE)), (math.cos(angle), math.sin(angle)), inner, outer))
+    fields = {"walls": tuple(Segment2(Point2(*w[:2]), Point2(*w[2:])) for w in walls), "doors": tuple(doors)}
+    if draw(st.booleans()):
+        fields.update(start_position=Point2(draw(FINITE), draw(FINITE)), start_heading=draw(FINITE), start_environment=draw(WORDS))
+    return fields
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=floorplan_fields(), refused=st.none())
+# A start position with no heading or environment built, and save_floorplan then raised TypeError.
+@example(fields={"walls": (), "doors": (), "start_position": Point2(0, 0)}, refused=("start", -1))
+def test_floorplan_that_builds_loads_back_as_saved(tmp_path, fields, refused):
+    if refused is not None:
+        with pytest.raises(InvariantViolation) as got:
+            FloorPlan(**fields)
+        assert got.value.record == refused
+        return
+    plan = FloorPlan(**fields)
+    save_floorplan(plan, tmp_path / "plan.txt")
+    loaded = load_floorplan(tmp_path / "plan.txt")
+    assert_same_fields(loaded, plan)
+    assert loaded.wall_array().tobytes() == plan.wall_array().tobytes()
 
 
 def cli_main_quietly(capsys, *args):

@@ -118,25 +118,66 @@ class TestGenerateWalk:
                 env = e
             assert e == env
 
+    def truth(self, k=1, **fields):
+        """A k-step indoor GroundTruth with the given fields replaced."""
+        base = dict(
+            step_times=np.arange(k) + 0.5,
+            step_positions=np.zeros((k, 2)),
+            step_headings=np.zeros(k),
+            environments=("indoor",) * k,
+            door_open_intervals=(),
+            crossings=(),
+            turn_backs=(),
+            initial_position=Point2(0.0, 0.0),
+            initial_heading=0.0,
+            initial_environment="indoor",
+        )
+        return GroundTruth(**{**base, **fields})
+
+    @pytest.mark.parametrize("kind", ["crossings", "turn_backs"])
+    @pytest.mark.parametrize("step", [-1, 1, 3])
+    def test_event_at_no_step_is_refused(self, kind, step):
+        # A truth built in code holds the rule load_truth used to state alone, with the loader's wording.
+        events = ((0, "doorA"), (step, "doorA"))
+        name = kind[:-1]
+        with pytest.raises(InvalidParameterError) as got:
+            self.truth(**{kind: events})
+        assert str(got.value) == f"{name} of doorA at step {step}: the file has 1 step lines"
+        assert got.value.record == (name, 1)
+
+    def test_non_finite_step_position_names_its_step(self):
+        positions = np.array([[0.75, 0.0], [1.5, 0.0], [np.nan, 0.0], [np.inf, 0.0]])
+        with pytest.raises(InvariantViolation, match=r"^point-finite: \(nan, 0.0\)$") as got:
+            self.truth(4, step_positions=positions)
+        assert got.value.record == ("step", 2)
+
+    def test_rules_are_checked_positions_then_environments_then_events(self):
+        # A truth that breaks all three rules names its first bad step position, then its first
+        # uncrossed environment change, then its first event at no step.
+        bad = dict(step_positions=np.array([[np.nan, 0.0]]), environments=("outdoor",), turn_backs=((5, "doorA"),))
+        order = (("step_positions", ("step", 0)), ("environments", ("step", 0)), ("turn_backs", ("turn_back", 0)))
+        for rule, record in order:
+            with pytest.raises((InvalidParameterError, InvariantViolation)) as got:
+                self.truth(**bad)
+            assert got.value.record == record
+            del bad[rule]
+        self.truth(**bad)
+
+    @pytest.mark.parametrize("group", ["a\nb", "phone  A", " phone", "phone ", "a\tb", "a\x85b"])
+    def test_group_is_single_spaced_words(self, group):
+        # A truth file holds the group as words: "a\nb" saved a file that would not load, "phone  A" came back as "phone A".
+        with pytest.raises(InvalidParameterError, match="single-spaced words") as got:
+            self.truth(group=group)
+        assert got.value.record == ("group", -1)
+        assert self.truth(group=" ".join(group.split())).group == " ".join(group.split())
+
     @pytest.mark.parametrize(
         "environments, crossings, step",
         [(("outdoor",), (), 0), (("indoor", "outdoor", "outdoor"), (), 1), (("outdoor", "indoor"), ((0, "doorA"),), 1)],
     )
     def test_uncrossed_environment_change_names_its_step(self, environments, crossings, step):
-        k = len(environments)
         with pytest.raises(InvalidParameterError, match=f"environment changed at step {step} without a crossing") as got:
-            GroundTruth(
-                step_times=np.arange(k) + 0.5,
-                step_positions=np.zeros((k, 2)),
-                step_headings=np.zeros(k),
-                environments=environments,
-                door_open_intervals=(),
-                crossings=crossings,
-                turn_backs=(),
-                initial_position=Point2(0.0, 0.0),
-                initial_heading=0.0,
-                initial_environment="indoor",
-            )
+            self.truth(len(environments), environments=environments, crossings=crossings)
         assert got.value.record == ("step", step)
 
     def test_coincident_waypoints_rejected(self):
@@ -283,8 +324,10 @@ class TestScenarioSuite:
     def test_requires_doors(self):
         from seamloc import FloorPlan
 
-        with pytest.raises(InvalidParameterError):
-            scenario_suite(FloorPlan(walls=(), doors=(), start_position=Point2(0, 0)), 2, NoiseModel())
+        start = {"start_position": Point2(0, 0), "start_heading": 0.0, "start_environment": "indoor"}
+        for plan in (FloorPlan(walls=(), doors=(), **start), FloorPlan(walls=(), doors=())):
+            with pytest.raises(InvalidParameterError):
+                scenario_suite(plan, 2, NoiseModel())
 
 
 # ---------------------------------------------------------------------------
