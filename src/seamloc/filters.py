@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FilterDivergenceError, InvalidParameterError, UnreliableMeasurementError
+from .errors import FilterDivergenceError, InvalidParameterError, InvariantViolation, UnreliableMeasurementError
 from .geometry import FloorPlan, Point2, _segments_cross
 from .pdr import PdrConfig, Pose, wrap_angle
 from .signal import ImuSample
@@ -150,27 +150,28 @@ def kf_init(heading: float) -> HeadingKfState:
     return HeadingKfState(heading=wrap_angle(heading), gyro_bias=0.0, covariance=np.diag([0.25, 0.0025]))
 
 
+def _mag_heading(mx: float, my: float, declination: float) -> float | None:
+    """wrap_angle(atan2(-my, mx) + declination), or None under 1 microtesla of
+    horizontal field or where that heading is NaN."""
+    z = wrap_angle(math.atan2(-my, mx) + declination)
+    return None if math.hypot(mx, my) < 1.0 or math.isnan(z) else z
+
+
 def mag_headings(mag_xy, declination: float) -> list[float | None]:
-    """wrap_angle(atan2(-my, mx) + declination) of each (mx, my) row, or None
-    under 1 microtesla of horizontal field or where that heading is NaN.
-    math.atan2 and math.hypot, unlike their numpy forms, give the scalar
-    formula's bits; only entries outside (-pi, pi] pay a wrap_angle call.
-    The squared norm decides "under 1 microtesla" outside [0.999, 1.001];
-    only rows inside that band, or with a NaN, pay a math.hypot call."""
+    """_mag_heading of each (mx, my) row. math.atan2, unlike np.arctan2, gives
+    its bits; only entries outside (-pi, pi] pay a wrap_angle call, and only
+    rows whose squared norm is not over 1.001 (near or under 1 microtesla, or
+    NaN) pay a _mag_heading call."""
     m = np.asarray(mag_xy, dtype=float).reshape(-1, 2)
     mx, my, n = m[:, 0], m[:, 1], len(m)
     z = np.fromiter(map(math.atan2, (-my).tolist(), mx.tolist()), float, n) + declination
     out = ~((z > -math.pi) & (z <= math.pi))
     z[out] = list(map(wrap_angle, z[out].tolist()))
-    with np.errstate(over="ignore"):  # an overflowing square is past the band: inf is not under 1
-        squared = mx * mx + my * my
-    under = squared < 0.999
-    near = ~(under | (squared > 1.001))
-    under[near] = [math.hypot(x, y) < 1.0 for x, y in m[near].tolist()]
-    unusable = under | np.isnan(z)
+    with np.errstate(over="ignore"):  # an overflowing square is inf, over 1.001
+        weak = np.flatnonzero(~(mx * mx + my * my > 1.001)).tolist()
     z = z.tolist()
-    for i in np.flatnonzero(unusable).tolist():
-        z[i] = None
+    for i, (x, y) in zip(weak, m[weak].tolist()):
+        z[i] = _mag_heading(x, y, declination)
     return z
 
 
@@ -181,7 +182,7 @@ def mag_heading(sample: ImuSample, cfg: KfConfig = KfConfig()) -> float:
     1 microtesla; the caller skips the Kalman update.
     """
     mx, my, _ = sample.mag
-    (z,) = mag_headings([mx, my], cfg.declination)
+    z = _mag_heading(float(mx), float(my), cfg.declination)
     if z is None:
         raise UnreliableMeasurementError(f"horizontal field {math.hypot(mx, my):.3g} uT")
     return z
@@ -193,21 +194,14 @@ def kf_predict(state: HeadingKfState, gyro_yaw_rate: float, dt: float, cfg: KfCo
         raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
     if not math.isfinite(gyro_yaw_rate):
         raise InvalidParameterError(f"gyro_yaw_rate must be finite, got {gyro_yaw_rate}")
-    return _finite(kf_run(state, (gyro_yaw_rate,), (dt,), (None,), 0, 1, cfg), "predict")
+    return kf_run(state, (gyro_yaw_rate,), (dt,), (None,), 0, 1, cfg)
 
 
 def kf_update(state: HeadingKfState, measured_heading: float, cfg: KfConfig) -> HeadingKfState:
     """Measurement update with H = [1, 0] and wrapped innovation."""
     if not math.isfinite(measured_heading):
         raise InvalidParameterError(f"measured_heading must be finite, got {measured_heading}")
-    return _finite(kf_run(state, (0.0,), (0.0,), (measured_heading,), 0, 1, cfg), "update")
-
-
-def _finite(state: HeadingKfState, step: str) -> HeadingKfState:
-    """The state a step returns, refused unless all of it is finite: finite inputs whose products overflow."""
-    if not all(map(math.isfinite, (state.heading, state.gyro_bias, *state.covariance.flat))):
-        raise InvalidParameterError(f"kf_{step} overflows: heading {state.heading}, covariance {state.covariance.tolist()}")
-    return state
+    return kf_run(state, (0.0,), (0.0,), (measured_heading,), 0, 1, cfg)
 
 
 def kf_run(state: HeadingKfState, rates, dts, z, i0: int, i1: int, cfg: KfConfig) -> HeadingKfState:
@@ -218,6 +212,7 @@ def kf_run(state: HeadingKfState, rates, dts, z, i0: int, i1: int, cfg: KfConfig
     kf_update is one such interval. Update: H = [1, 0], wrapped innovation, Joseph form
     (I - KH) P (I - KH)^T + r K K^T, symmetrised; an infinite r_mag skips it.
     Each line writes 2x2 products out on floats in their order of operations (r k0 k1 once).
+    A state that is not all finite (finite input whose products overflow) is refused.
     """
     if i1 <= i0:
         return state
@@ -246,4 +241,6 @@ def kf_run(state: HeadingKfState, rates, dts, z, i0: int, i1: int, cfg: KfConfig
                 h = wrap_angle(h)
             p00, p11 = a00 * g + r * (k0 * k0), p11 - k1 * p01 - k1 * a10 + r * (k1 * k1)
             p01 = 0.5 * ((g * p01 - k1 * a00 + rk01) + (a10 * g + rk01))
+    if not all(map(math.isfinite, (h, b, p00, p01, p11))):
+        raise InvariantViolation("kf-finite", f"KF heading {h}, covariance {[[p00, p01], [p01, p11]]} at sample {i1}", record=(None, i1))
     return HeadingKfState(heading=h, gyro_bias=b, covariance=np.array([[p00, p01], [p01, p11]]))

@@ -58,6 +58,11 @@ class Door:
         return self.outer_env if env == self.inner_env else self.inner_env
 
 
+# The largest |coordinate| of a wall end or door centre, in m. Within it, _straddle's
+# products stay under 8e200 and segment_intersection's under 4e300: none overflows.
+PLAN_LIMIT = 1e100
+
+
 @dataclass(frozen=True)
 class FloorPlan:
     """Wall segments plus door annotations; optional start-pose annotation."""
@@ -73,6 +78,11 @@ class FloorPlan:
             raise InvariantViolation("start-whole", "position, heading and environment together", record=("start", -1))
         if self.start_heading is not None and not math.isfinite(self.start_heading):
             raise InvariantViolation("heading-finite", f"start heading {self.start_heading}", record=("start", -1))
+        for key, group in (("wall", [(w.a, w.b) for w in self.walls]), ("door", [(d.center,) for d in self.doors])):
+            for k, points in enumerate(group):
+                if not all(abs(p.x) <= PLAN_LIMIT and abs(p.y) <= PLAN_LIMIT for p in points):
+                    where = " to ".join(f"({p.x}, {p.y})" for p in points)
+                    raise InvariantViolation("plan-coordinate-range", f"{key} {where} beyond {PLAN_LIMIT:g} m", record=(key, k))
         ids = [door.id for door in self.doors]  # the crossing machine looks doors up by id
         for k, door_id in enumerate(ids):
             if door_id in ids[:k]:

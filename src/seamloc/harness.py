@@ -17,7 +17,7 @@ import numpy as np
 
 from . import crossing as crossing_mod
 from .crossing import CrossingConfig, CrossingState, SwitchEvent, build_zone_lookup
-from .errors import FilterDivergenceError, InvalidInputError, InvalidParameterError, InvariantViolation, ParseError
+from .errors import FilterDivergenceError, InvalidInputError, InvalidParameterError, ParseError
 from .errors import SeamlocError
 # track calls none of kf_predict, kf_update and mag_heading: perfbench/layers.py wraps these names
 # here, and its traced run fails without them; their per-layer metrics read 0, as kf_run does the work.
@@ -111,8 +111,6 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
                 mag_z = mag_headings(trace.mag[1:, :2], cfg.kf.declination)
             kf = kf_run(kf, rates, dts, mag_z, cursor, i_k, cfg.kf)
             heading = kf.heading
-            if not math.isfinite(heading):  # the filter overflowed, as on a trace whose times are near 1e120
-                raise InvariantViolation("heading-finite", f"KF heading {heading} at sample {i_k}", record=(None, i_k))
             pose = propagate_step(Pose(prev_pos, heading), cfg.pdr)
         else:
             if increments is None:
@@ -523,12 +521,16 @@ def save_path(log: EventLog, path) -> None:
     _write(path, _PATH, rows, PATH_HEADER, ",")
 
 
+def _switch_t(steps, k: int) -> float:
+    """The t an events file gives a switch at step k: step row k's, or 0.0 where there is none."""
+    return steps[k].t if 0 <= k < len(steps) else 0.0
+
+
 def save_events(log: EventLog, path) -> None:
     rows = [("step", (s.index, s.t)) for s in log.steps]
     rows += [("door_open", (d.t_start, d.t_end, d.zero_crossings)) for d in log.door_opens]
     for sw in log.switches:
-        t = log.steps[sw.step_index].t if sw.step_index < len(log.steps) else 0.0  # past the last step: no time
-        x, y = sw.crossing_point.x, sw.crossing_point.y
+        x, y, t = sw.crossing_point.x, sw.crossing_point.y, _switch_t(log.steps, sw.step_index)
         rows.append(("switch", (sw.step_index, t, sw.door_id, x, y, sw.from_env, sw.to_env)))
     # A stable sort by time: at equal times, steps come first, then openings, then switches.
     rows.sort(key=lambda row: row[1][0] if row[0] == "door_open" else row[1][1])
@@ -536,18 +538,23 @@ def save_events(log: EventLog, path) -> None:
 
 
 def load_trial(events_path, path_path) -> EventLog:
-    """Rebuild the EventLog parts evaluation needs from serialized files. Path row k
+    """Rebuild the EventLog parts evaluation needs from serialized files. A switch row's
+    t is not kept, so it must be the one save_events writes (_switch_t). Path row k
     must be the events' step row k: step k, that row's t, one row per step row."""
     events = _read(events_path, _EVENTS, EVENTS_HEADER, ",")
     rows = _read(path_path, _PATH, PATH_HEADER, ",")[None]
+    steps = [StepEvent(index=index, t=t, peak=0.0) for _, (index, t) in events["step"]]
+
+    def switch(k, t, door, x, y, src, dst):
+        event, want = SwitchEvent(k, door, Point2(x, y), src, dst), _switch_t(steps, k)
+        if repr(t) != repr(want):  # by repr, as written: -0.0 is not 0.0
+            raise ParseError(f"switch at step {k} has t {t!r}, not {want!r} (its step's t, or 0.0 at no step)")
+        return event
+
     log = EventLog(
-        steps=[StepEvent(index=index, t=t, peak=0.0) for _, (index, t) in events["step"]],
+        steps=steps,
         door_opens=[DoorOpenEvent(t_start=t0, t_end=t1, zero_crossings=z) for _, (t0, t1, z) in events["door_open"]],
-        switches=_build(
-            events_path,
-            events["switch"],
-            lambda k, _t, door, x, y, src, dst: SwitchEvent(k, door, Point2(x, y), src, dst),
-        ),
+        switches=_build(events_path, events["switch"], switch),
         poses=_build(path_path, rows, lambda _step, _t, x, y, heading, _env: Pose(Point2(x, y), heading)),
         environments=[env for _, (*_, env) in rows],
     )

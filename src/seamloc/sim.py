@@ -337,6 +337,8 @@ def _beside(door: Door, cursor: Point2, d: float) -> Point2:
 def crossing_script(plan: FloorPlan) -> WalkScript:
     """Walk from the plan's start through every door in order: open it 0.7 m
     in front, stop 3.05 m behind it."""
+    if plan.start_position is None:
+        raise InvalidParameterError("plan has no start")
     waypoints = [plan.start_position]
     actions = []
     for door in plan.doors:
@@ -353,6 +355,8 @@ def crossing_script(plan: FloorPlan) -> WalkScript:
 
 def turn_back_script(plan: FloorPlan) -> WalkScript:
     """Walk toward the first door, reverse 1.45 m in front of it, return."""
+    if plan.start_position is None:
+        raise InvalidParameterError("plan has no start")
     start, door = plan.start_position, plan.doors[0]
     return WalkScript(
         waypoints=(start, _beside(door, start, 1.45), start),

@@ -78,7 +78,7 @@ def writer_cases() -> dict:
         "plan.txt": (
             save_floorplan,
             FloorPlan(  # int coordinates, tangents and start heading
-                walls=(Segment2(Point2(0, 0), Point2(10, 0)), Segment2(Point2(-0.0, 1e300), Point2(5e-324, 2.5))),
+                walls=(Segment2(Point2(0, 0), Point2(10, 0)), Segment2(Point2(-0.0, 1e100), Point2(5e-324, 2.5))),
                 doors=(
                     Door("doorA", Point2(10, 4), (0, 1), "indoor", "outdoor"),
                     Door("doorB", Point2(20.0, -0.0), (-1.0, -0.0), "hall", "yard"),

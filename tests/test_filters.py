@@ -12,6 +12,7 @@ from seamloc import (
     HeadingKfState,
     ImuSample,
     InvalidParameterError,
+    InvariantViolation,
     KfConfig,
     NoiseModel,
     PdrConfig,
@@ -405,19 +406,29 @@ class TestNonFiniteInput:
     # Finite input whose products overflow: the heading goes NaN, or the covariance infinite.
     @pytest.mark.parametrize("rate, dt", [(1e308, 10.0), (0.0, 1e308), (1e200, 1e200)])
     def test_kf_predict_overflow(self, rate, dt):
-        with pytest.raises(InvalidParameterError, match="^kf_predict overflows: heading "):
+        with pytest.raises(InvariantViolation, match=r"^kf-finite: KF heading \S+, covariance \[\[.*\]\] at sample 1$") as got:
             kf_predict(kf_init(0.1), rate, dt, KfConfig())
+        assert got.value.record == (None, 1)
 
     def test_kf_update_overflow(self):
         # A finite prior whose gain terms overflow: p01 * k1 is inf.
         state = HeadingKfState(heading=0.0, gyro_bias=0.0, covariance=np.array([[1.0, 1e300], [1e300, 1e300]]))
-        with pytest.raises(InvalidParameterError, match="^kf_update overflows: heading "):
+        with pytest.raises(InvariantViolation, match=r"^kf-finite: KF heading \S+, covariance \[\[.*\]\] at sample 1$") as got:
             kf_update(state, 1.0, KfConfig(r_mag=1e-300))
+        assert got.value.record == (None, 1)
 
     def test_kf_steps_at_the_edge_of_overflow_pass(self):
         state = kf_predict(kf_init(0.1), 0.0, 1e150, KfConfig())
         assert all(map(math.isfinite, (state.heading, state.gyro_bias, *state.covariance.flat)))
         assert kf_update(state, 0.5, KfConfig()).heading == pytest.approx(0.5)
+
+    def test_kf_run_over_a_range_names_its_last_sample(self):
+        # An interval of 1e200 s at index 5 overflows the covariance; the range that holds it ends before sample 7.
+        rates, dts, z = [0.01] * 8, [1.0] * 5 + [1e200] + [1.0] * 2, [0.3] * 8
+        assert all(map(math.isfinite, _unpack(filters.kf_run(kf_init(0.1), rates, dts, z, 3, 5, KfConfig()))))
+        with pytest.raises(InvariantViolation, match=r"^kf-finite: KF heading \S+, covariance .* at sample 7$") as got:
+            filters.kf_run(kf_init(0.1), rates, dts, z, 3, 7, KfConfig())
+        assert got.value.record == (None, 7)
 
     @pytest.mark.parametrize("heading", [math.inf, -math.inf, math.nan])
     def test_pf_step_refuses_before_its_draw(self, heading):
@@ -752,6 +763,13 @@ class TestMagHeadings:
         want = [scalar_mag_z(mx, my, declination) for mx, my in rows]
         got = filters.mag_headings(np.array(rows, dtype=float).reshape(-1, 2), declination)
         assert bits(got) == bits(want)
+        for (mx, my), z in zip(rows, got):  # the scalar form: the same bits, or a refusal where the entry is None
+            sample = ImuSample(0.0, (0.0, 0.0, 9.81), (0.0, 0.0, 0.0), (mx, my, -43.0))
+            if z is None:
+                with pytest.raises(UnreliableMeasurementError):
+                    mag_heading(sample, KfConfig(declination=declination))
+            else:
+                assert bits([mag_heading(sample, KfConfig(declination=declination))]) == bits([z])
         return got
 
     @settings(max_examples=300, deadline=None)

@@ -238,6 +238,21 @@ class TestTypeInvariants:
         with pytest.raises(InvariantViolation):
             Door(id="d", center=Point2(0, 0), tangent=(1.0, 0.0), inner_env="a", outer_env="a")
 
+    def test_plan_coordinates_within_the_limit(self):
+        # A wall at 1e200 m overflowed the wall test's products, and tracking went on with warnings.
+        edge, past = geometry.PLAN_LIMIT, math.nextafter(geometry.PLAN_LIMIT, math.inf)
+        walls = (Segment2(Point2(0, 0), Point2(1, 0)), Segment2(Point2(-edge, edge), Point2(edge, -edge)))
+        door = Door(id="d", center=Point2(-edge, edge), tangent=(1.0, 0.0), inner_env="a", outer_env="b")
+        assert FloorPlan(walls=walls, doors=(door,)).walls == walls
+        for bad_walls, doors, record in [
+            ((walls[0], Segment2(Point2(0, 0), Point2(0, -past))), (), ("wall", 1)),
+            ((Segment2(Point2(-1e200, -1e200), Point2(1e200, 1e200)),), (), ("wall", 0)),
+            (walls, (door, Door(id="e", center=Point2(past, 0), tangent=(1.0, 0.0), inner_env="a", outer_env="b")), ("door", 1)),
+        ]:
+            with pytest.raises(InvariantViolation, match="^plan-coordinate-range: ") as got:
+                FloorPlan(walls=bad_walls, doors=doors)
+            assert got.value.record == record
+
     def test_door_ids_unique(self):
         # The crossing machine looks doors up by id: a repeated id would hide a door.
         doors = [

@@ -25,7 +25,7 @@ WRITTEN = {
         None,
         [
             ("wall", (0.0, 0.0, 10.0, 0.0)),
-            ("wall", (-0.0, 1e300, 5e-324, 2.5)),
+            ("wall", (-0.0, 1e100, 5e-324, 2.5)),
             ("door", ("doorA", 10.0, 4.0, 0.0, 1.0, "indoor", "outdoor")),
             ("door", ("doorB", 20.0, -0.0, -1.0, -0.0, "hall", "yard")),
             ("start", (4.0, 4.0, 0.0, "indoor")),

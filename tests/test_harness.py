@@ -249,10 +249,22 @@ class TestTrack:
     def test_kf_heading_overflow_names_its_sample(self, scale):
         # Every interval and yaw increment is finite, but over intervals of 1e118 s and more
         # the heading filter's covariance overflows and its heading turns NaN.
-        with pytest.raises(InvariantViolation, match=r"^heading-finite: KF heading nan at sample \d+$") as got:
+        with pytest.raises(InvariantViolation, match=r"^kf-finite: KF heading \S+, covariance \[\[.*\]\] at sample \d+$") as got:
             track(outdoor_trace(scale), OUTDOOR_PLAN)
         key, sample = got.value.record
         assert key is None and str(got.value).endswith(f"at sample {sample}")
+
+    def test_wall_at_the_plan_limit_is_tracked_without_warning(self):
+        # The wall's box holds the walk, so the wall test takes it in, but its line passes about 4e99 m
+        # above the walk: its products reach 1e200 and stay finite, and no particle crosses it.
+        plan = two_building_plan()
+        far = Segment2(Point2(-1e100, 1e100), Point2(1e100, -1e99))
+        trace, _ = generate_walk(crossing_script(plan), NoiseModel(seed=3), doors=plan.doors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path, log = track(trace, dataclasses.replace(plan, walls=(*plan.walls, far)))
+        want_path, want_log = track(trace, plan)
+        assert path == want_path and log.switches == want_log.switches
 
     def test_kf_heading_within_float_range_is_tracked(self):
         path, log = track(outdoor_trace(1e100), OUTDOOR_PLAN)
@@ -603,6 +615,30 @@ class TestFormats:
         assert len(loaded.switches) == len(log.switches)
         assert loaded.switches[0].door_id == log.switches[0].door_id
         assert loaded.poses[-1].position.x == pytest.approx(log.poses[-1].position.x)
+
+    @pytest.mark.parametrize(
+        "switch, refused",
+        [
+            ("switch,1,1.0,doorA,1.0,2.0,,,,indoor,outdoor", False),  # its step's t, as save_events writes it
+            ("switch,1,7.5,doorA,1.0,2.0,,,,indoor,outdoor", True),  # loaded, and saved back as t 1.0
+            ("switch,2,0.0,doorA,1.0,2.0,,,,indoor,outdoor", False),  # past the last step: 0.0
+            ("switch,2,1.0,doorA,1.0,2.0,,,,indoor,outdoor", True),
+            ("switch,9,-0.0,doorA,1.0,2.0,,,,indoor,outdoor", True),
+            ("switch,-1,0.0,doorA,1.0,2.0,,,,indoor,outdoor", False),  # at no step, as past the last
+            ("switch,-1,1.0,doorA,1.0,2.0,,,,indoor,outdoor", True),
+        ],
+    )
+    def test_switch_t_reads_back_as_written(self, tmp_path, switch, refused):
+        events, path = tmp_path / "t.events.csv", tmp_path / "t.path.csv"
+        events.write_text(f"{harness.EVENTS_HEADER}\nstep,0,0.5,,,,,,,,\nstep,1,1.0,,,,,,,,\n{switch}\n")
+        path.write_text(f"{harness.PATH_HEADER}\n0,0.5,0.75,0.0,0.0,indoor\n1,1.0,1.5,0.0,0.0,indoor\n")
+        if refused:
+            with pytest.raises(ParseError, match=rf"^{re.escape(str(events))}:4: switch at step -?\d+ has t ") as got:
+                load_trial(events, path)
+            assert got.value.line == 4
+            return
+        save_events(load_trial(events, path), tmp_path / "again.csv")  # rows sorted by t: a 0.0 switch goes first
+        assert sorted((tmp_path / "again.csv").read_text().splitlines()) == sorted(events.read_text().splitlines())
 
     def test_walk_script_load(self, tmp_path):
         p = tmp_path / "walk.txt"
@@ -1090,6 +1126,8 @@ RECORD_ERRORS = [
     (load_floorplan, "door: d 0 0 0 1 indoor indoor", InvariantViolation, "door-distinct-env: door d"),
     (load_floorplan, "door: d 0 0 1.5 0 indoor outdoor", InvariantViolation, "door-tangent-unit: |tangent| = 1.5"),
     (load_floorplan, "door: d 0 0 nan 1.0 indoor outdoor", InvariantViolation, "door-tangent-unit: |tangent| = nan"),
+    (load_floorplan, "wall: -1e200 -1e200 1e200 1e200", InvariantViolation, "plan-coordinate-range: wall (-1e+200, -1e+200) to (1e+200, 1e+200) beyond 1e+100 m"),
+    (load_floorplan, "door: d 0 1e101 0 1 indoor outdoor", InvariantViolation, "plan-coordinate-range: door (0.0, 1e+101) beyond 1e+100 m"),
     (load_floorplan, "start: nan 0 0 indoor", InvariantViolation, "point-finite: (nan, 0.0)"),
     (load_floorplan, "start: 0 0 nan indoor", InvariantViolation, "heading-finite: start heading nan"),
     (load_floorplan, "start: 0 0 -inf indoor", InvariantViolation, "heading-finite: start heading -inf"),
@@ -1312,7 +1350,7 @@ def test_kf_heading_overflow_names_the_trace_without_traceback(tmp_path):
     save_floorplan(OUTDOOR_PLAN, plan)
     proc = seamloc_subprocess("track", "--trace", trace, "--plan", plan, "--out", tmp_path / "o")
     assert proc.returncode == 4
-    assert re.fullmatch(rf"error\[invariant\]: {re.escape(str(trace))}: heading-finite: KF heading nan at sample \d+\n", proc.stderr)
+    assert re.fullmatch(rf"error\[invariant\]: {re.escape(str(trace))}: kf-finite: KF heading \S+, covariance \[\[.*\]\] at sample \d+\n", proc.stderr)
     assert not (tmp_path / "o").exists()
 
 
@@ -1333,7 +1371,8 @@ def mutate_trial(d, out, mutations) -> None:
             switches = [k for k, line in enumerate(events) if line.startswith("switch,")]
             at = switches[row % len(switches)] if switches and row % 2 else len(events)
             fields = (events[at] if at < len(events) else "switch,0,9.0,doorA,10.0,4.0,,,,indoor,outdoor").split(",")
-            fields[1] = str(len(steps) - 1 + value)
+            k = len(steps) - 1 + value
+            fields[1:3] = str(k), events[steps[k]].split(",")[2] if 0 <= k < len(steps) else "0.0"  # the t save_events writes
             events[at:at + 1] = [",".join(fields)]
         elif kind == "drop_truth_steps":  # every truth step, or one
             truth = [line for k, line in enumerate(truth) if not line.startswith("step:") or (value and k != row % len(truth))]
@@ -1431,6 +1470,7 @@ def test_truth_turn_back_at_no_step_names_its_line(tmp_path, steps, turn_back):
 # Names a file can hold (one word each), and finite floats well inside float range, signed zeros and subnormals included.
 WORDS = st.text(alphabet="abAB01_-.", min_size=1, max_size=5)
 FINITE = st.floats(-1e300, 1e300)
+PLANAR = st.floats(-1e100, 1e100)  # a plan's wall ends and door centres: within geometry.PLAN_LIMIT
 
 
 @st.composite
@@ -1501,12 +1541,12 @@ def test_truth_that_builds_loads_back_as_saved(tmp_path, fields, refused):
 @st.composite
 def floorplan_fields(draw):
     """FloorPlan fields with walls of positive length, doors of distinct ids and sides, and a whole start or none."""
-    walls = draw(st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE).filter(lambda w: w[:2] != w[2:]), max_size=3))
+    walls = draw(st.lists(st.tuples(PLANAR, PLANAR, PLANAR, PLANAR).filter(lambda w: w[:2] != w[2:]), max_size=3))
     doors = []
     for door_id in draw(st.lists(WORDS, max_size=3, unique=True)):
         angle = draw(st.floats(-math.pi, math.pi))
         inner, outer = draw(st.lists(WORDS, min_size=2, max_size=2, unique=True))
-        doors.append(Door(door_id, Point2(draw(FINITE), draw(FINITE)), (math.cos(angle), math.sin(angle)), inner, outer))
+        doors.append(Door(door_id, Point2(draw(PLANAR), draw(PLANAR)), (math.cos(angle), math.sin(angle)), inner, outer))
     fields = {"walls": tuple(Segment2(Point2(*w[:2]), Point2(*w[2:])) for w in walls), "doors": tuple(doors)}
     if draw(st.booleans()):
         fields.update(start_position=Point2(draw(FINITE), draw(FINITE)), start_heading=draw(FINITE), start_environment=draw(WORDS))
@@ -1517,6 +1557,8 @@ def floorplan_fields(draw):
 @given(fields=floorplan_fields(), refused=st.none())
 # A start position with no heading or environment built, and save_floorplan then raised TypeError.
 @example(fields={"walls": (), "doors": (), "start_position": Point2(0, 0)}, refused=("start", -1))
+# A wall past the coordinate limit loaded, and the wall test then overflowed with RuntimeWarnings.
+@example(fields={"walls": (Segment2(Point2(-1e200, -1e200), Point2(1e200, 1e200)),), "doors": ()}, refused=("wall", 0))
 def test_floorplan_that_builds_loads_back_as_saved(tmp_path, fields, refused):
     if refused is not None:
         with pytest.raises(InvariantViolation) as got:

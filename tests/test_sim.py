@@ -329,6 +329,17 @@ class TestScenarioSuite:
             with pytest.raises(InvalidParameterError):
                 scenario_suite(plan, 2, NoiseModel())
 
+    @pytest.mark.parametrize(
+        "walk", [crossing_script, turn_back_script, lambda plan: scenario_suite(plan, 1)], ids=["crossing", "turn_back", "suite"]
+    )
+    def test_requires_a_start(self, walk):
+        # The scripts took the start as their first waypoint unchecked: AttributeError on None.x.
+        from seamloc import FloorPlan
+
+        plan = two_building_plan()
+        with pytest.raises(InvalidParameterError, match="^plan has no start$"):
+            walk(FloorPlan(plan.walls, plan.doors))
+
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-step generator that built walks before the block build
