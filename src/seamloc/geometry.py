@@ -199,10 +199,15 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, table: np.ndarray) -> np.nda
     step lies exactly on a wall's line does each such wall run the
     collinear-overlap test against every step, because BLAS rounds a row's
     dot product by the rows batched with it.
-    A wall touches a step only where their boxes meet, and the padding is far
-    above the rounding of the products, so no box drops a pair that a per-wall
-    test reports. Each pair runs the per-wall test's element-wise formulas,
-    so the mask is bit for bit that of testing every wall one at a time.
+    A pair touches only where the wall's box and the step's padded box meet,
+    segment_intersection's rule, save one case: a wall whose collinear test
+    runs tests every step on its line, and where its projections underflow
+    (a wall of subnormal length) it can report a step that the box misses.
+    The padding is far above the rounding of the products, so the boxes drop
+    no pair that the orientation signs report, save where the products
+    underflow: a step that misses a subnormal wall can have d1 = 0. Each pair
+    runs the per-wall test's element-wise formulas, so the mask is bit for
+    bit that of testing every wall one at a time under the box rule.
     """
     n = p0.shape[0]
     hit = np.zeros(n, dtype=bool)

@@ -259,9 +259,9 @@ def _tx_dbm(field: str) -> tuple[str, float]:
 
 # Field specs: each record key (None: the lines carry no key) maps to the
 # converters of the record's fields in file order, and _read and _write both
-# follow it. None skips a field on read and writes it empty, a trailing ...
-# lets the converter before it take every further field, and a leading
-# string names the fields in the field-count error.
+# follow it. None marks a field that is written empty and must read empty,
+# a trailing ... lets the converter before it take every further field, and
+# a leading string names the fields in the field-count error.
 _TRACE = {None: (float,) * 10}
 _PATH = {None: (int, float, float, float, float, str)}
 _EVENTS = {  # columns after kind: step,t,door,x,y,t_start,t_end,zero_crossings,from_env,to_env
@@ -281,8 +281,8 @@ _CONFUSION = {None: (str, float, float)}  # row actual_positive actual_negative
 _TRUTH = {
     "group": (str, ...),
     "initial": (float, float, float, str),  # x y heading environment
-    "final": (float, float),  # x y; derived from the steps on load
-    "step": (int, float, float, float, float, str),  # index t x y heading environment
+    "final": (float, float),  # x y: GroundTruth.final_position, checked on load
+    "step": (int, float, float, float, float, str),  # index (the row's position) t x y heading environment
     "door_open": (float, float),  # t_start t_end
     "crossing": (int, str),  # step door
     "turn_back": (int, str),  # step door
@@ -332,16 +332,18 @@ def _spec(fields, key, n: int):
     return names, convs
 
 
-def _read(path, fields, head="version: 1", sep=None, lines=None) -> dict:
-    """Record key -> [(line number, field values)], in file order.
+def _read(path, fields, head="version: 1", sep=None, build={}) -> dict:
+    """Record key -> [(line number, record)], in file order.
 
     The one parser of every format above: keyed lines read ``key: fields``
-    with sep None (whitespace) and ``key<sep>fields`` in CSV. A line that
-    does not match fields raises ParseError(path, line), numbered as in the
-    file. Pass lines from _lines to skip reading the file again.
+    with sep None (whitespace) and ``key<sep>fields`` in CSV. A record is
+    build[key](*values) where build has its key, else its field values. A
+    line that does not match fields raises ParseError(path, line), numbered
+    as in the file, and a SeamlocError that build raises keeps its class and
+    is named at that line too.
     """
     records = {key: [] for key in fields}
-    for lineno, line in _lines(path, head, sep) if lines is None else lines:
+    for lineno, line in _lines(path, head, sep):
         key = None
         if None not in fields:
             key, _, line = line.partition(":" if sep is None else sep)
@@ -357,6 +359,15 @@ def _read(path, fields, head="version: 1", sep=None, lines=None) -> dict:
             values = tuple([conv(part) for conv, part in zip(convs, parts) if conv is not None])
         except ValueError as exc:
             raise ParseError(f"bad number: {exc}", path=str(path), line=lineno) from exc
+        # A column left empty reads back as written only if it is empty; only events rows have one.
+        unused = [part for conv, part in zip(convs, parts) if conv is None and part] if None in convs else ()
+        if unused:
+            raise ParseError(f"{key} leaves this column empty, got {unused[0]!r}", path=str(path), line=lineno)
+        if key in build:
+            try:
+                values = build[key](*values)
+            except SeamlocError as exc:
+                raise exc.at(path, lineno)
         records[key].append((lineno, values))
     return records
 
@@ -365,14 +376,31 @@ def _read(path, fields, head="version: 1", sep=None, lines=None) -> dict:
 _FORMATS = {float: _fmt, int: str, str: str, _tx_dbm: lambda pair: f"{pair[0]}={_fmt(pair[1])}"}
 
 
+def _name_reads_back(conv, text: str, sep) -> bool:
+    """Whether a str or transmitter (tx=dbm) field reads back as itself: a transmitter holds
+    no =; a field is one word where fields split on whitespace, and in CSV holds no sep, no
+    line break and no whitespace at either end (an empty one reads back)."""
+    if conv is _tx_dbm and text.count("=") > 1:  # dbm holds no =
+        return False
+    if sep is None:
+        return text.split() == [text]
+    return sep not in text and text == text.strip() and len(text.splitlines()) < 2
+
+
 def _write(path, fields, rows, head="version: 1", sep=None) -> None:
     """Write rows, (record key, values) in file order, so that _read with the same
-    fields returns them: values holds one value per converter that is not None."""
+    fields returns them: values holds one value per converter that is not None. A
+    name that would not read back as written (a str field, or a radio map's
+    transmitter) raises InvalidParameterError before the file is opened."""
     lines = [] if head is None else [head]
     for key, values in rows:
         # Every ... spec converts each of its fields, so its field count is len(values).
         convs, values = _spec(fields, key, len(values))[1], iter(values)
-        line = (sep or " ").join(["" if conv is None else _FORMATS[conv](next(values)) for conv in convs])
+        texts = ["" if conv is None else _FORMATS[conv](next(values)) for conv in convs]
+        for conv, text in zip(convs, texts) if str in convs or _tx_dbm in convs else ():  # most rows hold no name
+            if (conv is str or conv is _tx_dbm) and not _name_reads_back(conv, text, sep):
+                raise InvalidParameterError(f"{key or 'a'} field {text!r} would not read back as written")
+        line = (sep or " ").join(texts)
         lines.append(line if key is None else f"{key}: {line}" if sep is None else f"{key}{sep}{line}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -392,7 +420,7 @@ def load_trace(path) -> Trace:
     if data is None or data.shape[1] != 10:
         # numpy rejects some fields that float() takes (1_0, non-ASCII digits):
         # the row loop returns the same values or names the bad line.
-        data = np.array([row for _, row in _read(path, _TRACE, sep=",", lines=lines)[None]]).reshape(-1, 10)
+        data = np.array([row for _, row in _read(path, _TRACE, TRACE_HEADER, ",")[None]]).reshape(-1, 10)
     with _located(path, {None: lines}):  # row i of data is lines[i]
         return Trace(t=data[:, 0], accel=data[:, 1:4], gyro=data[:, 4:7], mag=data[:, 7:10])
 
@@ -406,36 +434,24 @@ def save_floorplan(plan: FloorPlan, path) -> None:
     _write(path, _FLOORPLAN, rows)
 
 
-def _build(path, records, build) -> list:
-    """build(*values) of each (line number, values) record; a SeamlocError it raises
-    keeps its class and is named at the record's path and line."""
-    built = []
-    for lineno, values in records:
-        try:
-            built.append(build(*values))
-        except SeamlocError as exc:
-            raise exc.at(path, lineno)
-    return built
-
-
 @contextmanager
 def _located(path, records):
     """Name a SeamlocError raised in the block at path and, if its record is (key, k), the line of records[key][k]."""
     try:
         yield
     except SeamlocError as exc:
-        if exc.path is None:  # one that _build named keeps its line
-            exc.at(path, None if exc.record is None else records[exc.record[0]][exc.record[1]][0])
-        raise
+        raise exc.at(path, None if exc.record is None else records[exc.record[0]][exc.record[1]][0])
 
 
 def load_floorplan(path) -> FloorPlan:
-    records = _read(path, _FLOORPLAN)
-    doors = tuple(_build(path, records["door"], lambda i, x, y, tx, ty, *envs: Door(i, Point2(x, y), (tx, ty), *envs)))
-    walls = tuple(_build(path, records["wall"], lambda x1, y1, x2, y2: Segment2(Point2(x1, y1), Point2(x2, y2))))
-    start = _build(path, records["start"][-1:], lambda x, y, *rest: (Point2(x, y), *rest))  # the last start wins
+    records = _read(path, _FLOORPLAN, build={
+        "wall": lambda x1, y1, x2, y2: Segment2(Point2(x1, y1), Point2(x2, y2)),
+        "door": lambda i, x, y, tx, ty, *envs: Door(i, Point2(x, y), (tx, ty), *envs),
+        "start": lambda x, y, *rest: (Point2(x, y), *rest),  # every start is built, and the last one wins
+    })
+    walls, doors = (tuple(built for _, built in records[key]) for key in ("wall", "door"))
     with _located(path, records):  # a repeated door id names the later door's line, a bad heading its start's
-        return FloorPlan(walls, doors, *(start[0] if start else ()))
+        return FloorPlan(walls, doors, *(records["start"][-1][1] if records["start"] else ()))
 
 
 def save_radiomap(radio_map: RadioMap, path) -> None:
@@ -444,25 +460,23 @@ def save_radiomap(radio_map: RadioMap, path) -> None:
 
 
 def load_radiomap(path) -> RadioMap:
-    records = _read(path, _RADIOMAP)
-    entries = tuple(_build(path, records["point"], lambda x, y, *rss: Fingerprint(Point2(x, y), unique_readings(rss))))
+    records = _read(path, _RADIOMAP, build={"point": lambda x, y, *rss: Fingerprint(Point2(x, y), unique_readings(rss))})
     with _located(path, records):  # no reference points: the error is about the whole file
-        return RadioMap(entries=entries)
+        return RadioMap(entries=tuple(entry for _, entry in records["point"]))
 
 
 def load_observation(path) -> dict[str, float]:
     """RSS observation file: one ``transmitter dbm`` pair per line."""
-    records = _read(path, _OBSERVATION, head=None)
-    readings = _build(path, records[None], dbm_reading)
+    records = _read(path, _OBSERVATION, head=None, build={None: dbm_reading})
     with _located(path, records):  # a repeated transmitter names its second line, no readings the file
-        rss = unique_readings(readings)
+        rss = unique_readings(reading for _, reading in records[None])
         if not rss:
             raise InvalidInputError("no RSS readings")
     return rss
 
 
 def save_truth(truth: GroundTruth, path) -> None:
-    rows = [("group", (truth.group,))] if truth.group else []  # words, single-spaced: they read back as written
+    rows = [("group", tuple(truth.group.split()))] if truth.group else []  # single-spaced words: they read back as written
     start = truth.initial_position
     rows.append(("initial", (start.x, start.y, truth.initial_heading, truth.initial_environment)))
     rows.append(("final", (truth.final_position.x, truth.final_position.y)))
@@ -475,14 +489,17 @@ def save_truth(truth: GroundTruth, path) -> None:
 
 
 def load_truth(path) -> GroundTruth:
-    records = _read(path, _TRUTH)
+    records = _read(path, _TRUTH, build={"initial": lambda x, y, *rest: (Point2(x, y), *rest)})
     if not records["initial"]:
         raise ParseError("missing 'initial' record", path=str(path))
-    ((start, heading, environment),) = _build(path, records["initial"][-1:], lambda x, y, *rest: (Point2(x, y), *rest))
-    steps = [step for _, step in records["step"]]  # index t x y heading environment; the index is not kept
+    start, heading, environment = records["initial"][-1][1]
+    steps = [step for _, step in records["step"]]  # index t x y heading environment
+    for k, (lineno, (index, *_)) in enumerate(records["step"]):  # save_truth writes the row's position
+        if index != k:
+            raise ParseError(f"step {index} is step row {k}: an index is its row's position", path=str(path), line=lineno)
     with _located(path, records):  # GroundTruth's rules name the step, crossing or turn_back line
         try:
-            return GroundTruth(
+            truth = GroundTruth(
                 step_times=np.array([s[1] for s in steps]),
                 step_positions=np.array([s[2:4] for s in steps]).reshape(-1, 2),
                 step_headings=np.array([s[4] for s in steps]),
@@ -497,19 +514,25 @@ def load_truth(path) -> GroundTruth:
             )
         except InvalidParameterError as exc:  # a step or event rule; a file that breaks it is a parse error
             raise ParseError(str(exc), record=exc.record) from None
+    end = (truth.final_position.x, truth.final_position.y)  # what save_truth writes as final
+    for lineno, final in records["final"]:
+        if repr(final) != repr(end):  # by repr, as written: -0.0 is not 0.0
+            message = f"final {final!r} is not {end!r}, the last step's position (initial's at no step)"
+            raise ParseError(message, path=str(path), line=lineno)
+    return truth
 
 
 def load_walk_script(path):
     """Walk script records: waypoint/cadence/step_length/start_environment/
     door_action/pause lines after ``version: 1``."""
-    records = _read(path, _WALK_SCRIPT)
+    records = _read(path, _WALK_SCRIPT, build={"waypoint": Point2, "door_action": DoorAction})
     # The last record of each setting wins; WalkScript holds the defaults.
     script_fields = {"cadence": "cadence", "step_length": "step_length_true", "start_environment": "start_environment"}
     settings = {name: values[0] for key, name in script_fields.items() for _, values in records[key]}
     with _located(path, records):  # a whole-script rule names the line of the record it is about
         return WalkScript(
-            waypoints=tuple(_build(path, records["waypoint"], Point2)),
-            door_actions=tuple(_build(path, records["door_action"], DoorAction)),
+            waypoints=tuple(point for _, point in records["waypoint"]),
+            door_actions=tuple(action for _, action in records["door_action"]),
             pauses=tuple(pause for _, pause in records["pause"]),
             **settings,
         )
@@ -541,23 +564,22 @@ def load_trial(events_path, path_path) -> EventLog:
     """Rebuild the EventLog parts evaluation needs from serialized files. A switch row's
     t is not kept, so it must be the one save_events writes (_switch_t). Path row k
     must be the events' step row k: step k, that row's t, one row per step row."""
-    events = _read(events_path, _EVENTS, EVENTS_HEADER, ",")
-    rows = _read(path_path, _PATH, PATH_HEADER, ",")[None]
-    steps = [StepEvent(index=index, t=t, peak=0.0) for _, (index, t) in events["step"]]
-
-    def switch(k, t, door, x, y, src, dst):
-        event, want = SwitchEvent(k, door, Point2(x, y), src, dst), _switch_t(steps, k)
-        if repr(t) != repr(want):  # by repr, as written: -0.0 is not 0.0
-            raise ParseError(f"switch at step {k} has t {t!r}, not {want!r} (its step's t, or 0.0 at no step)")
-        return event
-
+    events = _read(events_path, _EVENTS, EVENTS_HEADER, ",", {
+        "switch": lambda k, t, door, x, y, *envs: (t, SwitchEvent(k, door, Point2(x, y), *envs))})
+    rows = _read(path_path, _PATH, PATH_HEADER, ",", {
+        None: lambda step, t, x, y, heading, env: (step, t, Pose(Point2(x, y), heading), env)})[None]
     log = EventLog(
-        steps=steps,
+        steps=[StepEvent(index=index, t=t, peak=0.0) for _, (index, t) in events["step"]],
         door_opens=[DoorOpenEvent(t_start=t0, t_end=t1, zero_crossings=z) for _, (t0, t1, z) in events["door_open"]],
-        switches=_build(events_path, events["switch"], switch),
-        poses=_build(path_path, rows, lambda _step, _t, x, y, heading, _env: Pose(Point2(x, y), heading)),
+        switches=[switch for _, (_, switch) in events["switch"]],
+        poses=[pose for _, (_, _, pose, _) in rows],
         environments=[env for _, (*_, env) in rows],
     )
+    for lineno, (t, switch) in events["switch"]:
+        want = _switch_t(log.steps, switch.step_index)
+        if repr(t) != repr(want):  # by repr, as written: -0.0 is not 0.0
+            message = f"switch at step {switch.step_index} has t {t!r}, not {want!r} (its step's t, or 0.0 at no step)"
+            raise ParseError(message, path=str(events_path), line=lineno)
     times = [step.t for step in log.steps]
     for k, (lineno, (step, t, *_)) in enumerate(rows):
         if k == len(times) or step != k or t != times[k]:

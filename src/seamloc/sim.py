@@ -339,6 +339,8 @@ def crossing_script(plan: FloorPlan) -> WalkScript:
     in front, stop 3.05 m behind it."""
     if plan.start_position is None:
         raise InvalidParameterError("plan has no start")
+    if not plan.doors:
+        raise InvalidParameterError("plan has no doors")
     waypoints = [plan.start_position]
     actions = []
     for door in plan.doors:
@@ -357,6 +359,8 @@ def turn_back_script(plan: FloorPlan) -> WalkScript:
     """Walk toward the first door, reverse 1.45 m in front of it, return."""
     if plan.start_position is None:
         raise InvalidParameterError("plan has no start")
+    if not plan.doors:
+        raise InvalidParameterError("plan has no doors")
     start, door = plan.start_position, plan.doors[0]
     return WalkScript(
         waypoints=(start, _beside(door, start, 1.45), start),
@@ -377,8 +381,6 @@ def scenario_suite(
     the plan; the rest approach the first door and turn back. Every walk
     takes generate_walk's default sample rate and zone width.
     """
-    if not plan.doors:
-        raise InvalidParameterError("plan has no doors")
     n_cross = int(round(n_trials * crossing_fraction))
     trials = []
     for i in range(n_trials):

@@ -275,11 +275,19 @@ class TestTypeInvariants:
 
 
 def per_wall_oracle(p0, p1, walls):
-    """Reference wall test: one numpy pass per wall, no culling, no blocks."""
+    """Reference wall test: one numpy pass per wall, no cloud box, no blocks.
+
+    A pair touches only where the wall's box and the step's box, padded by
+    geometry._CULL_PAD, meet: the per-pair rule of segment_intersection. Signs
+    alone would report a touch far from a subnormal wall, where the
+    orientation products underflow to 0.
+    """
     n = p0.shape[0]
     hit = np.zeros(n, dtype=bool)
     d = p1 - p0
+    (blx, bly), (bhx, bhy) = (np.minimum(p0, p1) - geometry._CULL_PAD).T, (np.maximum(p0, p1) + geometry._CULL_PAD).T
     for x1, y1, x2, y2 in walls:
+        close = (blx <= max(x1, x2)) & (bhx >= min(x1, x2)) & (bly <= max(y1, y2)) & (bhy >= min(y1, y2))
         wa = np.array([x1, y1])
         wd = np.array([x2 - x1, y2 - y1])
         d1 = wd[0] * (p0[:, 1] - y1) - wd[1] * (p0[:, 0] - x1)
@@ -289,15 +297,16 @@ def per_wall_oracle(p0, p1, walls):
         # Signs, not products: d1 * d2 underflows to 0 for subnormal values.
         straddle = ((d1 <= 0) & (d2 >= 0)) | ((d1 >= 0) & (d2 <= 0))
         straddle &= ((d3 <= 0) & (d4 >= 0)) | ((d3 >= 0) & (d4 <= 0))
-        hit |= straddle & ~((d1 == 0) & (d2 == 0))
+        hit |= straddle & close & ~((d1 == 0) & (d2 == 0))
         collinear = straddle & (d1 == 0) & (d2 == 0)
-        if np.any(collinear):
-            # Projections scaled by the squared wall length, not divided by it.
+        if np.any(collinear & close):
+            # Projections scaled by the squared wall length, not divided by it, of
+            # every step on the line at once: a dot product rounds by its batch.
             t0 = (p0[collinear] - wa) @ wd
             t1 = (p1[collinear] - wa) @ wd
             lo = np.minimum(t0, t1)
             hi = np.maximum(t0, t1)
-            hit[np.flatnonzero(collinear)[(hi >= 0) & (lo <= np.dot(wd, wd))]] = True
+            hit[np.flatnonzero(collinear)[(hi >= 0) & (lo <= np.dot(wd, wd)) & close[collinear]]] = True
     return hit
 
 
@@ -338,6 +347,15 @@ class TestSegmentsCrossOracle:
     @example((np.array([[0.0, 0.0], [1.0, -1.0]]), np.array([[1.0, 1.0], [-1.0, 0.5]])), np.array([[4.0, -4.0, 4.0, 4.0], [-3.0, 2.0, 3.0, 2.0]]))
     def test_random_clouds_match_oracle(self, steps, walls):
         assert_same_mask(steps[0], steps[1], walls)
+
+    def test_subnormal_wall_far_from_a_step_is_not_touched(self):
+        # The step stops 0.5 m short of x = 0, but d1 = 5e-324 * 0.5 underflows to 0:
+        # signs alone put it on the wall's line. The boxes do not meet, so no touch.
+        p0, p1, walls = np.array([[-0.5, 0.0]]), np.array([[-1.0, 0.0]]), np.array([[0.0, 0.0, 0.0, 5e-324]])
+        assert not assert_same_mask(p0, p1, walls).any()
+        assert segment_intersection(Segment2(Point2(0.0, 0.0), Point2(0.0, 5e-324)), Segment2(Point2(-0.5, 0.0), Point2(-1.0, 0.0))) is None
+        with mock.patch.object(geometry, "_BLOCK_ELEMENTS", 8):
+            assert not _segments_cross(p0, p1, plan_of(walls).wall_array()).any()
 
     def test_collinear_and_crossing_pairs_in_one_block(self):
         # Step 0 overlaps wall 0 along its line, step 1 crosses both walls,

@@ -18,6 +18,7 @@ import seamloc.cli as cli
 from seamloc import errors, harness
 from seamloc import (
     Door,
+    Fingerprint,
     FloorPlan,
     GroundTruth,
     InvalidInputError,
@@ -27,7 +28,9 @@ from seamloc import (
     PipelineConfig,
     Point2,
     Pose,
+    RadioMap,
     Segment2,
+    StepEvent,
     SwitchEvent,
     Trace,
     cdf_fraction_below,
@@ -1010,6 +1013,81 @@ class TestReader:
         save_truth(truth, p)
         assert load_truth(p).group == "user 3 phone A"
 
+    @pytest.mark.parametrize(
+        "load, text, line, message",
+        [
+            # A start or initial record that a later one supersedes is built too, and refused at its line.
+            (load_floorplan, "wall: 0 0 1 0\nstart: inf 0 0 indoor\nstart: 0 0 0 indoor", 3, "point-finite: (inf, 0.0)"),
+            (load_truth, "initial: 0 nan 0 indoor\ninitial: 0 0 0 indoor", 2, "point-finite: (0.0, nan)"),
+            # Of several bad records, the first in the file is named: here a wall before a door.
+            (load_floorplan, "wall: 0 0 0 0\ndoor: d 0 0 1.5 0 indoor outdoor", 2, "segment-positive-length"),
+            (load_floorplan, "door: d 0 0 1.5 0 indoor outdoor\nwall: 0 0 0 0", 2, "door-tangent-unit"),
+            (load_floorplan, "start: 0 nan 0 indoor\ndoor: d 0 0 1.5 0 indoor outdoor", 2, "point-finite"),
+        ],
+    )
+    def test_every_record_is_built_in_file_order(self, tmp_path, load, text, line, message):
+        p = tmp_path / "records.txt"
+        p.write_text(f"version: 1\n{text}\n")
+        with pytest.raises(InvariantViolation, match=rf"^{re.escape(str(p))}:{line}: {re.escape(message)}") as got:
+            load(p)
+        assert (got.value.path, got.value.line) == (str(p), line)
+
+    @pytest.mark.parametrize(
+        "final, refused",
+        [
+            (None, False),  # save_truth always writes one, but a file without it still loads
+            ("final: 1.5 0.0", False),
+            ("final: 1.5 -0.0", True),  # by repr, as written
+            ("final: 0.75 0.0", True),  # the first step's position, not the last
+        ],
+    )
+    def test_truth_final_is_the_last_steps_position(self, tmp_path, final, refused):
+        p = tmp_path / "truth.txt"
+        steps = "step: 0 0.5 0.75 0.0 0.0 indoor\nstep: 1 1.0 1.5 0.0 0.0 indoor\n"
+        p.write_text(f"version: 1\ninitial: 0 0 0 indoor\n{'' if final is None else final + chr(10)}{steps}")
+        if refused:
+            with pytest.raises(ParseError, match=rf"^{re.escape(str(p))}:3: final \(.* is not \(1.5, 0.0\), the last step's position"):
+                load_truth(p)
+            return
+        truth = load_truth(p)
+        assert truth.final_position == Point2(1.5, 0.0)
+        save_truth(truth, tmp_path / "again.txt")
+        assert load_truth(tmp_path / "again.txt").final_position == truth.final_position
+
+    @pytest.mark.parametrize(
+        "save, obj, key, name",
+        [
+            (save_floorplan, FloorPlan((), (Door("door A", Point2(0, 0), (0.0, 1.0), "indoor", "outdoor"),)), "door", "door A"),
+            (save_floorplan, FloorPlan((), (Door("a", Point2(0, 0), (0.0, 1.0), "in door", "outdoor"),)), "door", "in door"),
+            (save_floorplan, FloorPlan((), (Door("", Point2(0, 0), (0.0, 1.0), "indoor", "outdoor"),)), "door", ""),
+            (save_floorplan, FloorPlan((), (), Point2(0, 0), 0.0, "in\tdoor"), "start", "in\tdoor"),
+            (save_events, EventLog(switches=[SwitchEvent(0, "a,b", Point2(0, 0), "indoor", "outdoor")]), "switch", "a,b"),
+            (save_events, EventLog(switches=[SwitchEvent(0, "a", Point2(0, 0), "indoor ", "outdoor")]), "switch", "indoor "),
+            (save_path, EventLog([StepEvent(0, 0.5, 0.0)], poses=[Pose(Point2(0, 0), 0.0)], environments=[" in"]), "a", " in"),
+            (save_path, EventLog([StepEvent(0, 0.5, 0.0)], poses=[Pose(Point2(0, 0), 0.0)], environments=["in\ndoor"]), "a", "in\ndoor"),
+            (save_radiomap, RadioMap((Fingerprint(Point2(0, 0), {"ap=1": -50.0}),)), "point", "ap=1"),
+            (save_radiomap, RadioMap((Fingerprint(Point2(0, 0), {"ap 1": -50.0}),)), "point", "ap 1"),
+        ],
+    )
+    def test_writer_refuses_a_name_its_file_cannot_hold(self, tmp_path, save, obj, key, name):
+        # Each of these saved a file that its loader refused or read back otherwise.
+        p = tmp_path / "out.txt"
+        with pytest.raises(InvalidParameterError, match=rf"^{key} field '[^']*{re.escape(repr(name)[1:-1])}"):
+            save(obj, p)
+        assert not p.exists()  # refused before the file is opened
+
+    def test_writers_keep_the_names_their_files_hold(self, tmp_path):
+        # A CSV field may be empty or hold inner spaces; a radio map's transmitter may be empty.
+        log = EventLog([StepEvent(0, 0.5, 0.0)], poses=[Pose(Point2(0, 0), 0.0)], environments=[""])
+        log.switches.append(SwitchEvent(0, "door A", Point2(0, 0), "in door", ""))
+        save_events(log, tmp_path / "t.events.csv")
+        save_path(log, tmp_path / "t.path.csv")
+        loaded = load_trial(tmp_path / "t.events.csv", tmp_path / "t.path.csv")
+        assert (loaded.switches, loaded.environments) == (log.switches, log.environments)
+        radio_map = RadioMap((Fingerprint(Point2(0, 0), {"": -50.0, "a:b,c": -60.0}),))
+        save_radiomap(radio_map, tmp_path / "rm.txt")
+        assert load_radiomap(tmp_path / "rm.txt") == radio_map
+
 
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
@@ -1156,8 +1234,14 @@ RECORD_ERRORS = [
     (load_truth, "step: 0 0.1 0.75 0 0 outdoor", ParseError, "environment changed at step 0 without a crossing"),
     (load_truth, "step: 0 0.1 nan 0 0 indoor", InvariantViolation, "point-finite: (nan, 0.0)"),
     (load_truth, "initial: inf 0 0 indoor", InvariantViolation, "point-finite: (inf, 0.0)"),
+    # Columns that save_truth derives read back as written: a step's index, and final.
+    (load_truth, "step: 7 0.1 0.75 0 0 indoor", ParseError, "step 7 is step row 0: an index is its row's position"),
+    (load_truth, "final: 99.0 -5.0", ParseError, "final (99.0, -5.0) is not (0.0, 0.0), the last step's position"),
     (load_path_rows, "0,0.5,nan,0.0,0.0,indoor", InvariantViolation, "point-finite: (nan, 0.0)"),
     (load_event_rows, "switch,0,0.5,doorA,inf,4.0,,,,indoor,outdoor", InvariantViolation, "point-finite: (inf, 4.0)"),
+    # A column that a record leaves empty is read as empty: save_events would write it back empty.
+    (load_event_rows, "door_open,junk,x,,,,1.0,2.0,3,,", ParseError, "door_open leaves this column empty, got 'junk'"),
+    (load_event_rows, "step,0,0.5,doorA,,,,,,,", ParseError, "step leaves this column empty, got 'doorA'"),
     # A trace names its first bad sample; an interval's is the sample that ends it, and overflow warns nothing.
     (load_trace, "0,0,0,9.81,0,0,0,22,0,-43\n0.01,0,0,9.81,0,0,0,nan,0,-43", InvariantViolation, "trace-finite: non-finite value in mag"),
     (load_trace, "0,0,0,9.81,0,0,0,22,0,-43\n0,0,0,9.81,0,0,0,22,0,-43", InvariantViolation, "trace-monotonic-time"),
@@ -1467,8 +1551,9 @@ def test_truth_turn_back_at_no_step_names_its_line(tmp_path, steps, turn_back):
         assert load_truth(path).turn_backs == ((steps - 1, "doorA"),)
 
 
-# Names a file can hold (one word each), and finite floats well inside float range, signed zeros and subnormals included.
-WORDS = st.text(alphabet="abAB01_-.", min_size=1, max_size=5)
+# Names of any text (a file holds only the one-word ones: one_word), and finite floats well inside float range,
+# signed zeros and subnormals included.
+NAMES = st.text(max_size=5)
 FINITE = st.floats(-1e300, 1e300)
 PLANAR = st.floats(-1e100, 1e100)  # a plan's wall ends and door centres: within geometry.PLAN_LIMIT
 
@@ -1477,12 +1562,12 @@ PLANAR = st.floats(-1e100, 1e100)  # a plan's wall ends and door centres: within
 def truth_fields(draw):
     """GroundTruth fields whose steps and events agree: environments change only at crossing steps."""
     k = draw(st.integers(0, 5))
-    env = initial_environment = draw(WORDS)
-    crossings = draw(st.lists(st.tuples(st.integers(0, k - 1), WORDS), max_size=3)) if k else []
+    env = initial_environment = draw(NAMES)
+    crossings = draw(st.lists(st.tuples(st.integers(0, k - 1), NAMES), max_size=3)) if k else []
     environments = []
     for i in range(k):
         if any(step == i for step, _ in crossings):
-            env = draw(WORDS)
+            env = draw(NAMES)
         environments.append(env)
     return {
         "step_times": np.array(draw(st.lists(FINITE, min_size=k, max_size=k)), dtype=float),
@@ -1491,12 +1576,31 @@ def truth_fields(draw):
         "environments": tuple(environments),
         "door_open_intervals": tuple(draw(st.lists(st.tuples(FINITE, FINITE), max_size=3))),
         "crossings": tuple(crossings),
-        "turn_backs": tuple(draw(st.lists(st.tuples(st.integers(0, k - 1), WORDS), max_size=3)) if k else []),
+        "turn_backs": tuple(draw(st.lists(st.tuples(st.integers(0, k - 1), NAMES), max_size=3)) if k else []),
         "initial_position": Point2(draw(FINITE), draw(FINITE)),
         "initial_heading": draw(FINITE),
         "initial_environment": initial_environment,
-        "group": " ".join(draw(st.lists(WORDS, max_size=3))),
+        "group": " ".join(draw(st.text(max_size=12)).split()),  # single-spaced words, saved one word a field
     }
+
+
+def one_word(name):
+    """Whether a file whose fields split on whitespace holds name as one field, so that it reads back as written."""
+    return name.split() == [name]
+
+
+def assert_saves_and_loads_back(save, load, obj, names, path):
+    """obj saves and loads back equal when every name is one word; otherwise its save is refused and writes no file."""
+    path.unlink(missing_ok=True)  # hypothesis runs every example in one tmp_path
+    if not all(map(one_word, names)):
+        with pytest.raises(InvalidParameterError, match="would not read back as written"):
+            save(obj, path)
+        assert not path.exists()
+        return None
+    save(obj, path)
+    loaded = load(path)
+    assert_same_fields(loaded, obj)
+    return loaded
 
 
 def assert_same_fields(a, b):
@@ -1534,8 +1638,8 @@ def test_truth_that_builds_loads_back_as_saved(tmp_path, fields, refused):
         assert got.value.record == refused
         return
     truth = GroundTruth(**fields)
-    save_truth(truth, tmp_path / "truth.txt")
-    assert_same_fields(load_truth(tmp_path / "truth.txt"), truth)
+    names = [truth.initial_environment, *truth.environments, *(door for _, door in truth.crossings + truth.turn_backs)]
+    assert_saves_and_loads_back(save_truth, load_truth, truth, names, tmp_path / "truth.txt")
 
 
 @st.composite
@@ -1543,13 +1647,13 @@ def floorplan_fields(draw):
     """FloorPlan fields with walls of positive length, doors of distinct ids and sides, and a whole start or none."""
     walls = draw(st.lists(st.tuples(PLANAR, PLANAR, PLANAR, PLANAR).filter(lambda w: w[:2] != w[2:]), max_size=3))
     doors = []
-    for door_id in draw(st.lists(WORDS, max_size=3, unique=True)):
+    for door_id in draw(st.lists(NAMES, max_size=3, unique=True)):
         angle = draw(st.floats(-math.pi, math.pi))
-        inner, outer = draw(st.lists(WORDS, min_size=2, max_size=2, unique=True))
+        inner, outer = draw(st.lists(NAMES, min_size=2, max_size=2, unique=True))
         doors.append(Door(door_id, Point2(draw(PLANAR), draw(PLANAR)), (math.cos(angle), math.sin(angle)), inner, outer))
     fields = {"walls": tuple(Segment2(Point2(*w[:2]), Point2(*w[2:])) for w in walls), "doors": tuple(doors)}
     if draw(st.booleans()):
-        fields.update(start_position=Point2(draw(FINITE), draw(FINITE)), start_heading=draw(FINITE), start_environment=draw(WORDS))
+        fields.update(start_position=Point2(draw(FINITE), draw(FINITE)), start_heading=draw(FINITE), start_environment=draw(NAMES))
     return fields
 
 
@@ -1559,6 +1663,8 @@ def floorplan_fields(draw):
 @example(fields={"walls": (), "doors": (), "start_position": Point2(0, 0)}, refused=("start", -1))
 # A wall past the coordinate limit loaded, and the wall test then overflowed with RuntimeWarnings.
 @example(fields={"walls": (Segment2(Point2(-1e200, -1e200), Point2(1e200, 1e200)),), "doors": ()}, refused=("wall", 0))
+# A door id of two words saved, and load_floorplan then refused the file: "expected 7 fields, got 8".
+@example(fields={"walls": (), "doors": (Door("door A", Point2(0, 0), (0.0, 1.0), "indoor", "outdoor"),)}, refused=None)
 def test_floorplan_that_builds_loads_back_as_saved(tmp_path, fields, refused):
     if refused is not None:
         with pytest.raises(InvariantViolation) as got:
@@ -1566,10 +1672,11 @@ def test_floorplan_that_builds_loads_back_as_saved(tmp_path, fields, refused):
         assert got.value.record == refused
         return
     plan = FloorPlan(**fields)
-    save_floorplan(plan, tmp_path / "plan.txt")
-    loaded = load_floorplan(tmp_path / "plan.txt")
-    assert_same_fields(loaded, plan)
-    assert loaded.wall_array().tobytes() == plan.wall_array().tobytes()
+    names = [name for door in plan.doors for name in (door.id, door.inner_env, door.outer_env)]
+    names += [] if plan.start_environment is None else [plan.start_environment]
+    loaded = assert_saves_and_loads_back(save_floorplan, load_floorplan, plan, names, tmp_path / "plan.txt")
+    if loaded is not None:
+        assert loaded.wall_array().tobytes() == plan.wall_array().tobytes()
 
 
 def cli_main_quietly(capsys, *args):

@@ -329,6 +329,14 @@ class TestScenarioSuite:
             with pytest.raises(InvalidParameterError):
                 scenario_suite(plan, 2, NoiseModel())
 
+    @pytest.mark.parametrize("walk", [crossing_script, turn_back_script], ids=["crossing", "turn_back"])
+    def test_scripts_require_doors(self, walk):
+        # turn_back_script took the first door unchecked: IndexError on a plan with none.
+        from seamloc import FloorPlan
+
+        with pytest.raises(InvalidParameterError, match="^plan has no doors$"):
+            walk(FloorPlan(walls=(), doors=(), start_position=Point2(0, 0), start_heading=0.0, start_environment="indoor"))
+
     @pytest.mark.parametrize(
         "walk", [crossing_script, turn_back_script, lambda plan: scenario_suite(plan, 1)], ids=["crossing", "turn_back", "suite"]
     )
