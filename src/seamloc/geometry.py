@@ -195,19 +195,15 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, table: np.ndarray) -> np.nda
     _CULL_PAD, are dropped. The boxes of the K kept walls are compared with
     each step's own padded box in (block, N) blocks of max(1,
     _BLOCK_ELEMENTS // N) walls. The surviving (wall, step) pairs, gathered
-    in row-major order, run the orientation test. Only in a block where some
-    step lies exactly on a wall's line does each such wall run the
-    collinear-overlap test against every step, because BLAS rounds a row's
-    dot product by the rows batched with it.
-    A pair touches only where the wall's box and the step's padded box meet,
-    segment_intersection's rule, save one case: a wall whose collinear test
-    runs tests every step on its line, and where its projections underflow
-    (a wall of subnormal length) it can report a step that the box misses.
+    in row-major order, run the orientation test, and those on the wall's
+    line run the collinear-overlap test. Each pair is decided on its own,
+    by segment_intersection's rule: it touches only where the wall's box and
+    the step's padded box meet, and there by element-wise formulas alone.
+    So a step's entry depends on that step and the walls only, bit for bit
+    that of testing every wall one at a time.
     The padding is far above the rounding of the products, so the boxes drop
     no pair that the orientation signs report, save where the products
-    underflow: a step that misses a subnormal wall can have d1 = 0. Each pair
-    runs the per-wall test's element-wise formulas, so the mask is bit for
-    bit that of testing every wall one at a time under the box rule.
+    underflow: a step that misses a subnormal wall can have d1 = 0.
     """
     n = p0.shape[0]
     hit = np.zeros(n, dtype=bool)
@@ -235,16 +231,16 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, table: np.ndarray) -> np.nda
         # pairs stays bound until the next block: freed early, glibc returns and re-faults its
         # pages (1024 x 4096 dense comb, 2-core VM, median of 10 runs: 348 ms against 167).
         pairs = wall[:6, start : start + block].repeat(counts, axis=1)
-        crossing, collinear = _straddle(pairs, step.take(i, axis=1))
+        pair_steps = step.take(i, axis=1)
+        crossing, collinear = _straddle(pairs, pair_steps)
         # compress, not a boolean index: it does not branch on each element.
         hit[i.compress(crossing)] = True
         if not collinear.any():
             continue
-        for c in start + np.unique(flat.compress(collinear) // n):
-            # Collinear: 1D overlap of projections onto the wall, times its squared
-            # length (dividing by it fails where it underflows, under ~1e-154 m).
-            rows = np.flatnonzero(_straddle(wall[:6, c], step)[1])
-            wa, wd = wall[:2, c].copy(), wall[4:6, c].copy()
-            t0, t1 = (p0[rows] - wa) @ wd, (p1[rows] - wa) @ wd
-            hit[rows[(np.maximum(t0, t1) >= 0) & (np.minimum(t0, t1) <= np.dot(wd, wd))]] = True
+        # Collinear: 1D overlap of the step's projections onto the wall, times its squared
+        # length (dividing by it fails where it underflows, under ~1e-154 m).
+        x1, y1, _, _, wdx, wdy = pairs.compress(collinear, axis=1)
+        qx0, qx1, qy0, qy1 = pair_steps.compress(collinear, axis=1)
+        t0, t1 = (qx0 - x1) * wdx + (qy0 - y1) * wdy, (qx1 - x1) * wdx + (qy1 - y1) * wdy
+        hit[i.compress(collinear)[(np.maximum(t0, t1) >= 0) & (np.minimum(t0, t1) <= wdx * wdx + wdy * wdy)]] = True
     return hit

@@ -538,9 +538,24 @@ def load_walk_script(path):
         )
 
 
+def _check_trial(log: EventLog) -> None:
+    """Refuse, with InvalidParameterError, a log whose files load_trial would refuse or
+    read back otherwise: it needs one pose per step, one environment per pose, and step
+    times in order (save_events sorts its rows by time)."""
+    if not len(log.steps) == len(log.poses) == len(log.environments):
+        counts = f"{len(log.steps)} steps, {len(log.poses)} poses and {len(log.environments)} environments"
+        raise InvalidParameterError(f"a trial needs one pose per step and one environment per pose, got {counts}")
+    before = -math.inf
+    for k, step in enumerate(log.steps):
+        if not before <= step.t:  # NaN fails too
+            raise InvalidParameterError(f"step times must be in order and not NaN: step {k} has t {step.t!r}, after {before!r}")
+        before = step.t
+
+
 def save_path(log: EventLog, path) -> None:
-    env = log.environments + [""] * (len(log.poses) - len(log.environments))  # a missing one is written empty
-    rows = [(None, (i, log.steps[i].t, p.position.x, p.position.y, p.heading, env[i])) for i, p in enumerate(log.poses)]
+    _check_trial(log)
+    trial = enumerate(zip(log.steps, log.poses, log.environments))
+    rows = [(None, (i, s.t, p.position.x, p.position.y, p.heading, env)) for i, (s, p, env) in trial]
     _write(path, _PATH, rows, PATH_HEADER, ",")
 
 
@@ -550,6 +565,7 @@ def _switch_t(steps, k: int) -> float:
 
 
 def save_events(log: EventLog, path) -> None:
+    _check_trial(log)
     rows = [("step", (s.index, s.t)) for s in log.steps]
     rows += [("door_open", (d.t_start, d.t_end, d.zero_crossings)) for d in log.door_opens]
     for sw in log.switches:

@@ -58,8 +58,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 def _trial() -> EventLog:
     """A step, an opening and a switch at t = 1.0 (written in that order), an
-    opening before every step, a switch past the last step and fewer
-    environments than poses."""
+    opening before every step, a switch past the last step and an empty
+    environment."""
     return EventLog(
         steps=[StepEvent(0, 0.5, 1.5), StepEvent(1, 1.0, 1.25), StepEvent(2, 1e300, 1.0)],
         door_opens=[DoorOpenEvent(1.0, 2.0, 4), DoorOpenEvent(5e-324, 0.25, 2)],
@@ -68,7 +68,7 @@ def _trial() -> EventLog:
             SwitchEvent(7, "doorB", Point2(-0.0, 5e-324), "outdoor", "indoor"),
         ],
         poses=[Pose(Point2(1, 0), 0), Pose(Point2(0.75, -0.0), -0.0), Pose(Point2(1e300, -5e-324), math.pi)],
-        environments=["indoor", "outdoor"],
+        environments=["indoor", "outdoor", ""],
     )
 
 

@@ -288,7 +288,6 @@ def per_wall_oracle(p0, p1, walls):
     (blx, bly), (bhx, bhy) = (np.minimum(p0, p1) - geometry._CULL_PAD).T, (np.maximum(p0, p1) + geometry._CULL_PAD).T
     for x1, y1, x2, y2 in walls:
         close = (blx <= max(x1, x2)) & (bhx >= min(x1, x2)) & (bly <= max(y1, y2)) & (bhy >= min(y1, y2))
-        wa = np.array([x1, y1])
         wd = np.array([x2 - x1, y2 - y1])
         d1 = wd[0] * (p0[:, 1] - y1) - wd[1] * (p0[:, 0] - x1)
         d2 = wd[0] * (p1[:, 1] - y1) - wd[1] * (p1[:, 0] - x1)
@@ -298,15 +297,11 @@ def per_wall_oracle(p0, p1, walls):
         straddle = ((d1 <= 0) & (d2 >= 0)) | ((d1 >= 0) & (d2 <= 0))
         straddle &= ((d3 <= 0) & (d4 >= 0)) | ((d3 >= 0) & (d4 <= 0))
         hit |= straddle & close & ~((d1 == 0) & (d2 == 0))
-        collinear = straddle & (d1 == 0) & (d2 == 0)
-        if np.any(collinear & close):
-            # Projections scaled by the squared wall length, not divided by it, of
-            # every step on the line at once: a dot product rounds by its batch.
-            t0 = (p0[collinear] - wa) @ wd
-            t1 = (p1[collinear] - wa) @ wd
-            lo = np.minimum(t0, t1)
-            hi = np.maximum(t0, t1)
-            hit[np.flatnonzero(collinear)[(hi >= 0) & (lo <= np.dot(wd, wd)) & close[collinear]]] = True
+        # Collinear: projections onto the wall, scaled by its squared length, not divided by it.
+        t0 = (p0[:, 0] - x1) * wd[0] + (p0[:, 1] - y1) * wd[1]
+        t1 = (p1[:, 0] - x1) * wd[0] + (p1[:, 1] - y1) * wd[1]
+        overlap = (np.maximum(t0, t1) >= 0) & (np.minimum(t0, t1) <= wd[0] * wd[0] + wd[1] * wd[1])
+        hit |= straddle & close & (d1 == 0) & (d2 == 0) & overlap
     return hit
 
 
@@ -568,9 +563,7 @@ class TestStepBoxes:
 
     def test_collinear_rows_match_oracle_when_step_boxes_drop_some(self):
         # Zero-length steps on a wall's line, one at its far end and the
-        # rest beyond it. A dot product can round by the rows batched with
-        # it, so the collinear test must see every step on the line, as the
-        # per-wall test does, not only those near the wall.
+        # rest beyond it, where the step boxes drop them.
         rng = np.random.default_rng(7)
         checked = 0
         for _ in range(300):
@@ -707,3 +700,51 @@ class TestOneTouchRule:
         assume(wdx * sdy - wdy * sdx != 0 and not all(on_zone_line))
         touches = segment_intersection(zone, step) is not None
         assert touches == step_hits_walls(step, FloorPlan(walls=(zone,), doors=()))
+
+
+@st.composite
+def clouds_on_wall_lines(draw):
+    """(p0, p1, walls), the walls of wall_rows. Each step has free coord ends, or lies on a
+    wall's line with ends at multiples of half the wall from its start, of zero length at times."""
+    walls = draw(wall_rows)
+    ends = []
+    for _ in range(draw(st.integers(1, 25))):
+        kind = draw(st.sampled_from(["free", "on a line", "a point on a line"]))
+        if kind == "free":
+            ends.append([draw(coord) for _ in range(4)])
+            continue
+        x1, y1, x2, y2 = walls[draw(st.integers(0, len(walls) - 1))]
+        s0 = 0.5 * draw(st.integers(-6, 6))
+        s1 = s0 if kind == "a point on a line" else 0.5 * draw(st.integers(-6, 6))
+        ends.append([x1 + s0 * (x2 - x1), y1 + s0 * (y2 - y1), x1 + s1 * (x2 - x1), y1 + s1 * (y2 - y1)])
+    ends = np.array(ends)
+    return ends[:, :2], ends[:, 2:], walls
+
+
+class TestEachStepOnItsOwn:
+    """A step's mask entry depends on that step and the walls, not on the rest of the cloud."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(clouds_on_wall_lines())
+    # A subnormal wall with a step on its line: the step off its box stays a miss.
+    @example((np.array([[-0.4, -0.4], [0.0, 0.0]]), np.array([[-0.3, -0.3], [0.0, 0.0]]), np.array([[0.0, 0.0, 0.0, 5e-324]])))
+    def test_mask_entry_is_the_step_tested_alone(self, cloud):
+        p0, p1, walls = cloud
+        table = _wall_table(walls)
+        alone = [_segments_cross(p0[k : k + 1], p1[k : k + 1], table)[0] for k in range(len(p0))]
+        assert _segments_cross(p0, p1, table).tolist() == alone
+
+    def test_subnormal_wall_beside_a_step_on_its_line(self):
+        p0, p1 = np.array([[-0.4, -0.4], [0.0, 0.0]]), np.array([[-0.3, -0.3], [0.0, 0.0]])
+        assert assert_same_mask(p0, p1, np.array([[0.0, 0.0, 0.0, 5e-324]])).tolist() == [False, True]
+
+    def test_step_on_a_walls_far_end_touches_beside_steps_beyond_it(self):
+        # Zero-length steps, one exactly on the wall's far end, the rest on its line beyond
+        # either end. Its projection is the wall's squared length, by the same formula.
+        wa, wb = np.array([1.2509546660466695, 3.9721380096957546]), np.array([2.7568569024519354, -2.7479281000940814])
+        wd = wb - wa
+        beyond = [wa + k * wd for k in (-4.0, -3.0, -2.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
+        points = np.array([wb, *(p for p in beyond if wd[0] * (p[1] - wa[1]) - wd[1] * (p[0] - wa[0]) == 0)])
+        assert len(points) == 4
+        hit = _segments_cross(points, points.copy(), _wall_table(np.array([[*wa, *wb]])))
+        assert hit.tolist() == [True, False, False, False]

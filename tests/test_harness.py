@@ -1088,6 +1088,26 @@ class TestReader:
         save_radiomap(radio_map, tmp_path / "rm.txt")
         assert load_radiomap(tmp_path / "rm.txt") == radio_map
 
+    @pytest.mark.parametrize("save", [save_events, save_path])
+    @pytest.mark.parametrize(
+        "log, match",
+        [
+            # load_trial refused both files: 1 path rows disagree with the 2 step rows.
+            (EventLog([StepEvent(0, 0.5, 0.0), StepEvent(1, 1.0, 0.0)], poses=[Pose(Point2(0, 0), 0.0)], environments=["indoor"]), "2 steps, 1 poses and 1 environments"),
+            # save_events sorted the steps by time, so path row 0 disagreed with step row 0.
+            (EventLog([StepEvent(0, 2.0, 0.0), StepEvent(1, 1.0, 0.0)], poses=[Pose(Point2(0, 0), 0.0)] * 2, environments=["indoor"] * 2), "step 1 has t 1.0, after 2.0"),
+            # Path row 0 (t nan) disagreed with step row 0 (t nan).
+            (EventLog([StepEvent(0, math.nan, 0.0)], poses=[Pose(Point2(0, 0), 0.0)], environments=["indoor"]), "step 0 has t nan"),
+            # The second environment was written empty and loaded back as ''.
+            (EventLog([StepEvent(0, 0.5, 0.0), StepEvent(1, 1.0, 0.0)], poses=[Pose(Point2(0, 0), 0.0)] * 2, environments=["indoor"]), "2 steps, 2 poses and 1 environments"),
+        ],
+    )
+    def test_trial_writers_refuse_what_load_trial_refuses(self, tmp_path, save, log, match):
+        p = tmp_path / "out.csv"
+        with pytest.raises(InvalidParameterError, match=re.escape(match)):
+            save(log, p)
+        assert not p.exists()  # refused before the file is opened
+
 
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
