@@ -10,6 +10,7 @@ magnetometer heading instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -80,47 +81,67 @@ def pf_step(
     pdr_cfg: PdrConfig,
     plan: FloorPlan,
 ) -> tuple[ParticleSet, Point2]:
-    """Advance the cloud one step and return (updated set, position estimate).
+    """Advance the cloud one step and return (updated set, position estimate): pf_run over one heading."""
+    return pf_run(pset, (heading,), cfg, pdr_cfg, plan)[0]
+
+
+def pf_run(pset: ParticleSet, headings, cfg: PfConfig, pdr_cfg: PdrConfig, plan: FloorPlan) -> list[tuple[ParticleSet, Point2]]:
+    """Advance the cloud one step per heading and return each step's (updated set, position estimate).
 
     Each particle moves step_length + N(0, step_sigma^2) along
-    heading + N(0, heading_sigma^2). The 2N normals come from one draw of
+    heading + N(0, heading_sigma^2). A step's 2N normals come from one draw of
     the set's own stream, lengths first: the same numbers, and the same
-    generator state after the call, as two normal(0, sigma, N) draws.
-    Movements that cross a wall zero the particle's weight; weights
-    renormalize, and systematic resampling fires when the effective sample
-    size drops below the configured fraction.
+    generator state after, as two normal(0, sigma, N) draws. Movements that
+    cross a wall zero the particle's weight; weights renormalize, and
+    systematic resampling fires when the effective sample size drops below
+    the configured fraction.
 
-    Raises FilterDivergenceError when every particle crossed a wall; the
-    caller re-initializes via pf_init at the last valid estimate. A heading
-    that is not finite is refused before the draw, so the stream stays put.
+    Each pair, and the generator state after, is what chained pf_step calls
+    give. The run stops after a step that resamples, and before a step where
+    every particle crossed a wall or whose heading is not finite. At its first
+    step these raise: FilterDivergenceError, and the caller re-initializes via
+    pf_init at the last valid estimate; InvalidParameterError before the draw,
+    so the stream stays put. The steps share one cos and sin pass and one wall
+    test, which decides each step on its own (_segments_cross).
     """
-    if not math.isfinite(heading):
-        raise InvalidParameterError(f"heading must be finite, got {heading}")
-    n = len(pset)
-    z = pset.rng.standard_normal(2 * n)
+    finite = list(itertools.takewhile(math.isfinite, headings))
+    if len(finite) < len(headings) and not finite:
+        raise InvalidParameterError(f"heading must be finite, got {headings[0]}")
+    n, k, rng = len(pset), len(finite), pset.rng
+    z, states = np.empty((k, 2 * n)), []
+    for row in z:
+        rng.standard_normal(out=row)
+        states.append(rng.bit_generator.state)
     # normal(0, s, n) is 0.0 + s * z, and L + (0.0 + s * z) has the bits of
     # s * z + (L + 0.0), where L + 0.0 turns a heading of -0.0 into 0.0 and
     # leaves the step length, which is positive, as it is.
-    lengths = cfg.step_sigma * z[:n] + pdr_cfg.step_length
-    headings = cfg.heading_sigma * z[n:] + (heading + 0.0)
-    moved = np.empty((n, 2))
-    np.multiply(lengths, np.cos(headings), out=moved[:, 0])
-    np.multiply(lengths, np.sin(headings), out=moved[:, 1])
-    moved += pset.positions
+    lengths = cfg.step_sigma * z[:, :n] + pdr_cfg.step_length
+    angles = cfg.heading_sigma * z[:, n:] + (np.array(finite, dtype=float)[:, None] + 0.0)
+    cloud = np.empty((k + 1, n, 2))  # row j + 1: the positions after step j
+    cloud[0] = pset.positions
+    np.multiply(lengths, np.cos(angles), out=cloud[1:, :, 0])
+    np.multiply(lengths, np.sin(angles), out=cloud[1:, :, 1])
+    for j in range(k):
+        cloud[j + 1] += cloud[j]
+    hits = _segments_cross(cloud[:-1].reshape(-1, 2), cloud[1:].reshape(-1, 2), plan.wall_array()).reshape(k, n)
 
-    weights = np.where(_segments_cross(pset.positions, moved, plan.wall_array()), 0.0, pset.weights)
-
-    total = weights.sum()
-    if total <= 0.0:
-        raise FilterDivergenceError("every particle crossed a wall")
-    weights /= total
-    estimate = Point2(float(weights @ moved[:, 0]), float(weights @ moved[:, 1]))
-
-    out = ParticleSet(positions=moved, weights=weights, rng=pset.rng)
-    ess = 1.0 / float(np.sum(weights**2))
-    if ess < cfg.resample_threshold * n:
-        _systematic_resample(out)
-    return out, estimate
+    run, weights = [], pset.weights
+    for j, (moved, hit) in enumerate(zip(cloud[1:], hits)):
+        weights = np.where(hit, 0.0, weights)
+        total = weights.sum()
+        if total <= 0.0:
+            rng.bit_generator.state = states[max(j - 1, 0)]  # as after the draw of the last step kept, or of this first one
+            if not run:
+                raise FilterDivergenceError("every particle crossed a wall")
+            break
+        weights /= total
+        out = ParticleSet(positions=moved, weights=weights, rng=rng)
+        run.append((out, Point2(float(weights @ moved[:, 0]), float(weights @ moved[:, 1]))))
+        if 1.0 / float(np.sum(weights**2)) < cfg.resample_threshold * n:
+            rng.bit_generator.state = states[j]
+            _systematic_resample(out)
+            break
+    return run
 
 
 @dataclass

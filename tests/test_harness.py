@@ -18,6 +18,7 @@ import seamloc.cli as cli
 from seamloc import errors, harness
 from seamloc import (
     Door,
+    DoorOpenEvent,
     Fingerprint,
     FloorPlan,
     GroundTruth,
@@ -219,34 +220,47 @@ class TestTrack:
             track(trace, box, cfg)
 
     def test_divergence_recovers_once(self, monkeypatch):
-        # pf_step diverges once at step k: the tracker restarts the cloud at
-        # the previous position and goes on to the last step.
-        from seamloc import FilterDivergenceError
+        # pf_run diverges once, in its first call from step k on (one step a call: the
+        # (k+1)-th call): the tracker restarts the cloud at the previous position and goes
+        # on to the last step. In runs of three, that call starts at a step in [k, k + 3).
+        # A noisy gyro gives each step its own heading, so the restart's heading is step k's.
+        from seamloc import CALIBRATED_NOISE, FilterDivergenceError
 
         plan = two_building_plan()
-        trace, _ = generate_walk(crossing_script(plan), doors=plan.doors)
+        trace, _ = generate_walk(crossing_script(plan), CALIBRATED_NOISE, doors=plan.doors)
         cfg = PipelineConfig(seed=3)
+        monkeypatch.setattr(harness, "PF_RUN", 1)
         path, _ = track(trace, plan, cfg)
         k = 4
-        calls = {"step": 0, "init": []}
-        pf_step, pf_init = harness.pf_step, harness.pf_init
+        pf_run, pf_init = harness.pf_run, harness.pf_init
+        for run_length in (1, 3):
+            calls = {"steps": 0, "failed_at": None, "init": []}
 
-        def failing_step(*args, **kwargs):
-            calls["step"] += 1
-            if calls["step"] == k + 1:
-                raise FilterDivergenceError("every particle crossed a wall")
-            return pf_step(*args, **kwargs)
+            def failing_run(pset, headings, *args):
+                if calls["failed_at"] is None and calls["steps"] >= k:
+                    calls["failed_at"] = calls["steps"]
+                    raise FilterDivergenceError("every particle crossed a wall")
+                run = pf_run(pset, headings, *args)
+                calls["steps"] += len(run)
+                return run
 
-        def recorded_init(pose, pf_cfg, seed=0):
-            calls["init"].append((pose, seed))
-            return pf_init(pose, pf_cfg, seed=seed)
+            def recorded_init(pose, pf_cfg, seed=0):
+                calls["init"].append((pose, seed))
+                return pf_init(pose, pf_cfg, seed=seed)
 
-        monkeypatch.setattr(harness, "pf_step", failing_step)
-        monkeypatch.setattr(harness, "pf_init", recorded_init)
-        recovered, log = track(trace, plan, cfg)
-        assert calls["init"][1] == (Pose(path[k - 1].position, path[k].heading), cfg.seed + 7919 + k)
-        assert recovered[k - 1] == path[k - 1]
-        assert len(recovered) == len(path) == len(log.steps)
+            monkeypatch.setattr(harness, "PF_RUN", run_length)
+            assert repr(track(trace, plan, cfg)[0]) == repr(path)  # the same track, bit for bit
+            monkeypatch.setattr(harness, "pf_run", failing_run)
+            monkeypatch.setattr(harness, "pf_init", recorded_init)
+            recovered, log = track(trace, plan, cfg)
+            at = calls["failed_at"]
+            assert path[at].heading != path[at - 1].heading
+            assert at == k if run_length == 1 else k <= at < k + run_length
+            assert calls["init"][1] == (Pose(path[at - 1].position, path[at].heading), cfg.seed + 7919 + at)
+            assert recovered[at - 1] == path[at - 1]
+            assert len(recovered) == len(path) == len(log.steps)
+            monkeypatch.setattr(harness, "pf_run", pf_run)
+            monkeypatch.setattr(harness, "pf_init", pf_init)
 
     @pytest.mark.parametrize("scale", [1e120, 1e188])
     def test_kf_heading_overflow_names_its_sample(self, scale):
@@ -1100,6 +1114,10 @@ class TestReader:
             (EventLog([StepEvent(0, math.nan, 0.0)], poses=[Pose(Point2(0, 0), 0.0)], environments=["indoor"]), "step 0 has t nan"),
             # The second environment was written empty and loaded back as ''.
             (EventLog([StepEvent(0, 0.5, 0.0), StepEvent(1, 1.0, 0.0)], poses=[Pose(Point2(0, 0), 0.0)] * 2, environments=["indoor"]), "2 steps, 2 poses and 1 environments"),
+            # save_events sorted the openings by t_start, and load_trial read them back reordered.
+            (EventLog([StepEvent(0, 0.5, 0.0)], [DoorOpenEvent(2.0, 2.5, 3), DoorOpenEvent(1.0, 1.5, 3)], poses=[Pose(Point2(0, 0), 0.0)], environments=["indoor"]), "door_open 1 has t_start 1.0, after 2.0"),
+            # An opening with t_start nan sorted anywhere among the rows.
+            (EventLog([StepEvent(0, 0.5, 0.0)], [DoorOpenEvent(1.0, 1.5, 3), DoorOpenEvent(math.nan, 2.5, 3)], poses=[Pose(Point2(0, 0), 0.0)], environments=["indoor"]), "door_open 1 has t_start nan, after 1.0"),
         ],
     )
     def test_trial_writers_refuse_what_load_trial_refuses(self, tmp_path, save, log, match):
