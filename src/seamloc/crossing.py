@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InvalidParameterError
-from .geometry import Door, Point2, Segment2, distance, segment_intersection, zone_for_door
+from .geometry import CONFIG_LIMIT, Door, Point2, Segment2, distance, segment_intersection, zone_for_door
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,8 @@ class CrossingConfig:
     def __post_init__(self):
         if not (self.zone_width > 0 and self.area_radius > 0 and self.coincidence_steps > 0):
             raise InvalidParameterError("crossing parameters must be positive")
+        if not self.zone_width <= CONFIG_LIMIT:
+            raise InvalidParameterError(f"zone_width must be at most {CONFIG_LIMIT:g}, got {self.zone_width}")
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,13 @@ magnetometer heading instead.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FilterDivergenceError, InvalidParameterError, InvariantViolation, UnreliableMeasurementError
-from .geometry import FloorPlan, Point2, _segments_cross
+from .geometry import CONFIG_LIMIT, FloorPlan, Point2, _segments_cross
 from .pdr import PdrConfig, Pose, wrap_angle
 from .signal import ImuSample
 
@@ -48,8 +47,8 @@ class PfConfig:
     def __post_init__(self):
         if not 1 <= self.particle_count <= MAX_PARTICLES:
             raise InvalidParameterError(f"particle_count must be in [1, {MAX_PARTICLES}], got {self.particle_count}")
-        if not all(sigma >= 0 for sigma in (self.step_sigma, self.heading_sigma, self.init_sigma)):
-            raise InvalidParameterError("noise sigmas must be non-negative")
+        if not all(0 <= sigma <= CONFIG_LIMIT for sigma in (self.step_sigma, self.heading_sigma, self.init_sigma)):
+            raise InvalidParameterError(f"noise sigmas must be in [0, {CONFIG_LIMIT:g}]")
         if not 0 < self.resample_threshold <= 1:
             raise InvalidParameterError("resample_threshold must be in (0, 1]")
 
@@ -96,18 +95,19 @@ def pf_run(pset: ParticleSet, headings, cfg: PfConfig, pdr_cfg: PdrConfig, plan:
     systematic resampling fires when the effective sample size drops below
     the configured fraction.
 
-    Each pair, and the generator state after, is what chained pf_step calls
-    give. The run stops after a step that resamples, and before a step where
-    every particle crossed a wall or whose heading is not finite. At its first
-    step these raise: FilterDivergenceError, and the caller re-initializes via
-    pf_init at the last valid estimate; InvalidParameterError before the draw,
-    so the stream stays put. The steps share one cos and sin pass and one wall
-    test, which decides each step on its own (_segments_cross).
+    A heading that is not finite, anywhere in the run, raises
+    InvalidParameterError before any draw, so the stream stays put. Each pair,
+    and the generator state after, is what chained pf_step calls give. The run
+    stops after a step that resamples, and before a step where every particle
+    crossed a wall; at its first step that raises FilterDivergenceError, and
+    the caller re-initializes via pf_init at the last valid estimate. The steps
+    share one cos and sin pass and one wall test, which decides each step on
+    its own (_segments_cross).
     """
-    finite = list(itertools.takewhile(math.isfinite, headings))
-    if len(finite) < len(headings) and not finite:
-        raise InvalidParameterError(f"heading must be finite, got {headings[0]}")
-    n, k, rng = len(pset), len(finite), pset.rng
+    for heading in headings:
+        if not math.isfinite(heading):
+            raise InvalidParameterError(f"heading must be finite, got {heading}")
+    n, k, rng = len(pset), len(headings), pset.rng
     z, states = np.empty((k, 2 * n)), []
     for row in z:
         rng.standard_normal(out=row)
@@ -116,7 +116,7 @@ def pf_run(pset: ParticleSet, headings, cfg: PfConfig, pdr_cfg: PdrConfig, plan:
     # s * z + (L + 0.0), where L + 0.0 turns a heading of -0.0 into 0.0 and
     # leaves the step length, which is positive, as it is.
     lengths = cfg.step_sigma * z[:, :n] + pdr_cfg.step_length
-    angles = cfg.heading_sigma * z[:, n:] + (np.array(finite, dtype=float)[:, None] + 0.0)
+    angles = cfg.heading_sigma * z[:, n:] + (np.array(headings, dtype=float)[:, None] + 0.0)
     cloud = np.empty((k + 1, n, 2))  # row j + 1: the positions after step j
     cloud[0] = pset.positions
     np.multiply(lengths, np.cos(angles), out=cloud[1:, :, 0])

@@ -61,6 +61,12 @@ class Door:
 # The largest |coordinate| of a wall end or door centre, in m. Within it, _straddle's
 # products stay under 8e200 and segment_intersection's under 4e300: none overflows.
 PLAN_LIMIT = 1e100
+# The largest step length, crossing-zone width and particle filter sigma (initial spread,
+# step, heading) that a config takes. A normal draw stays under 10 sigma, so a step moves
+# a particle at most 1.1e51 m and turns it at most 1e51 rad, whose cos and sin are finite;
+# a walk of fewer than 1e48 steps from within PLAN_LIMIT stays within 2e100 m, where
+# _straddle's products stay under 4e201 and segment_intersection's under 7e301.
+CONFIG_LIMIT = 1e50
 
 
 @dataclass(frozen=True)

@@ -553,17 +553,28 @@ def load_walk_script(path):
         )
 
 
+def _check_events(steps, door_opens) -> None:
+    """Refuse, with InvalidParameterError naming the record, steps and openings that an
+    events file would not read back as: step k has index k, and step times and opening
+    start times are in order (save_events sorts its rows by time)."""
+    for k, step in enumerate(steps):
+        if step.index != k:
+            raise InvalidParameterError(f"step {step.index} is step row {k}: an index is its row's position", record=("step", k))
+    for kind, name, times in (("step", "t", [s.t for s in steps]), ("door_open", "t_start", [d.t_start for d in door_opens])):
+        for k, (before, t) in enumerate(zip([-math.inf, *times], times)):
+            if not before <= t:  # NaN fails too
+                message = f"{kind} times must be in order and not NaN: {kind} {k} has {name} {t!r}, after {before!r}"
+                raise InvalidParameterError(message, record=(kind, k))
+
+
 def _check_trial(log: EventLog) -> None:
     """Refuse, with InvalidParameterError, a log whose files load_trial would refuse or
-    read back otherwise: it needs one pose per step, one environment per pose, and step
-    times and opening start times in order (save_events sorts its rows by time)."""
+    read back otherwise: it needs one pose per step, one environment per pose, and the
+    events _check_events takes."""
     if not len(log.steps) == len(log.poses) == len(log.environments):
         counts = f"{len(log.steps)} steps, {len(log.poses)} poses and {len(log.environments)} environments"
         raise InvalidParameterError(f"a trial needs one pose per step and one environment per pose, got {counts}")
-    for kind, name, times in (("step", "t", [s.t for s in log.steps]), ("door_open", "t_start", [d.t_start for d in log.door_opens])):
-        for k, (before, t) in enumerate(zip([-math.inf, *times], times)):
-            if not before <= t:  # NaN fails too
-                raise InvalidParameterError(f"{kind} times must be in order and not NaN: {kind} {k} has {name} {t!r}, after {before!r}")
+    _check_events(log.steps, log.door_opens)
 
 
 def save_path(log: EventLog, path) -> None:
@@ -591,9 +602,10 @@ def save_events(log: EventLog, path) -> None:
 
 
 def load_trial(events_path, path_path) -> EventLog:
-    """Rebuild the EventLog parts evaluation needs from serialized files. A switch row's
-    t is not kept, so it must be the one save_events writes (_switch_t). Path row k
-    must be the events' step row k: step k, that row's t, one row per step row."""
+    """Rebuild the EventLog parts evaluation needs from serialized files. The events
+    must be what save_events takes (_check_events), and a switch row's t, which is not
+    kept, the one it writes (_switch_t). Path row k must be the events' step row k:
+    step k, that row's t, one row per step row."""
     events = _read(events_path, _EVENTS, EVENTS_HEADER, ",", {
         "switch": lambda k, t, door, x, y, *envs: (t, SwitchEvent(k, door, Point2(x, y), *envs))})
     rows = _read(path_path, _PATH, PATH_HEADER, ",", {
@@ -605,6 +617,11 @@ def load_trial(events_path, path_path) -> EventLog:
         poses=[pose for _, (_, _, pose, _) in rows],
         environments=[env for _, (*_, env) in rows],
     )
+    with _located(events_path, events):  # a rule of save_events names its step or door_open line
+        try:
+            _check_events(log.steps, log.door_opens)
+        except InvalidParameterError as exc:  # a file that breaks it is a parse error
+            raise ParseError(str(exc), record=exc.record) from None
     for lineno, (t, switch) in events["switch"]:
         want = _switch_t(log.steps, switch.step_index)
         if repr(t) != repr(want):  # by repr, as written: -0.0 is not 0.0

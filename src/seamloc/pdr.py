@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidParameterError
-from .geometry import Point2
+from .geometry import CONFIG_LIMIT, Point2
 from .signal import StepEvent, Trace
 
 TWO_PI = 2.0 * math.pi
@@ -34,8 +34,8 @@ class PdrConfig:
     initial_pose: Pose = field(default_factory=lambda: Pose(Point2(0.0, 0.0), 0.0))
 
     def __post_init__(self):
-        if not self.step_length > 0:
-            raise InvalidParameterError(f"step_length must be positive, got {self.step_length}")
+        if not 0 < self.step_length <= CONFIG_LIMIT:
+            raise InvalidParameterError(f"step_length must be in (0, {CONFIG_LIMIT:g}], got {self.step_length}")
 
 
 def propagate_step(pose: Pose, cfg: PdrConfig) -> Pose:

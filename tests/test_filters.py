@@ -300,14 +300,17 @@ RUN_PLANS = {**PF_PLANS, "box": _plan((-2.0, -2.0, 2.0, -2.0), (2.0, -2.0, 2.0, 
 
 def chained_pf_steps(pset, headings, cfg, pdr_cfg, plan):
     """pf_step once per heading, up to where pf_run stops: after a step that resamples, before
-    one that raises (which raises again if it is the first). Returns the pairs and the
-    generator state after the last of them."""
+    one that diverges (which raises again if it is the first). A heading that is not finite
+    anywhere refuses the run before any step. Returns the pairs and the generator state
+    after the last of them."""
     run, state = [], pset.rng.bit_generator.state
+    if not all(map(math.isfinite, headings)):
+        raise InvalidParameterError("heading must be finite")
     with mock.patch.object(filters, "_systematic_resample", wraps=filters._systematic_resample) as resample:
         for heading in headings:
             try:
                 pset, estimate = pf_step(pset, heading, cfg, pdr_cfg, plan)
-            except (FilterDivergenceError, InvalidParameterError):
+            except FilterDivergenceError:
                 if not run:
                     raise
                 break
@@ -366,7 +369,7 @@ class TestPfRunEqualsChainedSteps:
              step_sigma=0.0, heading_sigma=0.0, resample_threshold=0.5, plan="box")
     @example(seed=2, n=50, spread=0.0, center=(0.0, 0.0), weights="uniform", headings=[0.0, 0.0, 0.0, 0.0],
              step_sigma=0.0, heading_sigma=0.0, resample_threshold=0.5, plan="box")
-    # A heading that is not finite at the first step, and at the third.
+    # A heading that is not finite at the first step, and at the third: either refuses the run before any draw.
     @example(seed=3, n=100, spread=0.3, center=(0.0, 0.0), weights="random", headings=[math.nan, 0.0, 0.0],
              step_sigma=0.1, heading_sigma=0.087, resample_threshold=0.5, plan="near")
     @example(seed=4, n=100, spread=0.3, center=(0.0, 0.0), weights="random", headings=[0.0, 0.1, math.inf, 0.0],

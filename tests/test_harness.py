@@ -543,6 +543,7 @@ class TestFormats:
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(theta=st.floats(-math.pi, math.pi), e=st.floats(-2e-6, 2e-6))
     @example(theta=1.0187, e=0.0)  # |(cos, sin)| is 0.9999999999999999
+    @example(theta=1.0187000000000002, e=0.0)  # (0.5244732491240035, 0.8514269263731978), as long
     @example(theta=1.0187, e=5e-7)
     @example(theta=1.0187, e=-1.5e-6)
     def test_door_tangent_rule_is_the_same_on_load_and_in_code(self, tmp_path, theta, e):
@@ -551,7 +552,8 @@ class TestFormats:
         tangent = (math.cos(theta) * (1.0 + e), math.sin(theta) * (1.0 + e))
         off = abs(math.hypot(*tangent) - 1.0)
         p = tmp_path / "plan.txt"
-        p.write_text(f"version: 1\ndoor: d 1.0 2.0 {tangent[0]!r} {tangent[1]!r} indoor outdoor\n")
+        written = f"version: 1\ndoor: d 1.0 2.0 {tangent[0]!r} {tangent[1]!r} indoor outdoor\n"
+        p.write_text(written)
         builds = [lambda: Door("d", Point2(1.0, 2.0), tangent, "indoor", "outdoor"), lambda: load_floorplan(p).doors[0]]
         if not off <= 1e-6:
             for build in builds:
@@ -569,6 +571,7 @@ class TestFormats:
         assert door.tangent == tangent if off <= 1e-9 else abs(math.hypot(*door.tangent) - 1.0) <= 1e-9
         plan = FloorPlan(walls=(), doors=(door,))
         save_floorplan(plan, p)
+        assert p.read_text() == written or off > 1e-9  # a tangent kept saves back to the same bytes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert load_floorplan(p) == plan
@@ -581,13 +584,14 @@ class TestFormats:
             (load_walk_script, "version: 1\nwaypoint: 0 0\n", "need at least two waypoints"),
         ],
     )
-    def test_whole_file_error_names_its_file(self, tmp_path, load, text, message):
-        p = tmp_path / "f.txt"
+    def test_whole_file_error_names_its_file(self, cli_run, tmp_path, capsys, load, text, message):
+        p = tmp_path / LOADER_COMMANDS[load][2]
         p.write_text(text)
         with pytest.raises(errors.SeamlocError) as got:
             load(p)
         assert str(got.value) == f"{p}: {message}"
         assert got.value.path == str(p) and got.value.line is None
+        assert_the_cli_prints(capsys, cli_run, load, p, got.value)
 
     def test_floorplan_requires_version(self, tmp_path):
         p = tmp_path / "plan.txt"
@@ -734,15 +738,38 @@ class TestCli:
         return plan_file, script_file
 
     def test_simulate_track_eval_report(self, tmp_path, capsys):
-        plan_file, script_file = self.write_inputs(tmp_path)
+        plan_file, _ = self.write_inputs(tmp_path)
+        script_file = tmp_path / "walk.txt"
+        script_file.write_text(CI_WALK)
         out = tmp_path / "run"
         assert cli.main(["simulate", "--script", str(script_file), "--plan", str(plan_file), "--out", str(out), "--seed", "5"]) == 0
         assert cli.main(["track", "--trace", str(out / "trial.trace.csv"), "--plan", str(plan_file), "--out", str(out), "--seed", "5"]) == 0
+        # The tracker finds every step the simulator wrote, the pause and the last turn included.
+        tracked = re.search(r"^tracked (\d+) steps", capsys.readouterr().out, re.MULTILINE)
+        assert int(tracked[1]) == (out / "trial.truth.txt").read_text().count("\nstep: ") > 0
+        # Each file written reads back to the same bytes: load, save again, compare.
+        log = load_trial(out / "trial.events.csv", out / "trial.path.csv")
+        save_events(log, tmp_path / "events.again.csv")
+        save_path(log, tmp_path / "path.again.csv")
+        save_truth(load_truth(out / "trial.truth.txt"), tmp_path / "truth.again.txt")
+        for name, again in [("events.csv", "events.again.csv"), ("path.csv", "path.again.csv"), ("truth.txt", "truth.again.txt")]:
+            assert (out / f"trial.{name}").read_bytes() == (tmp_path / again).read_bytes(), name
         assert cli.main(["eval", "--events", str(out), "--truth", str(out), "--out", str(tmp_path / "rep")]) == 0
         assert cli.main(["report", "--in", str(tmp_path / "rep")]) == 0
         text = capsys.readouterr().out
         assert "Confusion matrix" in text
         assert "CDF points" in text
+
+    def test_turn_back_truth_reads_back_as_written(self, tmp_path):
+        # Its turn_back record names a step of the file.
+        plan_file, _ = self.write_inputs(tmp_path)
+        script = tmp_path / "turn_walk.txt"
+        script.write_text("version: 1\nwaypoint: 4.6 4.0\nwaypoint: 8.55 4.0\nwaypoint: 4.6 4.0\ndoor_action: 1 doorA approach-and-turn-back\n")
+        assert cli.main(["simulate", "--script", str(script), "--plan", str(plan_file), "--out", str(tmp_path / "turn"), "--seed", "5"]) == 0
+        truth = tmp_path / "turn" / "trial.truth.txt"
+        assert "\nturn_back: " in truth.read_text()
+        save_truth(load_truth(truth), tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_bytes() == truth.read_bytes()
 
     def test_back_to_back_calls_share_no_values(self, tmp_path, capsys):
         plan_file, script_file = self.write_inputs(tmp_path)
@@ -1039,12 +1066,13 @@ class TestReader:
             (load_floorplan, "start: 0 nan 0 indoor\ndoor: d 0 0 1.5 0 indoor outdoor", 2, "point-finite"),
         ],
     )
-    def test_every_record_is_built_in_file_order(self, tmp_path, load, text, line, message):
-        p = tmp_path / "records.txt"
+    def test_every_record_is_built_in_file_order(self, cli_run, tmp_path, capsys, load, text, line, message):
+        p = tmp_path / LOADER_COMMANDS[load][2]
         p.write_text(f"version: 1\n{text}\n")
         with pytest.raises(InvariantViolation, match=rf"^{re.escape(str(p))}:{line}: {re.escape(message)}") as got:
             load(p)
         assert (got.value.path, got.value.line) == (str(p), line)
+        assert_the_cli_prints(capsys, cli_run, load, p, got.value)
 
     @pytest.mark.parametrize(
         "final, refused",
@@ -1118,6 +1146,8 @@ class TestReader:
             (EventLog([StepEvent(0, 0.5, 0.0)], [DoorOpenEvent(2.0, 2.5, 3), DoorOpenEvent(1.0, 1.5, 3)], poses=[Pose(Point2(0, 0), 0.0)], environments=["indoor"]), "door_open 1 has t_start 1.0, after 2.0"),
             # An opening with t_start nan sorted anywhere among the rows.
             (EventLog([StepEvent(0, 0.5, 0.0)], [DoorOpenEvent(1.0, 1.5, 3), DoorOpenEvent(math.nan, 2.5, 3)], poses=[Pose(Point2(0, 0), 0.0)], environments=["indoor"]), "door_open 1 has t_start nan, after 1.0"),
+            # save_events wrote step,5, and load_trial read it back as index 5.
+            (EventLog([StepEvent(5, 0.5, 0.0)], poses=[Pose(Point2(0, 0), 0.0)], environments=["indoor"]), "step 5 is step row 0"),
         ],
     )
     def test_trial_writers_refuse_what_load_trial_refuses(self, tmp_path, save, log, match):
@@ -1140,6 +1170,17 @@ def cli_run(tmp_path_factory):
     (d / "obs.txt").write_text("ap1 -53.0\n")
     (d / "cfg.json").write_text("{}\n")
     return d
+
+
+def cli_args(command, d, files={}):
+    """command and its input flags on the valid files in d, as cli_run holds them, or flag -> path in files."""
+    inputs = {
+        "simulate": {"--script": d / "walk.txt", "--plan": d / "plan.txt"},
+        "track": {"--trace": d / "trial.trace.csv", "--plan": d / "plan.txt"},
+        "eval": {"--events": d, "--truth": d},
+        "locate": {"--observation": d / "obs.txt", "--radiomap": d / "rm.txt"},
+    }[command] | files
+    return [command, *(str(arg) for pair in inputs.items() for arg in pair)]
 
 
 NON_UTF8_CASES = [
@@ -1167,14 +1208,7 @@ def test_non_utf8_input_is_parse_error(cli_run, tmp_path, capsys, command, name)
     lines = target.read_bytes().split(b"\n")
     lines[1] = lines[1][:1] + b"\xff\xfe" + lines[1][1:]
     target.write_bytes(b"\n".join(lines))
-    d = tmp_path
-    args = {
-        "simulate": ["--script", d / "walk.txt", "--plan", d / "plan.txt", "--out", d / "out"],
-        "track": ["--trace", d / "trial.trace.csv", "--plan", d / "plan.txt", "--out", d / "out"],
-        "eval": ["--events", d, "--truth", d, "--out", d / "out"],
-        "locate": ["--observation", d / "obs.txt", "--radiomap", d / "rm.txt"],
-    }[command]
-    rc = cli.main([command, *map(str, args), "--config", str(d / "cfg.json")])
+    rc = cli.main([*cli_args(command, tmp_path), "--out", str(tmp_path / "out"), "--config", str(tmp_path / "cfg.json")])
     err = capsys.readouterr().err
     assert rc == 3 and err.startswith("error[parse]: ")
     if name != "cfg.json":  # the JSON reader names no line
@@ -1220,21 +1254,43 @@ def test_simulate_non_finite_script_value_is_invalid_script(tmp_path, row):
     script.write_text(f"version: 1\n{row}\nwaypoint: 0.0 0.0\nwaypoint: 6.0 0.0\n")
     proc = seamloc_subprocess("simulate", "--script", script, "--out", tmp_path / "o")
     assert proc.returncode == 6
-    assert "error[invalid-script]" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error[invalid-script]: ") and "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def load_path_rows(path):
-    """load_trial of a path file beside an events file with no records."""
-    events = path.with_name("beside.events.csv")
+    """load_trial of a path file beside an events file with no records, named as eval reads them."""
+    events = path.with_name("trial.events.csv")
     events.write_text(f"{harness.EVENTS_HEADER}\n")
     return load_trial(events, path)
 
 
 def load_event_rows(path):
-    """load_trial of an events file beside a path file with no rows."""
-    rows = path.with_name("beside.path.csv")
+    """load_trial of an events file beside a path file with no rows, named as eval reads them."""
+    rows = path.with_name("trial.path.csv")
     rows.write_text(f"{harness.PATH_HEADER}\n")
     return load_trial(path, rows)
+
+
+# The command that reads each loader's file, its flag, and the file's name (eval's flags name its directory).
+LOADER_COMMANDS = {
+    load_floorplan: ("track", "--plan", "plan.txt"),
+    load_trace: ("track", "--trace", "trial.trace.csv"),
+    load_walk_script: ("simulate", "--script", "walk.txt"),
+    load_radiomap: ("locate", "--radiomap", "rm.txt"),
+    load_observation: ("locate", "--observation", "obs.txt"),
+    load_truth: ("eval", "--truth", "trial.truth.txt"),
+    load_path_rows: ("eval", "--events", "trial.path.csv"),
+    load_event_rows: ("eval", "--events", "trial.events.csv"),
+}
+
+
+def assert_the_cli_prints(capsys, d, load, path, error):
+    """The command that reads path with load, on d's valid files otherwise, exits with
+    error's code and prints its line, raising and warning nothing (cli_main_quietly)."""
+    command, flag, _ = LOADER_COMMANDS[load]
+    files = {flag: path.parent if command == "eval" else path}
+    rc, err = cli_main_quietly(capsys, *cli_args(command, d, files), "--out", path.with_name("out"))
+    assert (rc, err) == (error.exit_code, f"error[{error.category}]: {error}\n")
 
 
 RECORD_ERRORS = [
@@ -1280,6 +1336,13 @@ RECORD_ERRORS = [
     # A column that a record leaves empty is read as empty: save_events would write it back empty.
     (load_event_rows, "door_open,junk,x,,,,1.0,2.0,3,,", ParseError, "door_open leaves this column empty, got 'junk'"),
     (load_event_rows, "step,0,0.5,doorA,,,,,,,", ParseError, "step leaves this column empty, got 'doorA'"),
+    # Steps and openings that save_events would refuse or write back otherwise: by line, not as a path row.
+    (load_event_rows, "step,5,0.5,,,,,,,,", ParseError, "step 5 is step row 0: an index is its row's position"),
+    (load_event_rows, "step,0,1.0,,,,,,,,\nstep,1,0.5,,,,,,,,", ParseError, "step times must be in order and not NaN: step 1 has t 0.5, after 1.0"),
+    (load_event_rows, "step,0,nan,,,,,,,,", ParseError, "step times must be in order and not NaN: step 0 has t nan, after -inf"),
+    (load_event_rows, "door_open,,,,,,2.0,2.5,3,,\ndoor_open,,,,,,1.0,1.5,3,,", ParseError, "door_open times must be in order and not NaN: door_open 1 has t_start 1.0"),
+    # A switch's t is its step's, or 0.0 at no step: it would be saved back otherwise.
+    (load_event_rows, "switch,0,0.5,doorA,1.0,2.0,,,,indoor,outdoor", ParseError, "switch at step 0 has t 0.5, not 0.0"),
     # A trace names its first bad sample; an interval's is the sample that ends it, and overflow warns nothing.
     (load_trace, "0,0,0,9.81,0,0,0,22,0,-43\n0.01,0,0,9.81,0,0,0,nan,0,-43", InvariantViolation, "trace-finite: non-finite value in mag"),
     (load_trace, "0,0,0,9.81,0,0,0,22,0,-43\n0,0,0,9.81,0,0,0,22,0,-43", InvariantViolation, "trace-monotonic-time"),
@@ -1301,9 +1364,9 @@ RECORD_TAILS = {load_walk_script: "waypoint: 0 0\nwaypoint: 5 0\n"}
 
 
 @pytest.mark.parametrize("load, record, error, message", RECORD_ERRORS, ids=[r[1] for r in RECORD_ERRORS])
-def test_record_error_names_its_file_and_line(tmp_path, load, record, error, message):
-    # The bad record is the last line of `record`.
-    path = tmp_path / "records.txt"
+def test_record_error_names_its_file_and_line(cli_run, tmp_path, capsys, load, record, error, message):
+    # The bad record is the last line of `record`; the command that reads the file prints the same error.
+    path = tmp_path / LOADER_COMMANDS[load][2]
     head = RECORD_HEADS.get(load, "version: 1\n# a comment\n")
     path.write_text(f"{head}{record}\n{RECORD_TAILS.get(load, '')}")
     with pytest.raises(errors.SeamlocError) as got:
@@ -1312,10 +1375,11 @@ def test_record_error_names_its_file_and_line(tmp_path, load, record, error, mes
     assert type(got.value) is error
     assert str(got.value).startswith(f"{path}:{line}: {message}")
     assert got.value.path == str(path) and got.value.line == line
+    assert_the_cli_prints(capsys, cli_run, load, path, got.value)
 
 
 GOLDEN = Path(__file__).parent / "golden"
-# The walk script and observation that CI's console-script step runs on.
+# The walk script of the protocol run (TestCli, and CI's installed console script), and an observation.
 CI_WALK = """version: 1
 waypoint: 4.6 4.0
 waypoint: 9.3 4.0
@@ -1897,19 +1961,21 @@ BAD_CONFIGS = [
     # pf_init failed to allocate these particles (a MemoryError, or a ValueError past the largest dimension).
     ("track", '{"pf": {"particle_count": 1000000000000}}'),
     ("track", '{"pf": {"particle_count": 9223372036854775808}}'),
+    # Past geometry.CONFIG_LIMIT: numpy warned of overflow in the particle moves and the wall test, then exit 4 or 7.
+    ("track", '{"pf": {"step_sigma": 1e308}}'),
+    ("track", '{"pf": {"step_sigma": 1e200}}'),
+    ("track", '{"pf": {"heading_sigma": 1e308}}'),
+    ("track", '{"pf": {"init_sigma": 1e308}}'),
+    ("track", '{"pdr": {"step_length": 1e308}}'),
+    # A door zone of infinite ends: exit 4 with point-finite, naming no config value.
+    ("track", '{"crossing": {"zone_width": 1e308}}'),
 ]
 
 
 def _cli_exit_2(d, tmp_path, command, *extra):
     """Run command on the valid inputs in d in a separate interpreter, so an
     uncaught exception shows as a traceback; it must exit 2 with invalid-parameter."""
-    args = {
-        "simulate": ["--script", d / "walk.txt", "--plan", d / "plan.txt"],
-        "track": ["--trace", d / "trial.trace.csv", "--plan", d / "plan.txt"],
-        "eval": ["--events", d, "--truth", d],
-        "locate": ["--observation", d / "obs.txt", "--radiomap", d / "rm.txt"],
-    }[command]
-    proc = seamloc_subprocess(command, *args, "--out", tmp_path / "o", *extra)
+    proc = seamloc_subprocess(*cli_args(command, d), "--out", tmp_path / "o", *extra)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error[invalid-parameter]: ") and "Traceback" not in proc.stderr
 
