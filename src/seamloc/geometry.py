@@ -65,7 +65,9 @@ PLAN_LIMIT = 1e100
 # step, heading) that a config takes. A normal draw stays under 10 sigma, so a step moves
 # a particle at most 1.1e51 m and turns it at most 1e51 rad, whose cos and sin are finite;
 # a walk of fewer than 1e48 steps from within PLAN_LIMIT stays within 2e100 m, where
-# _straddle's products stay under 4e201 and segment_intersection's under 7e301.
+# _straddle's products stay under 4e201 and segment_intersection's under 7e301. It also bounds
+# the simulator's noise sigmas and |gyro_bias|: a noisy sample stays under about 1e51, so its
+# squared norm and the yaw increments stay finite.
 CONFIG_LIMIT = 1e50
 
 

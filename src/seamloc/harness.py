@@ -25,7 +25,7 @@ from .errors import SeamlocError
 from .filters import KfConfig, PfConfig, kf_init, kf_predict, kf_run, kf_update, mag_heading, mag_headings, pf_init, pf_run, pf_step
 from .fingerprint import Fingerprint, RadioMap, dbm_reading, unique_readings
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
-from .pdr import PdrConfig, Pose, integrate_heading, propagate_step, step_samples, wrap_angle
+from .pdr import PdrConfig, Pose, integrate_headings, propagate_step, step_samples, wrap_angle
 from .signal import DoorOpenEvent, SignalConfig, StepEvent, Trace, detect_door_openings, detect_steps, normalized_series
 from .sim import DoorAction, GroundTruth, WalkScript
 
@@ -103,8 +103,8 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     pf, kf = _backend(cstate.environment, Pose(position, heading), cfg, cfg.seed)
     zones = build_zone_lookup(plan.doors, cfg.crossing)
 
-    mag_z = increments = None  # built on first use: dts, rates and mag_z for the KF, increments for the PF
-    headings, ahead = [], []  # indoors: the headings of steps k, k + 1, ..., and pf_run's pairs of the first ones
+    mag_z = None  # built on first use: dts, rates and mag_z for the KF
+    headings, ahead = [], []  # indoors: step j's heading at headings[j] in this stretch, and pf_run's pairs not yet taken
     sample_at = step_samples(trace, steps)
     open_starts = [ev.t_start for ev in door_opens]
     open_ends = [ev.t_end for ev in door_opens]  # sorted: merged openings are disjoint
@@ -121,24 +121,19 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
             heading = kf.heading
             pose = propagate_step(Pose(prev_pos, heading), cfg.pdr)
         else:
+            if not headings:  # the first step of an indoor stretch: the start, or the step after a switch
+                headings = [None] * k + integrate_headings(heading, trace.yaw_increments()[2].tolist(), cursor, sample_at[k:])
             if not ahead:
-                if increments is None:
-                    increments = trace.yaw_increments()[2].tolist()
-                # Integrate each heading once, up to PF_RUN steps ahead.
-                h, i = (headings[-1], sample_at[k + len(headings) - 1]) if headings else (heading, cursor)
-                for i_next in sample_at[k + len(headings) : k + PF_RUN]:
-                    h, i = integrate_heading(h, increments, i, i_next), i_next
-                    headings.append(h)
                 try:
-                    ahead = pf_run(pf, headings, cfg.pf, cfg.pdr, plan)
+                    ahead = pf_run(pf, headings[k : k + PF_RUN], cfg.pf, cfg.pdr, plan)
                 except FilterDivergenceError:
                     # One reinitialization at the last valid estimate, then give up.
-                    pf = pf_init(Pose(prev_pos, headings[0]), cfg.pf, seed=cfg.seed + 7919 + k)
+                    pf = pf_init(Pose(prev_pos, headings[k]), cfg.pf, seed=cfg.seed + 7919 + k)
                     try:
-                        ahead = pf_run(pf, headings, cfg.pf, cfg.pdr, plan)
+                        ahead = pf_run(pf, headings[k : k + PF_RUN], cfg.pf, cfg.pdr, plan)
                     except FilterDivergenceError as exc:
                         raise FilterDivergenceError(f"particle filter diverged at step {k}") from exc
-            heading, (pf, position) = headings.pop(0), ahead.pop(0)
+            heading, (pf, position) = headings[k], ahead.pop(0)
             pose = Pose(position, heading)
         position, cursor = pose.position, i_k
 

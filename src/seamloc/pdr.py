@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,14 +45,19 @@ def propagate_step(pose: Pose, cfg: PdrConfig) -> Pose:
     return Pose(Point2(p.x + step * math.cos(heading), p.y + step * math.sin(heading)), heading)
 
 
-def integrate_heading(heading: float, increments: list[float], i0: int, i1: int) -> float:
-    """heading plus the gyro yaw increments[i0:i1], added one at a time and
-    wrapped only when the sum leaves (-pi, pi], so it never overflows."""
-    for inc in increments[i0:i1]:
-        heading += inc
-        if not -math.pi < heading <= math.pi:
-            heading = wrap_angle(heading)
-    return heading
+def integrate_headings(heading: float, increments: list[float], i0: int, samples: Iterable[int]) -> list[float]:
+    """The heading at each of samples (in order, none before i0), starting from heading at
+    sample i0: the gyro yaw increments between are added one at a time, and the sum is
+    wrapped only when it leaves (-pi, pi], so it never overflows."""
+    headings = []
+    for i1 in samples:
+        for inc in increments[i0:i1]:
+            heading += inc
+            if not -math.pi < heading <= math.pi:
+                heading = wrap_angle(heading)
+        headings.append(heading)
+        i0 = i1
+    return headings
 
 
 def step_samples(trace: Trace, steps: list[StepEvent]) -> list[int]:
@@ -60,21 +66,17 @@ def step_samples(trace: Trace, steps: list[StepEvent]) -> list[int]:
 
 
 def heading_series(trace: Trace, cfg: PdrConfig) -> np.ndarray:
-    """Heading at every sample, in (-pi, pi]: integrate_heading over one interval at a time."""
+    """Heading at every sample, in (-pi, pi]: one integrate_headings fold over them all."""
     increments = trace.yaw_increments()[2].tolist()
-    psi = [wrap_angle(cfg.initial_pose.heading)] if len(trace) else []
-    for i in range(len(increments)):
-        psi.append(integrate_heading(psi[-1], increments, i, i + 1))
-    return np.array(psi)
+    return np.array(integrate_headings(wrap_angle(cfg.initial_pose.heading), increments, 0, range(len(trace))))
 
 
 def run_pdr(trace: Trace, steps: list[StepEvent], cfg: PdrConfig) -> list[Pose]:
-    """Dead-reckoned pose at each step, steps in time order: the heading runs through
-    integrate_heading to the step's sample, and the step advances step_length along it."""
+    """Dead-reckoned pose at each step, steps in time order: one integrate_headings fold gives
+    the heading at each step's sample, and the step advances step_length along it."""
     increments, samples = trace.yaw_increments()[2].tolist(), step_samples(trace, steps)
-    pose = Pose(cfg.initial_pose.position, wrap_angle(cfg.initial_pose.heading))
-    poses: list[Pose] = []
-    for i0, i1 in zip([0, *samples], samples):
-        pose = propagate_step(Pose(pose.position, integrate_heading(pose.heading, increments, i0, i1)), cfg)
-        poses.append(pose)
+    position, poses = cfg.initial_pose.position, []
+    for heading in integrate_headings(wrap_angle(cfg.initial_pose.heading), increments, 0, samples):
+        poses.append(propagate_step(Pose(position, heading), cfg))
+        position = poses[-1].position
     return poses

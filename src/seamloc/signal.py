@@ -104,6 +104,8 @@ class SignalConfig:
             raise InvalidParameterError("door_lo must be below door_hi")
         if not (self.step_refractory > 0 and self.door_window > 0):
             raise InvalidParameterError("time windows must be positive")
+        if self.door_min_zero_crossings < 0:
+            raise InvalidParameterError(f"door_min_zero_crossings must be >= 0, got {self.door_min_zero_crossings}")
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, InvalidScriptError, InvariantViolation
 from .crossing import CrossingConfig, build_zone_lookup
-from .geometry import Door, FloorPlan, Point2, Segment2, segment_intersection
+from .geometry import CONFIG_LIMIT, Door, FloorPlan, Point2, Segment2, segment_intersection
 from .pdr import wrap_angle
 from .signal import Trace
 
@@ -109,10 +109,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(sigma >= 0 for sigma in (self.accel_sigma, self.gyro_sigma, self.mag_sigma)):
-            raise InvalidParameterError("noise sigmas must be non-negative")
-        if not math.isfinite(self.gyro_bias):
-            raise InvalidParameterError(f"gyro_bias must be finite, got {self.gyro_bias}")
+        if not all(0 <= sigma <= CONFIG_LIMIT for sigma in (self.accel_sigma, self.gyro_sigma, self.mag_sigma)):
+            raise InvalidParameterError(f"noise sigmas must be in [0, {CONFIG_LIMIT:g}]")
+        if not abs(self.gyro_bias) <= CONFIG_LIMIT:
+            raise InvalidParameterError(f"gyro_bias must be in [-{CONFIG_LIMIT:g}, {CONFIG_LIMIT:g}], got {self.gyro_bias}")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 

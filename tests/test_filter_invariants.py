@@ -17,10 +17,10 @@ def assert_wrapped(heading):
 
 
 def check_filters(monkeypatch) -> dict[str, int]:
-    """Wrap harness.pf_run, kf_run and integrate_heading with the invariant checks; returns
+    """Wrap harness.pf_run, kf_run and integrate_headings with the invariant checks; returns
     their call counts, and as "pf_steps" the steps that the pf_run calls returned."""
-    calls = {"pf_run": 0, "pf_steps": 0, "kf_run": 0, "integrate_heading": 0}
-    pf_run, kf_run, integrate_heading = harness.pf_run, harness.kf_run, harness.integrate_heading
+    calls = {"pf_run": 0, "pf_steps": 0, "kf_run": 0, "integrate_headings": 0}
+    pf_run, kf_run, integrate_headings = harness.pf_run, harness.kf_run, harness.integrate_headings
 
     def checked_pf_run(*args):
         run = pf_run(*args)
@@ -41,15 +41,16 @@ def check_filters(monkeypatch) -> dict[str, int]:
         calls["kf_run"] += 1
         return state
 
-    def checked_integrate_heading(*args):
-        heading = integrate_heading(*args)
-        assert_wrapped(heading)
-        calls["integrate_heading"] += 1
-        return heading
+    def checked_integrate_headings(*args):
+        headings = integrate_headings(*args)
+        for heading in headings:
+            assert_wrapped(heading)
+        calls["integrate_headings"] += 1
+        return headings
 
     monkeypatch.setattr(harness, "pf_run", checked_pf_run)
     monkeypatch.setattr(harness, "kf_run", checked_kf_run)
-    monkeypatch.setattr(harness, "integrate_heading", checked_integrate_heading)
+    monkeypatch.setattr(harness, "integrate_headings", checked_integrate_headings)
     return calls
 
 
@@ -68,17 +69,19 @@ def test_filters_keep_their_invariants_on_golden_walks(monkeypatch, name, script
     calls = check_filters(monkeypatch)
     path, log = harness.track(trace, plan, PipelineConfig(seed=seed))
     assert repr((path, log)) == single  # the same track, bit for bit
-    # One heading update per step, from the back-end of the environment the step starts in.
-    indoor = [plan.start_environment, *log.environments[:-1]].count("indoor")
+    # One KF heading update per outdoor step; indoors, one heading fold per stretch, at its
+    # first step: the start, or the step after a switch.
+    starts_in = [plan.start_environment, *log.environments[:-1]]
+    indoor = starts_in.count("indoor")
+    after_switch = {0} | {sw.step_index + 1 for sw in log.switches}
+    stretches = sum(env == "indoor" and k in after_switch for k, env in enumerate(starts_in))
+    assert len(log.steps) > 0
     assert calls["kf_run"] == len(log.steps) - indoor
+    assert calls["integrate_headings"] == stretches
+    assert calls["pf_steps"] >= indoor
     if pf_run == 1:
-        assert calls["kf_run"] + calls["integrate_heading"] == len(log.steps) > 0
-        assert calls["pf_run"] >= calls["integrate_heading"]
+        assert calls["pf_run"] >= indoor
     else:
-        # Headings are integrated once, up to pf_run steps ahead; a switch out of doors drops
-        # the ones beyond it, and the pairs that pf_run returned for them.
-        assert indoor <= calls["integrate_heading"] <= indoor + (pf_run - 1) * len(log.switches)
-        assert calls["pf_steps"] >= indoor
         assert calls["pf_run"] < calls["pf_steps"] or indoor == 0
     for pose in path:
         assert_wrapped(pose.heading)

@@ -1969,6 +1969,15 @@ BAD_CONFIGS = [
     ("track", '{"pdr": {"step_length": 1e308}}'),
     # A door zone of infinite ends: exit 4 with point-finite, naming no config value.
     ("track", '{"crossing": {"zone_width": 1e308}}'),
+    # Past geometry.CONFIG_LIMIT: the noisy samples overflowed, and simulate exited 4 with
+    # trace-finite or trace-increment-finite, blaming the walk script.
+    ("simulate", '{"noise": {"accel_sigma": 1e308}}'),
+    ("simulate", '{"noise": {"gyro_sigma": 1e308}}'),
+    ("simulate", '{"noise": {"mag_sigma": 1e308}}'),
+    ("simulate", '{"noise": {"gyro_bias": 1e308}}'),
+    ("simulate", '{"noise": {"gyro_bias": -1e51}}'),
+    # A negative count was taken as 0.
+    ("track", '{"signal": {"door_min_zero_crossings": -1}}'),
 ]
 
 

@@ -19,7 +19,7 @@ from seamloc import (
     run_pdr,
     wrap_angle,
 )
-from seamloc.pdr import heading_series, propagate_step
+from seamloc.pdr import heading_series, integrate_headings, propagate_step
 
 
 class TestWrapAngle:
@@ -159,7 +159,7 @@ class TestRunPdr:
 
 # ---------------------------------------------------------------------------
 # Oracle: dead reckoning by the unwrapped cumulative sum it used before the
-# one gyro heading rule (pdr.integrate_heading)
+# one gyro heading rule (pdr.integrate_headings)
 # ---------------------------------------------------------------------------
 
 
@@ -236,3 +236,42 @@ class TestOneHeadingRule:
 
     def test_empty_trace_has_no_headings(self):
         assert len(heading_series(gyro_trace(np.zeros(0), 100.0), PdrConfig())) == 0
+
+
+def one_interval(heading, increments, i0, i1):
+    """The gyro heading rule over one interval: increments[i0:i1] added one at a time,
+    the sum wrapped only when it leaves (-pi, pi]."""
+    for inc in increments[i0:i1]:
+        heading += inc
+        if not -math.pi < heading <= math.pi:
+            heading = wrap_angle(heading)
+    return heading
+
+
+@st.composite
+def folds(draw):
+    """(heading, increments, i0, samples): finite increments up to +/-1e300, a start sample
+    i0 that may lie above 0, and sample indices in order from i0, repeats allowed."""
+    increments = draw(st.lists(st.floats(-1e300, 1e300), max_size=30))
+    i0 = draw(st.integers(0, len(increments)))
+    samples = sorted(draw(st.lists(st.integers(i0, len(increments)), max_size=20)))
+    return draw(st.floats(-math.pi, math.pi, exclude_min=True)), increments, i0, samples
+
+
+class TestIntegrateHeadings:
+    @settings(max_examples=300, deadline=None)
+    @given(folds())
+    @example((0.5, [0.1, 0.2, 0.3], 1, []))  # no samples, no headings
+    @example((0.5, [0.1, 0.2, 0.3], 1, [2, 2, 3]))  # two steps on one sample
+    @example((3.0, [1e300, -1e300, 1e300], 0, [1, 2, 3]))
+    @example((math.pi, [0.0, 2.0, 4.0], 0, [0, 0, 3]))
+    def test_fold_equals_chained_intervals(self, fold):
+        heading, increments, i0, samples = fold
+        want, h = [], heading
+        for i, i1 in zip([i0, *samples], samples):
+            h = one_interval(h, increments, i, i1)
+            want.append(h)
+        got = integrate_headings(heading, increments, i0, samples)
+        assert repr(got) == repr(want)  # the same adds in the same order: the same bits
+        for h in got:
+            assert -math.pi < h <= math.pi

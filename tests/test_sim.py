@@ -79,6 +79,14 @@ class TestGenerateWalk:
         assert np.array_equal(t1.gyro, t2.gyro)
         assert np.array_equal(t1.mag, t2.mag)
 
+    @pytest.mark.parametrize("field, sign", [("accel_sigma", 1.0), ("gyro_sigma", 1.0), ("mag_sigma", 1.0), ("gyro_bias", 1.0), ("gyro_bias", -1.0)])
+    def test_noise_up_to_the_config_limit_gives_a_finite_trace(self, field, sign):
+        limit = sign * sim.CONFIG_LIMIT
+        trace, _ = generate_walk(STRAIGHT, NoiseModel(**{field: limit}, seed=3))
+        assert np.isfinite(trace.accel_squared()).all() and np.isfinite(trace.yaw_increments()[2]).all()
+        with pytest.raises(InvalidParameterError, match="must be in"):
+            NoiseModel(**{field: math.nextafter(limit, sign * math.inf)})
+
     def test_jiggle_stays_below_step_threshold(self):
         script = WalkScript(
             waypoints=(Point2(0, 0), Point2(3, 0), Point2(6, 0)),
