@@ -7,7 +7,6 @@ so a file reads back as written, and every written column is checked on read.
 
 from __future__ import annotations
 
-import bisect
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -105,24 +104,25 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
 
     mag_z = None  # built on first use: dts, rates and mag_z for the KF
     headings, ahead = [], []  # indoors: step j's heading at headings[j] in this stretch, and pf_run's pairs not yet taken
-    sample_at = step_samples(trace, steps)
-    open_starts = [ev.t_start for ev in door_opens]
-    open_ends = [ev.t_end for ev in door_opens]  # sorted: merged openings are disjoint
-    cursor = 0
+    bounds = [0, *step_samples(trace, steps)]  # step k's samples run from bounds[k] to bounds[k + 1]
+    # Step k sees an opening that overlaps (t of step k - 1, t of step k]: merged openings are
+    # disjoint and sorted, so one does when more start by t_k than end by t_(k-1) (t_(-1) = -inf).
+    ts = np.array([-math.inf] + [s.t for s in steps])
+    opened = (np.searchsorted([ev.t_start for ev in door_opens], ts[1:], "right")
+              > np.searchsorted([ev.t_end for ev in door_opens], ts[:-1], "right")).tolist()
 
-    for k, step in enumerate(steps):
-        i_k = sample_at[k]
+    for k in range(len(steps)):
         prev_pos = position
         if pf is None:
             if mag_z is None:
                 dts, rates = (arr.tolist() for arr in trace.yaw_increments()[:2])
                 mag_z = mag_headings(trace.mag[1:, :2], cfg.kf.declination)
-            kf = kf_run(kf, rates, dts, mag_z, cursor, i_k, cfg.kf)
+            kf = kf_run(kf, rates, dts, mag_z, bounds[k], bounds[k + 1], cfg.kf)
             heading = kf.heading
             pose = propagate_step(Pose(prev_pos, heading), cfg.pdr)
         else:
             if not headings:  # the first step of an indoor stretch: the start, or the step after a switch
-                headings = [None] * k + integrate_headings(heading, trace.yaw_increments()[2].tolist(), cursor, sample_at[k:])
+                headings = [None] * k + integrate_headings(heading, trace.yaw_increments()[2].tolist(), bounds[k], bounds[k + 1 :])
             if not ahead:
                 try:
                     ahead = pf_run(pf, headings[k : k + PF_RUN], cfg.pf, cfg.pdr, plan)
@@ -135,15 +135,10 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
                         raise FilterDivergenceError(f"particle filter diverged at step {k}") from exc
             heading, (pf, position) = headings[k], ahead.pop(0)
             pose = Pose(position, heading)
-        position, cursor = pose.position, i_k
-
-        # An opening overlaps (prev_t, step.t] when the first one ending after
-        # prev_t starts by step.t.
-        j = bisect.bisect_right(open_ends, steps[k - 1].t if k else float("-inf"))
-        opened = j < len(open_starts) and open_starts[j] <= step.t
+        position = pose.position
 
         cstate = crossing_mod.arm_check(cstate, position, zones, cfg.crossing)
-        cstate, switch = crossing_mod.observe_step(cstate, k, prev_pos, position, opened, cfg.crossing, zones)
+        cstate, switch = crossing_mod.observe_step(cstate, k, prev_pos, position, opened[k], cfg.crossing, zones)
         if switch is not None:
             log.switches.append(switch)
             pf, kf = _backend(switch.to_env, Pose(switch.crossing_point, heading), cfg, cfg.seed + k + 1)
@@ -548,14 +543,23 @@ def load_walk_script(path):
         )
 
 
-def _check_events(steps, door_opens) -> None:
-    """Refuse, with InvalidParameterError naming the record, steps and openings that an
-    events file would not read back as: step k has index k, and step times and opening
-    start times are in order (save_events sorts its rows by time)."""
+def _switch_t(steps, k: int) -> float:
+    """The t an events file gives a switch at step k: step row k's, or 0.0 where there is none."""
+    return steps[k].t if 0 <= k < len(steps) else 0.0
+
+
+def _check_events(steps, door_opens, switches) -> None:
+    """Refuse, with InvalidParameterError naming the record, events that an events file
+    would not read back as: step k has index k, and step times, opening start times and
+    switch times (_switch_t) are in order (save_events sorts its rows by time)."""
     for k, step in enumerate(steps):
         if step.index != k:
             raise InvalidParameterError(f"step {step.index} is step row {k}: an index is its row's position", record=("step", k))
-    for kind, name, times in (("step", "t", [s.t for s in steps]), ("door_open", "t_start", [d.t_start for d in door_opens])):
+    for kind, name, times in (
+        ("step", "t", [s.t for s in steps]),
+        ("door_open", "t_start", [d.t_start for d in door_opens]),
+        ("switch", "t", [_switch_t(steps, sw.step_index) for sw in switches]),
+    ):
         for k, (before, t) in enumerate(zip([-math.inf, *times], times)):
             if not before <= t:  # NaN fails too
                 message = f"{kind} times must be in order and not NaN: {kind} {k} has {name} {t!r}, after {before!r}"
@@ -569,7 +573,7 @@ def _check_trial(log: EventLog) -> None:
     if not len(log.steps) == len(log.poses) == len(log.environments):
         counts = f"{len(log.steps)} steps, {len(log.poses)} poses and {len(log.environments)} environments"
         raise InvalidParameterError(f"a trial needs one pose per step and one environment per pose, got {counts}")
-    _check_events(log.steps, log.door_opens)
+    _check_events(log.steps, log.door_opens, log.switches)
 
 
 def save_path(log: EventLog, path) -> None:
@@ -577,11 +581,6 @@ def save_path(log: EventLog, path) -> None:
     trial = enumerate(zip(log.steps, log.poses, log.environments))
     rows = [(None, (i, s.t, p.position.x, p.position.y, p.heading, env)) for i, (s, p, env) in trial]
     _write(path, _PATH, rows, PATH_HEADER, ",")
-
-
-def _switch_t(steps, k: int) -> float:
-    """The t an events file gives a switch at step k: step row k's, or 0.0 where there is none."""
-    return steps[k].t if 0 <= k < len(steps) else 0.0
 
 
 def save_events(log: EventLog, path) -> None:
@@ -612,9 +611,9 @@ def load_trial(events_path, path_path) -> EventLog:
         poses=[pose for _, (_, _, pose, _) in rows],
         environments=[env for _, (*_, env) in rows],
     )
-    with _located(events_path, events):  # a rule of save_events names its step or door_open line
+    with _located(events_path, events):  # a rule of save_events names its step, door_open or switch line
         try:
-            _check_events(log.steps, log.door_opens)
+            _check_events(log.steps, log.door_opens, log.switches)
         except InvalidParameterError as exc:  # a file that breaks it is a parse error
             raise ParseError(str(exc), record=exc.record) from None
     for lineno, (t, switch) in events["switch"]:

@@ -63,9 +63,9 @@ def _trial() -> EventLog:
     return EventLog(
         steps=[StepEvent(0, 0.5, 1.5), StepEvent(1, 1.0, 1.25), StepEvent(2, 1e300, 1.0)],
         door_opens=[DoorOpenEvent(5e-324, 0.25, 2), DoorOpenEvent(1.0, 2.0, 4)],
-        switches=[
-            SwitchEvent(1, "doorA", Point2(10, 4), "indoor", "outdoor"),
+        switches=[  # in time order: step 7, past the last step, is written at t 0.0
             SwitchEvent(7, "doorB", Point2(-0.0, 5e-324), "outdoor", "indoor"),
+            SwitchEvent(1, "doorA", Point2(10, 4), "indoor", "outdoor"),
         ],
         poses=[Pose(Point2(1, 0), 0), Pose(Point2(0.75, -0.0), -0.0), Pose(Point2(1e300, -5e-324), math.pi)],
         environments=["indoor", "outdoor", ""],

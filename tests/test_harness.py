@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import make_golden
 import seamloc.cli as cli
 from seamloc import errors, harness
 from seamloc import (
@@ -197,6 +198,41 @@ class TestTrack:
                 want.append(any(ev.t_start <= step.t and ev.t_end > prev_t for ev in log.door_opens))
         assert flags == want
         assert True in flags and False in flags
+
+    def test_door_open_flags_follow_the_tie_rule_at_step_times(self, monkeypatch):
+        # Detected openings never start or end at a step's t; these do. A step sees an opening
+        # that starts or ends at its own t, and not one that ends at the previous step's t.
+        from seamloc import crossing as crossing_mod
+
+        plan = two_building_plan()
+        trace, _ = generate_walk(crossing_script(plan), doors=plan.doors)
+
+        def detect_door_openings(t, a, cfg, steps):
+            ts = [s.t for s in steps]
+            return [
+                DoorOpenEvent(ts[1], ts[1], 2),  # an instant at step 1
+                DoorOpenEvent(ts[3], ts[5], 2),  # from step 3's t to step 5's
+                DoorOpenEvent(ts[5], ts[6], 2),  # touching the one before
+                DoorOpenEvent((ts[8] + ts[9]) / 2, (ts[8] + ts[9]) / 2, 2),  # between steps 8 and 9
+                DoorOpenEvent(ts[11], ts[-1] + 1.0, 2),  # past the last step
+            ]
+
+        observe = crossing_mod.observe_step
+        flags = []
+
+        def recording(cstate, k, prev, pos, opened, *args):
+            flags.append(opened)
+            return observe(cstate, k, prev, pos, opened, *args)
+
+        monkeypatch.setattr(harness, "detect_door_openings", detect_door_openings)
+        monkeypatch.setattr(crossing_mod, "observe_step", recording)
+        _, log = track(trace, plan)
+        want = []
+        for k, step in enumerate(log.steps):
+            prev_t = log.steps[k - 1].t if k else float("-inf")
+            want.append(any(ev.t_start <= step.t and ev.t_end > prev_t for ev in log.door_opens))
+        assert flags == want
+        assert flags[:13] == [False, True, False, True, True, True, True, False, False, True, False, True, True]
 
     def test_divergence_reports_step_index(self):
         from seamloc import FilterDivergenceError, PfConfig, WalkScript
@@ -1148,6 +1184,8 @@ class TestReader:
             (EventLog([StepEvent(0, 0.5, 0.0)], [DoorOpenEvent(1.0, 1.5, 3), DoorOpenEvent(math.nan, 2.5, 3)], poses=[Pose(Point2(0, 0), 0.0)], environments=["indoor"]), "door_open 1 has t_start nan, after 1.0"),
             # save_events wrote step,5, and load_trial read it back as index 5.
             (EventLog([StepEvent(5, 0.5, 0.0)], poses=[Pose(Point2(0, 0), 0.0)], environments=["indoor"]), "step 5 is step row 0"),
+            # save_events sorted the switches by their step's t (0.0 past the last step), and load_trial read them back reordered.
+            (EventLog([StepEvent(0, 0.5, 0.0)], switches=[SwitchEvent(0, "a", Point2(0, 0), "indoor", "outdoor"), SwitchEvent(3, "a", Point2(0, 0), "outdoor", "indoor")], poses=[Pose(Point2(0, 0), 0.0)], environments=["indoor"]), "switch 1 has t 0.0, after 0.5"),
         ],
     )
     def test_trial_writers_refuse_what_load_trial_refuses(self, tmp_path, save, log, match):
@@ -1341,6 +1379,8 @@ RECORD_ERRORS = [
     (load_event_rows, "step,0,1.0,,,,,,,,\nstep,1,0.5,,,,,,,,", ParseError, "step times must be in order and not NaN: step 1 has t 0.5, after 1.0"),
     (load_event_rows, "step,0,nan,,,,,,,,", ParseError, "step times must be in order and not NaN: step 0 has t nan, after -inf"),
     (load_event_rows, "door_open,,,,,,2.0,2.5,3,,\ndoor_open,,,,,,1.0,1.5,3,,", ParseError, "door_open times must be in order and not NaN: door_open 1 has t_start 1.0"),
+    # A switch's time is its step's, or 0.0 past the last step: save_events would write these two the other way round.
+    (load_event_rows, "step,0,0.5,,,,,,,,\nswitch,0,0.5,doorA,1.0,2.0,,,,indoor,outdoor\nswitch,5,0.0,doorA,1.0,2.0,,,,outdoor,indoor", ParseError, "switch times must be in order and not NaN: switch 1 has t 0.0, after 0.5"),
     # A switch's t is its step's, or 0.0 at no step: it would be saved back otherwise.
     (load_event_rows, "switch,0,0.5,doorA,1.0,2.0,,,,indoor,outdoor", ParseError, "switch at step 0 has t 0.5, not 0.0"),
     # A trace names its first bad sample; an interval's is the sample that ends it, and overflow warns nothing.
@@ -1779,6 +1819,76 @@ def test_floorplan_that_builds_loads_back_as_saved(tmp_path, fields, refused):
     loaded = assert_saves_and_loads_back(save_floorplan, load_floorplan, plan, names, tmp_path / "plan.txt")
     if loaded is not None:
         assert loaded.wall_array().tobytes() == plan.wall_array().tobytes()
+
+
+TIMES = st.floats()  # NaN and infinities included
+TRIAL_NAMES = st.one_of(NAMES, st.text(", a\n", max_size=4))  # a CSV field with a comma, a line break or an end space does not read back
+
+
+@st.composite
+def trial_logs(draw):
+    """EventLogs of any events: steps, openings and switches in any order (each list sorted by
+    time or not), a step index off its row, switches at any step index, NaN and infinite times,
+    names with commas and spaces, and pose and environment counts off the step count."""
+    k = draw(st.integers(0, 4))
+    times = draw(st.lists(TIMES, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        times.sort()
+    indices = list(range(k))
+    if k and draw(st.booleans()):
+        indices[draw(st.integers(0, k - 1))] = draw(st.integers(-1, 5))
+    opens = draw(st.lists(st.tuples(TIMES, TIMES, st.integers(-5, 50)), max_size=3))
+    if draw(st.booleans()):
+        opens.sort(key=lambda d: d[0])
+    switches = draw(st.lists(st.builds(SwitchEvent, st.integers(-2, k + 2), TRIAL_NAMES, st.builds(Point2, FINITE, FINITE), TRIAL_NAMES, TRIAL_NAMES), max_size=3))
+    if draw(st.booleans()):  # in the order save_events writes them: by their step's t, 0.0 at no step
+        switches.sort(key=lambda sw: times[sw.step_index] if 0 <= sw.step_index < k else 0.0)
+    n_poses, n_envs = draw(st.sampled_from([(k, k)] * 12 + [(k + 1, k), (k, k + 1), (max(k - 1, 0), k), (k, max(k - 1, 0))]))
+    return EventLog(
+        steps=[StepEvent(i, t, draw(TIMES)) for i, t in zip(indices, times)],
+        door_opens=[DoorOpenEvent(*d) for d in opens],
+        switches=switches,
+        poses=draw(st.lists(st.builds(Pose, st.builds(Point2, FINITE, FINITE), TIMES), min_size=n_poses, max_size=n_poses)),
+        environments=draw(st.lists(TRIAL_NAMES, min_size=n_envs, max_size=n_envs)),
+    )
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(log=trial_logs())
+@example(log=make_golden._trial())
+# The golden trial with its switches listed as they were: they saved, and loaded back reordered.
+@example(log=dataclasses.replace(make_golden._trial(), switches=make_golden._trial().switches[::-1]))
+def test_trial_saves_and_loads_back_or_is_refused(tmp_path, log):
+    # Either both files save and load_trial returns the log (peak is not kept), or each writer
+    # that refuses it writes no file: a trial rule refuses it in both, a name only in its own file.
+    files = {save_events: tmp_path / "t.events.csv", save_path: tmp_path / "t.path.csv"}
+    refusals = {}
+    for save, path in files.items():
+        path.unlink(missing_ok=True)  # hypothesis runs every example in one tmp_path
+        try:
+            save(log, path)
+        except InvalidParameterError as exc:
+            refusals[save] = str(exc)
+            assert not path.exists()
+    if len(refusals) == 1:
+        assert "would not read back as written" in next(iter(refusals.values()))
+    if refusals:
+        return
+    assert repr(load_trial(*files.values())) == repr(as_loaded(log))
+
+
+def as_loaded(log):
+    """log as load_trial returns it: peak is not kept, and a float field holds a float (10 reads back as 10.0)."""
+    def point(p):
+        return Point2(float(p.x), float(p.y))
+
+    return EventLog(
+        steps=[StepEvent(s.index, float(s.t), 0.0) for s in log.steps],
+        door_opens=[DoorOpenEvent(float(d.t_start), float(d.t_end), d.zero_crossings) for d in log.door_opens],
+        switches=[dataclasses.replace(sw, crossing_point=point(sw.crossing_point)) for sw in log.switches],
+        poses=[Pose(point(p.position), float(p.heading)) for p in log.poses],
+        environments=log.environments,
+    )
 
 
 def cli_main_quietly(capsys, *args):
