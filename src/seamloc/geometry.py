@@ -230,15 +230,13 @@ def _segments_cross(p0: np.ndarray, p1: np.ndarray, table: np.ndarray) -> np.nda
     for start in range(0, wall.shape[1], block):
         wlx, wly, whx, why = wall[6:, start : start + block, None]
         close = (whx >= slx) & (wlx <= shx) & (why >= sly) & (wly <= shy)
-        # Pairs in row-major order: wall values repeat, step values gather. Each wall's
-        # count is a binary search of flat, not a count_nonzero over all of close.
-        flat, first = np.flatnonzero(close), np.arange(0, close.size + 1, n)
-        bounds = flat.searchsorted(first)
-        counts = bounds[1:] - bounds[:-1]
-        i = flat - first[:-1].repeat(counts)
+        # Pairs in row-major order: close's flat index w * n + i pairs wall w with step i.
+        flat = close.ravel().nonzero()[0]
+        w = flat // n
+        i = flat - w * n
         # pairs stays bound until the next block: freed early, glibc returns and re-faults its
         # pages (1024 x 4096 dense comb, 2-core VM, median of 10 runs: 348 ms against 167).
-        pairs = wall[:6, start : start + block].repeat(counts, axis=1)
+        pairs = wall[:6, start : start + block].take(w, axis=1)
         pair_steps = step.take(i, axis=1)
         crossing, collinear = _straddle(pairs, pair_steps)
         # compress, not a boolean index: it does not branch on each element.

@@ -102,8 +102,8 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
     pf, kf = _backend(cstate.environment, Pose(position, heading), cfg, cfg.seed)
     zones = build_zone_lookup(plan.doors, cfg.crossing)
 
-    mag_z = None  # built on first use: dts, rates and mag_z for the KF
-    headings, ahead = [], []  # indoors: step j's heading at headings[j] in this stretch, and pf_run's pairs not yet taken
+    mag_z = increments = None  # built on first use: dts, rates and mag_z for the KF, increments indoors
+    ahead = []  # indoors: (heading, (set, estimate)) of the steps that the last pf_run call returned, not yet taken
     bounds = [0, *step_samples(trace, steps)]  # step k's samples run from bounds[k] to bounds[k + 1]
     # Step k sees an opening that overlaps (t of step k - 1, t of step k]: merged openings are
     # disjoint and sorted, so one does when more start by t_k than end by t_(k-1) (t_(-1) = -inf).
@@ -121,19 +121,20 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
             heading = kf.heading
             pose = propagate_step(Pose(prev_pos, heading), cfg.pdr)
         else:
-            if not headings:  # the first step of an indoor stretch: the start, or the step after a switch
-                headings = [None] * k + integrate_headings(heading, trace.yaw_increments()[2].tolist(), bounds[k], bounds[k + 1 :])
-            if not ahead:
+            if not ahead:  # fold the next run's headings on from step k - 1's
+                if increments is None:
+                    increments = trace.yaw_increments()[2].tolist()
+                run = integrate_headings(heading, increments, bounds[k], bounds[k + 1 : k + 1 + PF_RUN])
                 try:
-                    ahead = pf_run(pf, headings[k : k + PF_RUN], cfg.pf, cfg.pdr, plan)
+                    ahead = list(zip(run, pf_run(pf, run, cfg.pf, cfg.pdr, plan)))
                 except FilterDivergenceError:
                     # One reinitialization at the last valid estimate, then give up.
-                    pf = pf_init(Pose(prev_pos, headings[k]), cfg.pf, seed=cfg.seed + 7919 + k)
+                    pf = pf_init(Pose(prev_pos, run[0]), cfg.pf, seed=cfg.seed + 7919 + k)
                     try:
-                        ahead = pf_run(pf, headings[k : k + PF_RUN], cfg.pf, cfg.pdr, plan)
+                        ahead = list(zip(run, pf_run(pf, run, cfg.pf, cfg.pdr, plan)))
                     except FilterDivergenceError as exc:
                         raise FilterDivergenceError(f"particle filter diverged at step {k}") from exc
-            heading, (pf, position) = headings[k], ahead.pop(0)
+            heading, (pf, position) = ahead.pop(0)
             pose = Pose(position, heading)
         position = pose.position
 
@@ -142,7 +143,7 @@ def track(trace: Trace, plan: FloorPlan, cfg: PipelineConfig = PipelineConfig())
         if switch is not None:
             log.switches.append(switch)
             pf, kf = _backend(switch.to_env, Pose(switch.crossing_point, heading), cfg, cfg.seed + k + 1)
-            headings, ahead = [], []
+            ahead = []
 
         log.poses.append(pose)
         log.environments.append(cstate.environment)
