@@ -8,6 +8,7 @@ so a file reads back as written, and every written column is checked on read.
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +40,8 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.seed, numbers.Integral):
+            raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 

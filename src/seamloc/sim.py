@@ -18,6 +18,7 @@ byte-identical to earlier versions.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
@@ -113,6 +114,8 @@ class NoiseModel:
             raise InvalidParameterError(f"noise sigmas must be in [0, {CONFIG_LIMIT:g}]")
         if not abs(self.gyro_bias) <= CONFIG_LIMIT:
             raise InvalidParameterError(f"gyro_bias must be in [-{CONFIG_LIMIT:g}, {CONFIG_LIMIT:g}], got {self.gyro_bias}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
 
@@ -381,6 +384,10 @@ def scenario_suite(
     the plan; the rest approach the first door and turn back. Every walk
     takes generate_walk's default sample rate and zone width.
     """
+    if n_trials < 0:
+        raise InvalidParameterError(f"n_trials must be >= 0, got {n_trials}")
+    if not 0 <= crossing_fraction <= 1:
+        raise InvalidParameterError(f"crossing_fraction must be in [0, 1], got {crossing_fraction}")
     n_cross = int(round(n_trials * crossing_fraction))
     trials = []
     for i in range(n_trials):

@@ -63,12 +63,9 @@ CASES = [(*walk, 1) for walk in WALKS] + [(*walk, 3) for walk in WALKS]
 def test_filters_keep_their_invariants_on_golden_walks(monkeypatch, name, script, plan, seed, pf_run):
     noise = dataclasses.replace(CALIBRATED_NOISE, seed=seed)
     trace, _ = generate_walk(script, noise, doors=plan.doors)
-    monkeypatch.setattr(harness, "PF_RUN", 1)
-    single = repr(harness.track(trace, plan, PipelineConfig(seed=seed)))
     monkeypatch.setattr(harness, "PF_RUN", pf_run)
     calls = check_filters(monkeypatch)
     path, log = harness.track(trace, plan, PipelineConfig(seed=seed))
-    assert repr((path, log)) == single  # the same track, bit for bit
     # One KF heading update per outdoor step; indoors, one heading fold per pf_run call that
     # is not the divergence retry, which reuses its call's headings. calls["pf_run"] counts
     # the runs that returned: a call that diverges is followed by its retry, which returns here.

@@ -18,11 +18,9 @@ from seamloc import (
     NoiseModel,
     PdrConfig,
     PfConfig,
-    PipelineConfig,
     Point2,
     Pose,
     Segment2,
-    Trace,
     UnreliableMeasurementError,
     WalkScript,
     detect_steps,
@@ -34,7 +32,6 @@ from seamloc import (
     normalized_series,
     pf_init,
     pf_step,
-    track,
     wrap_angle,
 )
 from seamloc import filters
@@ -572,30 +569,6 @@ def oracle_kf_loop(state, rates, dts, mags, cfg):
     return state
 
 
-def oracle_track_headings(trace, steps, heading, cfg, kf_state=None):
-    """Heading at each step from the tracker's former per-sample loop: the KF
-    when kf_state is given, else wrapped gyro increments."""
-    gz = trace.gyro[:, 2]
-    cursor = 0
-    out = []
-    for step in steps:
-        i_k = max(int(np.searchsorted(trace.t, step.t, side="right")) - 1, 0)
-        for i in range(cursor, i_k):
-            dt = float(trace.t[i + 1] - trace.t[i])
-            rate = 0.5 * float(gz[i] + gz[i + 1])
-            if kf_state is not None:
-                kf_state = oracle_kf_predict(kf_state, rate, dt, cfg)
-                z = oracle_mag_heading(trace.mag[i + 1, 0], trace.mag[i + 1, 1], cfg)
-                if z is not None:
-                    kf_state = oracle_kf_update(kf_state, z, cfg)
-                heading = kf_state.heading
-            else:
-                heading = wrap_angle(heading + rate * dt)
-        cursor = i_k
-        out.append(heading)
-    return out
-
-
 KF_TOL = 1e-12
 
 
@@ -678,32 +651,6 @@ class TestKfOracle:
         got = filters.kf_run(state, rate_list, dt_list, z, 0, len(dt_list), cfg)
         want = oracle_kf_loop(state, rate_list, dt_list, mag[1:, :2].tolist(), cfg)
         assert_kf_close(got, want)
-
-    @pytest.mark.parametrize("kf_cfg", [KfConfig(), KfConfig(declination=0.1), KfConfig(r_mag=float("inf"))])
-    @pytest.mark.parametrize("environment", ["outdoor", "indoor"])
-    def test_track_headings_match_per_sample_loop(self, kf_cfg, environment):
-        script = WalkScript(
-            waypoints=(Point2(0, 0), Point2(20, 0), Point2(20, -15)),
-            pauses=((1, 3.0),),
-            start_environment=environment,
-        )
-        noise = NoiseModel(accel_sigma=0.05, gyro_sigma=0.01, gyro_bias=0.02, mag_sigma=2.2, seed=8)
-        trace, _ = generate_walk(script, noise)
-        mag = trace.mag.copy()
-        mag[::5, :2] *= 1e-3  # weak-field samples: the update is skipped
-        trace = Trace(t=trace.t, accel=trace.accel, gyro=trace.gyro, mag=mag)
-        start = 3.1  # near +pi, so wrapped headings cross the seam
-        plan = FloorPlan(walls=(), doors=(), start_position=Point2(0, 0), start_heading=start, start_environment=environment)
-        path, log = track(trace, plan, PipelineConfig(kf=kf_cfg))
-        assert log.steps and not log.switches
-        kf_state = kf_init(start) if environment == "outdoor" else None
-        want = oracle_track_headings(trace, log.steps, start, kf_cfg, kf_state)
-        got = [pose.heading for pose in path]
-        if kf_state is None:
-            assert got == want
-        else:
-            assert max(abs(wrap_angle(g - w)) for g, w in zip(got, want)) <= KF_TOL
-
 
 # --- Reference scalar heading KF: one Python call per predict and per update ---
 # kf_run, kf_predict and kf_update must give these functions' bits exactly.

@@ -480,41 +480,6 @@ class TestDoorOpeningsOracle:
         assert len(got) == 2 and got[0].t_end < 8.0 < got[1].t_start
 
 
-def door_searchsorted_oracle(t, a, cfg=CFG, steps=None):
-    """The detector with its former step test: a window [i, ends[i]) is free of
-    steps when as many sorted step times lie before t[i] (searchsorted left) as
-    at or before t[ends[i] - 1] (searchsorted right)."""
-    t = np.asarray(t, dtype=float)
-    a = np.asarray(a, dtype=float)
-    n = len(a)
-    if n < 2:
-        return []
-    step_times = np.array(sorted([s.t for s in steps or []]))
-    crossing_prefix = np.concatenate([[0], np.cumsum(_zero_crossing_flags(a, cfg.door_lo, cfg.door_hi))])
-    window_end = t + cfg.door_window
-    m = int(np.count_nonzero(window_end <= t[-1]))
-    ends = np.searchsorted(t, window_end[:m], side="right")
-    abs_a = np.abs(a)
-    reach = np.concatenate([[0], np.cumsum(abs_a >= cfg.door_hi)])
-    over = np.concatenate([[0], np.cumsum(~(abs_a < cfg.step_hi))])
-    ok = (reach[ends] > reach[:m]) & (over[ends] == over[:m])
-    ok &= crossing_prefix[ends - 1] - crossing_prefix[:m] >= cfg.door_min_zero_crossings
-    first_step = np.searchsorted(step_times, t[:m], side="left")
-    ok &= np.searchsorted(step_times, t[ends - 1], side="right") <= first_step
-    qualifying = np.flatnonzero(ok)
-    if len(qualifying) == 0:
-        return []
-    t_start = t[qualifying]
-    t_end = t_start + cfg.door_window
-    first = np.flatnonzero(np.concatenate([[True], t_start[1:] > t_end[:-1]]))
-    last = np.append(first[1:], len(qualifying)) - 1
-    zero_crossings = crossing_prefix[ends[qualifying[last]] - 1] - crossing_prefix[qualifying[first]]
-    return [
-        DoorOpenEvent(t_start=ts, t_end=te, zero_crossings=zc)
-        for ts, te, zc in zip(t_start[first].tolist(), t_end[last].tolist(), zero_crossings.tolist())
-    ]
-
-
 @st.composite
 def stepped_wiggle(draw):
     """A door wiggle, so that the step test decides most windows, with steps on
@@ -541,14 +506,14 @@ def stepped_wiggle(draw):
 
 
 class TestDoorStepTestOracle:
-    """detect_door_openings' per-sample step counts give the windows that the
-    two searchsorted calls into the sorted step times gave."""
+    """detect_door_openings' step test, per-sample step counts from searchsorted, frees
+    the windows that the reference loop frees, with steps on, between and outside
+    sample times."""
 
     @settings(max_examples=150, deadline=None)
     @given(stepped_wiggle())
     def test_matches_searchsorted_step_test(self, series):
-        t, a, cfg, steps = series
-        assert detect_door_openings(t, a, cfg, steps) == door_searchsorted_oracle(t, a, cfg, steps)
+        assert_doors_match_oracle(*series)
 
     @pytest.mark.parametrize("k", range(12))
     def test_step_on_each_sample_time(self, k):
@@ -556,21 +521,8 @@ class TestDoorStepTestOracle:
         a = np.array([0.8, -0.8] * 6)
         cfg = SignalConfig(door_window=0.5, door_min_zero_crossings=1)
         for steps in ([StepEvent(index=0, t=t[k], peak=2.0)], [StepEvent(index=i, t=t[k], peak=2.0) for i in range(3)]):
-            got = detect_door_openings(t, a, cfg, steps)
-            assert got == door_searchsorted_oracle(t, a, cfg, steps) == door_loop_oracle(t, a, cfg, steps)
+            got = assert_doors_match_oracle(t, a, cfg, steps)
             assert got and all(not ev.t_start <= t[k] <= ev.t_end for ev in got)
-
-
-def fill_forward_oracle(a, lo, hi):
-    """The former vector form of the flags: each in-band sample takes the sign of
-    the last out-of-band sample before it (0 before any), and a flag marks a sign change."""
-    n = len(a)
-    if n < 2:
-        return np.zeros(0, dtype=int)
-    sign = np.where(a >= hi, 1.0, np.where(a <= lo, -1.0, 0.0))
-    last_nonzero = np.maximum.accumulate(np.where(sign != 0, np.arange(n), -1))
-    filled = np.where(last_nonzero >= 0, sign[np.maximum(last_nonzero, 0)], 0.0)
-    return (filled[:-1] * filled[1:] < 0).astype(int)
 
 
 def schmitt_oracle(a, lo, hi):
@@ -601,14 +553,8 @@ class TestDoorBand:
     @given(st.lists(door_level, max_size=60), st.sampled_from([(-0.5, 0.5), (-0.2, 0.9), (0.0, 1e-9)]))
     def test_flags_match_state_machine(self, values, band):
         a = np.array(values, dtype=float)
-        assert _zero_crossing_flags(a, *band).tolist() == schmitt_oracle(a, *band)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(door_level, max_size=60), st.sampled_from([(-0.5, 0.5), (-0.2, 0.9), (0.0, 1e-9)]))
-    def test_flags_match_fill_forward_form(self, values, band):
-        a = np.array(values, dtype=float)
-        got, want = _zero_crossing_flags(a, *band), fill_forward_oracle(a, *band)
-        assert (got.dtype, got.tolist()) == (want.dtype, want.tolist())
+        got = _zero_crossing_flags(a, *band)
+        assert got.dtype == int and got.tolist() == schmitt_oracle(a, *band)
 
     @pytest.mark.parametrize(
         "values",
@@ -629,9 +575,8 @@ class TestDoorBand:
     def test_short_nan_and_band_edge_series(self, values):
         a = np.array(values, dtype=float)
         got = _zero_crossing_flags(a, CFG.door_lo, CFG.door_hi)
-        want = fill_forward_oracle(a, CFG.door_lo, CFG.door_hi)
-        assert got.dtype == want.dtype and got.shape == (max(len(a) - 1, 0),)
-        assert got.tolist() == want.tolist() == schmitt_oracle(a, CFG.door_lo, CFG.door_hi)
+        assert got.dtype == int and got.shape == (max(len(a) - 1, 0),)
+        assert got.tolist() == schmitt_oracle(a, CFG.door_lo, CFG.door_hi)
 
     def test_noise_inside_the_band_makes_no_swing(self):
         a = np.random.default_rng(0).normal(0.0, 0.05, 500)

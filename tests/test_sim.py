@@ -337,6 +337,19 @@ class TestScenarioSuite:
             with pytest.raises(InvalidParameterError):
                 scenario_suite(plan, 2, NoiseModel())
 
+    @pytest.mark.parametrize(
+        "n_trials, fraction, message",
+        [
+            (-3, 1.0, "n_trials must be >= 0"),
+            (2, math.nan, "crossing_fraction must be in"),
+            (2, 5.0, "crossing_fraction must be in"),
+            (2, -0.5, "crossing_fraction must be in"),
+        ],
+    )
+    def test_bounds(self, n_trials, fraction, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            scenario_suite(two_building_plan(), n_trials, crossing_fraction=fraction)
+
     @pytest.mark.parametrize("walk", [crossing_script, turn_back_script], ids=["crossing", "turn_back"])
     def test_scripts_require_doors(self, walk):
         # turn_back_script took the first door unchecked: IndexError on a plan with none.

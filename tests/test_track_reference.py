@@ -5,7 +5,9 @@ the loop, no heading folds over several steps, no queue of particle-filter runs.
 Per step it adds each sample's gyro yaw increment through wrap_angle, chains
 one kf_predict and kf_update per sample outdoors, takes one pf_step indoors
 (with track's one retry), and asks whether any merged door opening overlaps the
-step's interval. Its output must be track's, repr for repr, or the same error.
+step's interval. Its output must be track's, repr for repr, or the same error, and
+it must make the same calls that leave no trace in the output: the door-open flag
+handed to observe_step at each step, and the pose and seed of each pf_init.
 """
 
 import bisect
@@ -16,11 +18,12 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seamloc import CALIBRATED_NOISE, DoorAction, PipelineConfig, WalkScript, crossing_script, generate_walk, harness
-from seamloc import turn_back_script, two_building_plan
-from seamloc.crossing import CrossingState, arm_check, build_zone_lookup, observe_step
+import make_golden
+from seamloc import CALIBRATED_NOISE, DoorAction, PipelineConfig, WalkScript, crossing, crossing_script, filters, generate_walk
+from seamloc import harness, turn_back_script, two_building_plan
+from seamloc.crossing import CrossingState, arm_check, build_zone_lookup
 from seamloc.errors import FilterDivergenceError, SeamlocError
-from seamloc.filters import PfConfig, _mag_heading, kf_init, kf_predict, kf_update, pf_init, pf_step
+from seamloc.filters import KfConfig, PfConfig, _mag_heading, kf_init, kf_predict, kf_update, pf_step
 from seamloc.geometry import Point2, Segment2
 from seamloc.pdr import Pose, propagate_step, wrap_angle
 from seamloc.signal import detect_door_openings, detect_steps, normalized_series
@@ -38,7 +41,7 @@ def reference_track(trace, plan, cfg):
 
     def enter(environment, pose, seed):  # (pf, kf) for the environment entered at pose
         if environment == "indoor":
-            return pf_init(pose, cfg.pf, seed=seed), None
+            return filters.pf_init(pose, cfg.pf, seed=seed), None
         return None, kf_init(pose.heading)
 
     position, heading = plan.start_position, wrap_angle(plan.start_heading)
@@ -65,7 +68,7 @@ def reference_track(trace, plan, cfg):
             try:
                 pf, position = pf_step(pf, heading, cfg.pf, cfg.pdr, plan)
             except FilterDivergenceError:
-                pf = pf_init(Pose(prev_pos, heading), cfg.pf, seed=cfg.seed + 7919 + k)
+                pf = filters.pf_init(Pose(prev_pos, heading), cfg.pf, seed=cfg.seed + 7919 + k)
                 try:
                     pf, position = pf_step(pf, heading, cfg.pf, cfg.pdr, plan)
                 except FilterDivergenceError as exc:
@@ -73,7 +76,7 @@ def reference_track(trace, plan, cfg):
         opened = any(ev.t_start <= step.t and ev.t_end > prev_t for ev in door_opens)
         prev_t = step.t
         cstate = arm_check(cstate, position, zones, cfg.crossing)
-        cstate, switch = observe_step(cstate, k, prev_pos, position, opened, cfg.crossing, zones)
+        cstate, switch = crossing.observe_step(cstate, k, prev_pos, position, opened, cfg.crossing, zones)
         if switch is not None:
             log.switches.append(switch)
             pf, kf = enter(switch.to_env, Pose(switch.crossing_point, heading), cfg.seed + k + 1)
@@ -105,27 +108,66 @@ SCRIPTS = {
 }
 
 
-def outcome(track, trace, plan, cfg):
-    """repr of what track returns, or the type and message of the SeamlocError it raises."""
-    try:
-        return repr(track(trace, plan, cfg))
-    except SeamlocError as exc:
-        return type(exc).__name__, str(exc)
+def drawn_walk(plan, script, start, seed):
+    plan = dataclasses.replace(plan, start_environment=start)
+    return SCRIPTS[script](plan), plan, seed
 
 
-@settings(max_examples=80, deadline=None)
-@given(
+# (script, plan, noise seed): a script through two_building_plan or CORRIDOR, or a golden
+# walk (pauses that read as openings, an outdoor start, the open-field 0.80 m walker).
+WALKS = st.builds(
+    drawn_walk,
     st.sampled_from([PLAN, CORRIDOR]),
     st.sampled_from(sorted(SCRIPTS)),
     st.sampled_from(["indoor", "outdoor"]),
     st.integers(0, 2**16),
+) | st.sampled_from([walk[1:] for walk in make_golden.oracle_walks()])
+
+
+def outcome(track, trace, plan, cfg):
+    """repr of what track returns, or the type and message of the SeamlocError it raises; and
+    repr of the calls it makes, in order: the door-open flag of each observe_step, and the
+    pose and seed of each pf_init (whose cloud ignores the heading)."""
+    calls, observe, init = [], crossing.observe_step, filters.pf_init
+
+    def observe_step(cstate, k, prev, pos, opened, *args):
+        calls.append(opened)
+        return observe(cstate, k, prev, pos, opened, *args)
+
+    def pf_init(pose, pf_cfg, seed):
+        calls.append((pose, seed))
+        return init(pose, pf_cfg, seed=seed)
+
+    with (
+        mock.patch.object(crossing, "observe_step", observe_step),
+        mock.patch.object(harness, "pf_init", pf_init),
+        mock.patch.object(filters, "pf_init", pf_init),
+    ):
+        try:
+            return repr(track(trace, plan, cfg)), repr(calls)
+        except SeamlocError as exc:
+            return (type(exc).__name__, str(exc)), repr(calls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    WALKS,
+    st.sampled_from([KfConfig(), KfConfig(declination=0.1), KfConfig(r_mag=math.inf)]),
+    st.booleans(),
+    st.sampled_from([None, 3.1, -3.1]),
     st.one_of(st.integers(1, 4), st.integers(1, 1000)),  # a few particles diverge and retry
     st.integers(1, 5),
 )
-def test_track_equals_the_reference_tracker(plan, script, start, seed, particles, pf_run):
-    plan = dataclasses.replace(plan, start_environment=start)
-    trace, _ = generate_walk(SCRIPTS[script](plan), dataclasses.replace(CALIBRATED_NOISE, seed=seed), doors=plan.doors)
-    cfg = PipelineConfig(pf=PfConfig(particle_count=particles), seed=seed)
+def test_track_equals_the_reference_tracker(walk, kf, weak_field, start_heading, particles, pf_run):
+    script, plan, seed = walk
+    trace, _ = generate_walk(script, dataclasses.replace(CALIBRATED_NOISE, seed=seed), doors=plan.doors)
+    if weak_field:  # every 5th sample's horizontal field under 1 uT: the KF skips its update
+        mag = trace.mag.copy()
+        mag[::5, :2] *= 1e-3
+        trace = dataclasses.replace(trace, mag=mag)
+    if start_heading is not None:  # near +-pi, so wrapped headings cross the seam
+        plan = dataclasses.replace(plan, start_heading=start_heading)
+    cfg = PipelineConfig(pf=PfConfig(particle_count=particles), kf=kf, seed=seed)
     with mock.patch.object(harness, "PF_RUN", pf_run):
         assert outcome(harness.track, trace, plan, cfg) == outcome(reference_track, trace, plan, cfg)
 
