@@ -54,7 +54,8 @@ class PfConfig:
 
 
 def pf_init(pose0: Pose, cfg: PfConfig, seed: int = 0) -> ParticleSet:
-    """Fresh particle cloud around pose0: isotropic Gaussian, uniform weights."""
+    """Fresh particle cloud around pose0's position: isotropic Gaussian, uniform weights.
+    Only pose0.position is read: the cloud carries no heading, as each step takes its own."""
     rng = np.random.default_rng(seed)
     center = np.array([pose0.position.x, pose0.position.y])
     positions = center + rng.normal(0.0, cfg.init_sigma, size=(cfg.particle_count, 2))

@@ -384,6 +384,8 @@ def scenario_suite(
     the plan; the rest approach the first door and turn back. Every walk
     takes generate_walk's default sample rate and zone width.
     """
+    if not isinstance(n_trials, numbers.Integral):
+        raise InvalidParameterError(f"n_trials must be an integer, got {n_trials!r}")
     if n_trials < 0:
         raise InvalidParameterError(f"n_trials must be >= 0, got {n_trials}")
     if not 0 <= crossing_fraction <= 1:

@@ -525,7 +525,8 @@ class TestNonFiniteInput:
         assert pset.rng.bit_generator.state == before
 
 
-# --- Reference heading KF: the numpy 2x2 matrix form, one sample at a time ---
+# --- Reference heading KF: the numpy 2x2 matrix form of one predict and one update,
+# the algebra that the scalar forms below expand ---
 
 
 def oracle_kf_predict(state, gyro_yaw_rate, dt, cfg):
@@ -550,23 +551,6 @@ def oracle_kf_update(state, measured_heading, cfg):
     cov = ikh @ p @ ikh.T + cfg.r_mag * np.outer(k, k)
     cov = 0.5 * (cov + cov.T)
     return HeadingKfState(heading=heading, gyro_bias=bias, covariance=cov)
-
-
-def oracle_mag_heading(mx, my, cfg):
-    """None where the horizontal field is too weak to use."""
-    if math.hypot(mx, my) < 1.0:
-        return None
-    return wrap_angle(math.atan2(-my, mx) + cfg.declination)
-
-
-def oracle_kf_loop(state, rates, dts, mags, cfg):
-    """The per-sample loop the tracker ran outdoors before kf_run."""
-    for rate, dt, (mx, my) in zip(rates, dts, mags):
-        state = oracle_kf_predict(state, rate, dt, cfg)
-        z = oracle_mag_heading(mx, my, cfg)
-        if z is not None:
-            state = oracle_kf_update(state, z, cfg)
-    return state
 
 
 KF_TOL = 1e-12
@@ -604,10 +588,6 @@ kf_configs = st.builds(
 )
 rates = st.floats(-3.0, 3.0)
 dts = st.floats(1e-4, 0.5)
-# Horizontal field components; about a third of the draws fall under 1 uT.
-mag_xy = st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)) | st.tuples(
-    st.floats(-0.7, 0.7), st.floats(-0.7, 0.7)
-)
 
 
 class TestKfOracle:
@@ -621,36 +601,6 @@ class TestKfOracle:
     def test_update_matches_matrix_form(self, state, z, cfg):
         assert_kf_close(kf_update(state, z, cfg), oracle_kf_update(state, z, cfg))
 
-    @settings(max_examples=150, deadline=None)
-    @given(kf_states, st.lists(st.tuples(rates, dts, mag_xy), max_size=60), kf_configs, st.data())
-    def test_run_matches_per_sample_loop(self, state, samples, cfg, data):
-        rate_list = [s[0] for s in samples]
-        dt_list = [s[1] for s in samples]
-        z = filters.mag_headings([xy for _, _, xy in samples], cfg.declination)
-        i0 = data.draw(st.integers(0, len(samples)))
-        i1 = data.draw(st.integers(i0, len(samples)))
-        got = filters.kf_run(state, rate_list, dt_list, z, i0, i1, cfg)
-        want = oracle_kf_loop(state, rate_list[i0:i1], dt_list[i0:i1], [s[2] for s in samples[i0:i1]], cfg)
-        assert_kf_close(got, want)
-        if i0 == i1:
-            assert got is state
-
-    def test_run_on_a_long_walk(self):
-        script = WalkScript(waypoints=(Point2(0, 0), Point2(40, 0), Point2(40, 30)))
-        noise = NoiseModel(accel_sigma=0.05, gyro_sigma=0.01, gyro_bias=0.02, mag_sigma=2.2, seed=5)
-        trace, _ = generate_walk(script, noise)
-        mag = trace.mag.copy()
-        mag[::9, :2] *= 1e-3  # weak-field samples: the update is skipped
-        cfg = KfConfig(declination=0.05)
-        gz = trace.gyro[:, 2]
-        rate_list = (0.5 * (gz[:-1] + gz[1:])).tolist()
-        dt_list = np.diff(trace.t).tolist()
-        z = filters.mag_headings(mag[1:, :2], cfg.declination)
-        assert None in z
-        state = kf_init(0.0)
-        got = filters.kf_run(state, rate_list, dt_list, z, 0, len(dt_list), cfg)
-        want = oracle_kf_loop(state, rate_list, dt_list, mag[1:, :2].tolist(), cfg)
-        assert_kf_close(got, want)
 
 # --- Reference scalar heading KF: one Python call per predict and per update ---
 # kf_run, kf_predict and kf_update must give these functions' bits exactly.
@@ -726,7 +676,6 @@ def assert_kf_bits(got, want):
 seam = st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0)])
 # Measured headings, on and past the seam: kf_update takes unwrapped input too.
 measured = st.one_of(near_pi, seam, st.floats(-10.0, 10.0))
-mag_rows = st.lists(mag_xy, max_size=60)
 
 
 class TestKfBitExact:

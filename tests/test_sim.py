@@ -341,6 +341,8 @@ class TestScenarioSuite:
         "n_trials, fraction, message",
         [
             (-3, 1.0, "n_trials must be >= 0"),
+            (2.5, 1.0, "n_trials must be an integer, got 2.5"),
+            ("3", 1.0, "n_trials must be an integer, got '3'"),
             (2, math.nan, "crossing_fraction must be in"),
             (2, 5.0, "crossing_fraction must be in"),
             (2, -0.5, "crossing_fraction must be in"),
