@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import harness
 from .crossing import CrossingConfig
-from .errors import InvalidParameterError, InvalidScriptError, InvariantViolation, ParseError, SeamlocError
+from .errors import InvalidInputError, InvalidParameterError, InvalidScriptError, InvariantViolation, ParseError, SeamlocError
 from .filters import KfConfig, PfConfig
 from .fingerprint import WknnConfig, estimate_position
 from .pdr import PdrConfig
@@ -155,6 +155,8 @@ def _cmd_eval(args) -> int:
         log = harness.load_trial(events_file, path_file)
         truth = harness.load_truth(truth_file)
         results.append((log, truth))
+    if not results:
+        raise InvalidInputError("no trials to evaluate: no *.events.csv file").at(events_dir)
     report = harness.evaluate(results, **config.get("eval", {}))
     harness.save_report(report, args.out)
     print(f"evaluated {len(results)} trials -> {args.out}/report.txt")

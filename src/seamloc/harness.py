@@ -8,7 +8,6 @@ so a file reads back as written, and every written column is checked on read.
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,8 +16,7 @@ import numpy as np
 
 from . import crossing as crossing_mod
 from .crossing import CrossingConfig, CrossingState, SwitchEvent, build_zone_lookup
-from .errors import FilterDivergenceError, InvalidInputError, InvalidParameterError, ParseError
-from .errors import SeamlocError
+from .errors import FilterDivergenceError, InvalidInputError, InvalidParameterError, ParseError, SeamlocError
 # track calls none of kf_predict, kf_update, mag_heading and pf_step: perfbench/layers.py wraps these
 # names here, and its traced run fails without them; their per-layer metrics read 0, as kf_run and
 # pf_run do the work.
@@ -27,7 +25,7 @@ from .fingerprint import Fingerprint, RadioMap, dbm_reading, unique_readings
 from .geometry import Door, FloorPlan, Point2, Segment2, distance
 from .pdr import PdrConfig, Pose, integrate_headings, propagate_step, step_samples, wrap_angle
 from .signal import DoorOpenEvent, SignalConfig, StepEvent, Trace, detect_door_openings, detect_steps, normalized_series
-from .sim import DoorAction, GroundTruth, WalkScript
+from .sim import DoorAction, GroundTruth, WalkScript, check_count
 
 
 @dataclass(frozen=True)
@@ -40,10 +38,7 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.seed, numbers.Integral):
-            raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
+        check_count("seed", self.seed)
 
 
 @dataclass

@@ -101,6 +101,14 @@ class WalkScript:
         return self._legs
 
 
+def check_count(name: str, value) -> None:
+    """Refuse a seed or count that is not an integer >= 0, naming it."""
+    if not isinstance(value, numbers.Integral):
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise InvalidParameterError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     accel_sigma: float = 0.0  # m/s^2
@@ -114,10 +122,7 @@ class NoiseModel:
             raise InvalidParameterError(f"noise sigmas must be in [0, {CONFIG_LIMIT:g}]")
         if not abs(self.gyro_bias) <= CONFIG_LIMIT:
             raise InvalidParameterError(f"gyro_bias must be in [-{CONFIG_LIMIT:g}, {CONFIG_LIMIT:g}], got {self.gyro_bias}")
-        if not isinstance(self.seed, numbers.Integral):
-            raise InvalidParameterError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
+        check_count("seed", self.seed)
 
 
 # Noise level used by the synthetic evaluation protocol: small enough that
@@ -337,13 +342,17 @@ def _beside(door: Door, cursor: Point2, d: float) -> Point2:
     return Point2(door.center.x + d * nx, door.center.y + d * ny)
 
 
-def crossing_script(plan: FloorPlan) -> WalkScript:
-    """Walk from the plan's start through every door in order: open it 0.7 m
-    in front, stop 3.05 m behind it."""
+def _check_walkable(plan: FloorPlan) -> None:
     if plan.start_position is None:
         raise InvalidParameterError("plan has no start")
     if not plan.doors:
         raise InvalidParameterError("plan has no doors")
+
+
+def crossing_script(plan: FloorPlan) -> WalkScript:
+    """Walk from the plan's start through every door in order: open it 0.7 m
+    in front, stop 3.05 m behind it."""
+    _check_walkable(plan)
     waypoints = [plan.start_position]
     actions = []
     for door in plan.doors:
@@ -360,10 +369,7 @@ def crossing_script(plan: FloorPlan) -> WalkScript:
 
 def turn_back_script(plan: FloorPlan) -> WalkScript:
     """Walk toward the first door, reverse 1.45 m in front of it, return."""
-    if plan.start_position is None:
-        raise InvalidParameterError("plan has no start")
-    if not plan.doors:
-        raise InvalidParameterError("plan has no doors")
+    _check_walkable(plan)
     start, door = plan.start_position, plan.doors[0]
     return WalkScript(
         waypoints=(start, _beside(door, start, 1.45), start),
@@ -384,10 +390,7 @@ def scenario_suite(
     the plan; the rest approach the first door and turn back. Every walk
     takes generate_walk's default sample rate and zone width.
     """
-    if not isinstance(n_trials, numbers.Integral):
-        raise InvalidParameterError(f"n_trials must be an integer, got {n_trials!r}")
-    if n_trials < 0:
-        raise InvalidParameterError(f"n_trials must be >= 0, got {n_trials}")
+    check_count("n_trials", n_trials)
     if not 0 <= crossing_fraction <= 1:
         raise InvalidParameterError(f"crossing_fraction must be in [0, 1], got {crossing_fraction}")
     n_cross = int(round(n_trials * crossing_fraction))

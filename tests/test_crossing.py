@@ -123,23 +123,6 @@ class TestObserveStep:
             state, ev = observe_step(state, k, *away_segment(k), False, CFG, ZONES)
             assert ev is None
 
-    def test_gap_exactly_five_switches(self):
-        state = armed_state()
-        state, ev = observe_step(state, 10, *away_segment(10), True, CFG, ZONES)
-        for k in range(11, 15):
-            state, ev = observe_step(state, k, *away_segment(k), False, CFG, ZONES)
-            assert ev is None
-        state, ev = observe_step(state, 15, *crossing_segment(), False, CFG, ZONES)
-        assert ev is not None and ev.step_index == 15
-
-    def test_gap_of_six_does_not_switch(self):
-        state = armed_state()
-        state, ev = observe_step(state, 10, *away_segment(10), True, CFG, ZONES)
-        for k in range(11, 16):
-            state, ev = observe_step(state, k, *away_segment(k), False, CFG, ZONES)
-        state, ev = observe_step(state, 16, *crossing_segment(), False, CFG, ZONES)
-        assert ev is None
-
     def test_order_independent_crossing_then_door(self):
         state = armed_state()
         state, ev = observe_step(state, 10, *crossing_segment(), False, CFG, ZONES)

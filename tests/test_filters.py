@@ -23,13 +23,11 @@ from seamloc import (
     Segment2,
     UnreliableMeasurementError,
     WalkScript,
-    detect_steps,
     generate_walk,
     kf_init,
     kf_predict,
     kf_update,
     mag_heading,
-    normalized_series,
     pf_init,
     pf_step,
     wrap_angle,
@@ -37,7 +35,6 @@ from seamloc import (
 from seamloc import filters
 from seamloc.filters import MAX_PARTICLES, ParticleSet
 from seamloc.geometry import _segments_cross
-from seamloc.pdr import heading_series
 from test_geometry import per_wall_oracle
 
 EMPTY_PLAN = FloorPlan(walls=(), doors=())
@@ -159,43 +156,6 @@ class TestPfStep:
         fast = _pieced_corridor_run()
         monkeypatch.setattr(filters, "_segments_cross", lambda p0, p1, table: per_wall_oracle(p0, p1, table[:4].T))
         assert _pieced_corridor_run() == fast
-
-    def test_corridor_beats_raw_pdr(self):
-        # Scaled-down version of the acceptance scenario: 5 seeds.
-        corridor = FloorPlan(
-            walls=(
-                Segment2(Point2(-2, -1), Point2(35, -1)),
-                Segment2(Point2(-2, 1), Point2(35, 1)),
-            ),
-            doors=(),
-        )
-        script = WalkScript(waypoints=(Point2(0, 0), Point2(30, 0)))
-        pf_cfg = PfConfig(init_sigma=0.2)
-        pdr_cfg = PdrConfig(initial_pose=Pose(Point2(0, 0), 0.0))
-        pf_errs, pdr_errs = [], []
-        for seed in range(5):
-            noise = NoiseModel(accel_sigma=0.05, gyro_sigma=0.01, gyro_bias=0.015, mag_sigma=0.5, seed=seed)
-            trace, truth = generate_walk(script, noise)
-            t, a = normalized_series(trace)
-            steps = detect_steps(t, a)
-            psi = heading_series(trace, pdr_cfg)
-            final = truth.final_position
-
-            pose = pdr_cfg.initial_pose
-            pset = pf_init(pose, pf_cfg, seed=seed)
-            est = pose.position
-            for s in steps:
-                i = max(int(np.searchsorted(trace.t, s.t, side="right")) - 1, 0)
-                h = wrap_angle(psi[i])
-                try:
-                    pset, est = pf_step(pset, h, pf_cfg, pdr_cfg, corridor)
-                except FilterDivergenceError:
-                    pset = pf_init(Pose(est, h), pf_cfg, seed=seed + 500)
-                    pset, est = pf_step(pset, h, pf_cfg, pdr_cfg, corridor)
-                pose = Pose(Point2(pose.position.x + 0.75 * math.cos(h), pose.position.y + 0.75 * math.sin(h)), h)
-            pf_errs.append(math.hypot(est.x - final.x, est.y - final.y))
-            pdr_errs.append(math.hypot(pose.position.x - final.x, pose.position.y - final.y))
-        assert np.mean(pf_errs) < np.mean(pdr_errs)
 
 
 def oracle_pf_step(pset, heading, cfg, pdr_cfg, plan):

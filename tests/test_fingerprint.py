@@ -83,23 +83,6 @@ class TestEstimatePosition:
         est = estimate_position({"A": -53.0}, rm, WknnConfig(k=2, mode="KNN"))
         assert abs(est.x - 1.0) < 1e-12 and est.y == 0.0
 
-    def test_oracle_equivalence_100_queries(self):
-        rm, txs, rng = seeded_radio_map()
-        for _ in range(100):
-            obs = {tx: float(rng.uniform(-90, -30)) for tx in txs}
-            for mode in ("NN", "KNN", "WKNN"):
-                got = estimate_position(obs, rm, WknnConfig(k=3, mode=mode))
-                want = brute_force_estimate(obs, rm, 3, mode)
-                assert math.hypot(got.x - want.x, got.y - want.y) < 1e-9
-
-    def test_nn_equals_wknn_k1(self):
-        rm, txs, rng = seeded_radio_map(seed=77)
-        for _ in range(50):
-            obs = {tx: float(rng.uniform(-90, -30)) for tx in txs}
-            nn = estimate_position(obs, rm, WknnConfig(k=4, mode="NN"))
-            w1 = estimate_position(obs, rm, WknnConfig(k=1, mode="WKNN"))
-            assert (nn.x, nn.y) == (w1.x, w1.y)
-
     def test_exact_match_returns_reference(self):
         rm, txs, _ = seeded_radio_map(seed=5)
         target = rm.entries[13]

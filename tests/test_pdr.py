@@ -109,16 +109,6 @@ class TestRunPdr:
         assert abs(poses[-1].position.x - 7.5) < 1e-9
         assert abs(poses[-1].position.y) < 1e-9
 
-    def test_rectangular_walk_matches_truth(self):
-        trace, truth = generate_walk(square_walk())
-        steps, poses = run_pipeline_pdr(trace, truth)
-        assert len(poses) == truth.step_count
-        err = math.hypot(
-            poses[-1].position.x - truth.step_positions[-1, 0],
-            poses[-1].position.y - truth.step_positions[-1, 1],
-        )
-        assert err < 1e-6
-
     def test_constant_gyro_bias_linear_heading_error(self):
         bias, duration, fs = 0.01, 60.0, 50.0
         trace = gyro_trace(np.full(int(duration * fs), bias), fs)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from seamloc import (
     CALIBRATED_NOISE,
     DoorOpenEvent,
-    ImuSample,
     StepEvent,
     InvalidParameterError,
     Point2,
@@ -21,7 +20,6 @@ from seamloc import (
     detect_door_openings,
     detect_steps,
     generate_walk,
-    normalize_accel,
     normalized_series,
     two_building_plan,
 )
@@ -31,24 +29,9 @@ from seamloc.signal import Trace, _zero_crossing_flags
 CFG = SignalConfig()
 
 
-def make_sample(ax, ay, az):
-    return ImuSample(t=0.0, accel=(ax, ay, az), gyro=(0, 0, 0), mag=(22, 0, -43))
-
-
 def sinusoid(amplitude, period=0.5, duration=5.0, fs=100.0):
     t = np.arange(0.0, duration, 1.0 / fs)
     return t, amplitude * np.sin(2 * np.pi * t / period)
-
-
-class TestNormalizeAccel:
-    def test_at_rest(self):
-        assert abs(normalize_accel(make_sample(0, 0, 9.81), CFG)) < 1e-12
-
-    def test_free_fall(self):
-        assert abs(normalize_accel(make_sample(0, 0, 0), CFG) + 9.81) < 1e-12
-
-    def test_three_four_five(self):
-        assert abs(normalize_accel(make_sample(3, 4, 0), CFG) + 4.81) < 1e-12
 
 
 # Its squares sum to 1 + 2^-52 left to right and to 1 right to left.
@@ -137,17 +120,9 @@ class TestAccelNormRule:
 
 
 class TestDetectSteps:
-    def test_ten_cycles_ten_steps(self):
-        t, a = sinusoid(2.0)
-        assert len(assert_steps_match_oracle(t, a)) == 10
-
     def test_constant_zero_no_steps(self):
         t = np.arange(0, 3, 0.01)
         assert detect_steps(t, np.zeros_like(t), CFG) == []
-
-    def test_subthreshold_amplitude_no_steps(self):
-        t, a = sinusoid(0.7)
-        assert detect_steps(t, a, CFG) == []
 
     def test_empty_input(self):
         assert detect_steps(np.array([]), np.array([]), CFG) == []
@@ -234,6 +209,7 @@ class TestDetectStepsOracle:
 
     @settings(max_examples=300, deadline=None)
     @given(step_series())
+    @example((*sinusoid(2.0), CFG))  # acceptance criterion 3's ten gait cycles
     def test_random_series_match_loop(self, series):
         assert_steps_match_oracle(*series)
 
@@ -277,16 +253,6 @@ class TestDetectDoorOpenings:
         (ev,) = assert_doors_match_oracle(t, a, CFG, steps)
         assert ev.t_start <= pause_lo and ev.t_end >= pause_hi
         assert ev.zero_crossings >= CFG.door_min_zero_crossings
-
-    def test_continuous_walking_no_events(self):
-        t = np.arange(0, 10, 0.01)
-        a = 2.0 * np.sin(2 * np.pi * t / 0.5)
-        steps = detect_steps(t, a, CFG)
-        assert detect_door_openings(t, a, CFG, steps) == []
-
-    def test_complete_stillness_no_events(self):
-        t = np.arange(0, 10, 0.01)
-        assert detect_door_openings(t, np.zeros_like(t), CFG, []) == []
 
     def test_event_interval_conditions_hold(self):
         t, a, _ = walking_pause_walking()
