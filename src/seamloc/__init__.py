@@ -31,22 +31,10 @@ from .filters import (
     pf_step,
 )
 from .fingerprint import Fingerprint, RadioMap, WknnConfig, estimate_position
+from .formats import EventLog, load_floorplan, load_radiomap, load_trace, save_floorplan, save_radiomap, save_trace
 from .geometry import Door, FloorPlan, Point2, Segment2, distance, segment_intersection
-from .harness import (
-    EvalReport,
-    EventLog,
-    PipelineConfig,
-    cdf_fraction_below,
-    evaluate,
-    format_report,
-    load_floorplan,
-    load_radiomap,
-    load_trace,
-    save_floorplan,
-    save_radiomap,
-    save_trace,
-    track,
-)
+from .harness import PipelineConfig, track
+from .metrics import EvalReport, cdf_fraction_below, evaluate, format_report
 from .pdr import PdrConfig, Pose, run_pdr, wrap_angle
 from .signal import (
     DoorOpenEvent,

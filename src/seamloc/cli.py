@@ -10,7 +10,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import harness
+from . import formats, harness
 from .crossing import CrossingConfig
 from .errors import InvalidInputError, InvalidParameterError, InvalidScriptError, InvariantViolation, ParseError, SeamlocError
 from .filters import KfConfig, PfConfig
@@ -91,7 +91,7 @@ def build_pipeline_config(config: dict, seed: int | None = None) -> harness.Pipe
 
 def _cmd_simulate(args) -> int:
     config = load_config(args.config)
-    script = harness.load_walk_script(args.script)
+    script = formats.load_walk_script(args.script)
     noise = config.get("noise", NoiseModel())
     if args.seed is not None:
         noise = dataclasses.replace(noise, seed=args.seed)
@@ -104,7 +104,7 @@ def _cmd_simulate(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.save_trace(trace, out / f"{args.name}.trace.csv")
-    harness.save_truth(truth, out / f"{args.name}.truth.txt")
+    formats.save_truth(truth, out / f"{args.name}.truth.txt")
     print(f"wrote {args.name}.trace.csv ({len(trace)} samples) and {args.name}.truth.txt ({truth.step_count} steps)")
     return 0
 
@@ -127,8 +127,8 @@ def _cmd_track(args) -> int:
 
 def _cmd_locate(args) -> int:
     cfg = load_config(args.config).get("wknn", WknnConfig())
-    observed = harness.load_observation(args.observation)
-    radio_map = harness.load_radiomap(args.radiomap)
+    observed = formats.load_observation(args.observation)
+    radio_map = formats.load_radiomap(args.radiomap)
     position = estimate_position(observed, radio_map, cfg)
     line = f"{position.x!r} {position.y!r}"
     print(line)
@@ -168,8 +168,8 @@ def _cmd_report(args) -> int:
     report_file, cdf_file = base / "report.txt", base / "cdf.csv"
     if not report_file.exists():
         raise ParseError("no report.txt in directory (run eval first)", path=str(base))
-    report = harness._text(report_file)
-    cdf = harness._text(cdf_file) if cdf_file.exists() else None
+    report = formats._text(report_file)
+    cdf = formats._text(cdf_file) if cdf_file.exists() else None
     sys.stdout.write(report)
     if cdf is not None:
         print("\nCDF points (error, cumulative fraction)")

@@ -49,8 +49,8 @@ from seamloc import (
     two_building_plan,
 )
 from seamloc import evaluate
-from seamloc.harness import EventLog, save_events, save_floorplan, save_path, save_radiomap, save_report
-from seamloc.harness import save_trace, save_truth
+from seamloc.formats import EventLog, save_events, save_floorplan, save_path, save_radiomap, save_report
+from seamloc.formats import save_trace, save_truth
 from seamloc.sim import OPEN_AND_CROSS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

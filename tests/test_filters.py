@@ -23,18 +23,23 @@ from seamloc import (
     Segment2,
     UnreliableMeasurementError,
     WalkScript,
+    detect_steps,
+    distance,
     generate_walk,
     kf_init,
     kf_predict,
     kf_update,
     mag_heading,
+    normalized_series,
     pf_init,
     pf_step,
+    run_pdr,
     wrap_angle,
 )
 from seamloc import filters
 from seamloc.filters import MAX_PARTICLES, ParticleSet
 from seamloc.geometry import _segments_cross
+from seamloc.pdr import heading_series
 from test_geometry import per_wall_oracle
 
 EMPTY_PLAN = FloorPlan(walls=(), doors=())
@@ -138,6 +143,30 @@ class TestPfStep:
                 run.append((est.x, est.y))
             estimates.append(run)
         assert estimates[0] == estimates[1]
+
+    def test_walls_cut_the_dead_reckoning_error_by_half(self):
+        # Acceptance criterion 7's corridor, walks and seeds. The criterion asks only that the filter
+        # beat raw dead reckoning, which a filter ignoring the walls ties (4.41 m each); with the
+        # walls its mean final error is about a third of dead reckoning's (1.54 against 4.41 m).
+        corridor = FloorPlan(walls=(Segment2(Point2(-2, -1), Point2(35, -1)), Segment2(Point2(-2, 1), Point2(35, 1))), doors=())
+        cfg, pdr_cfg = PfConfig(init_sigma=0.2), PdrConfig(initial_pose=Pose(Point2(0, 0), 0.0))
+        pf_errs, pdr_errs = [], []
+        for seed in range(20):
+            noise = NoiseModel(accel_sigma=0.05, gyro_sigma=0.01, gyro_bias=0.015, mag_sigma=0.5, seed=seed)
+            trace, truth = generate_walk(WalkScript(waypoints=(Point2(0, 0), Point2(30, 0))), noise)
+            steps = detect_steps(*normalized_series(trace))
+            pdr_errs.append(distance(run_pdr(trace, steps, pdr_cfg)[-1].position, truth.final_position))
+            psi = heading_series(trace, pdr_cfg)
+            pset, est = pf_init(pdr_cfg.initial_pose, cfg, seed=seed), pdr_cfg.initial_pose.position
+            for s in steps:
+                h = wrap_angle(psi[max(int(np.searchsorted(trace.t, s.t, side="right")) - 1, 0)])
+                try:
+                    pset, est = pf_step(pset, h, cfg, pdr_cfg, corridor)
+                except FilterDivergenceError:
+                    pset = pf_init(Pose(est, h), cfg, seed=seed + 1000)
+                    pset, est = pf_step(pset, h, cfg, pdr_cfg, corridor)
+            pf_errs.append(distance(est, truth.final_position))
+        assert np.mean(pf_errs) <= 0.5 * np.mean(pdr_errs)
 
     def test_pieced_corridor_matches_recorded_run(self):
         # Recorded from the per-wall loop the wall test replaced: 20 steps of

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import make_golden
-from seamloc import evaluate, harness
-from seamloc.harness import EVENTS_HEADER, PATH_HEADER
+from seamloc import evaluate, formats
+from seamloc.formats import EVENTS_HEADER, PATH_HEADER
 
 EMPTY = None  # a column the line leaves empty
 
@@ -20,7 +20,7 @@ EMPTY = None  # a column the line leaves empty
 # record as the file holds it, None where the column is empty.
 WRITTEN = {
     "plan.txt": (
-        harness._FLOORPLAN,
+        formats._FLOORPLAN,
         "version: 1",
         None,
         [
@@ -32,13 +32,13 @@ WRITTEN = {
         ],
     ),
     "plan_no_start.txt": (
-        harness._FLOORPLAN,
+        formats._FLOORPLAN,
         "version: 1",
         None,
         [("wall", (0.1, 0.2, 0.30000000000000004, 0.2))],
     ),
     "radiomap.txt": (
-        harness._RADIOMAP,
+        formats._RADIOMAP,
         "version: 1",
         None,
         [
@@ -47,7 +47,7 @@ WRITTEN = {
         ],
     ),
     "truth_group.txt": (
-        harness._TRUTH,
+        formats._TRUTH,
         "version: 1",
         None,
         [
@@ -64,7 +64,7 @@ WRITTEN = {
         ],
     ),
     "truth_no_group.txt": (
-        harness._TRUTH,
+        formats._TRUTH,
         "version: 1",
         None,
         [
@@ -75,7 +75,7 @@ WRITTEN = {
         ],
     ),
     "trial.events.csv": (
-        harness._EVENTS,
+        formats._EVENTS,
         EVENTS_HEADER,
         ",",
         [
@@ -89,7 +89,7 @@ WRITTEN = {
         ],
     ),
     "trial.path.csv": (
-        harness._PATH,
+        formats._PATH,
         PATH_HEADER,
         ",",
         [
@@ -126,7 +126,7 @@ def test_writer_bytes(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(WRITTEN))
 def test_read_gives_back_the_written_records(name):
     fields, head, sep, written = WRITTEN[name]
-    records = harness._read(make_golden.GOLDEN / name, fields, head, sep)
+    records = formats._read(make_golden.GOLDEN / name, fields, head, sep)
     in_file_order = sorted((lineno, key, values) for key, rows in records.items() for lineno, values in rows)
     assert [key for _, key, _ in in_file_order] == [key for key, _ in written]
     got = [values for _, _, values in in_file_order]
@@ -153,6 +153,6 @@ def test_walk_files_match_golden():
 
 @pytest.mark.parametrize("case", sorted(make_golden.report_cases()))
 def test_report_files_match_golden(tmp_path, case):
-    harness.save_report(evaluate(make_golden.report_cases()[case]), tmp_path)
+    formats.save_report(evaluate(make_golden.report_cases()[case]), tmp_path)
     for name in make_golden.REPORT_FILES:
         assert (tmp_path / name).read_bytes() == (make_golden.GOLDEN / f"report_{case}" / name).read_bytes(), name

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import make_golden
 import seamloc.cli as cli
-from seamloc import errors, harness
+from seamloc import errors, formats, harness, metrics
 from seamloc import (
+    CALIBRATED_NOISE,
     Door,
     DoorOpenEvent,
     Fingerprint,
@@ -43,7 +44,7 @@ from seamloc import (
     turn_back_script,
     two_building_plan,
 )
-from seamloc.harness import (
+from seamloc.formats import (
     TRACE_HEADER,
     EventLog,
     load_floorplan,
@@ -196,6 +197,20 @@ class TestTrack:
         assert flags == want
         assert flags[:13] == [False, True, False, True, True, True, True, False, False, True, False, True, True]
 
+    def test_switches_need_a_door_opening(self, monkeypatch):
+        # Over 20 calibrated crossing walks the tracker switches at both doors of each, and with
+        # no door opening detected it never switches: a zone crossing alone is no evidence.
+        plan = two_building_plan()
+        noises = [dataclasses.replace(CALIBRATED_NOISE, seed=seed) for seed in range(20)]
+        walks = [generate_walk(crossing_script(plan), noise, doors=plan.doors)[0] for noise in noises]
+
+        def switches():
+            return sum(len(track(trace, plan, PipelineConfig(seed=seed))[1].switches) for seed, trace in enumerate(walks))
+
+        assert switches() == 40
+        monkeypatch.setattr(harness, "detect_door_openings", lambda t, a, cfg, steps: [])
+        assert switches() == 0
+
     def test_divergence_reports_step_index(self):
         from seamloc import FilterDivergenceError, PfConfig, WalkScript
 
@@ -293,7 +308,7 @@ class TestEvaluate:
         ).reshape(len(crossings), len(events))
         rows, cols = linear_sum_assignment(fits, maximize=True)
         best = int(fits[rows, cols].sum())
-        assert harness._match_switches(events, truth, window) == (best, len(events) - best)
+        assert metrics._match_switches(events, truth, window) == (best, len(events) - best)
 
     def test_outside_window_not_matched(self):
         truth = make_truth([1.0, 0.0], crossings=[(0, "doorA")])
@@ -565,8 +580,8 @@ class TestFormats:
     )
     def test_switch_t_reads_back_as_written(self, tmp_path, switch, refused):
         events, path = tmp_path / "t.events.csv", tmp_path / "t.path.csv"
-        events.write_text(f"{harness.EVENTS_HEADER}\nstep,0,0.5,,,,,,,,\nstep,1,1.0,,,,,,,,\n{switch}\n")
-        path.write_text(f"{harness.PATH_HEADER}\n0,0.5,0.75,0.0,0.0,indoor\n1,1.0,1.5,0.0,0.0,indoor\n")
+        events.write_text(f"{formats.EVENTS_HEADER}\nstep,0,0.5,,,,,,,,\nstep,1,1.0,,,,,,,,\n{switch}\n")
+        path.write_text(f"{formats.PATH_HEADER}\n0,0.5,0.75,0.0,0.0,indoor\n1,1.0,1.5,0.0,0.0,indoor\n")
         if refused:
             with pytest.raises(ParseError, match=rf"^{re.escape(str(events))}:4: switch at step -?\d+ has t ") as got:
                 load_trial(events, path)
@@ -818,7 +833,7 @@ def row_loop_trace(path):
 
 def trace_columns(path, monkeypatch):
     """load_trace's parsed columns, before Trace checks time order and finiteness."""
-    monkeypatch.setattr(harness, "Trace", lambda t, accel, gyro, mag: np.column_stack([t, accel, gyro, mag]))
+    monkeypatch.setattr(formats, "Trace", lambda t, accel, gyro, mag: np.column_stack([t, accel, gyro, mag]))
     return load_trace(path)
 
 
@@ -880,8 +895,8 @@ class TestReader:
         "truth step index": (load_truth, "version: 1\ninitial: 0 0 0 indoor\n\n\nstep: x 0.5 0 0 0 indoor\n", 5),
         "walk_script": (load_walk_script, "version: 1\nwaypoint: 0 0\n\n\nwaypoint: x 0\n", 5),
     }
-    EVENTS = f"{harness.EVENTS_HEADER}\nstep,0,0.5,,,,,,,,\n"
-    PATH = f"{harness.PATH_HEADER}\n0,0.5,0.75,0.0,0.0,indoor\n"
+    EVENTS = f"{formats.EVENTS_HEADER}\nstep,0,0.5,,,,,,,,\n"
+    PATH = f"{formats.PATH_HEADER}\n0,0.5,0.75,0.0,0.0,indoor\n"
 
     @pytest.mark.parametrize("fmt", sorted(BAD_AFTER_BLANKS))
     def test_bad_field_after_blank_lines_names_its_line(self, tmp_path, fmt):
@@ -1140,14 +1155,14 @@ def test_simulate_non_finite_script_value_is_invalid_script(tmp_path, row):
 def load_path_rows(path):
     """load_trial of a path file beside an events file with no records, named as eval reads them."""
     events = path.with_name("trial.events.csv")
-    events.write_text(f"{harness.EVENTS_HEADER}\n")
+    events.write_text(f"{formats.EVENTS_HEADER}\n")
     return load_trial(events, path)
 
 
 def load_event_rows(path):
     """load_trial of an events file beside a path file with no rows, named as eval reads them."""
     rows = path.with_name("trial.path.csv")
-    rows.write_text(f"{harness.PATH_HEADER}\n")
+    rows.write_text(f"{formats.PATH_HEADER}\n")
     return load_trial(path, rows)
 
 
@@ -1212,9 +1227,16 @@ RECORD_ERRORS = [
     # Columns that save_truth derives read back as written: a step's index, and final.
     (load_truth, "step: 7 0.1 0.75 0 0 indoor", ParseError, "step 7 is step row 0: an index is its row's position"),
     (load_truth, "final: 99.0 -5.0", ParseError, "final (99.0, -5.0) is not (0.0, 0.0), the last step's position"),
-    # A crossing or turn-back is at a step of the file.
+    # A crossing or turn-back is at a step of the file: not before the first, nor at or past the count.
     (load_truth, "crossing: 7 doorA", ParseError, "crossing of doorA at step 7: the file has 0 step lines"),
+    (load_truth, "step: 0 0.5 0.75 0 0 indoor\ncrossing: 1 doorA", ParseError, "crossing of doorA at step 1: the file has 1 step lines"),
+    (load_truth, "step: 0 0.5 0.75 0 0 indoor\ncrossing: -1 doorA", ParseError, "crossing of doorA at step -1: the file has 1 step lines"),
+    (load_truth, "step: 0 0.5 0.75 0 0 indoor\nstep: 1 1.0 1.5 0 0 indoor\ncrossing: 2 doorA", ParseError, "crossing of doorA at step 2: the file has 2 step lines"),
     (load_truth, "turn_back: -1 doorA", ParseError, "turn_back of doorA at step -1: the file has 0 step lines"),
+    (load_truth, "turn_back: 0 doorA", ParseError, "turn_back of doorA at step 0: the file has 0 step lines"),
+    (load_truth, "step: 0 0.5 0.75 0 0 indoor\nturn_back: -1 doorA", ParseError, "turn_back of doorA at step -1: the file has 1 step lines"),
+    (load_truth, "step: 0 0.5 0.75 0 0 indoor\nturn_back: 1 doorA", ParseError, "turn_back of doorA at step 1: the file has 1 step lines"),
+    (load_truth, "step: 0 0.5 0.75 0 0 indoor\nstep: 1 1.0 1.5 0 0 indoor\nturn_back: 2 doorA", ParseError, "turn_back of doorA at step 2: the file has 2 step lines"),
     (load_path_rows, "0,0.5,nan,0.0,0.0,indoor", InvariantViolation, "point-finite: (nan, 0.0)"),
     (load_event_rows, "switch,0,0.5,doorA,inf,4.0,,,,indoor,outdoor", InvariantViolation, "point-finite: (inf, 4.0)"),
     (load_event_rows, "step,,,,,,,,,,", ParseError, "bad number: invalid literal for int() with base 10: ''"),
@@ -1242,9 +1264,9 @@ RECORD_ERRORS = [
 RECORD_HEADS = {
     load_observation: "# a comment\n",
     load_truth: "version: 1\ninitial: 0 0 0 indoor\n# a comment\n",
-    load_path_rows: f"{harness.PATH_HEADER}\n",
-    load_event_rows: f"{harness.EVENTS_HEADER}\n",
-    load_trace: f"{harness.TRACE_HEADER}\n",
+    load_path_rows: f"{formats.PATH_HEADER}\n",
+    load_event_rows: f"{formats.EVENTS_HEADER}\n",
+    load_trace: f"{formats.TRACE_HEADER}\n",
 }
 # Records after the bad one: a walk script needs two good waypoints.
 RECORD_TAILS = {load_walk_script: "waypoint: 0 0\nwaypoint: 5 0\n"}
@@ -1504,40 +1526,19 @@ PATH_ROWS = (GOLDEN / "trial.path.csv").read_text().splitlines()[1:]  # the rows
 def test_path_rows_that_are_not_the_step_rows_name_the_path_file(tmp_path, rows, line, message):
     events, path = tmp_path / "t.events.csv", tmp_path / "t.path.csv"
     shutil.copy(GOLDEN / "trial.events.csv", events)
-    path.write_text("\n".join([harness.PATH_HEADER, *rows]) + "\n")
+    path.write_text("\n".join([formats.PATH_HEADER, *rows]) + "\n")
     with pytest.raises(ParseError) as got:
         load_trial(events, path)
     assert (got.value.path, got.value.line) == (str(path), line)
     assert str(got.value) == f"{path}{'' if line is None else f':{line}'}: {message.format(events=events)}"
 
 
-@pytest.mark.parametrize("steps, crossing", [(0, 7), (1, 1), (1, -1), (2, 2)])
-def test_truth_crossing_at_no_step_names_its_line(tmp_path, steps, crossing):
+def test_truth_events_at_the_last_step_load(tmp_path):
+    # A crossing or turn-back at a step the file lacks is a RECORD_ERRORS row; one at its last step loads.
     path = tmp_path / "truth.txt"
-    rows = [f"step: {i} {0.5 * (i + 1)} {0.75 * (i + 1)} 0 0 indoor" for i in range(steps)]
-    path.write_text("\n".join(["version: 1", "initial: 0 0 0 indoor", *rows, f"crossing: {crossing} doorA"]) + "\n")
-    with pytest.raises(ParseError) as got:
-        load_truth(path)
-    message = f"crossing of doorA at step {crossing}: the file has {steps} step lines"
-    assert str(got.value) == f"{path}:{steps + 3}: {message}"
-    if steps:  # the last step is a step
-        path.write_text(path.read_text().replace(f"crossing: {crossing}", f"crossing: {steps - 1}"))
-        assert load_truth(path).crossings == ((steps - 1, "doorA"),)
-
-
-@pytest.mark.parametrize("steps, turn_back", [(0, 0), (1, -1), (1, 1), (2, 2)])
-def test_truth_turn_back_at_no_step_names_its_line(tmp_path, steps, turn_back):
-    # generate_walk wrote turn_back: -1 for a turn-back before any step; no truth file holds one now.
-    path = tmp_path / "truth.txt"
-    rows = [f"step: {i} {0.5 * (i + 1)} {0.75 * (i + 1)} 0 0 indoor" for i in range(steps)]
-    path.write_text("\n".join(["version: 1", "initial: 0 0 0 indoor", *rows, f"turn_back: {turn_back} doorA"]) + "\n")
-    with pytest.raises(ParseError) as got:
-        load_truth(path)
-    message = f"turn_back of doorA at step {turn_back}: the file has {steps} step lines"
-    assert str(got.value) == f"{path}:{steps + 3}: {message}"
-    if steps:  # the last step is a step
-        path.write_text(path.read_text().replace(f"turn_back: {turn_back}", f"turn_back: {steps - 1}"))
-        assert load_truth(path).turn_backs == ((steps - 1, "doorA"),)
+    path.write_text("version: 1\ninitial: 0 0 0 indoor\nstep: 0 0.5 0.75 0 0 indoor\ncrossing: 0 doorA\nturn_back: 0 doorA\n")
+    truth = load_truth(path)
+    assert (truth.crossings, truth.turn_backs) == (((0, "doorA"),), ((0, "doorA"),))
 
 
 # Names of any text (a file holds only the one-word ones: one_word), and finite floats well inside float range,
@@ -1578,17 +1579,18 @@ def one_word(name):
     return name.split() == [name]
 
 
-def assert_saves_and_loads_back(save, load, obj, names, path):
-    """obj saves and loads back equal when every name is one word; otherwise its save is refused and writes no file."""
+def assert_saves_and_loads_back(save, load, obj, names, path, one_name=one_word, kept=None):
+    """obj saves and loads back equal (to kept, where given: what the file keeps of obj) when every
+    name is one_name; otherwise its save is refused and writes no file."""
     path.unlink(missing_ok=True)  # hypothesis runs every example in one tmp_path
-    if not all(map(one_word, names)):
+    if not all(map(one_name, names)):
         with pytest.raises(InvalidParameterError, match="would not read back as written"):
             save(obj, path)
         assert not path.exists()
         return None
     save(obj, path)
     loaded = load(path)
-    assert_same_fields(loaded, obj)
+    assert_same_fields(loaded, obj if kept is None else kept)
     return loaded
 
 
@@ -1666,6 +1668,54 @@ def test_floorplan_that_builds_loads_back_as_saved(tmp_path, fields, refused):
     loaded = assert_saves_and_loads_back(save_floorplan, load_floorplan, plan, names, tmp_path / "plan.txt")
     if loaded is not None:
         assert loaded.wall_array().tobytes() == plan.wall_array().tobytes()
+
+
+@st.composite
+def trace_fields(draw):
+    """Trace columns: times of any floats, in increasing order or not, accelerations whose squared
+    norm may overflow, and gyro and magnetometer readings whose yaw increments may."""
+    k = draw(st.integers(0, 5))
+    t = draw(st.lists(st.one_of(FINITE, st.floats()), min_size=k, max_size=k, unique=True))
+    if draw(st.integers(0, 3)):
+        t.sort()
+    accel = draw(st.lists(st.floats(-1e160, 1e160), min_size=3 * k, max_size=3 * k))
+    gyro, mag = (draw(st.lists(FINITE, min_size=3 * k, max_size=3 * k)) for _ in range(2))
+    return {"t": np.array(t, dtype=float), "accel": accel, "gyro": gyro, "mag": mag}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fields=trace_fields())
+def test_trace_that_builds_loads_back_as_saved(tmp_path, fields):
+    try:
+        trace = Trace(**fields)
+    except InvariantViolation:
+        return
+    assert_saves_and_loads_back(save_trace, load_trace, trace, [], tmp_path / "trace.csv")
+
+
+DBM = st.floats(-120.0, 0.0)  # a reading's range, -0.0 included
+
+
+def one_transmitter(tx):
+    """Whether a radio map file holds tx as written: a reading is one word, tx=dbm, and tx holds no =."""
+    return "=" not in tx and one_word(f"{tx}=")
+
+
+@st.composite
+def radiomap_fields(draw):
+    """RadioMap entries of 1 to 3 points, each with 1 to 3 readings in range, transmitters of any name."""
+    points = draw(st.lists(st.tuples(FINITE, FINITE, st.dictionaries(NAMES, DBM, min_size=1, max_size=3)), min_size=1, max_size=3))
+    return tuple(Fingerprint(Point2(x, y), rss) for x, y, rss in points)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(entries=radiomap_fields())
+def test_radiomap_that_builds_loads_back_as_saved(tmp_path, entries):
+    radio_map = RadioMap(entries)
+    names = [tx for fp in entries for tx in fp.rss]
+    # save_radiomap writes each point's readings sorted by transmitter.
+    kept = RadioMap(tuple(Fingerprint(fp.position, dict(sorted(fp.rss.items()))) for fp in entries))
+    assert_saves_and_loads_back(save_radiomap, load_radiomap, radio_map, names, tmp_path / "rm.txt", one_transmitter, kept)
 
 
 TIMES = st.floats()  # NaN and infinities included

@@ -13,7 +13,7 @@ import pytest
 
 from seamloc import CALIBRATED_NOISE, PipelineConfig, scenario_suite, track, two_building_plan
 from seamloc.geometry import distance
-from seamloc.harness import load_floorplan, load_trace, save_floorplan, save_trace
+from seamloc.formats import load_floorplan, load_trace, save_floorplan, save_trace
 
 PLAN = two_building_plan()
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import seamloc.cli as cli
-import seamloc.harness as harness
+import seamloc.formats as formats
 import seamloc.sim as sim
 from seamloc import (
     CALIBRATED_NOISE,
@@ -256,7 +256,7 @@ class TestGenerateWalk:
         script.write_text("\n".join(["version: 1", *lines]) + "\n")
         line = len(lines) + 1  # the door action's
         with pytest.raises(InvalidScriptError, match="comes before any step") as got:  # on file: refused at its line
-            harness.load_walk_script(script)
+            formats.load_walk_script(script)
         assert (got.value.path, got.value.line) == (str(script), line)
         assert cli.main(["simulate", "--script", str(script), "--out", str(tmp_path / "o")]) == 6
         err = capsys.readouterr().err
@@ -664,7 +664,7 @@ def test_random_script_file_is_refused_at_a_line_or_walked(tmp_path, monkeypatch
     path = tmp_path / "walk.txt"
     path.write_text("\n".join(lines) + "\n")
     try:
-        script = harness.load_walk_script(path)
+        script = formats.load_walk_script(path)
     except InvalidScriptError as exc:
         assert exc.path == str(path)
         if exc.record is None:  # a whole-script rule names the file alone
